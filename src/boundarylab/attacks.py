@@ -91,26 +91,6 @@ class AttackConfig:
         return replace(self, n_init=n_init, n_attack=total - n_init)
 
 
-@dataclass(frozen=True)
-class AttackOutcome:
-    """Result of attacking one example.
-
-    ``iterations`` is the attack-loop index at which the prediction first
-    flipped, for the returned restart; start-strategy iterations are not
-    included.  ``iterations_per_restart`` holds that index for every
-    restart (None where the restart failed); ``grad_evals_per_restart``
-    counts gradient evaluations including the start strategy's.
-    """
-
-    x_adv: np.ndarray
-    success: bool
-    iterations: int | None
-    restart: int | None
-    iterations_per_restart: tuple
-    grad_evals_per_restart: tuple
-    trace: tuple | None = None
-
-
 @dataclass
 class BatchSegment:
     """One restart's attack loop over a batch (internal building block)."""
@@ -168,6 +148,36 @@ def random_start_batch(x_batch, epsilon, seeds):
     return out
 
 
+# -- objective gradients --------------------------------------------------
+#
+# The one place each attack objective is differentiated.  Both take the
+# head contexts of a forward pass the caller already ran, so an attack
+# iteration costs one head forward and at most one head backward.
+
+
+def cross_entropy_grad(c, ctxs, z, y):
+    """∇ₓ of each example's cross-entropy of logits ``z`` at label ``y``.
+
+    ``ctxs`` and ``z`` come from one head forward and the tail.  The logit
+    gradient softmax(z) − onehot(y) is taken back through the tail
+    weights and then the head.
+    """
+    gz = softmax_rows(z)
+    gz[np.arange(gz.shape[0]), y] -= 1.0
+    return c.head_backward(ctxs, gz @ c.tail.weight)
+
+
+def boundary_distance_grad(c, bs, ctxs, y, m):
+    """∇ₓ of each example's signed distance D(v, y, m), v = head(x).
+
+    The representation-space gradient of D is the constant unit normal
+    w_(y,m)/‖w_(y,m)‖₂; it is back-propagated through the head with m
+    held fixed.
+    """
+    rows, _, norms = bs.signed_rows(y, m)
+    return c.head_backward(ctxs, rows / norms[:, None])
+
+
 # -- start strategy: boundary descent -------------------------------------
 
 
@@ -195,21 +205,12 @@ def boundary_init_batch(c, bs, x_orig, y, config, start):
         live = dist > 0.0
         if not live.any():
             break
-        rows, _, norms = bs.signed_rows(y[active], m)
-        gx = c.head_backward(ctxs, rows / norms[:, None])
+        gx = boundary_distance_grad(c, bs, ctxs, y[active], m)
         active = active[live]
         step = -config.eta_init * np.sign(gx[live])
         x[active] = np.clip(x[active] + step, lo[active], hi[active])
         evals[active] += 1
     return x, evals
-
-
-def boundary_init(c, bs, x, y, config, start=None):
-    """Single-example boundary descent; ``start`` defaults to x itself."""
-    x = np.asarray(x, dtype=np.float64)
-    st = x if start is None else np.asarray(start, dtype=np.float64)
-    out, _ = boundary_init_batch(c, bs, x[None], [y], config, st[None].copy())
-    return out[0]
 
 
 # -- attacks ---------------------------------------------------------------
@@ -249,9 +250,7 @@ def pgd_batch(c, x_orig, y, config, start):
         live = ~flip
         if not live.any():
             break
-        gz = softmax_rows(z)
-        gz[np.arange(active.size), y[active]] -= 1.0
-        gx = c.head_backward(ctxs, gz @ wt)
+        gx = cross_entropy_grad(c, ctxs, z, y[active])
         active = active[live]
         x[active] = np.clip(
             x[active] + config.alpha * np.sign(gx[live]),
@@ -260,13 +259,6 @@ def pgd_batch(c, x_orig, y, config, start):
         evals[active] += 1
     return BatchSegment(x_adv=x, success=success, iterations=iters,
                         grad_evals=evals)
-
-
-def pgd_attack(c, x, y, config, start):
-    """Single-example :func:`pgd_batch`, wrapped as an AttackOutcome."""
-    seg = pgd_batch(c, np.asarray(x, dtype=np.float64)[None], [y], config,
-                    np.asarray(start, dtype=np.float64)[None].copy())
-    return _outcome_from_segment(seg)
 
 
 def fab_batch(c, bs, x_orig, y, config, start):
@@ -350,30 +342,10 @@ def fab_batch(c, bs, x_orig, y, config, start):
                         grad_evals=evals)
 
 
-def fab_attack(c, bs, x, y, config, start):
-    """Single-example :func:`fab_batch`, wrapped as an AttackOutcome."""
-    seg = fab_batch(c, bs, np.asarray(x, dtype=np.float64)[None], [y], config,
-                    np.asarray(start, dtype=np.float64)[None].copy())
-    return _outcome_from_segment(seg)
-
-
-def _outcome_from_segment(seg):
-    ok = bool(seg.success[0])
-    it = int(seg.iterations[0])
-    return AttackOutcome(
-        x_adv=seg.x_adv[0],
-        success=ok,
-        iterations=it if ok else None,
-        restart=0 if ok else None,
-        iterations_per_restart=(it if ok else None,),
-        grad_evals_per_restart=(int(seg.grad_evals[0]),),
-    )
-
-
 # -- exact L∞ projection onto hyperplane ∩ box ----------------------------
 
 
-def project_hyperplane_box(point, w, b, *, norm="linf"):
+def project_hyperplane_box(point, w, b):
     """Closest point to ``point`` on {p: w·p + b = 0} ∩ [0,1]^D under L∞.
 
     Exact waterfilling: the minimal radius t* is found from the sorted
@@ -382,8 +354,6 @@ def project_hyperplane_box(point, w, b, *, norm="linf"):
     returns the box point minimizing |w·p + b| (every coordinate at its
     favorable wall), which keeps attack iterations total.
     """
-    if norm != "linf":
-        raise ValueError(f"norm {norm!r}: only 'linf' is implemented")
     point = np.asarray(point, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != point.shape:
@@ -488,28 +458,4 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
         restart=best_restart,
         iterations_per_restart=iters_all,
         grad_evals_per_restart=evals_all,
-    )
-
-
-def run_with_restarts(c, bs, x, y, config, method="pgd", init="boundary"):
-    """Attack one example with restarts; returns its best AttackOutcome.
-
-    Restart r uses seed config.seed + r.
-    """
-    out = run_restarts_batch(
-        c, bs, np.asarray(x, dtype=np.float64)[None], [y], config,
-        method=method, init=init, base_seeds=np.array([config.seed]),
-    )
-    ok = bool(out.success[0])
-    return AttackOutcome(
-        x_adv=out.x_adv[0],
-        success=ok,
-        iterations=int(out.iterations[0]) if ok else None,
-        restart=int(out.restart[0]) if ok else None,
-        iterations_per_restart=tuple(
-            int(v) if v >= 0 else None for v in out.iterations_per_restart[0]
-        ),
-        grad_evals_per_restart=tuple(
-            int(v) for v in out.grad_evals_per_restart[0]
-        ),
     )

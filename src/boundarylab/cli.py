@@ -4,7 +4,11 @@ Usage: ``boundarylab <command> [--config FILE] [--seed N] [--workers N]
 [--out PATH]``.  Commands: ``train`` (fit and checkpoint a model),
 ``attack`` (robust-accuracy report as JSON), ``sweep`` (budget-split
 series as CSV), ``export-repr`` (representation-space CSV/JSON), and
-``verify`` (invariant self-checks).
+``verify`` (invariant self-checks).  ``attack``, ``sweep`` and
+``export-repr`` share one evaluation loop: examples are attacked in
+fixed chunks, and an example the model already misclassifies is not
+attacked (export-repr records the input itself as its adversarial
+point, with success true).
 
 Config file schema (JSON object; flags override file values):
 
@@ -48,8 +52,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from . import __version__, attacks, data, geometry, harness, model, verify
 
@@ -382,11 +384,8 @@ def cmd_export_repr(args):
     ds, dspec = _dataset_from(cfg)
     config, method, init = _attack_from(cfg, args.seed)
     bs = geometry.boundary_set_for(clf)
-    stride = max(config.restarts, 1)
-    outcome = attacks.run_restarts_batch(
-        clf, bs, ds.images, ds.labels, config, method=method, init=init,
-        base_seeds=config.seed + np.arange(len(ds)) * stride,
-    )
+    _, outcome = harness.attack_dataset(clf, bs, ds, config, method=method,
+                                        init=init, workers=_workers(cfg, args))
     export = harness.export_representation_space(clf, bs, ds, outcome)
     resolved = _resolved_eval_config("export-repr", dspec, cfg, config,
                                      method, init)

@@ -23,14 +23,6 @@ class DegenerateBoundaryError(ValueError):
     undefined (zero normal vector)."""
 
 
-@dataclass(frozen=True)
-class OnBoundary:
-    """Region label for a point within tie tolerance of some boundary."""
-
-    pair: tuple
-    value: float
-
-
 @dataclass(frozen=True, eq=False)
 class BoundarySet:
     """All C(K,2) pairwise boundaries of one linear tail.
@@ -53,20 +45,12 @@ class BoundarySet:
     def n(self):
         return self.rows.shape[1]
 
-    def pair_index(self, i, j):
-        """Row index for unordered pair {i, j}."""
-        if i == j:
-            raise ValueError(f"({i}, {j}) is not a class pair")
-        return int(self._pair_of[i, j])
-
-    def signed_row(self, i, j):
-        """(w, b, ‖w‖₂) of the hyperplane oriented so F(v) = z_i − z_j."""
-        p = self.pair_index(i, j)
-        s = float(self._sign_of[i, j])
-        return s * self.rows[p], s * self.biases[p], self.norms[p]
-
     def signed_rows(self, i, j):
-        """Vectorized :meth:`signed_row`: (rows, biases, norms) arrays."""
+        """Per-example oriented hyperplanes: (rows, biases, norms) arrays.
+
+        Row r is oriented so that rows[r]·v + biases[r] = z_i[r] − z_j[r];
+        the reversed pair is the exact negation of the stored row.
+        """
         i = np.asarray(i)
         j = np.asarray(j)
         p = self._pair_of[i, j]
@@ -116,60 +100,10 @@ def boundary_set_for(clf):
     return build_boundary_set(*clf.tail_weights())
 
 
-def _check_pair(bs, i, j):
-    if i == j:
-        raise ValueError(f"class pair ({i}, {j}) is not a boundary: i == j")
-    if not (0 <= i < bs.k and 0 <= j < bs.k):
-        raise ValueError(f"class pair ({i}, {j}) out of range for K={bs.k}")
-
-
-def decision_value(bs, v, i, j):
-    """Pairwise value F(v) = z_i − z_j = w_(i,j)·v + b_(i,j).
-
-    Positive iff class i beats class j at v.  Exactly antisymmetric:
-    the (j, i) value is computed as the negation of the stored (i, j) row.
-    """
-    _check_pair(bs, i, j)
-    v = np.asarray(v, dtype=np.float64)
-    p = bs.pair_index(i, j)
-    val = float(bs.rows[p] @ v + bs.biases[p])
-    return val if i < j else -val
-
-
 def pair_values(bs, v_batch):
     """All pairwise values for a batch: shape (B, C(K,2)), pair order."""
     v = np.atleast_2d(np.asarray(v_batch, dtype=np.float64))
     return v @ bs.rows.T + bs.biases
-
-
-def region_of(bs, v, tie_tol=1e-9):
-    """Class region containing v, or an :class:`OnBoundary` marker.
-
-    Returns k when F_(k,j)(v) > tie_tol for every j ≠ k.  If any pairwise
-    value lies within tie_tol of zero the point is reported as on that
-    boundary rather than silently assigned.
-    """
-    vals = pair_values(bs, v)[0]
-    near = np.abs(vals) <= tie_tol
-    if np.any(near):
-        p = int(np.argmax(near))
-        return OnBoundary(pair=bs.pairs[p], value=float(vals[p]))
-    g = _antisym_matrix(bs, vals)
-    wins = (g > tie_tol) | np.eye(bs.k, dtype=bool)
-    winners = np.flatnonzero(wins.all(axis=1))
-    if len(winners) != 1:
-        raise RuntimeError(
-            f"inconsistent region assignment for v={v!r}: {winners}"
-        )
-    return int(winners[0])
-
-
-def _antisym_matrix(bs, vals):
-    g = np.zeros((bs.k, bs.k))
-    for p, (i, j) in enumerate(bs.pairs):
-        g[i, j] = vals[p]
-        g[j, i] = -vals[p]
-    return g
 
 
 def region_of_batch(bs, v_batch, tie_tol=1e-9):
@@ -188,24 +122,13 @@ def region_of_batch(bs, v_batch, tie_tol=1e-9):
     return np.where(complete & ~tied, labels, -1)
 
 
-def signed_distance(bs, v, y, k):
-    """Signed Euclidean distance from v to the (y, k) boundary.
+def signed_distances(bs, v_batch, y):
+    """Signed distances D(v, y, n) to every class n: shape (B, K).
 
-    Positive on the side where y beats k; magnitude is the exact
-    point-to-hyperplane distance.
+    D(v, y, n) is the exact Euclidean distance from v to the (y, n)
+    hyperplane, positive on the side where y beats n.  Column y is +inf
+    as a mask.  ``y`` is one label or one per row.
     """
-    _check_pair(bs, y, k)
-    w, b, norm = bs.signed_row(y, k)
-    if norm == 0.0:
-        raise DegenerateBoundaryError(
-            f"classes {y} and {k} have identical tail rows"
-        )
-    v = np.asarray(v, dtype=np.float64)
-    return float((w @ v + b) / norm)
-
-
-def _signed_distances_to_all(bs, v_batch, y):
-    """Distances D(v, y, n) for all n; column y is +inf as a mask."""
     vals = pair_values(bs, v_batch)
     b = vals.shape[0]
     y = np.broadcast_to(np.asarray(y), (b,))
@@ -221,57 +144,12 @@ def _signed_distances_to_all(bs, v_batch, y):
     return dist
 
 
-def nearest_boundary(bs, v, y):
-    """Class m ≠ y whose boundary is nearest by signed distance.
+def nearest_boundary_batch(bs, v_batch, y):
+    """Nearest rival class m ≠ y per row, by signed distance.
 
     Minimizes D(v, y, n) over n; ties break to the smallest class index.
-    Returns (m, distance).
+    Returns arrays (m, distance).
     """
-    if not 0 <= y < bs.k:
-        raise ValueError(f"label {y} out of range for K={bs.k}")
-    dist = _signed_distances_to_all(bs, v, y)[0]
-    m = int(np.argmin(dist))
-    return m, float(dist[m])
-
-
-def nearest_boundary_batch(bs, v_batch, y):
-    """Batched :func:`nearest_boundary`: arrays (m, distance)."""
-    dist = _signed_distances_to_all(bs, v_batch, y)
+    dist = signed_distances(bs, v_batch, y)
     m = np.argmin(dist, axis=1)
     return m, dist[np.arange(dist.shape[0]), m]
-
-
-def distance_gradient(c, bs, x, y, m):
-    """∇ₓ of the signed distance D(v, y, m) with v = head(x).
-
-    The representation-space gradient of D is the constant unit normal
-    w_(y,m)/‖w_(y,m)‖₂; it is back-propagated through the head with m
-    held fixed.
-    """
-    return distance_gradient_batch(
-        c, bs, np.asarray(x, dtype=np.float64)[None], [y], [m]
-    )[0]
-
-
-def distance_gradient_batch(c, bs, x_batch, y, m):
-    """Batched :func:`distance_gradient` with per-example (y, m)."""
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    b = x_batch.shape[0]
-    y = np.broadcast_to(np.asarray(y), (b,))
-    m = np.broadcast_to(np.asarray(m), (b,))
-    _, ctxs = c.head_forward_with_ctx(x_batch, train=False)
-    rows, _, norms = bs.signed_rows(y, m)
-    return c.head_backward(ctxs, rows / norms[:, None])
-
-
-def boundary_rows_csv(bs):
-    """CSV text of every boundary: pair_i, pair_j, N weights, bias."""
-    n = bs.n
-    header = "pair_i,pair_j," + ",".join(f"w{c}" for c in range(n)) + ",bias"
-    lines = [header]
-    for p, (i, j) in enumerate(bs.pairs):
-        cells = [str(i), str(j)]
-        cells += [repr(float(x)) for x in bs.rows[p]]
-        cells.append(repr(float(bs.biases[p])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

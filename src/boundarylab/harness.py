@@ -17,12 +17,14 @@ statistics describe attacked examples only.
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .attacks import run_restarts_batch
+from .attacks import BatchOutcome, run_restarts_batch
+
+_OUTCOME_FIELDS = tuple(f.name for f in fields(BatchOutcome))
 
 
 @dataclass(frozen=True)
@@ -149,14 +151,16 @@ def _config_snapshot(config, method, init):
     return snap
 
 
-def evaluate(c, bs, dataset, config, method="pgd", init="boundary", *,
-             workers=1, chunk_size=256):
-    """Attack every example of ``dataset`` and aggregate an EvalReport.
+def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
+                   workers=1, chunk_size=256):
+    """Attack ``dataset`` chunk by chunk; the loop behind :func:`evaluate`.
 
-    Runs ``run_restarts_batch`` on the correctly classified examples of
-    each chunk; misclassified inputs are immediate successes.  The
-    report is deterministic in (config, dataset, model) and independent
-    of ``workers``.
+    Returns ``(pred, outcome)``: the clean predictions and a BatchOutcome
+    aligned with the dataset.  ``run_restarts_batch`` runs on the
+    correctly classified examples of each chunk.  A misclassified input
+    is not attacked: its ``x_adv`` is the input itself, it counts as a
+    success at iteration 0 with restart -1, and it spends no gradient
+    evaluations.  The result is independent of ``workers``.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
@@ -169,19 +173,25 @@ def evaluate(c, bs, dataset, config, method="pgd", init="boundary", *,
         xs, ys = x[lo:hi], y[lo:hi]
         pred = c.predict(xs)
         correct = pred == ys
-        success = ~correct
-        iters = np.where(correct, -1, 0).astype(np.int64)
-        restart = np.full(hi - lo, -1, dtype=np.int64)
+        out = BatchOutcome(
+            x_adv=np.array(xs, dtype=np.float64),
+            success=~correct,
+            iterations=np.where(correct, -1, 0).astype(np.int64),
+            restart=np.full(hi - lo, -1, dtype=np.int64),
+            iterations_per_restart=np.full((hi - lo, config.restarts), -1,
+                                           dtype=np.int64),
+            grad_evals_per_restart=np.zeros((hi - lo, config.restarts),
+                                            dtype=np.int64),
+        )
         idx = np.nonzero(correct)[0]
         if idx.size:
-            out = run_restarts_batch(
+            got = run_restarts_batch(
                 c, bs, xs[idx], ys[idx], config, method=method, init=init,
                 base_seeds=config.seed + (lo + idx) * stride,
             )
-            success[idx] = out.success
-            iters[idx] = out.iterations
-            restart[idx] = out.restart
-        return pred, correct, success, iters, restart
+            for name in _OUTCOME_FIELDS:
+                getattr(out, name)[idx] = getattr(got, name)
+        return pred, out
 
     bounds = [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
     if workers > 1:
@@ -189,12 +199,28 @@ def evaluate(c, bs, dataset, config, method="pgd", init="boundary", *,
             results = list(pool.map(run_chunk, bounds))
     else:
         results = [run_chunk(b) for b in bounds]
-
     pred = np.concatenate([r[0] for r in results])
-    correct = np.concatenate([r[1] for r in results])
-    success = np.concatenate([r[2] for r in results])
-    iters = np.concatenate([r[3] for r in results])
-    restart = np.concatenate([r[4] for r in results])
+    outcome = BatchOutcome(**{
+        name: np.concatenate([getattr(r[1], name) for r in results])
+        for name in _OUTCOME_FIELDS
+    })
+    return pred, outcome
+
+
+def evaluate(c, bs, dataset, config, method="pgd", init="boundary", *,
+             workers=1, chunk_size=256):
+    """Attack every example of ``dataset`` and aggregate an EvalReport.
+
+    Misclassified inputs are immediate successes (see
+    :func:`attack_dataset`).  The report is deterministic in (config,
+    dataset, model) and independent of ``workers``.
+    """
+    pred, out = attack_dataset(c, bs, dataset, config, method, init,
+                               workers=workers, chunk_size=chunk_size)
+    y = dataset.labels
+    n = len(dataset)
+    correct = pred == y
+    success, iters, restart = out.success, out.iterations, out.restart
 
     samples = iters[correct & success]
     mean_its = float(samples.mean()) if samples.size else None
@@ -450,7 +476,7 @@ def export_representation_space(c, bs, dataset, outcome):
     """Pair original and adversarial representation vectors for export.
 
     ``outcome`` is a BatchOutcome aligned with ``dataset`` (one row per
-    example, e.g. from run_restarts_batch on the full set).  Works for
+    example), as :func:`attack_dataset` returns it.  Works for
     any representation width; two-dimensional exports are directly
     plottable against the boundary rows.
     """

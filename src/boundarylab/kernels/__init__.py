@@ -7,8 +7,10 @@ reference implementations in :mod:`pyref` take over transparently.
 Environment:
     BOUNDARYLAB_KERNELS=auto|native|python   backend selection (default auto)
 
-Both backends produce results equal to ~1e-12 (different summation
-orders), and `benchmarks/bench_kernels.py` compares their speed.
+Results are byte-identical for one machine and backend.  Across backends
+the kernels agree to ~1e-12, not bit for bit (different summation
+orders), so outputs may differ in the last bits.  ``bench/run.py
+--trace 1`` times each kernel at the shapes the presets run.
 """
 
 import os

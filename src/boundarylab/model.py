@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .layers import (
     as_tensor,
     cross_entropy_with_logits,
     layer_from_config,
-    softmax_rows,
 )
 
 
@@ -32,22 +30,8 @@ class TrainingDivergedError(RuntimeError):
 
 
 class CheckpointError(Exception):
-    """Checkpoint file is malformed, truncated, or from a different version."""
-
-
-@dataclass(frozen=True)
-class CrossEntropyAt:
-    """Scalar spec: cross entropy of the logits against a fixed label."""
-
-    label: int
-
-
-@dataclass(frozen=True)
-class BoundaryDistanceTo:
-    """Scalar spec: signed distance from v to the (label, other) boundary."""
-
-    label: int
-    other: int
+    """Checkpoint file is malformed, truncated, from a different version,
+    or holds non-finite tensor values."""
 
 
 def _box_warn(x):
@@ -154,43 +138,6 @@ class Classifier:
         pred = np.argmax(z, axis=-1)
         return int(pred) if np.ndim(z) == 1 else pred
 
-    def input_gradient(self, x, scalar):
-        """Gradient of a terminal scalar with respect to the input.
-
-        ``scalar`` is :class:`CrossEntropyAt` or :class:`BoundaryDistanceTo`;
-        labels may be ints (applied to every example) or per-example arrays.
-        The returned array has the same shape as ``x``.
-        """
-        xb, single = self._batchify(x)
-        _box_warn(xb)
-        b = xb.shape[0]
-        v, ctxs = self.head_forward_with_ctx(xb, train=False)
-        if isinstance(scalar, CrossEntropyAt):
-            y = np.broadcast_to(np.asarray(scalar.label), (b,))
-            z = self.tail_forward(v)
-            gz = softmax_rows(z)
-            gz[np.arange(b), y] -= 1.0
-            gv, _ = self.tail.backward((v,), gz)
-        elif isinstance(scalar, BoundaryDistanceTo):
-            from .geometry import DegenerateBoundaryError
-
-            y = np.broadcast_to(np.asarray(scalar.label), (b,))
-            k = np.broadcast_to(np.asarray(scalar.other), (b,))
-            w = self.tail.weight
-            rows = w[y] - w[k]
-            norms = np.linalg.norm(rows, axis=1)
-            if np.any(norms == 0.0):
-                i = int(np.argmin(norms))
-                raise DegenerateBoundaryError(
-                    f"classes {int(y[i])} and {int(k[i])} share an identical "
-                    f"tail weight row; the boundary distance is undefined"
-                )
-            gv = rows / norms[:, None]
-        else:
-            raise TypeError(f"unsupported scalar spec {scalar!r}")
-        gx = self.head_backward(ctxs, gv)
-        return gx[0] if single else gx
-
     # -- persistence ----------------------------------------------------
 
     _MAGIC = "boundarylab-checkpoint"
@@ -273,6 +220,11 @@ class Classifier:
             arr = np.frombuffer(
                 payload, dtype="<f8", count=count, offset=offset
             ).reshape(shape).copy()
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(
+                    f"layer {entry['layer']} ({layers[entry['layer']].kind}) "
+                    f"{entry['kind']} {entry['name']!r} has non-finite values"
+                )
             setattr(layers[entry["layer"]], entry["name"], arr)
             offset += nbytes
         if offset != len(payload):

@@ -79,23 +79,18 @@ def check_layer_gradients(seed=0, tol=1e-5):
 def check_scalar_gradients(seed=0, tol=1e-5):
     rng = np.random.default_rng(seed)
     clf = model.mlp((6,), k=4, n=3, hidden=(8,), seed=seed)
-    x = rng.uniform(0.05, 0.95, size=(6,))
-    worst = 0.0
-    for spec, nm in [
-        (model.CrossEntropyAt(2), "cross-entropy"),
-        (model.BoundaryDistanceTo(2, 0), "boundary-distance"),
-    ]:
-        if nm == "cross-entropy":
-            def scalar(xq):
-                z = clf.forward(xq)
-                return float(-layers.log_softmax(z[None, :])[0, 2])
-        else:
-            bs = geometry.boundary_set_for(clf)
-            def scalar(xq):
-                v = clf.head_forward(xq)
-                return geometry.signed_distance(bs, v, 2, 0)
-        err = _rel_err(clf.input_gradient(x, spec), _fd_grad(scalar, x.copy()))
-        worst = max(worst, err)
+    bs = geometry.boundary_set_for(clf)
+    x = rng.uniform(0.05, 0.95, size=(1, 6))
+    v, ctxs = clf.head_forward_with_ctx(x)
+    y, m = np.array([2]), np.array([0])
+    cases = [
+        (attacks.cross_entropy_grad(clf, ctxs, clf.tail_forward(v), y),
+         lambda xq: float(-layers.log_softmax(clf.forward(xq))[0, 2])),
+        (attacks.boundary_distance_grad(clf, bs, ctxs, y, m),
+         lambda xq: geometry.signed_distances(
+             bs, clf.head_forward(xq), 2)[0, 0]),
+    ]
+    worst = max(_rel_err(g, _fd_grad(f, x.copy())) for g, f in cases)
     ok = worst < tol
     return CheckResult(
         "scalar-gradients", ok, f"worst rel err {worst:.2e}, tol {tol:g}"
@@ -107,17 +102,13 @@ def check_antisymmetry(seed=0):
     w = rng.standard_normal((6, 4))
     b = rng.standard_normal(6)
     bset = geometry.build_boundary_set(w, b)
+    i, j = np.nonzero(~np.eye(6, dtype=bool))  # the 30 ordered pairs
+    rows_ij, b_ij, _ = bset.signed_rows(i, j)
+    rows_ji, b_ji, _ = bset.signed_rows(j, i)
     bad = 0
     for _ in range(50):
         v = rng.standard_normal(4)
-        for i in range(6):
-            for j in range(6):
-                if i == j:
-                    continue
-                fij = geometry.decision_value(bset, v, i, j)
-                fji = geometry.decision_value(bset, v, j, i)
-                if fij != -fji:
-                    bad += 1
+        bad += int(np.sum(rows_ij @ v + b_ij != -(rows_ji @ v + b_ji)))
     return CheckResult(
         "boundary-antisymmetry", bad == 0,
         f"{bad} sign violations over 50 points x 30 ordered pairs",
@@ -151,14 +142,16 @@ def check_distance_oracle(seed=0, tol=1e-9):
     for _ in range(100):
         v = rng.standard_normal(4)
         y, k = rng.choice(5, size=2, replace=False)
-        d = geometry.signed_distance(bset, v, y, k)
-        row = bset.signed_row(y, k)[0]
+
+        def dist(vq):
+            return geometry.signed_distances(bset, vq, y)[0, k]
+
+        d = dist(v)
+        row = bset.signed_rows([y], [k])[0][0]
         unit = row / np.linalg.norm(row)
-        worst_on = max(worst_on, abs(
-            geometry.signed_distance(bset, v - d * unit, y, k)))
+        worst_on = max(worst_on, abs(dist(v - d * unit)))
         t = float(rng.uniform(0.1, 2.0))
-        shifted = geometry.signed_distance(bset, v + t * unit, y, k)
-        worst_shift = max(worst_shift, abs(shifted - (d + t)))
+        worst_shift = max(worst_shift, abs(dist(v + t * unit) - (d + t)))
     ok = worst_on < tol and worst_shift < 1e-9
     return CheckResult(
         "distance-oracle", ok,
@@ -212,16 +205,16 @@ def check_linear_descent(seed=0, tol=1e-12):
     b = rng.standard_normal(3)
     clf = model.linear_model(6, 3, weight=w, bias=b)
     bset = geometry.boundary_set_for(clf)
-    x = np.full(6, 0.5)
-    y = int(clf.predict(x))
-    m, d0 = geometry.nearest_boundary(bset, x, y)
-    row = bset.signed_row(y, m)[0]
+    x = np.full((1, 6), 0.5)
+    y = clf.predict(x)
+    m, d0 = geometry.nearest_boundary_batch(bset, x, y)
+    row = bset.signed_rows(y, m)[0][0]
     expected = 0.01 * np.linalg.norm(row, 1) / np.linalg.norm(row, 2)
     cfg = attacks.AttackConfig(epsilon=0.45, alpha=0.01, eta_init=0.01,
                                restarts=1, n_init=1, n_attack=0, seed=0)
-    x1 = attacks.boundary_init(clf, bset, x, y, cfg)
-    d1 = geometry.signed_distance(bset, x1, y, m)
-    err = abs((d0 - d1) - expected)
+    x1, _ = attacks.boundary_init_batch(clf, bset, x, y, cfg, x.copy())
+    d1 = geometry.signed_distances(bset, x1, y)[0, m[0]]
+    err = abs((d0[0] - d1) - expected)
     return CheckResult(
         "linear-descent-step", err < tol,
         f"step decrease error {err:.2e}, tol {tol:g}",

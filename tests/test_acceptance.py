@@ -93,21 +93,23 @@ def test_1_gradient_fidelity(capfd):
                       blobs, epochs=10, seed=0)
     bs = geometry.boundary_set_for(clf)
     for _ in range(100):
-        x = rng.uniform(0.1, 0.9, size=8)
+        x = rng.uniform(0.1, 0.9, size=(1, 8))
         y = int(rng.integers(4))
         k = int((y + 1 + rng.integers(3)) % 4)
 
         def ce(xq):
             z = clf.forward(xq)
-            return float(-layers.log_softmax(z[None, :])[0, y])
+            return float(-layers.log_softmax(z)[0, y])
 
         def dist(xq):
-            return geometry.signed_distance(bs, clf.head_forward(xq), y, k)
+            return geometry.signed_distances(bs, clf.head_forward(xq), y)[0, k]
 
-        e1 = _rel(clf.input_gradient(x, model.CrossEntropyAt(y)),
-                  _fd_input_grad(ce, x.copy()))
-        e2 = _rel(clf.input_gradient(x, model.BoundaryDistanceTo(y, k)),
-                  _fd_input_grad(dist, x.copy()))
+        # the gradients the attacks step on, called with B=1
+        v, ctxs = clf.head_forward_with_ctx(x)
+        g_ce = attacks.cross_entropy_grad(clf, ctxs, clf.tail_forward(v), [y])
+        g_dist = attacks.boundary_distance_grad(clf, bs, ctxs, [y], [k])
+        e1 = _rel(g_ce, _fd_input_grad(ce, x.copy()))
+        e2 = _rel(g_dist, _fd_input_grad(dist, x.copy()))
         worst = max(worst, e1, e2)
         assert e1 < 1e-4 and e2 < 1e-4
 
@@ -134,9 +136,10 @@ def test_2_region_partition_and_antisymmetry(capfd):
         ties += int(on_b.sum())
         disagreements += int((regions[~on_b] != argmax[~on_b]).sum())
         for i, j in bs.pairs:
+            rows, biases, _ = bs.signed_rows([i, j], [j, i])
             for r in range(100):
-                fij = geometry.decision_value(bs, v[r], i, j)
-                assert geometry.decision_value(bs, v[r], j, i) == -fij
+                fij, fji = rows @ v[r] + biases
+                assert fji == -fij
     _finish(capfd, 2, "region partition", disagreements == 0 and ties == 0,
             f"0 disagreements on 30000 points, K in (2, 4, 10)")
 
@@ -154,14 +157,15 @@ def test_3_signed_distance_semantics(capfd):
         b = rng.normal(size=k)
         bs = geometry.build_boundary_set(w, b)
         i, j = sorted(rng.choice(k, size=2, replace=False))
-        row, bias, norm = bs.signed_row(int(i), int(j))
+        rows, biases, norms = bs.signed_rows([i], [j])
+        row, bias, norm = rows[0], biases[0], norms[0]
         v0 = rng.normal(scale=2.0, size=n)
         # exact orthogonal projection onto the hyperplane
         v_on = v0 - (row @ v0 + bias) / (norm * norm) * row
-        d_on = geometry.signed_distance(bs, v_on, int(i), int(j))
+        d_on = geometry.signed_distances(bs, v_on, i)[0, j]
         worst_on = max(worst_on, abs(d_on))
         # independent oracle: Euclidean length of the projection residual
-        d_raw = geometry.signed_distance(bs, v0, int(i), int(j))
+        d_raw = geometry.signed_distances(bs, v0, i)[0, j]
         oracle = np.linalg.norm(v0 - v_on)
         if oracle > 1e-9:
             worst_rel = max(worst_rel, abs(abs(d_raw) - oracle) / oracle)
@@ -228,22 +232,22 @@ def test_5_linear_descent_rate(capfd):
         b = rng.normal(scale=0.1, size=3)
         clf = model.linear_model(n, 3, weight=w, bias=b)
         bs = geometry.boundary_set_for(clf)
-        x = rng.uniform(0.3, 0.7, size=n)
-        y = int(np.argmax(clf.forward(x)))
+        x = rng.uniform(0.3, 0.7, size=(1, n))
+        y = np.argmax(clf.forward(x), axis=1)
         eta = 0.001
         cfg_base = attacks.AttackConfig(epsilon=10.0, alpha=0.01,
                                         eta_init=eta, restarts=1,
                                         n_init=0, n_attack=0, seed=0)
-        m, prev = geometry.nearest_boundary(bs, x, y)
+        (m,), (prev,) = geometry.nearest_boundary_batch(bs, x, y)
         for steps in range(1, 9):
             cfg = replace(cfg_base, n_init=steps)
-            out = attacks.boundary_init(clf, bs, x, y, cfg)
+            out, _ = attacks.boundary_init_batch(clf, bs, x, y, cfg, x.copy())
             if np.any(out <= 0.0) or np.any(out >= 1.0):
                 break  # box clipping ends the exact-rate regime
-            mq, cur = geometry.nearest_boundary(bs, out, y)
+            (mq,), (cur,) = geometry.nearest_boundary_batch(bs, out, y)
             if cur <= 0.0:
                 break  # crossed
-            row, _, norm = bs.signed_row(y, mq)
+            (row,), _, (norm,) = bs.signed_rows(y, [mq])
             rate = eta * np.abs(row).sum() / norm
             if mq == m:
                 worst = max(worst, abs((prev - cur) - rate))

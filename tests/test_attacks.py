@@ -7,6 +7,11 @@ from scipy import optimize
 from boundarylab import attacks, geometry, model
 
 
+def one(x):
+    """x as a batch of one row."""
+    return np.asarray(x, dtype=np.float64)[None]
+
+
 def linear_two_class():
     w = np.array([[3.0, 1.0], [0.0, 0.0]])
     b = np.array([0.0, 0.2])
@@ -176,12 +181,12 @@ def test_boundary_descent_linear_step_is_exact():
     clf, bs = linear_two_class()
     row = np.array([3.0, 1.0])
     eta = 0.005
-    x = np.array([0.9, 0.8])
-    d0 = geometry.signed_distance(bs, clf.head_forward(x), 0, 1)
+    x = one([0.9, 0.8])
+    d0 = geometry.signed_distances(bs, clf.head_forward(x), 0)[0, 1]
     cfg = attacks.AttackConfig(epsilon=1.0, alpha=0.01, eta_init=eta,
                                restarts=1, n_init=3, n_attack=0, seed=0)
-    out = attacks.boundary_init(clf, bs, x, 0, cfg)
-    d3 = geometry.signed_distance(bs, clf.head_forward(out), 0, 1)
+    out, _ = attacks.boundary_init_batch(clf, bs, x, [0], cfg, x.copy())
+    d3 = geometry.signed_distances(bs, clf.head_forward(out), 0)[0, 1]
     drop = 3 * eta * np.abs(row).sum() / np.linalg.norm(row)
     assert abs((d0 - d3) - drop) < 1e-12
 
@@ -202,7 +207,8 @@ def test_boundary_descent_respects_ball():
     eps = 0.02
     cfg = attacks.AttackConfig(epsilon=eps, alpha=0.01, eta_init=0.5,
                                restarts=1, n_init=10, n_attack=0, seed=0)
-    out = attacks.boundary_init(clf, bs, x, 0, cfg)
+    (out,), _ = attacks.boundary_init_batch(clf, bs, one(x), [0], cfg,
+                                            one(x))
     assert np.max(np.abs(out - x)) <= eps + 1e-15
     assert np.all((out >= 0.0) & (out <= 1.0))
 
@@ -215,26 +221,25 @@ def test_pgd_counts_an_adversarial_start_as_iteration_zero(blobs_mlp,
                                                            blobs_test):
     cfg = attacks.AttackConfig(epsilon=0.2, alpha=0.05, restarts=1,
                                n_init=0, n_attack=5, seed=0)
-    x = blobs_test.images[0]
-    y = int(blobs_test.labels[0])
-    wrong = (y + 1) % blobs_mlp.k
+    x = one(blobs_test.images[0])
+    y = blobs_test.labels[:1]
     # hand the loop a start that is already misclassified
     start = x.copy()
-    probe = attacks.pgd_attack(blobs_mlp, x, y, cfg, start)
-    if blobs_mlp.predict(start) == y:
+    if blobs_mlp.predict(start)[0] == y[0]:
         # walk the start into the wrong region first
         for _ in range(200):
-            g = blobs_mlp.input_gradient(start, model.CrossEntropyAt(y))
+            v, ctxs = blobs_mlp.head_forward_with_ctx(start)
+            g = attacks.cross_entropy_grad(
+                blobs_mlp, ctxs, blobs_mlp.tail_forward(v), y)
             start = np.clip(start + 0.05 * np.sign(g),
                             np.clip(x - 0.2, 0, 1), np.clip(x + 0.2, 0, 1))
-            if blobs_mlp.predict(start) != y:
+            if blobs_mlp.predict(start)[0] != y[0]:
                 break
-        assert blobs_mlp.predict(start) != y
-    out = attacks.pgd_attack(blobs_mlp, x, y, cfg, start)
-    assert out.success
-    assert out.iterations == 0
-    np.testing.assert_array_equal(out.x_adv, start)
-    del probe, wrong
+        assert blobs_mlp.predict(start)[0] != y[0]
+    seg = attacks.pgd_batch(blobs_mlp, x, y, cfg, start.copy())
+    assert seg.success[0]
+    assert seg.iterations[0] == 0
+    np.testing.assert_array_equal(seg.x_adv, start)
 
 
 def test_pgd_iterates_stay_in_ball_and_box(blobs_mlp, blobs_test,
@@ -242,11 +247,11 @@ def test_pgd_iterates_stay_in_ball_and_box(blobs_mlp, blobs_test,
     cfg = quick_attack_config
     for i in range(10):
         x = blobs_test.images[i]
-        y = int(blobs_test.labels[i])
+        y = blobs_test.labels[i:i + 1]
         start = attacks.random_start(x, cfg.epsilon, 100 + i)
-        out = attacks.pgd_attack(blobs_mlp, x, y, cfg, start)
-        assert np.max(np.abs(out.x_adv - x)) <= cfg.epsilon + 1e-15
-        assert np.all((out.x_adv >= 0.0) & (out.x_adv <= 1.0))
+        seg = attacks.pgd_batch(blobs_mlp, one(x), y, cfg, one(start))
+        assert np.max(np.abs(seg.x_adv[0] - x)) <= cfg.epsilon + 1e-15
+        assert np.all((seg.x_adv >= 0.0) & (seg.x_adv <= 1.0))
 
 
 def test_pgd_single_equals_batch_row(blobs_mlp, blobs_test,
@@ -257,12 +262,14 @@ def test_pgd_single_equals_batch_row(blobs_mlp, blobs_test,
     starts = attacks.random_start_batch(x, cfg.epsilon, np.arange(8) * 11)
     seg = attacks.pgd_batch(blobs_mlp, x, y, cfg, starts.copy())
     for r in range(8):
-        one = attacks.pgd_attack(blobs_mlp, x[r], int(y[r]), cfg,
-                                 starts[r])
-        assert bool(seg.success[r]) == one.success
-        np.testing.assert_allclose(seg.x_adv[r], one.x_adv, atol=1e-12)
-        if one.success:
-            assert seg.iterations[r] == one.iterations
+        # a B=1 call must equal its row of the batch: rows do not mix
+        one_seg = attacks.pgd_batch(blobs_mlp, x[r:r + 1], y[r:r + 1], cfg,
+                                    starts[r:r + 1].copy())
+        assert seg.success[r] == one_seg.success[0]
+        np.testing.assert_allclose(seg.x_adv[r], one_seg.x_adv[0],
+                                   atol=1e-12)
+        if one_seg.success[0]:
+            assert seg.iterations[r] == one_seg.iterations[0]
 
 
 def test_fab_single_equals_batch_row(blobs_mlp, blobs_boundaries,
@@ -275,10 +282,12 @@ def test_fab_single_equals_batch_row(blobs_mlp, blobs_boundaries,
     seg = attacks.fab_batch(blobs_mlp, blobs_boundaries, x, y, cfg,
                             starts.copy())
     for r in range(8):
-        one = attacks.fab_attack(blobs_mlp, blobs_boundaries, x[r],
-                                 int(y[r]), cfg, starts[r])
-        assert bool(seg.success[r]) == one.success
-        np.testing.assert_allclose(seg.x_adv[r], one.x_adv, atol=1e-12)
+        # a B=1 call must equal its row of the batch: rows do not mix
+        one_seg = attacks.fab_batch(blobs_mlp, blobs_boundaries, x[r:r + 1],
+                                    y[r:r + 1], cfg, starts[r:r + 1].copy())
+        assert seg.success[r] == one_seg.success[0]
+        np.testing.assert_allclose(seg.x_adv[r], one_seg.x_adv[0],
+                                   atol=1e-12)
 
 
 def test_fab_iterates_stay_in_ball_and_box(blobs_mlp, blobs_boundaries,
@@ -286,13 +295,13 @@ def test_fab_iterates_stay_in_ball_and_box(blobs_mlp, blobs_boundaries,
     cfg = quick_attack_config
     for i in range(10):
         x = blobs_test.images[i]
-        y = int(blobs_test.labels[i])
+        y = blobs_test.labels[i:i + 1]
         start = attacks.random_start(x, min(cfg.fab_mu, cfg.epsilon),
                                      50 + i)
-        out = attacks.fab_attack(blobs_mlp, blobs_boundaries, x, y, cfg,
-                                 start)
-        assert np.max(np.abs(out.x_adv - x)) <= cfg.epsilon + 1e-15
-        assert np.all((out.x_adv >= 0.0) & (out.x_adv <= 1.0))
+        seg = attacks.fab_batch(blobs_mlp, blobs_boundaries, one(x), y, cfg,
+                                one(start))
+        assert np.max(np.abs(seg.x_adv[0] - x)) <= cfg.epsilon + 1e-15
+        assert np.all((seg.x_adv >= 0.0) & (seg.x_adv <= 1.0))
 
 
 # -- restart engine ------------------------------------------------------
@@ -354,10 +363,10 @@ def test_none_init_starts_at_the_example(blobs_mlp, blobs_boundaries,
                                      blobs_test.labels[:6],
                                      cfg, method="pgd", init="none")
     for r in range(6):
-        one = attacks.pgd_attack(blobs_mlp, blobs_test.images[r],
-                                 int(blobs_test.labels[r]), cfg,
-                                 blobs_test.images[r].copy())
-        np.testing.assert_allclose(out.x_adv[r], one.x_adv, atol=1e-12)
+        seg = attacks.pgd_batch(blobs_mlp, blobs_test.images[r:r + 1],
+                                blobs_test.labels[r:r + 1], cfg,
+                                blobs_test.images[r:r + 1].copy())
+        np.testing.assert_allclose(out.x_adv[r], seg.x_adv[0], atol=1e-12)
 
 
 def test_restart_engine_is_deterministic(blobs_mlp, blobs_boundaries,
@@ -409,11 +418,17 @@ def test_single_example_wrapper_matches_batch(blobs_mlp, blobs_boundaries,
                                               blobs_test,
                                               quick_attack_config):
     cfg = quick_attack_config
-    x = blobs_test.images[3]
-    y = int(blobs_test.labels[3])
-    one = attacks.run_with_restarts(blobs_mlp, blobs_boundaries, x, y, cfg)
     batch = attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
-                                       x[None], [y],
-                                       dataclasses.replace(cfg))
-    assert one.success == bool(batch.success[0])
-    np.testing.assert_allclose(one.x_adv, batch.x_adv[0], atol=1e-12)
+                                       blobs_test.images, blobs_test.labels,
+                                       cfg)
+    # a B=1 call with example 3's default base seed equals row 3
+    seed = cfg.seed + 3 * cfg.restarts
+    single = attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
+                                        blobs_test.images[3:4],
+                                        blobs_test.labels[3:4],
+                                        dataclasses.replace(cfg),
+                                        base_seeds=np.array([seed]))
+    assert single.success[0] == batch.success[3]
+    np.testing.assert_allclose(single.x_adv[0], batch.x_adv[3], atol=1e-12)
+    np.testing.assert_array_equal(single.grad_evals_per_restart[0],
+                                  batch.grad_evals_per_restart[3])

@@ -150,6 +150,19 @@ def test_export_repr_csv_and_json(trained):
             assert kinds == {"boundary", "original", "adversarial"}
 
 
+def test_export_repr_is_identical_across_worker_counts(trained):
+    root, ckpt = trained
+    # 300 examples span two evaluation chunks
+    cfg, out = attack_config(root, ckpt, "repr-workers.csv",
+                             dataset=dict(TEST_BLOBS, n_per_class=100))
+    outputs = []
+    for workers in ("1", "2"):
+        assert cli.main(["export-repr", "--config", str(cfg),
+                         "--workers", workers]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_command_passes():
     assert cli.main(["verify"]) == 0
 
@@ -232,6 +245,16 @@ def test_corrupt_model_file_is_io_error(tmp_path, capsys):
         "out": str(tmp_path / "r.json"),
     }))
     assert cli.main(["attack", "--config", str(cfg)]) == 3
+
+
+def test_non_finite_checkpoint_is_io_error(tmp_path, trained, capsys):
+    root, ckpt = trained
+    clf = model.Classifier.load(ckpt)
+    clf.tail.bias[0] = np.nan
+    bad = clf.save(tmp_path / "nan.ckpt")
+    cfg, _ = attack_config(root, ckpt, "nan.json", model_path=str(bad))
+    assert cli.main(["attack", "--config", str(cfg)]) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_unwritable_out_is_io_error(tmp_path, trained, capsys):

@@ -47,6 +47,31 @@ def test_misclassified_examples_are_not_attacked(blobs_boundaries,
         sum(e.attacked for e in rep.examples) / rep.evaluated)
 
 
+def test_attack_dataset_keeps_misclassified_inputs(blobs_boundaries,
+                                                   blobs_test,
+                                                   quick_attack_config):
+    raw = model.mlp((8,), k=4, n=2, hidden=(16,), seed=99)
+    bs = geometry.boundary_set_for(raw)
+    cfg = quick_attack_config
+    pred, out = harness.attack_dataset(raw, bs, blobs_test, cfg,
+                                       chunk_size=16)
+    wrong = pred != blobs_test.labels
+    assert wrong.any() and not wrong.all()
+    # misclassified: the input itself, a success, no gradient spent
+    np.testing.assert_array_equal(out.x_adv[wrong], blobs_test.images[wrong])
+    assert out.success[wrong].all()
+    assert (out.grad_evals_per_restart[wrong] == 0).all()
+    # attacked: the restart engine's rows under the dataset seed policy
+    idx = np.flatnonzero(~wrong)
+    ref = attacks.run_restarts_batch(
+        raw, bs, blobs_test.images[idx], blobs_test.labels[idx], cfg,
+        base_seeds=cfg.seed + idx * cfg.restarts)
+    np.testing.assert_allclose(out.x_adv[idx], ref.x_adv, atol=1e-12)
+    np.testing.assert_array_equal(out.success[idx], ref.success)
+    np.testing.assert_array_equal(out.grad_evals_per_restart[idx],
+                                  ref.grad_evals_per_restart)
+
+
 def test_zero_epsilon_keeps_robust_equal_to_clean(blobs_mlp,
                                                   blobs_boundaries,
                                                   blobs_test):
@@ -191,10 +216,8 @@ def repr_export(request):
     blobs_test = request.getfixturevalue("blobs_test")
     cfg = attacks.AttackConfig(epsilon=0.12, alpha=0.03, restarts=2,
                                n_init=2, n_attack=8, seed=5)
-    out = attacks.run_restarts_batch(
-        blobs_mlp, blobs_boundaries, blobs_test.images, blobs_test.labels,
-        cfg, base_seeds=cfg.seed + np.arange(len(blobs_test.labels))
-        * cfg.restarts)
+    _, out = harness.attack_dataset(blobs_mlp, blobs_boundaries, blobs_test,
+                                    cfg)
     exp = harness.export_representation_space(blobs_mlp, blobs_boundaries,
                                               blobs_test, out)
     return exp, out, blobs_mlp, blobs_boundaries, blobs_test

@@ -1,14 +1,20 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import boundarylab
 from boundarylab import kernels
 from boundarylab.kernels import pyref
 
-native = pytest.importorskip("boundarylab.kernels._native",
-                             reason="compiled backend not built")
+
+@pytest.fixture(scope="module")
+def native():
+    """The compiled backend; tests that need it skip when it is not built."""
+    return pytest.importorskip("boundarylab.kernels._native",
+                               reason="compiled backend not built")
 
 
 def _conv_case(rng, b, ci, h, w, co, k):
@@ -27,7 +33,8 @@ def _conv_case(rng, b, ci, h, w, co, k):
     (1, 8, 6, 6, 4, 5),
     (4, 3, 5, 5, 1, 1),
 ])
-def test_conv_primitives_agree_across_backends(rng, b, ci, h, w, co, k):
+def test_conv_primitives_agree_across_backends(native, rng, b, ci, h, w, co,
+                                               k):
     x, wt, bias, gy = _conv_case(rng, b, ci, h, w, co, k)
     np.testing.assert_allclose(
         native.conv2d_forward(x, wt, bias),
@@ -42,7 +49,7 @@ def test_conv_primitives_agree_across_backends(rng, b, ci, h, w, co, k):
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 1, 5, 7), (3, 2, 2, 2)])
-def test_pool_primitives_agree_across_backends(rng, shape):
+def test_pool_primitives_agree_across_backends(native, rng, shape):
     x = np.ascontiguousarray(rng.standard_normal(shape))
     yn, idn = native.maxpool2_forward(x)
     yp, idp = pyref.maxpool2_forward(x)
@@ -55,7 +62,7 @@ def test_pool_primitives_agree_across_backends(rng, shape):
         pyref.maxpool2_backward(gy, idp, h, w))
 
 
-def test_pool_ties_agree_across_backends():
+def test_pool_ties_agree_across_backends(native):
     x = np.zeros((1, 1, 4, 4))
     x[0, 0, 1, 1] = x[0, 0, 0, 0] = 1.0  # tie inside the first window
     _, idn = native.maxpool2_forward(x)
@@ -77,7 +84,7 @@ def test_padding_wrapper_matches_manual_pad(rng):
         rtol=1e-12)
 
 
-def test_empty_batch_round_trips():
+def test_empty_batch_round_trips(native):
     x = np.zeros((0, 2, 6, 6))
     w = np.zeros((3, 2, 3, 3))
     bias = np.zeros(3)
@@ -88,9 +95,12 @@ def test_empty_batch_round_trips():
 
 def _backend_of(env_value):
     code = ("import boundarylab.kernels as k; print(k.BACKEND)")
+    # the package directory's parent, so an uninstalled checkout imports
+    src = os.path.dirname(os.path.dirname(boundarylab.__file__))
     return subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "BOUNDARYLAB_KERNELS": env_value},
+        env={"PATH": "/usr/bin:/bin", "BOUNDARYLAB_KERNELS": env_value,
+             "PYTHONPATH": src},
         capture_output=True, text=True, cwd="/",
     )
 
@@ -101,7 +111,7 @@ def test_backend_env_forces_python():
     assert res.stdout.strip() == "python"
 
 
-def test_backend_env_forces_native():
+def test_backend_env_forces_native(native):
     res = _backend_of("native")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "native"

@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -66,63 +67,67 @@ def test_out_of_box_input_warns(blobs_mlp):
         blobs_mlp.head_forward(np.full(8, 0.5))
 
 
+def _ce_gradient(clf, x, y):
+    v, ctxs = clf.head_forward_with_ctx(x)
+    return attacks.cross_entropy_grad(clf, ctxs, clf.tail_forward(v), y)
+
+
+def _dist_gradient(clf, bs, x, y, m):
+    _, ctxs = clf.head_forward_with_ctx(x)
+    return attacks.boundary_distance_grad(clf, bs, ctxs, y, m)
+
+
 def test_identity_head_distance_gradient_is_unit_row():
     w = np.array([[1.0, 2.0], [0.0, -1.0]])
     clf = model.linear_model(2, 2, weight=w, bias=np.zeros(2))
-    g = clf.input_gradient(np.array([0.3, 0.4]),
-                           model.BoundaryDistanceTo(0, 1))
+    g = _dist_gradient(clf, geometry.boundary_set_for(clf),
+                       np.array([[0.3, 0.4]]), [0], [1])
     row = w[0] - w[1]
-    np.testing.assert_allclose(g, row / np.linalg.norm(row), rtol=1e-15)
+    np.testing.assert_allclose(g[0], row / np.linalg.norm(row), rtol=1e-15)
 
 
 def test_logit_gradient_of_identity_head_linear_tail():
     clf = model.linear_model(1, 2, weight=np.array([[1.0], [0.0]]),
                              bias=np.zeros(2))
     # cross-entropy at label 0 has gradient (softmax - onehot) @ w
-    x = np.array([0.4])
-    g = clf.input_gradient(x, model.CrossEntropyAt(0))
+    x = np.array([[0.4]])
+    g = _ce_gradient(clf, x, [0])
     z = clf.forward(x)
-    soft = np.exp(layers.log_softmax(z[None, :]))[0]
+    soft = np.exp(layers.log_softmax(z))[0]
     expected = (soft - np.array([1.0, 0.0])) @ clf.tail.weight
-    np.testing.assert_allclose(g, expected, rtol=1e-12)
+    np.testing.assert_allclose(g[0], expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("scalar", ["ce", "dist"])
 def test_input_gradient_matches_finite_differences_on_cnn(scalar):
     clf = model.small_cnn(k=4, n=2, input_shape=(1, 12, 12), seed=3)
     rng = np.random.default_rng(5)
-    x = rng.uniform(0.1, 0.9, size=(1, 12, 12))
+    x = rng.uniform(0.1, 0.9, size=(1, 1, 12, 12))
     if scalar == "ce":
-        spec = model.CrossEntropyAt(1)
+        g = _ce_gradient(clf, x, [1])
 
         def f(xq):
             z = clf.forward(xq)
-            return float(-layers.log_softmax(z[None, :])[0, 1])
+            return float(-layers.log_softmax(z)[0, 1])
     else:
-        spec = model.BoundaryDistanceTo(1, 3)
         bs = geometry.boundary_set_for(clf)
+        g = _dist_gradient(clf, bs, x, [1], [3])
 
         def f(xq):
-            return geometry.signed_distance(bs, clf.head_forward(xq), 1, 3)
+            return geometry.signed_distances(bs, clf.head_forward(xq),
+                                             1)[0, 3]
 
-    assert rel_err(clf.input_gradient(x, spec), fd_grad(f, x)) < 1e-6
+    assert rel_err(g, fd_grad(f, x)) < 1e-6
 
 
 def test_input_gradient_batch_is_per_example(blobs_mlp, rng):
     x = rng.uniform(0, 1, size=(4, 8))
     y = np.array([0, 1, 2, 3])
-    batch = blobs_mlp.input_gradient(x, model.CrossEntropyAt(y))
+    batch = _ce_gradient(blobs_mlp, x, y)
     for i in range(4):
-        single = blobs_mlp.input_gradient(x[i], model.CrossEntropyAt(int(y[i])))
-        np.testing.assert_allclose(batch[i], single, rtol=1e-12)
-
-
-def test_degenerate_boundary_distance_is_rejected():
-    w = np.array([[1.0, 0.0], [1.0, 0.0]])
-    clf = model.linear_model(2, 2, weight=w, bias=np.array([0.0, 1.0]))
-    with pytest.raises(geometry.DegenerateBoundaryError):
-        clf.input_gradient(np.array([0.5, 0.5]),
-                           model.BoundaryDistanceTo(0, 1))
+        # a B=1 call must equal its row of the batch: rows do not mix
+        single = _ce_gradient(blobs_mlp, x[i:i + 1], y[i:i + 1])
+        np.testing.assert_allclose(batch[i], single[0], rtol=1e-12)
 
 
 # -- persistence ---------------------------------------------------------
@@ -146,6 +151,15 @@ def test_checkpoint_round_trip_cnn(tmp_path):
     loaded = model.Classifier.load(path)
     probe = np.random.default_rng(1).uniform(0, 1, size=(4, 1, 12, 12))
     np.testing.assert_array_equal(loaded.forward(probe), clf.forward(probe))
+
+
+def test_checkpoint_rejects_non_finite_weights(tmp_path, blobs_mlp):
+    bad = copy.deepcopy(blobs_mlp)
+    bad.layers[1].weight[0, 0] = np.nan
+    path = bad.save(tmp_path / "nan.ckpt")
+    with pytest.raises(model.CheckpointError,
+                       match=r"layer 1 \(dense\) param 'weight'"):
+        model.Classifier.load(path)
 
 
 def _corrupt(path, mutate):
