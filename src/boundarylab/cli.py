@@ -214,6 +214,19 @@ def _load_model(cfg):
         raise InputError(f"model_path: cannot read {path}: {exc}") from exc
 
 
+def _model_and_dataset(cfg):
+    """The checkpoint and a dataset whose labels are classes of it."""
+    clf = _load_model(cfg)
+    ds, dspec = _dataset_from(cfg)
+    try:
+        harness.check_labels(clf, ds.labels)
+    except ValueError as exc:
+        # an IDX label file is input data; other kinds come from the config
+        error = InputError if dspec["kind"] == "idx" else ConfigError
+        raise error(f"dataset: {exc}") from exc
+    return clf, ds, dspec
+
+
 def _out_path(cfg, args):
     out = args.out or _get(cfg, "out", None)
     if out is None:
@@ -322,8 +335,7 @@ def _resolved_eval_config(command, dspec, cfg, config, method, init):
 
 def cmd_attack(args):
     cfg = _load_config(args.config)
-    clf = _load_model(cfg)
-    ds, dspec = _dataset_from(cfg)
+    clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
     bs = geometry.boundary_set_for(clf)
     report = harness.evaluate(clf, bs, ds, config, method=method, init=init,
@@ -344,8 +356,7 @@ def cmd_attack(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args.config)
-    clf = _load_model(cfg)
-    ds, dspec = _dataset_from(cfg)
+    clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
     sspec = _expect(_get(cfg, "sweep"), "sweep", dict)
     values = [int(v) for v in
@@ -380,8 +391,7 @@ def cmd_sweep(args):
 
 def cmd_export_repr(args):
     cfg = _load_config(args.config)
-    clf = _load_model(cfg)
-    ds, dspec = _dataset_from(cfg)
+    clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
     bs = geometry.boundary_set_for(clf)
     _, outcome = harness.attack_dataset(clf, bs, ds, config, method=method,

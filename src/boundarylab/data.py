@@ -39,6 +39,10 @@ class Dataset:
             raise ValueError(
                 f"{len(self.images)} images vs {len(self.labels)} labels"
             )
+        finite = np.isfinite(self.images)
+        if not finite.all():
+            first = np.nonzero(~finite)[0][0]
+            raise ValueError(f"image {first} has a non-finite pixel")
         if not self.class_map:
             ks = sorted(int(v) for v in np.unique(self.labels))
             object.__setattr__(self, "class_map", {k: k for k in ks})

@@ -151,6 +151,16 @@ def _config_snapshot(config, method, init):
     return snap
 
 
+def check_labels(c, labels):
+    """Raise ValueError unless every label is a class of ``c`` (0..k-1)."""
+    bad = np.flatnonzero((labels < 0) | (labels >= c.k))
+    if bad.size:
+        raise ValueError(
+            f"label {labels[bad[0]]} at index {bad[0]} is outside the "
+            f"model's classes 0..{c.k - 1}"
+        )
+
+
 def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
                    workers=1, chunk_size=256):
     """Attack ``dataset`` chunk by chunk; the loop behind :func:`evaluate`.
@@ -160,10 +170,12 @@ def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
     correctly classified examples of each chunk.  A misclassified input
     is not attacked: its ``x_adv`` is the input itself, it counts as a
     success at iteration 0 with restart -1, and it spends no gradient
-    evaluations.  The result is independent of ``workers``.
+    evaluations.  The result is independent of ``workers``.  Labels
+    outside the model's classes raise ValueError (:func:`check_labels`).
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
+    check_labels(c, dataset.labels)
     x, y = dataset.images, dataset.labels
     n = len(dataset)
     stride = max(config.restarts, 1)

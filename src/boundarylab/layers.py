@@ -180,21 +180,12 @@ class MaxPool2x2:
             raise ShapeMismatchError(
                 f"maxpool2x2: input {x.shape[2]}x{x.shape[3]} smaller than window"
             )
-        h, w = x.shape[2], x.shape[3]
-        xe = x[:, :, : h - h % 2, : w - w % 2]
-        y, idx = maxpool2_forward(xe)
+        y, idx = maxpool2_forward(x)
         return y, (idx, x.shape)
 
     def backward(self, ctx, gy, need_param_grads=False):
         idx, x_shape = ctx
-        h, w = x_shape[2], x_shape[3]
-        gx = maxpool2_backward(gy, idx, (x_shape[0], x_shape[1],
-                                         h - h % 2, w - w % 2))
-        if h % 2 or w % 2:
-            full = np.zeros(x_shape)
-            full[:, :, : h - h % 2, : w - w % 2] = gx
-            gx = full
-        return gx, {}
+        return maxpool2_backward(gy, idx, x_shape), {}
 
 
 class BatchNorm:

@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from boundarylab import cli, model
+from boundarylab import cli, data, model
 
 BLOBS = {"kind": "blobs", "n_per_class": 15, "k": 3, "d": 6,
          "separation": 6.0, "seed": 1}
@@ -255,6 +255,22 @@ def test_non_finite_checkpoint_is_io_error(tmp_path, trained, capsys):
     cfg, _ = attack_config(root, ckpt, "nan.json", model_path=str(bad))
     assert cli.main(["attack", "--config", str(cfg)]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep", "export-repr"])
+def test_idx_labels_outside_the_checkpoint_are_io_error(tmp_path, trained,
+                                                        capsys, command):
+    root, ckpt = trained  # a 3-class model
+    ds = data.Dataset(images=np.zeros((4, 1, 2, 3)),
+                      labels=np.array([0, 1, 7, 2]))
+    ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+    data.write_idx(ds, ip, lp)
+    cfg, _ = attack_config(root, ckpt, f"idx-{command}.json",
+                           dataset={"kind": "idx", "images": str(ip),
+                                    "labels": str(lp)},
+                           sweep={"n_init_values": [0, 1]})
+    assert cli.main([command, "--config", str(cfg)]) == 3
+    assert "label 7 at index 2" in capsys.readouterr().err
 
 
 def test_unwritable_out_is_io_error(tmp_path, trained, capsys):

@@ -83,6 +83,15 @@ def test_idx_rejects_short_header(tmp_path):
         data.load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_images(rng, bad):
+    images = rng.uniform(0, 1, size=(6, 1, 4, 4))
+    images[3, 0, 2, 1] = bad
+    images[5, 0, 0, 0] = bad
+    with pytest.raises(ValueError, match="image 3 has a non-finite pixel"):
+        data.Dataset(images=images, labels=np.zeros(6, dtype=np.int64))
+
+
 # -- class filtering -----------------------------------------------------
 
 

@@ -72,6 +72,24 @@ def test_attack_dataset_keeps_misclassified_inputs(blobs_boundaries,
                                   ref.grad_evals_per_restart)
 
 
+@pytest.mark.parametrize("bad", [7, -1])
+def test_attack_entry_rejects_labels_outside_the_model(blobs_mlp,
+                                                       blobs_boundaries,
+                                                       blobs_test,
+                                                       quick_attack_config,
+                                                       bad):
+    labels = blobs_test.labels.copy()
+    labels[[2, 5]] = bad
+    ds = data.Dataset(images=blobs_test.images, labels=labels)
+    match = f"label {bad} at index 2 is outside the model's classes 0..3"
+    with pytest.raises(ValueError, match=match):
+        harness.evaluate(blobs_mlp, blobs_boundaries, ds,
+                         quick_attack_config)
+    with pytest.raises(ValueError, match=match):
+        harness.sweep_n_init(blobs_mlp, blobs_boundaries, ds,
+                             quick_attack_config, [0, 1])
+
+
 def test_zero_epsilon_keeps_robust_equal_to_clean(blobs_mlp,
                                                   blobs_boundaries,
                                                   blobs_test):
