@@ -317,25 +317,26 @@ def fab_batch(c, bs, x_orig, y, config, start):
         pdist[norms1 == 0.0] = np.inf
         pdist[np.arange(na), ya] = np.inf
         s = np.argmin(pdist, axis=1)
-        xa_flat = xa.reshape(na, flat)
-        xo_flat = x_orig[active].reshape(na, flat)
-        xn = np.empty_like(xa_flat)
-        for i in range(na):
-            w = dgs[i, s[i]]
-            if not np.any(w):
-                xn[i] = xa_flat[i]  # flat linearization: hold position
-                continue
-            bias = dfs[i, s[i]] - w @ xa_flat[i]
-            d_adv = project_hyperplane_box(xa_flat[i], w, bias) - xa_flat[i]
-            d_org = project_hyperplane_box(xo_flat[i], w, bias) - xo_flat[i]
-            num = np.abs(d_adv).max()
-            den = num + np.abs(d_org).max()
-            beta = min(num / den, config.fab_beta_max) if den > 0 else 0.0
-            xn[i] = ((1.0 - beta) * (xa_flat[i] + config.fab_eta * d_adv)
-                     + beta * (xo_flat[i] + config.fab_eta * d_org))
+        rows = np.flatnonzero(live)
+        w = dgs[rows, s[rows]]
+        xa_flat = xa.reshape(na, flat)[rows]
         active = active[live]
+        xo_flat = x_orig[active].reshape(-1, flat)
+        xn = xa_flat.copy()  # a flat linearization holds its position
+        move = w.any(axis=1)
+        w, xm, xo = w[move], xa_flat[move], xo_flat[move]
+        bias = dfs[rows[move], s[rows[move]]] - _row_dot(w, xm)
+        d_adv = project_hyperplane_box(xm, w, bias) - xm
+        d_org = project_hyperplane_box(xo, w, bias) - xo
+        num = np.abs(d_adv).max(axis=1)
+        den = num + np.abs(d_org).max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta = np.where(den > 0, np.minimum(num / den, config.fab_beta_max),
+                            0.0)[:, None]
+        xn[move] = ((1.0 - beta) * (xm + config.fab_eta * d_adv)
+                    + beta * (xo + config.fab_eta * d_org))
         x[active] = np.clip(
-            xn[live].reshape((-1,) + x.shape[1:]), lo[active], hi[active]
+            xn.reshape((-1,) + x.shape[1:]), lo[active], hi[active]
         )
         evals[active] += 1
     return BatchSegment(x_adv=x, success=success, iterations=iters,
@@ -345,49 +346,72 @@ def fab_batch(c, bs, x_orig, y, config, start):
 # -- exact L∞ projection onto hyperplane ∩ box ----------------------------
 
 
-def project_hyperplane_box(point, w, b):
-    """Closest point to ``point`` on {p: w·p + b = 0} ∩ [0,1]^D under L∞.
+def _row_dot(a, b):
+    # one 1-D dot product per row; a stacked matmul rounds each row as a
+    # 1-D ``a[i] @ b[i]`` does, independent of the other rows
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Exact waterfilling: the minimal radius t* is found from the sorted
-    per-coordinate movement caps, and every coordinate moves toward the
-    plane by min(cap, t*).  When the hyperplane misses the box entirely,
-    returns the box point minimizing |w·p + b| (every coordinate at its
-    favorable wall), which keeps attack iterations total.
+
+def project_hyperplane_box(points, w, b):
+    """Row i: the L∞-closest point to ``points[i]`` on
+    {p: w[i]·p + b[i] = 0} ∩ [0,1]^D.
+
+    Exact waterfilling per row: the minimal radius t* is found from the
+    sorted per-coordinate movement caps, and every coordinate moves toward
+    the plane by min(cap, t*).  A row whose hyperplane misses the box gets
+    the box point minimizing |w·p + b| (every coordinate at its favorable
+    wall), which keeps attack iterations total.  Rows never mix: each
+    row's result is the one a single-row call gives, bit for bit.
     """
-    point = np.asarray(point, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != point.shape:
-        raise ValueError(f"hyperplane normal shape {w.shape} != point {point.shape}")
-    if not np.any(w):
-        raise ValueError("hyperplane normal is the zero vector")
-    s0 = float(w @ point + b)
-    if s0 == 0.0:
-        return np.clip(point, 0.0, 1.0)
-    # Orient so the value at `point` is positive and must be driven to 0.
-    sgn = 1.0 if s0 > 0 else -1.0
-    we = sgn * w
+    b = np.asarray(b, dtype=np.float64)
+    if points.ndim != 2 or w.shape != points.shape or b.shape != points.shape[:1]:
+        raise ValueError(
+            f"expected points (B, D), normals (B, D) and offsets (B,); got "
+            f"{points.shape}, {w.shape} and {b.shape}"
+        )
+    zero = ~w.any(axis=1)
+    if zero.any():
+        raise ValueError(
+            f"hyperplane normal of row {int(np.argmax(zero))} is the zero vector"
+        )
+    s0 = _row_dot(w, points) + b
+    # Orient each row so its value at the point is positive and must be
+    # driven to 0.
+    sgn = np.where(s0 > 0, 1.0, -1.0)
+    we = sgn[:, None] * w
     s = sgn * s0
     # Moving coordinate i by its cap (to the favorable wall) reduces the
     # value by rate*cap; direction is -sign(we).
     rate = np.abs(we)
-    cap = np.where(we > 0, point, 1.0 - point)
+    cap = np.where(we > 0, points, 1.0 - points)
     cap = np.where(rate > 0, cap, 0.0)
     direction = -np.sign(we)
-    reducible = float(rate @ cap)
-    if reducible <= s:
-        # Infeasible (or exactly achievable at the corner): go to walls.
-        return np.clip(point + direction * cap, 0.0, 1.0)
-    order = np.argsort(cap, kind="stable")
-    cs = cap[order]
-    rs = rate[order]
+    # Infeasible (or exactly achievable at the corner): go to walls.
+    out = points + direction * cap
+    # Feasible rows: waterfilling.
+    fill = (_row_dot(rate, cap) > s) & (s0 != 0.0)
+    cap_f, rate_f, s_f = cap[fill], rate[fill], s[fill]
+    order = np.argsort(cap_f, axis=1, kind="stable")
+    cs = np.take_along_axis(cap_f, order, axis=1)
+    rs = np.take_along_axis(rate_f, order, axis=1)
+    zeros = np.zeros((cs.shape[0], 1))
     # dec(cap_j) = sum_i rate_i * min(cap_j, cap_i), nondecreasing in j.
-    a = np.concatenate(([0.0], np.cumsum(rs * cs)))
-    srem = rate.sum() - np.concatenate(([0.0], np.cumsum(rs)))
-    dec_at = a[1:] + cs * srem[1:]
-    j = int(np.searchsorted(dec_at, s))
-    t_star = (s - a[j]) / srem[j]
-    p = point + direction * np.minimum(cap, t_star)
-    return np.clip(p, 0.0, 1.0)
+    a = np.concatenate((zeros, np.cumsum(rs * cs, axis=1)), axis=1)
+    srem = rate_f.sum(axis=1)[:, None] - np.concatenate(
+        (zeros, np.cumsum(rs, axis=1)), axis=1)
+    dec_at = a[:, 1:] + cs * srem[:, 1:]
+    # j: the first index where dec_at reaches s (D if none does)
+    reach = dec_at >= s_f[:, None]
+    j = np.where(reach.any(axis=1), reach.argmax(axis=1), cs.shape[1])
+    rows = np.arange(cs.shape[0])
+    t_star = (s_f - a[rows, j]) / srem[rows, j]
+    out[fill] = points[fill] + direction[fill] * np.minimum(cap_f, t_star[:, None])
+    # A point already on its plane only needs clipping.
+    on = s0 == 0.0
+    out[on] = points[on]
+    return np.clip(out, 0.0, 1.0)
 
 
 # -- restart orchestration -------------------------------------------------

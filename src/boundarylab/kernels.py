@@ -49,16 +49,18 @@ def conv2d_input_grad(gy, w, x_shape, padding=0):
     b, co, oh, ow = gy.shape
     _, ci, kh, kw = w.shape
     h, wdt = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
-    # (B, OH, OW, C*kh*kw) spread of the upstream through the kernel
-    gyf = _c64(gy).transpose(0, 2, 3, 1).reshape(-1, co)
-    gcols = (gyf @ _c64(w).reshape(co, ci * kh * kw)).reshape(b, oh, ow, ci, kh, kw)
-    gx = np.zeros((b, ci, h, wdt), dtype=np.float64)
+    # channel-major: (C*kh*kw, B*OH*OW) spread of the upstream through the
+    # kernel, so each tap below adds one contiguous (C, B, OH, OW) block
+    gyc = _c64(gy).transpose(1, 0, 2, 3).reshape(co, -1)
+    gcols = (_c64(w).reshape(co, ci * kh * kw).T @ gyc).reshape(ci, kh, kw, b, oh, ow)
+    gx = np.zeros((ci, b, h, wdt), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            gx[:, :, i : i + oh, j : j + ow] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            gx[:, :, i : i + oh, j : j + ow] += gcols[:, i, j]
+    gx = gx.transpose(1, 0, 2, 3)
     if padding:
-        gx = np.ascontiguousarray(gx[:, :, padding:-padding, padding:-padding])
-    return gx
+        gx = gx[:, :, padding:-padding, padding:-padding]
+    return np.ascontiguousarray(gx)
 
 
 def conv2d_param_grad(x, gy, w_shape, padding=0):

@@ -237,36 +237,40 @@ class BatchNorm:
 
     def forward(self, x, train=False):
         axes, bshape = self._axes(x)
-        if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mean
-            self.running_var = (1 - m) * self.running_var + m * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if not train:
+            # one affine map per channel: y = x*scale + shift
+            scale = self.gamma / np.sqrt(self.running_var + self.eps)
+            shift = self.beta - self.running_mean * scale
+            y = x * scale.reshape(bshape)
+            y += shift.reshape(bshape)
+            return y, (x, scale, axes, bshape, train)
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        m = self.momentum
+        self.running_mean = (1 - m) * self.running_mean + m * mean
+        self.running_var = (1 - m) * self.running_var + m * var
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean.reshape(bshape)) * inv.reshape(bshape)
         y = self.gamma.reshape(bshape) * xhat + self.beta.reshape(bshape)
-        return y, (xhat, inv, axes, bshape, train, x.shape)
+        return y, (xhat, inv, axes, bshape, train)
 
     def backward(self, ctx, gy, need_param_grads=False):
-        xhat, inv, axes, bshape, train, x_shape = ctx
-        g = self.gamma.reshape(bshape)
+        # train ctx: (xhat, 1/std of the batch, ...); eval: (x, scale, ...)
+        held, per_channel, axes, bshape, train = ctx
         if train:
             # Batch statistics depend on x, so the gradient couples the batch.
-            n = 1
-            for a in axes:
-                n *= x_shape[a]
-            gxhat = gy * g
+            xhat = held
+            gxhat = gy * self.gamma.reshape(bshape)
             mean_g = gxhat.mean(axis=axes).reshape(bshape)
             mean_gx = (gxhat * xhat).mean(axis=axes).reshape(bshape)
-            gx = (gxhat - mean_g - xhat * mean_gx) * inv.reshape(bshape)
+            gx = (gxhat - mean_g - xhat * mean_gx) * per_channel.reshape(bshape)
         else:
-            gx = gy * g * inv.reshape(bshape)
+            gx = gy * per_channel.reshape(bshape)
         if not need_param_grads:
             return gx, {}
+        if not train:
+            inv = 1.0 / np.sqrt(self.running_var + self.eps)
+            xhat = (held - self.running_mean.reshape(bshape)) * inv.reshape(bshape)
         return gx, {"gamma": (gy * xhat).sum(axis=axes),
                     "beta": gy.sum(axis=axes)}
 

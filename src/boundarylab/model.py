@@ -101,8 +101,10 @@ class Classifier:
         """Run the head; returns the representation batch (B, N)."""
         xb, single = self._batchify(x)
         _box_warn(xb)
-        v, _ = self.head_forward_with_ctx(xb, train=train)
-        return v[0] if single else v
+        h = xb
+        for layer in self.layers[: self.split]:
+            h, _ = layer.forward(h, train=train)  # each ctx freed as we go
+        return h[0] if single else h
 
     def head_forward_with_ctx(self, xb, train=False):
         """Head forward keeping per-layer contexts for a later backward."""

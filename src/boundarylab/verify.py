@@ -172,7 +172,8 @@ def check_projection_oracle(seed=0, tol=1e-6, instances=60):
         w[np.abs(w) < 1e-3] += 0.1
         q = rng.uniform(0, 1, size=d)  # plane through q: feasible
         b = -float(w @ q)
-        p = attacks.project_hyperplane_box(x, w, b)
+        p = attacks.project_hyperplane_box(x[None], w[None],
+                                           np.array([b]))[0]
         mine = float(np.max(np.abs(p - x)))
         c = np.zeros(d + 1)
         c[-1] = 1.0

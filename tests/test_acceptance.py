@@ -211,7 +211,8 @@ def test_4_projection_matches_lp(capfd):
             w = rng.normal(size=d)
         # anchor the plane inside the box so the LP is feasible
         b = -float(w @ rng.uniform(0, 1, size=d))
-        p = attacks.project_hyperplane_box(x, w, b)
+        p = attacks.project_hyperplane_box(x[None], w[None],
+                                           np.array([b]))[0]
         assert abs(w @ p + b) < 1e-9
         gap = float(np.max(np.abs(p - x))) - _lp_projection(x, w, b)
         worst = max(worst, gap)

@@ -94,46 +94,57 @@ def test_random_start_batch_matches_scalar(rng):
 # -- hyperplane-box projection -------------------------------------------
 
 
+def project_one(x, w, b):
+    """One projection as a B=1 call."""
+    return attacks.project_hyperplane_box(one(x), one(w), np.array([b]))[0]
+
+
 def test_projection_one_dimensional():
-    out = attacks.project_hyperplane_box(np.array([0.8]), np.array([1.0]),
-                                         -0.3)
+    out = project_one([0.8], [1.0], -0.3)
     np.testing.assert_allclose(out, [0.3])
 
 
 def test_projection_waterfilling_splits_evenly():
     # both coordinates have equal rate and room: each moves t* = 0.5
-    out = attacks.project_hyperplane_box(np.array([1.0, 1.0]),
-                                         np.array([1.0, 1.0]), -1.0)
+    out = project_one([1.0, 1.0], [1.0, 1.0], -1.0)
     np.testing.assert_allclose(out, [0.5, 0.5])
 
 
 def test_projection_respects_coordinate_caps():
     # coordinate 0 hits its wall after 0.1; the remaining reduction must
     # all come from coordinate 1, giving t* = 0.5 and the point (0, 0.5)
-    out = attacks.project_hyperplane_box(np.array([0.1, 1.0]),
-                                         np.array([1.0, 1.0]), -0.5)
+    out = project_one([0.1, 1.0], [1.0, 1.0], -0.5)
     np.testing.assert_allclose(out, [0.0, 0.5])
 
 
 def test_projection_of_on_plane_point_is_identity():
     x = np.array([0.25, 0.5])
-    out = attacks.project_hyperplane_box(x, np.array([2.0, -1.0]), 0.0)
+    out = project_one(x, [2.0, -1.0], 0.0)
     np.testing.assert_array_equal(out, x)
 
 
 def test_projection_rejects_zero_normal():
     with pytest.raises(ValueError, match="zero"):
-        attacks.project_hyperplane_box(np.array([0.5]), np.array([0.0]), 1.0)
+        project_one([0.5], [0.0], 1.0)
     with pytest.raises(ValueError):
-        attacks.project_hyperplane_box(np.array([0.5, 0.5]),
-                                       np.array([1.0]), 0.0)
+        project_one([0.5, 0.5], [1.0], 0.0)
+    # a zero normal anywhere in the batch is named by its row
+    with pytest.raises(ValueError, match="row 1 .*zero"):
+        attacks.project_hyperplane_box(np.full((3, 2), 0.5),
+                                       np.array([[1.0, 0.0], [0.0, 0.0],
+                                                 [0.0, 1.0]]),
+                                       np.zeros(3))
+    with pytest.raises(ValueError):  # one offset per row
+        attacks.project_hyperplane_box(np.full((3, 2), 0.5),
+                                       np.ones((3, 2)), np.zeros(2))
+    with pytest.raises(ValueError):  # rows, not a single point
+        attacks.project_hyperplane_box(np.full(2, 0.5), np.ones(2), 0.0)
 
 
 def test_projection_infeasible_goes_to_walls():
     # plane p_0 + p_1 = 5 never meets the unit box; the best box point is
     # the corner (1, 1)
-    out = attacks.project_hyperplane_box(np.array([0.2, 0.7]),
-                                         np.array([1.0, 1.0]), -5.0)
+    out = project_one([0.2, 0.7], [1.0, 1.0], -5.0)
     np.testing.assert_array_equal(out, [1.0, 1.0])
 
 
@@ -167,11 +178,48 @@ def test_projection_matches_lp_oracle(rng):
         w = rng.normal(size=d)
         # pass the plane through a random box point so it is feasible
         b = -float(w @ rng.uniform(0, 1, size=d))
-        p = attacks.project_hyperplane_box(x, w, b)
+        p = project_one(x, w, b)
         assert abs(w @ p + b) < 1e-9
         t_lp = _lp_projection(x, w, b)
         t_ours = np.max(np.abs(p - x))
         assert t_ours <= t_lp + 1e-9
+
+
+def test_projection_batch_matches_lp_oracle(rng):
+    # one call on 40 feasible rows; each row is its own LP
+    d = 6
+    x = rng.uniform(0, 1, size=(40, d))
+    w = rng.normal(size=(40, d))
+    w[rng.random((40, d)) < 0.25] = 0.0  # some coordinates cannot move
+    w[~w.any(axis=1), 0] = 1.0
+    b = -np.array([wi @ q for wi, q in zip(w, rng.uniform(0, 1, (40, d)))])
+    p = attacks.project_hyperplane_box(x, w, b)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    for i in range(40):
+        assert abs(w[i] @ p[i] + b[i]) < 1e-9
+        assert np.max(np.abs(p[i] - x[i])) <= _lp_projection(x[i], w[i],
+                                                             b[i]) + 1e-9
+
+
+def test_projection_rows_do_not_mix(rng):
+    # one call on many rows equals its B=1 calls bit for bit, across every
+    # branch: waterfilling, on-plane, infeasible, zero-rate coordinates and
+    # tied caps
+    d = 12
+    x = rng.uniform(0, 1, size=(64, d))
+    x[:, :4] = 0.5  # tied caps
+    w = rng.normal(size=(64, d))
+    w[rng.random((64, d)) < 0.3] = 0.0  # zero-rate coordinates
+    w[~w.any(axis=1), 0] = 1.0
+    b = -np.array([wi @ q for wi, q in zip(w, rng.uniform(0, 1, (64, d)))])
+    on_plane, infeasible = np.arange(0, 64, 4), np.arange(1, 64, 4)
+    b[on_plane] = -np.array([w[i] @ x[i] for i in on_plane])
+    b[infeasible] = -3.0 * np.abs(w[infeasible]).sum(axis=1)
+    batch = attacks.project_hyperplane_box(x, w, b)
+    for i in range(64):
+        assert batch[i].tobytes() == project_one(x[i], w[i], b[i]).tobytes()
+    np.testing.assert_array_equal(batch[on_plane], x[on_plane])
+    assert attacks.project_hyperplane_box(x[:0], w[:0], b[:0]).shape == (0, d)
 
 
 # -- boundary descent ----------------------------------------------------
@@ -288,6 +336,33 @@ def test_fab_single_equals_batch_row(blobs_mlp, blobs_boundaries,
         assert seg.success[r] == one_seg.success[0]
         np.testing.assert_allclose(seg.x_adv[r], one_seg.x_adv[0],
                                    atol=1e-12)
+
+
+def test_fab_holds_rows_with_a_flat_linearization():
+    # head v = relu(x - 0.5): below 0.5 in both coordinates every logit
+    # difference has zero input gradient, so that row holds its position
+    # while the other row of the same batch moves
+    from boundarylab.layers import Dense, ReLU
+
+    head = Dense(2, 2)
+    head.weight[:] = np.eye(2)
+    head.bias[:] = -0.5
+    tail = Dense(2, 3)
+    tail.weight[:] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    tail.bias[:] = [0.0, 0.0, 0.01]
+    clf = model.Classifier([head, ReLU(), tail], 2, (2,))
+    bs = geometry.boundary_set_for(clf)
+    x = np.array([[0.2, 0.3], [0.9, 0.6]])
+    y = clf.predict(x)
+    assert list(y) == [2, 0]
+    cfg = attacks.AttackConfig(epsilon=0.3, alpha=0.01, restarts=1,
+                               n_init=0, n_attack=3, seed=0)
+    seg = attacks.fab_batch(clf, bs, x, y, cfg, x.copy())
+    np.testing.assert_array_equal(seg.x_adv[0], x[0])
+    assert not seg.success[0] and seg.grad_evals[0] == 3
+    assert np.any(seg.x_adv[1] != x[1])
+    alone = attacks.fab_batch(clf, bs, x[1:], y[1:], cfg, x[1:].copy())
+    assert seg.x_adv[1].tobytes() == alone.x_adv[0].tobytes()
 
 
 def test_fab_iterates_stay_in_ball_and_box(blobs_mlp, blobs_boundaries,

@@ -17,6 +17,8 @@ def _conv_case(rng, b, ci, h, w, co, k):
     (2, 5, 9, 7, 7, 3),
     (1, 8, 6, 6, 4, 5),
     (4, 3, 5, 5, 1, 1),
+    (1, 1, 16, 16, 16, 3),   # one example: small_cnn's conv1
+    (5, 16, 7, 7, 32, 3),    # ci > 1, co > ci: small_cnn's conv2
 ])
 def test_conv_primitives_match_window_oracle(rng, b, ci, h, w, co, k):
     x, wt, bias, gy = _conv_case(rng, b, ci, h, w, co, k)
@@ -34,6 +36,14 @@ def test_conv_primitives_match_window_oracle(rng, b, ci, h, w, co, k):
     np.testing.assert_allclose(np.vdot(x, gx), inner, rtol=1e-10)
     np.testing.assert_allclose(np.vdot(wt, gw), inner, rtol=1e-10)
     np.testing.assert_allclose(gb, gy.sum(axis=(0, 2, 3)), rtol=1e-12)
+    # the input gradient element by element: each tap spreads gy back
+    # through its kernel slice
+    ref = np.zeros_like(x)
+    for p in range(k):
+        for q in range(k):
+            ref[:, :, p : p + gy.shape[2], q : q + gy.shape[3]] += np.einsum(
+                "boij,oc->bcij", gy, wt[:, :, p, q])
+    np.testing.assert_allclose(gx, ref, rtol=1e-10, atol=1e-12)
 
 
 def test_padding_wrapper_matches_manual_pad(rng):

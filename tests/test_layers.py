@@ -21,32 +21,55 @@ def _cases(rng):
     ]
 
 
-@pytest.mark.parametrize("name", [c[0] for c in _cases(np.random.default_rng(0))])
-def test_input_gradient_matches_finite_differences(name, rng):
+def _mode(name, train):
+    # train mode keeps the bare case name as its id
+    return pytest.param(name, train, id=name if train else f"{name}-eval")
+
+
+def _set_running_stats(bn, rng):
+    # away from the identity map, so a wrong scale or shift shows
+    c = bn.channels
+    bn.running_mean[:] = rng.normal(size=c)
+    bn.running_var[:] = rng.uniform(0.5, 3.0, size=c)
+    bn.gamma[:] = rng.uniform(0.5, 2.0, size=c)
+    bn.beta[:] = rng.normal(size=c)
+
+
+@pytest.mark.parametrize("name,train", [
+    _mode(n, train) for n, _, _ in _cases(np.random.default_rng(0))
+    for train in (True, False)])
+def test_input_gradient_matches_finite_differences(name, train, rng):
     layer, shape = next((l, s) for n, l, s in _cases(rng) if n == name)
+    if isinstance(layer, layers.BatchNorm):
+        _set_running_stats(layer, rng)
     x = rng.standard_normal(shape)
-    y, ctx = layer.forward(x, train=True)
+    y, ctx = layer.forward(x, train=train)
     proj = rng.standard_normal(y.shape)
 
     def scalar(xq):
-        yq, _ = layer.forward(xq, train=True)
+        yq, _ = layer.forward(xq, train=train)
         return float((yq * proj).sum())
 
     gx, _ = layer.backward(ctx, proj, need_param_grads=False)
     assert rel_err(gx, fd_grad(scalar, x)) < 1e-6
 
 
-@pytest.mark.parametrize("name", ["dense", "conv-padded", "batchnorm-4d"])
-def test_param_gradients_match_finite_differences(name, rng):
+@pytest.mark.parametrize("name,train", [
+    *[_mode(n, True) for n in ("dense", "conv-padded", "batchnorm-4d")],
+    *[_mode(n, False) for n in ("batchnorm-2d", "batchnorm-4d")],
+])
+def test_param_gradients_match_finite_differences(name, train, rng):
     layer, shape = next((l, s) for n, l, s in _cases(rng) if n == name)
+    if isinstance(layer, layers.BatchNorm):
+        _set_running_stats(layer, rng)
     x = rng.standard_normal(shape)
-    y, ctx = layer.forward(x, train=True)
+    y, ctx = layer.forward(x, train=train)
     proj = rng.standard_normal(y.shape)
     _, grads = layer.backward(ctx, proj, need_param_grads=True)
     for pname, param in layer.params().items():
         def scalar(pq):
             param[...] = pq
-            yq, _ = layer.forward(x, train=True)
+            yq, _ = layer.forward(x, train=train)
             return float((yq * proj).sum())
 
         keep = param.copy()
@@ -95,6 +118,18 @@ def test_batchnorm_eval_is_fixed_affine(rng):
     scale = (bn.gamma / np.sqrt(bn.running_var + bn.eps)).reshape(1, 3, 1, 1)
     shift = (bn.beta - bn.running_mean * scale.reshape(3)).reshape(1, 3, 1, 1)
     np.testing.assert_allclose(y, x * scale + shift)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 3, 2, 2)])
+def test_batchnorm_eval_backward_is_the_scale(rng, shape):
+    bn = layers.BatchNorm(3)
+    _set_running_stats(bn, rng)
+    bshape = (1, 3) + (1,) * (len(shape) - 2)
+    scale = (bn.gamma / np.sqrt(bn.running_var + bn.eps)).reshape(bshape)
+    _, ctx = bn.forward(rng.standard_normal(shape), train=False)
+    gy = rng.standard_normal(shape)
+    gx, _ = bn.backward(ctx, gy)
+    np.testing.assert_array_equal(gx, gy * scale)
 
 
 def test_batchnorm_buffers_update_only_in_train(rng):
