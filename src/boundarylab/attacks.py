@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .geometry import nearest_boundary_batch
 from .layers import softmax_rows
@@ -76,6 +77,8 @@ class AttackConfig:
         for name in ("n_init", "n_attack"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.fab_eta < 1.0:
             raise ValueError(f"fab_eta must be >= 1, got {self.fab_eta}")
         if not 0.0 <= self.fab_beta_max <= 1.0:
@@ -137,15 +140,91 @@ def random_start(x, epsilon, seed):
 
 
 def random_start_batch(x_batch, epsilon, seeds):
-    """Per-example :func:`random_start`: row i uses seeds[i]."""
+    """Per-example :func:`random_start`: row i uses seeds[i].
+
+    Row i is ``default_rng(seeds[i]).uniform(-epsilon, epsilon)`` added
+    to ``x_batch[i]`` and clipped to the box, bit for bit, but the seed
+    hashing is vectorized over the batch (:func:`_seed_states`) and the
+    scaling and clipping run once over the whole batch.
+    """
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    out = np.empty_like(x_batch)
-    for i, seed in enumerate(seeds):
-        delta = np.random.default_rng(int(seed)).uniform(
-            -epsilon, epsilon, x_batch.shape[1:]
-        )
-        out[i] = np.clip(x_batch[i] + delta, 0.0, 1.0)
-    return out
+    seeds = np.asarray(seeds)
+    b = x_batch.shape[0]
+    if seeds.shape != (b,):
+        raise ValueError(f"expected {b} seeds, got shape {seeds.shape}")
+    negative = seeds < 0
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise ValueError(f"seed must be >= 0: row {i} has seed {seeds[i]}")
+    states = _seed_states(seeds)
+    delta = np.empty_like(x_batch)
+    rows = delta.reshape(b, int(np.prod(x_batch.shape[1:])))
+    for i in range(b):
+        np.random.Generator(np.random.PCG64(_SeedState(states[i]))).random(
+            out=rows[i])
+    # Generator.uniform(low, high) is low + (high - low) * random()
+    delta *= 2.0 * epsilon
+    delta += -epsilon
+    delta += x_batch
+    return np.clip(delta, 0.0, 1.0, out=delta)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a 4-word
+# uint32 pool, hashmix/mix with a running multiplier.  The multipliers
+# do not depend on the data, so every seed of a batch is hashed at once.
+_U32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _seed_states(seeds):
+    """Row i: ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
+
+    ``seeds`` are non-negative and below 2**64, so each seed's entropy is
+    its low and high 32-bit words; the pool's other two words hash as
+    zeros either way.
+    """
+    seeds = np.asarray(seeds).astype(np.uint64)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _U32
+        value = value * np.uint32(const)
+        return value ^ (value >> _SHIFT)
+
+    low = (seeds & np.uint64(_U32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> _SHIFT)
+    out = np.empty((seeds.shape[0], 8), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = (const * _MULT_B) & _U32
+        value = value * np.uint32(const)
+        out[:, i] = value ^ (value >> _SHIFT)
+    return out.view(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """Hands a precomputed ``generate_state(4, np.uint64)`` row to PCG64."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 # -- objective gradients --------------------------------------------------
@@ -178,6 +257,47 @@ def boundary_distance_grad(c, bs, ctxs, y, m):
     return c.head_backward(ctxs, rows / norms[:, None])
 
 
+# -- the live rows of an attack loop ------------------------------------
+
+
+class _LiveSet:
+    """The rows of a batch an attack loop still moves, kept compact.
+
+    ``x`` starts as the batch iterate itself and is updated in place; the
+    rows, their ball bounds and labels are compacted only on the steps
+    where some row freezes, and a frozen row is written back to the batch
+    iterate as it freezes.  ``finish`` writes back the rows still live
+    and returns the batch iterate.
+    """
+
+    def __init__(self, x, lo, hi, y):
+        self.full = x
+        self.rows = np.arange(x.shape[0])
+        self.x, self.lo, self.hi, self.y = x, lo, hi, y
+
+    def step(self, gx, size, live):
+        """Keep the ``live`` rows and move each by ``size·sign(gx)``,
+        clipped to its ball and the box; ``gx`` is overwritten."""
+        if not live.all():
+            if self.x is not self.full:
+                self.full[self.rows[~live]] = self.x[~live]
+            self.rows = self.rows[live]
+            self.x, self.lo, self.hi, self.y = (
+                self.x[live], self.lo[live], self.hi[live], self.y[live])
+            gx = gx[live]
+        np.sign(gx, out=gx)
+        gx *= size
+        self.x += gx
+        # maximum-then-minimum is np.clip bit for bit, without allocating
+        np.maximum(self.x, self.lo, out=self.x)
+        np.minimum(self.x, self.hi, out=self.x)
+
+    def finish(self):
+        if self.x is not self.full:
+            self.full[self.rows] = self.x
+        return self.full
+
+
 # -- start strategy: boundary descent -------------------------------------
 
 
@@ -193,24 +313,20 @@ def boundary_init_batch(c, bs, x_orig, y, config, start):
     y = np.asarray(y)
     lo, hi = _ball_bounds(x_orig, config.epsilon)
     x = np.clip(start, lo, hi)
-    b = x.shape[0]
-    evals = np.zeros(b, dtype=np.int64)
-    active = np.arange(b)
+    evals = np.zeros(x.shape[0], dtype=np.int64)
+    live_set = _LiveSet(x, lo, hi, y)
     for _ in range(config.n_init):
-        if active.size == 0:
+        if live_set.rows.size == 0:
             break
-        xa = x[active]
-        v, ctxs = c.head_forward_with_ctx(xa, train=False)
-        m, dist = nearest_boundary_batch(bs, v, y[active])
+        v, ctxs = c.head_forward_with_ctx(live_set.x, train=False)
+        m, dist = nearest_boundary_batch(bs, v, live_set.y)
         live = dist > 0.0
         if not live.any():
             break
-        gx = boundary_distance_grad(c, bs, ctxs, y[active], m)
-        active = active[live]
-        step = -config.eta_init * np.sign(gx[live])
-        x[active] = np.clip(x[active] + step, lo[active], hi[active])
-        evals[active] += 1
-    return x, evals
+        gx = boundary_distance_grad(c, bs, ctxs, live_set.y, m)
+        live_set.step(gx, -config.eta_init, live)
+        evals[live_set.rows] += 1
+    return live_set.finish(), evals
 
 
 # -- attacks ---------------------------------------------------------------
@@ -232,17 +348,16 @@ def pgd_batch(c, x_orig, y, config, start):
     success = np.zeros(b, dtype=bool)
     iters = np.full(b, -1, dtype=np.int64)
     evals = np.zeros(b, dtype=np.int64)
-    active = np.arange(b)
+    live_set = _LiveSet(x, lo, hi, y)
     wt, wb = c.tail.weight, c.tail.bias
     for t in range(config.n_attack + 1):
-        if active.size == 0:
+        if live_set.rows.size == 0:
             break
-        xa = x[active]
-        v, ctxs = c.head_forward_with_ctx(xa, train=False)
+        v, ctxs = c.head_forward_with_ctx(live_set.x, train=False)
         z = v @ wt.T + wb
-        flip = np.argmax(z, axis=1) != y[active]
+        flip = np.argmax(z, axis=1) != live_set.y
         if flip.any():
-            hit = active[flip]
+            hit = live_set.rows[flip]
             success[hit] = True
             iters[hit] = t
         if t == config.n_attack:
@@ -250,15 +365,11 @@ def pgd_batch(c, x_orig, y, config, start):
         live = ~flip
         if not live.any():
             break
-        gx = cross_entropy_grad(c, ctxs, z, y[active])
-        active = active[live]
-        x[active] = np.clip(
-            x[active] + config.alpha * np.sign(gx[live]),
-            lo[active], hi[active],
-        )
-        evals[active] += 1
-    return BatchSegment(x_adv=x, success=success, iterations=iters,
-                        grad_evals=evals)
+        gx = cross_entropy_grad(c, ctxs, z, live_set.y)
+        live_set.step(gx, config.alpha, live)
+        evals[live_set.rows] += 1
+    return BatchSegment(x_adv=live_set.finish(), success=success,
+                        iterations=iters, grad_evals=evals)
 
 
 def fab_batch(c, bs, x_orig, y, config, start):
@@ -450,7 +561,7 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
     best_restart = np.full(b, -1, dtype=np.int64)
     for r in range(r_count):
         if init == "none":
-            start = x_batch.copy()
+            start = x_batch  # every attack clips its start into a new array
         else:
             start = random_start_batch(x_batch, radius, base_seeds + r)
         init_evals = 0

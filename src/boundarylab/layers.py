@@ -3,8 +3,9 @@
 Every layer computes in float64 and keeps its parameters as plain numpy
 arrays.  ``forward`` returns the output together with an opaque context
 tuple; ``backward`` consumes that context and the upstream gradient and
-returns the input gradient, plus parameter gradients when asked.  No
-autograd tape: the model walks the layer list explicitly.
+returns the input gradient, plus parameter gradients when asked.  Layers
+with parameters also have ``param_grads``, the parameter gradients alone.
+No autograd tape: the model walks the layer list explicitly.
 """
 
 from __future__ import annotations
@@ -75,11 +76,12 @@ class Dense:
         return x @ self.weight.T + self.bias, (x,)
 
     def backward(self, ctx, gy, need_param_grads=False):
-        (x,) = ctx
         gx = gy @ self.weight
-        if not need_param_grads:
-            return gx, {}
-        return gx, {"weight": gy.T @ x, "bias": gy.sum(axis=0)}
+        return gx, self.param_grads(ctx, gy) if need_param_grads else {}
+
+    def param_grads(self, ctx, gy):
+        (x,) = ctx
+        return {"weight": gy.T @ x, "bias": gy.sum(axis=0)}
 
 
 class Conv2d:
@@ -129,10 +131,12 @@ class Conv2d:
     def backward(self, ctx, gy, need_param_grads=False):
         (x,) = ctx
         gx = conv2d_input_grad(gy, self.weight, x.shape, padding=self.padding)
-        if not need_param_grads:
-            return gx, {}
+        return gx, self.param_grads(ctx, gy) if need_param_grads else {}
+
+    def param_grads(self, ctx, gy):
+        (x,) = ctx
         gw, gb = conv2d_param_grad(x, gy, self.weight.shape, padding=self.padding)
-        return gx, {"weight": gw, "bias": gb}
+        return {"weight": gw, "bias": gb}
 
 
 class ReLU:
@@ -266,13 +270,16 @@ class BatchNorm:
             gx = (gxhat - mean_g - xhat * mean_gx) * per_channel.reshape(bshape)
         else:
             gx = gy * per_channel.reshape(bshape)
-        if not need_param_grads:
-            return gx, {}
-        if not train:
+        return gx, self.param_grads(ctx, gy) if need_param_grads else {}
+
+    def param_grads(self, ctx, gy):
+        held, _, axes, bshape, train = ctx
+        if train:
+            xhat = held
+        else:
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = (held - self.running_mean.reshape(bshape)) * inv.reshape(bshape)
-        return gx, {"gamma": (gy * xhat).sum(axis=axes),
-                    "beta": gy.sum(axis=axes)}
+        return {"gamma": (gy * xhat).sum(axis=axes), "beta": gy.sum(axis=axes)}
 
 
 class Flatten:

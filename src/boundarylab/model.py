@@ -340,9 +340,16 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step}"
                 )
             for i in range(len(clf.layers) - 1, -1, -1):
-                g, grads = clf.layers[i].backward(ctxs[i], g,
-                                                  need_param_grads=True)
-                params = clf.layers[i].params()
+                layer = clf.layers[i]
+                if i > 0:
+                    g, grads = layer.backward(ctxs[i], g,
+                                              need_param_grads=True)
+                elif layer.params():
+                    # nothing reads the first layer's input gradient
+                    grads = layer.param_grads(ctxs[i], g)
+                else:
+                    break
+                params = layer.params()
                 for name, grad in grads.items():
                     key = (i, name)
                     vel = velocity.get(key)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from boundarylab import attacks, geometry, model
+from boundarylab import attacks, data, geometry, model
 
 
 def one(x):
@@ -29,9 +29,11 @@ def test_config_rejects_bad_values():
     for bad in (dict(norm="l2"), dict(epsilon=-0.1), dict(alpha=0.0),
                 dict(restarts=0), dict(n_init=-1), dict(n_attack=-1),
                 dict(fab_eta=0.5), dict(fab_beta_max=1.5),
-                dict(eta_init=-0.01)):
+                dict(eta_init=-0.01), dict(seed=-1)):
         with pytest.raises(ValueError):
             attacks.AttackConfig(**{**ok, **bad})
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        attacks.AttackConfig(**{**ok, "seed": -1})
 
 
 def test_config_defaults_resolve_from_epsilon():
@@ -89,6 +91,83 @@ def test_random_start_batch_matches_scalar(rng):
         np.testing.assert_array_equal(batch[r],
                                       attacks.random_start(x[r], 0.15,
                                                            int(seeds[r])))
+
+
+# Seeds at the 32- and 64-bit word edges of SeedSequence's entropy, plus
+# 500 random non-negative int64 values.
+SEEDS = np.concatenate((
+    np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1], dtype=np.int64),
+    np.random.default_rng(42).integers(0, 2**63 - 1, 500, dtype=np.int64,
+                                       endpoint=True),
+))
+
+
+def test_seed_states_match_seed_sequence():
+    states = attacks._seed_states(SEEDS)
+    assert states.dtype == np.uint64 and states.shape == (SEEDS.size, 4)
+    for seed, row in zip(SEEDS, states):
+        expected = np.random.SeedSequence(int(seed)).generate_state(
+            4, np.uint64)
+        assert row.tobytes() == expected.tobytes(), seed
+
+
+def _random_start_rows(x, radius, seeds):
+    # the per-row reference: one default_rng per example
+    out = np.empty_like(x)
+    for i, seed in enumerate(seeds):
+        delta = np.random.default_rng(int(seed)).uniform(-radius, radius,
+                                                         x.shape[1:])
+        out[i] = np.clip(x[i] + delta, 0.0, 1.0)
+    return out
+
+
+FAB_RADIUS = 0.0173  # a fab_mu below epsilon, fab's random-start radius
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.03, 8 / 255, FAB_RADIUS])
+@pytest.mark.parametrize("shape", [(7,), (1, 14, 14)])
+def test_random_start_batch_equals_per_row_default_rng(radius, shape):
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0, 1, (SEEDS.size,) + shape)
+    x[:, 0] = 0.0  # rows that touch the box walls
+    x[1::2, -1] = 1.0
+    got = attacks.random_start_batch(x, radius, SEEDS)
+    assert got.tobytes() == _random_start_rows(x, radius, SEEDS).tobytes()
+    empty = attacks.random_start_batch(x[:0], radius, SEEDS[:0])
+    assert empty.shape == (0,) + shape
+
+
+def test_random_start_batch_clips_once_per_batch(monkeypatch, rng):
+    calls = []
+    clip = np.clip
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return clip(*args, **kwargs)
+
+    monkeypatch.setattr(np, "clip", counted)
+    attacks.random_start_batch(rng.uniform(0, 1, (9, 4)), 0.1, np.arange(9))
+    assert len(calls) == 1
+
+
+def test_random_start_batch_names_a_negative_seed(rng):
+    x = rng.uniform(0, 1, (4, 3))
+    with pytest.raises(ValueError, match="row 2 has seed -5"):
+        attacks.random_start_batch(x, 0.1, np.array([0, 1, -5, -6]))
+    with pytest.raises(ValueError, match="expected 4 seeds"):
+        attacks.random_start_batch(x, 0.1, np.array([0, 1, 2]))
+
+
+def test_restart_seed_overflow_is_named(blobs_mlp, blobs_boundaries,
+                                        blobs_test):
+    # seed + index * restarts wraps past 2**63 - 1 at example 1
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=2,
+                               n_init=0, n_attack=1, seed=2**63 - 2)
+    with pytest.raises(ValueError, match="seed must be >= 0: row 1"):
+        attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
+                                   blobs_test.images[:3],
+                                   blobs_test.labels[:3], cfg,
+                                   init="random")
 
 
 # -- hyperplane-box projection -------------------------------------------
@@ -377,6 +456,138 @@ def test_fab_iterates_stay_in_ball_and_box(blobs_mlp, blobs_boundaries,
                                 one(start))
         assert np.max(np.abs(seg.x_adv[0] - x)) <= cfg.epsilon + 1e-15
         assert np.all((seg.x_adv >= 0.0) & (seg.x_adv <= 1.0))
+
+
+# -- live-set loops against the gather/scatter formulation ---------------
+
+
+def _oracle_boundary_init(c, bs, x_orig, y, config, start):
+    # gathers x[active] and its bounds every iteration and scatters the
+    # clipped step back; the same head calls on the same rows
+    lo, hi = attacks._ball_bounds(x_orig, config.epsilon)
+    x = np.clip(start, lo, hi)
+    evals = np.zeros(x.shape[0], dtype=np.int64)
+    active = np.arange(x.shape[0])
+    for _ in range(config.n_init):
+        if active.size == 0:
+            break
+        v, ctxs = c.head_forward_with_ctx(x[active], train=False)
+        m, dist = geometry.nearest_boundary_batch(bs, v, y[active])
+        live = dist > 0.0
+        if not live.any():
+            break
+        gx = attacks.boundary_distance_grad(c, bs, ctxs, y[active], m)
+        active = active[live]
+        step = -config.eta_init * np.sign(gx[live])
+        x[active] = np.clip(x[active] + step, lo[active], hi[active])
+        evals[active] += 1
+    return x, evals
+
+
+def _oracle_pgd(c, x_orig, y, config, start):
+    lo, hi = attacks._ball_bounds(x_orig, config.epsilon)
+    x = np.clip(start, lo, hi)
+    b = x.shape[0]
+    success = np.zeros(b, dtype=bool)
+    iters = np.full(b, -1, dtype=np.int64)
+    evals = np.zeros(b, dtype=np.int64)
+    active = np.arange(b)
+    for t in range(config.n_attack + 1):
+        if active.size == 0:
+            break
+        v, ctxs = c.head_forward_with_ctx(x[active], train=False)
+        z = v @ c.tail.weight.T + c.tail.bias
+        flip = np.argmax(z, axis=1) != y[active]
+        success[active[flip]] = True
+        iters[active[flip]] = t
+        if t == config.n_attack or flip.all():
+            break
+        gx = attacks.cross_entropy_grad(c, ctxs, z, y[active])
+        live = ~flip
+        active = active[live]
+        x[active] = np.clip(x[active] + config.alpha * np.sign(gx[live]),
+                            lo[active], hi[active])
+        evals[active] += 1
+    return x, success, iters, evals
+
+
+@pytest.fixture(scope="module")
+def untrained_cnn_digits():
+    c = model.small_cnn(k=4, n=2, input_shape=(1, 16, 16), seed=3)
+    return c, data.make_digits(6, classes=(0, 1, 2, 3), size=16, seed=4)
+
+
+def _mixed_batch(c, ds):
+    # the model's own prediction as label, except every 7th row, which is
+    # misclassified (flips at t=0, starts past a boundary)
+    y = c.predict(ds.images).copy()
+    y[::7] = (y[::7] + 1) % c.k
+    return ds.images, y
+
+
+@pytest.mark.parametrize("budget", [(4, 6), (0, 6), (4, 0), (0, 0)],
+                         ids=lambda b: f"init{b[0]}-attack{b[1]}")
+@pytest.mark.parametrize("which", ["mlp", "cnn"])
+def test_live_set_loops_match_gather_scatter(which, budget, blobs_mlp,
+                                              blobs_test,
+                                              untrained_cnn_digits):
+    c, ds, eps = ((blobs_mlp, blobs_test, 0.08) if which == "mlp"
+                  else (*untrained_cnn_digits, 0.03))
+    bs = geometry.boundary_set_for(c)
+    x, y = _mixed_batch(c, ds)
+    cfg = attacks.AttackConfig(epsilon=eps, alpha=eps / 4,
+                               eta_init=eps / 3, restarts=1,
+                               n_init=budget[0], n_attack=budget[1], seed=0)
+    for n in (len(y), 0):
+        xb, yb = x[:n], y[:n]
+        start = attacks.random_start_batch(xb, eps, np.arange(n))
+        x0, e0 = attacks.boundary_init_batch(c, bs, xb, yb, cfg, start)
+        x1, e1 = _oracle_boundary_init(c, bs, xb, yb, cfg, start)
+        assert x0.tobytes() == x1.tobytes()
+        assert e0.tobytes() == e1.tobytes()
+        seg = attacks.pgd_batch(c, xb, yb, cfg, x0)
+        want = _oracle_pgd(c, xb, yb, cfg, x0)
+        for got, ref in zip((seg.x_adv, seg.success, seg.iterations,
+                             seg.grad_evals), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        if n:
+            # rows that flip at t=0, mid-run and never; descents that stop
+            # at once, part-way and run the whole budget
+            iters = set(seg.iterations.tolist())
+            assert budget[1] == 0 or {-1, 0} < iters
+            assert budget[0] == 0 or {0, budget[0]} < set(e0.tolist())
+
+
+def test_live_set_loops_leave_their_inputs_alone(blobs_mlp, blobs_test):
+    bs = geometry.boundary_set_for(blobs_mlp)
+    x, y = _mixed_batch(blobs_mlp, blobs_test)
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=1,
+                               n_init=3, n_attack=5, seed=0)
+    start = attacks.random_start_batch(x, 0.08, np.arange(len(y)))
+    keep_x, keep_start = x.copy(), start.copy()
+    attacks.boundary_init_batch(blobs_mlp, bs, x, y, cfg, start)
+    attacks.pgd_batch(blobs_mlp, x, y, cfg, start)
+    assert x.tobytes() == keep_x.tobytes()
+    assert start.tobytes() == keep_start.tobytes()
+
+
+@pytest.mark.parametrize("init", ["none", "random", "boundary"])
+@pytest.mark.parametrize("method", ["pgd", "fab"])
+def test_every_restart_stays_within_the_equal_budget(method, init, blobs_mlp,
+                                                     blobs_boundaries,
+                                                     blobs_test):
+    # the invariant behind every boundary-vs-random comparison
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, eta_init=0.02,
+                               restarts=3, n_init=4, n_attack=6, seed=1)
+    out = attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
+                                     blobs_test.images, blobs_test.labels,
+                                     cfg, method=method, init=init)
+    evals = out.grad_evals_per_restart
+    assert evals.shape == (len(blobs_test.labels), 3)
+    assert np.all(evals >= 0)
+    assert np.all(evals <= cfg.n_init + cfg.n_attack)
+    if init != "boundary":
+        assert np.all(evals <= cfg.n_attack)
 
 
 # -- restart engine ------------------------------------------------------

@@ -216,6 +216,13 @@ def test_invalid_attack_value_is_config_error(tmp_path, trained, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_negative_attack_seed_is_config_error(tmp_path, trained, capsys):
+    root, ckpt = trained
+    cfg, _ = attack_config(root, ckpt, "negseed.json")
+    assert cli.main(["attack", "--config", str(cfg), "--seed", "-1"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_bad_method_is_config_error(tmp_path, trained, capsys):
     root, ckpt = trained
     cfg, _ = attack_config(root, ckpt, "badmethod.json", method="cw")

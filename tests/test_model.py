@@ -225,6 +225,55 @@ def test_training_is_deterministic(tmp_path, blobs_train):
     assert outs[0] == outs[1]
 
 
+def _full_backprop_train(clf, ds, *, epochs, lr, momentum, batch_size, seed):
+    # model.train's SGD with momentum, back-propagating through every
+    # layer, the first one included
+    clf = copy.deepcopy(clf)
+    rng = np.random.default_rng(seed)
+    velocity = {}
+    for _ in range(epochs):
+        perm = rng.permutation(len(ds.labels))
+        for lo in range(0, len(perm), batch_size):
+            idx = perm[lo:lo + batch_size]
+            h, ctxs = ds.images[idx], []
+            for layer in clf.layers:
+                h, ctx = layer.forward(h, train=True)
+                ctxs.append(ctx)
+            _, g = layers.cross_entropy_with_logits(h, ds.labels[idx])
+            for i in range(len(clf.layers) - 1, -1, -1):
+                g, grads = clf.layers[i].backward(ctxs[i], g,
+                                                  need_param_grads=True)
+                params = clf.layers[i].params()
+                for name, grad in grads.items():
+                    vel = momentum * velocity.get((i, name), 0.0) - lr * grad
+                    velocity[(i, name)] = vel
+                    params[name] += vel
+    return clf
+
+
+def test_training_skips_the_first_layer_input_gradient(monkeypatch):
+    ds = data.make_digits(6, classes=(0, 1, 2), size=16, seed=5)
+    clf = model.small_cnn(k=3, n=2, input_shape=(1, 16, 16), seed=1)
+    want = _full_backprop_train(clf, ds, epochs=2, lr=0.05, momentum=0.9,
+                                batch_size=7, seed=2)
+    shapes = []
+    input_grad = layers.conv2d_input_grad
+
+    def recorded(gy, weight, *args, **kwargs):
+        shapes.append(weight.shape)
+        return input_grad(gy, weight, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "conv2d_input_grad", recorded)
+    got = model.train(clf, ds, epochs=2, lr=0.05, momentum=0.9, batch_size=7,
+                      seed=2)
+    assert clf.layers[0].weight.shape not in shapes
+    assert clf.layers[4].weight.shape in shapes  # conv2 still backprops
+    for a, b in zip(got.layers, want.layers):
+        for name, p in {**a.params(), **a.buffers()}.items():
+            q = {**b.params(), **b.buffers()}[name]
+            assert p.tobytes() == q.tobytes(), name
+
+
 def test_training_leaves_input_model_untouched(blobs_train):
     clf = model.mlp((8,), k=4, n=2, hidden=(16,), seed=0)
     before = {n: p.copy() for n, p in clf.layers[1].params().items()}
