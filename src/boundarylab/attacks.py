@@ -56,6 +56,11 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "n_init", "n_attack", "seed"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise TypeError(
+                    f"{name} must be an int, got {type(value).__name__}")
         if self.norm != "linf":
             raise ValueError(f"norm {self.norm!r}: only 'linf' is implemented")
         if self.epsilon < 0:
@@ -263,34 +268,45 @@ def boundary_distance_grad(c, bs, ctxs, y, m):
 class _LiveSet:
     """The rows of a batch an attack loop still moves, kept compact.
 
-    ``x`` starts as the batch iterate itself and is updated in place; the
-    rows, their ball bounds and labels are compacted only on the steps
-    where some row freezes, and a frozen row is written back to the batch
-    iterate as it freezes.  ``finish`` writes back the rows still live
-    and returns the batch iterate.
+    ``x`` starts as the start clipped to the ε-ball of ``x_orig`` and the
+    box, and is updated in place; the rows, their ball bounds and labels
+    are compacted only on the steps where some row freezes, and a frozen
+    row is written back to the batch iterate as it freezes.  ``finish``
+    writes back the rows still live and returns the batch iterate.
     """
 
-    def __init__(self, x, lo, hi, y):
-        self.full = x
-        self.rows = np.arange(x.shape[0])
-        self.x, self.lo, self.hi, self.y = x, lo, hi, y
+    def __init__(self, x_orig, y, epsilon, start):
+        x_orig = np.asarray(x_orig, dtype=np.float64)
+        self.lo, self.hi = _ball_bounds(x_orig, epsilon)
+        self.full = self.x = np.clip(start, self.lo, self.hi)
+        self.rows = np.arange(self.x.shape[0])
+        self.y = np.asarray(y)
+
+    def keep(self, live):
+        """Keep only the ``live`` rows, writing the others back."""
+        if live.all():
+            return
+        if self.x is not self.full:
+            self.full[self.rows[~live]] = self.x[~live]
+        self.rows = self.rows[live]
+        self.x, self.lo, self.hi, self.y = (
+            self.x[live], self.lo[live], self.hi[live], self.y[live])
+
+    def clip(self):
+        # maximum-then-minimum is np.clip bit for bit, without allocating
+        np.maximum(self.x, self.lo, out=self.x)
+        np.minimum(self.x, self.hi, out=self.x)
 
     def step(self, gx, size, live):
         """Keep the ``live`` rows and move each by ``size·sign(gx)``,
         clipped to its ball and the box; ``gx`` is overwritten."""
         if not live.all():
-            if self.x is not self.full:
-                self.full[self.rows[~live]] = self.x[~live]
-            self.rows = self.rows[live]
-            self.x, self.lo, self.hi, self.y = (
-                self.x[live], self.lo[live], self.hi[live], self.y[live])
             gx = gx[live]
+        self.keep(live)
         np.sign(gx, out=gx)
         gx *= size
         self.x += gx
-        # maximum-then-minimum is np.clip bit for bit, without allocating
-        np.maximum(self.x, self.lo, out=self.x)
-        np.minimum(self.x, self.hi, out=self.x)
+        self.clip()
 
     def finish(self):
         if self.x is not self.full:
@@ -309,12 +325,8 @@ def boundary_init_batch(c, bs, x_orig, y, config, start):
     ball and box.  Examples on or past a boundary stop early and keep
     their current iterate.  Returns (x_init, grad_evals per example).
     """
-    x_orig = np.asarray(x_orig, dtype=np.float64)
-    y = np.asarray(y)
-    lo, hi = _ball_bounds(x_orig, config.epsilon)
-    x = np.clip(start, lo, hi)
-    evals = np.zeros(x.shape[0], dtype=np.int64)
-    live_set = _LiveSet(x, lo, hi, y)
+    live_set = _LiveSet(x_orig, y, config.epsilon, start)
+    evals = np.zeros(live_set.rows.size, dtype=np.int64)
     for _ in range(config.n_init):
         if live_set.rows.size == 0:
             break
@@ -332,23 +344,23 @@ def boundary_init_batch(c, bs, x_orig, y, config, start):
 # -- attacks ---------------------------------------------------------------
 
 
-def pgd_batch(c, x_orig, y, config, start):
-    """Sign-gradient cross-entropy ascent for one restart over a batch.
+def _attack_loop(c, x_orig, y, config, start, move):
+    """One restart of an attack over a batch; ``move`` is the attack.
 
     Iteration t checks the prediction at the current iterate (t=0 is the
-    start point) and records the first flip; n_attack gradient steps are
-    taken, each clipped to the ε-ball of the original input and the box.
-    Flipped examples freeze immediately, keeping their adversarial point.
+    start point) and records the first flip; flipped examples freeze
+    immediately, keeping their adversarial point.  Up to n_attack times,
+    ``move(live_set, ctxs, z, live)`` moves the rows still live: ``ctxs``
+    and logits ``z`` are those of the rows the head just saw, ``live``
+    marks the ones that did not flip, and ``move`` must drop the others
+    (``live_set.keep(live)``) and leave the rest in ball and box.  Every
+    row that moved spends one gradient evaluation.
     """
-    x_orig = np.asarray(x_orig, dtype=np.float64)
-    y = np.asarray(y)
-    lo, hi = _ball_bounds(x_orig, config.epsilon)
-    x = np.clip(start, lo, hi)
-    b = x.shape[0]
+    live_set = _LiveSet(x_orig, y, config.epsilon, start)
+    b = live_set.rows.size
     success = np.zeros(b, dtype=bool)
     iters = np.full(b, -1, dtype=np.int64)
     evals = np.zeros(b, dtype=np.int64)
-    live_set = _LiveSet(x, lo, hi, y)
     wt, wb = c.tail.weight, c.tail.bias
     for t in range(config.n_attack + 1):
         if live_set.rows.size == 0:
@@ -365,11 +377,24 @@ def pgd_batch(c, x_orig, y, config, start):
         live = ~flip
         if not live.any():
             break
-        gx = cross_entropy_grad(c, ctxs, z, live_set.y)
-        live_set.step(gx, config.alpha, live)
+        move(live_set, ctxs, z, live)
         evals[live_set.rows] += 1
     return BatchSegment(x_adv=live_set.finish(), success=success,
                         iterations=iters, grad_evals=evals)
+
+
+def pgd_batch(c, x_orig, y, config, start):
+    """Sign-gradient cross-entropy ascent for one restart over a batch.
+
+    n_attack steps of size alpha, each clipped to the ε-ball of the
+    original input and the box, under :func:`_attack_loop`'s first-flip
+    and freeze rule.
+    """
+    def move(live_set, ctxs, z, live):
+        gx = cross_entropy_grad(c, ctxs, z, live_set.y)
+        live_set.step(gx, config.alpha, live)
+
+    return _attack_loop(c, x_orig, y, config, start, move)
 
 
 def fab_batch(c, bs, x_orig, y, config, start):
@@ -383,34 +408,13 @@ def fab_batch(c, bs, x_orig, y, config, start):
     and box.
     """
     x_orig = np.asarray(x_orig, dtype=np.float64)
-    y = np.asarray(y)
-    lo, hi = _ball_bounds(x_orig, config.epsilon)
-    x = np.clip(start, lo, hi)
-    b = x.shape[0]
-    flat = int(np.prod(x.shape[1:]))
-    success = np.zeros(b, dtype=bool)
-    iters = np.full(b, -1, dtype=np.int64)
-    evals = np.zeros(b, dtype=np.int64)
-    active = np.arange(b)
-    wt, wb = c.tail.weight, c.tail.bias
+    flat = int(np.prod(x_orig.shape[1:]))
+    xo_rows = x_orig.reshape(-1, flat)
+    wt = c.tail.weight
     n = wt.shape[1]
-    for t in range(config.n_attack + 1):
-        if active.size == 0:
-            break
-        xa = x[active]
-        na = active.size
-        v, ctxs = c.head_forward_with_ctx(xa, train=False)
-        z = v @ wt.T + wb
-        flip = np.argmax(z, axis=1) != y[active]
-        if flip.any():
-            hit = active[flip]
-            success[hit] = True
-            iters[hit] = t
-        if t == config.n_attack:
-            break
-        live = ~flip
-        if not live.any():
-            break
+
+    def move(live_set, ctxs, z, live):
+        na = z.shape[0]
         # Representation jacobian dv/dx: one backprop per representation
         # coordinate; the pairwise gradients are tail-row combinations.
         jac = np.empty((na, n, flat))
@@ -418,7 +422,7 @@ def fab_batch(c, bs, x_orig, y, config, start):
             e = np.zeros((na, n))
             e[:, q] = 1.0
             jac[:, q, :] = c.head_backward(ctxs, e).reshape(na, flat)
-        ya = y[active]
+        ya = live_set.y
         diff_rows = wt[None, :, :] - wt[ya][:, None, :]  # (na, K, N)
         dgs = np.einsum("bkn,bnd->bkd", diff_rows, jac)
         dfs = z - z[np.arange(na), ya][:, None]  # (na, K)
@@ -430,13 +434,13 @@ def fab_batch(c, bs, x_orig, y, config, start):
         s = np.argmin(pdist, axis=1)
         rows = np.flatnonzero(live)
         w = dgs[rows, s[rows]]
-        xa_flat = xa.reshape(na, flat)[rows]
-        active = active[live]
-        xo_flat = x_orig[active].reshape(-1, flat)
+        xa_flat = live_set.x.reshape(na, flat)[rows]
+        live_set.keep(live)
+        xo_flat = xo_rows[live_set.rows]
         xn = xa_flat.copy()  # a flat linearization holds its position
-        move = w.any(axis=1)
-        w, xm, xo = w[move], xa_flat[move], xo_flat[move]
-        bias = dfs[rows[move], s[rows[move]]] - _row_dot(w, xm)
+        moves = w.any(axis=1)
+        w, xm, xo = w[moves], xa_flat[moves], xo_flat[moves]
+        bias = dfs[rows[moves], s[rows[moves]]] - _row_dot(w, xm)
         d_adv = project_hyperplane_box(xm, w, bias) - xm
         d_org = project_hyperplane_box(xo, w, bias) - xo
         num = np.abs(d_adv).max(axis=1)
@@ -444,14 +448,12 @@ def fab_batch(c, bs, x_orig, y, config, start):
         with np.errstate(divide="ignore", invalid="ignore"):
             beta = np.where(den > 0, np.minimum(num / den, config.fab_beta_max),
                             0.0)[:, None]
-        xn[move] = ((1.0 - beta) * (xm + config.fab_eta * d_adv)
-                    + beta * (xo + config.fab_eta * d_org))
-        x[active] = np.clip(
-            xn.reshape((-1,) + x.shape[1:]), lo[active], hi[active]
-        )
-        evals[active] += 1
-    return BatchSegment(x_adv=x, success=success, iterations=iters,
-                        grad_evals=evals)
+        xn[moves] = ((1.0 - beta) * (xm + config.fab_eta * d_adv)
+                     + beta * (xo + config.fab_eta * d_org))
+        live_set.x[...] = xn.reshape(live_set.x.shape)
+        live_set.clip()
+
+    return _attack_loop(c, x_orig, y, config, start, move)
 
 
 # -- exact L∞ projection onto hyperplane ∩ box ----------------------------
@@ -548,7 +550,7 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
     y_batch = np.asarray(y_batch)
     b = x_batch.shape[0]
     if base_seeds is None:
-        base_seeds = config.seed + np.arange(b) * max(config.restarts, 1)
+        base_seeds = config.seed + np.arange(b) * config.restarts
     base_seeds = np.asarray(base_seeds, dtype=np.int64)
     radius = config.epsilon if method == "pgd" else min(config.fab_mu,
                                                         config.epsilon)

@@ -51,7 +51,7 @@ Exit codes: 0 ok, 1 config error, 2 invariant/computation failure,
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 from . import __version__, attacks, data, geometry, harness, model, verify
 
@@ -82,12 +82,33 @@ def _get(cfg, path, default=_REQUIRED):
     return node
 
 
-def _expect(value, path, types):
-    if not isinstance(value, types):
-        names = "/".join(t.__name__ for t in types) \
-            if isinstance(types, tuple) else types.__name__
-        raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
-    return value
+def _checked(value, path, kind):
+    # JSON true/false are Python bools, which are ints; a float takes an int
+    if isinstance(value, bool) and kind is not bool:
+        ok = False
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(
+            f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
+def _typed(cfg, path, kind, default=_REQUIRED):
+    """The value at ``path`` (dotted), checked to be a ``kind``.
+
+    A float is returned as float; ``kind=[int]`` asks for a list of ints.
+    A missing or null optional key gives ``default``, unchecked.
+    """
+    value = _get(cfg, path, _REQUIRED if default is _REQUIRED else None)
+    if value is None and default is not _REQUIRED:
+        return default
+    if isinstance(kind, list):
+        return [_checked(v, f"{path}[{i}]", kind[0])
+                for i, v in enumerate(_checked(value, path, list))]
+    return _checked(value, path, kind)
 
 
 def _load_config(path):
@@ -110,16 +131,16 @@ def _load_config(path):
 def _dataset_from(cfg):
     """Build the dataset named by cfg["dataset"]; returns it with the
     fully resolved spec that produced it."""
-    spec = _expect(_get(cfg, "dataset"), "dataset", dict)
-    kind = _get(spec, "kind")
+    spec = _typed(cfg, "dataset", dict)
+    kind = _get(cfg, "dataset.kind")
     if kind == "digits":
         resolved = {
             "kind": "digits",
-            "n_per_class": int(_get(spec, "n_per_class")),
-            "classes": [int(c) for c in _get(spec, "classes",
-                                             list(range(10)))],
-            "size": int(_get(spec, "size", 28)),
-            "seed": int(_get(spec, "seed", 0)),
+            "n_per_class": _typed(cfg, "dataset.n_per_class", int),
+            "classes": _typed(cfg, "dataset.classes", [int],
+                              list(range(10))),
+            "size": _typed(cfg, "dataset.size", int, 28),
+            "seed": _typed(cfg, "dataset.seed", int, 0),
         }
         ds = data.make_digits(
             resolved["n_per_class"], classes=tuple(resolved["classes"]),
@@ -128,11 +149,11 @@ def _dataset_from(cfg):
     elif kind == "blobs":
         resolved = {
             "kind": "blobs",
-            "n_per_class": int(_get(spec, "n_per_class")),
-            "k": int(_get(spec, "k")),
-            "d": int(_get(spec, "d")),
-            "separation": float(_get(spec, "separation")),
-            "seed": int(_get(spec, "seed", 0)),
+            "n_per_class": _typed(cfg, "dataset.n_per_class", int),
+            "k": _typed(cfg, "dataset.k", int),
+            "d": _typed(cfg, "dataset.d", int),
+            "separation": _typed(cfg, "dataset.separation", float),
+            "seed": _typed(cfg, "dataset.seed", int, 0),
         }
         ds = data.make_blobs(
             resolved["n_per_class"], resolved["k"], resolved["d"],
@@ -141,8 +162,8 @@ def _dataset_from(cfg):
     elif kind == "idx":
         resolved = {
             "kind": "idx",
-            "images": str(_get(spec, "images")),
-            "labels": str(_get(spec, "labels")),
+            "images": _typed(cfg, "dataset.images", str),
+            "labels": _typed(cfg, "dataset.labels", str),
         }
         try:
             ds = data.load_idx(resolved["images"], resolved["labels"])
@@ -153,16 +174,16 @@ def _dataset_from(cfg):
             f"dataset.kind: {kind!r} is not one of digits/blobs/idx"
         )
     if "keep" in spec:
-        keep = [int(c) for c in _expect(spec["keep"], "dataset.keep", list)]
+        keep = _typed(cfg, "dataset.keep", [int])
         resolved["keep"] = keep
         try:
             ds = data.filter_classes(ds, keep)
         except ValueError as exc:
             raise ConfigError(f"dataset.keep: {exc}") from exc
     if "sample" in spec:
-        sub = _expect(spec["sample"], "dataset.sample", dict)
-        n = int(_get(sub, "n"))
-        sd = int(_get(sub, "seed", 0))
+        _typed(cfg, "dataset.sample", dict)
+        n = _typed(cfg, "dataset.sample.n", int)
+        sd = _typed(cfg, "dataset.sample.seed", int, 0)
         resolved["sample"] = {"n": n, "seed": sd}
         try:
             ds = data.sample(ds, n, sd)
@@ -171,14 +192,11 @@ def _dataset_from(cfg):
     return ds, resolved
 
 
-_ATTACK_KEYS = {
-    "epsilon", "alpha", "eta_init", "restarts", "n_init", "n_attack",
-    "norm", "fab_eta", "fab_beta_max", "fab_mu", "seed",
-}
+_ATTACK_KEYS = {f.name for f in fields(attacks.AttackConfig)}
 
 
 def _attack_from(cfg, seed_override):
-    spec = dict(_expect(_get(cfg, "attack", {}), "attack", dict))
+    spec = dict(_typed(cfg, "attack", dict, {}))
     unknown = set(spec) - _ATTACK_KEYS
     if unknown:
         raise ConfigError(
@@ -188,24 +206,23 @@ def _attack_from(cfg, seed_override):
     if seed_override is not None:
         spec["seed"] = seed_override
     elif "seed" not in spec:
-        spec["seed"] = int(_get(cfg, "seed", 0))
+        spec["seed"] = _typed(cfg, "seed", int, 0)
     try:
         config = attacks.AttackConfig(**spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"attack: {exc}") from exc
     method = _get(cfg, "method", "pgd")
     init = _get(cfg, "init", "boundary")
-    if method not in ("pgd", "fab"):
-        raise ConfigError(f"method: {method!r} is not one of pgd/fab")
-    if init not in ("boundary", "random", "none"):
-        raise ConfigError(
-            f"init: {init!r} is not one of boundary/random/none"
-        )
+    for key, value, choices in (("method", method, attacks._METHODS),
+                                ("init", init, attacks._INITS)):
+        if value not in choices:
+            raise ConfigError(
+                f"{key}: {value!r} is not one of {'/'.join(choices)}")
     return config, method, init
 
 
 def _load_model(cfg):
-    path = str(_get(cfg, "model_path"))
+    path = _typed(cfg, "model_path", str)
     try:
         return model.Classifier.load(path)
     except model.CheckpointError as exc:
@@ -227,8 +244,17 @@ def _model_and_dataset(cfg):
     return clf, ds, dspec
 
 
+def _check_seeds(config, n, seeds=None):
+    """Every attack seed's restart seeds fit for an n-example dataset."""
+    for seed in seeds or (config.seed,):
+        try:
+            harness.check_seeds(replace(config, seed=seed), n)
+        except ValueError as exc:
+            raise ConfigError(f"seed: {exc}") from exc
+
+
 def _out_path(cfg, args):
-    out = args.out or _get(cfg, "out", None)
+    out = args.out or _typed(cfg, "out", str, None)
     if out is None:
         raise ConfigError("out: required (flag --out or config key)")
     return out
@@ -243,8 +269,9 @@ def _write_text(path, text):
 
 
 def _workers(cfg, args):
-    w = args.workers if args.workers is not None else _get(cfg, "workers", 1)
-    w = int(w)
+    w = args.workers
+    if w is None:
+        w = _typed(cfg, "workers", int, 1)
     if w < 1:
         raise ConfigError(f"workers: {w} is not >= 1")
     return w
@@ -253,12 +280,12 @@ def _workers(cfg, args):
 def cmd_train(args):
     cfg = _load_config(args.config)
     ds, dspec = _dataset_from(cfg)
-    mspec = _expect(_get(cfg, "model"), "model", dict)
-    preset = _get(mspec, "preset")
-    k = int(_get(mspec, "k", ds.k))
-    mseed = int(_get(mspec, "seed", 0))
+    _typed(cfg, "model", dict)
+    preset = _get(cfg, "model.preset")
+    k = _typed(cfg, "model.k", int, ds.k)
+    mseed = _typed(cfg, "model.seed", int, 0)
     if preset == "small_cnn":
-        n = int(_get(mspec, "n", 2))
+        n = _typed(cfg, "model.n", int, 2)
         if len(ds.input_shape) != 3:
             raise ConfigError(
                 f"model.preset: small_cnn needs image data, dataset shape "
@@ -268,8 +295,8 @@ def cmd_train(args):
                               seed=mseed)
         resolved_model = {"preset": preset, "k": k, "n": n, "seed": mseed}
     elif preset == "mlp":
-        n = int(_get(mspec, "n", 8))
-        hidden = [int(h) for h in _get(mspec, "hidden", [32])]
+        n = _typed(cfg, "model.n", int, 8)
+        hidden = _typed(cfg, "model.hidden", [int], [32])
         clf = model.mlp(ds.input_shape, k, n=n, hidden=tuple(hidden),
                         seed=mseed)
         resolved_model = {"preset": preset, "k": k, "n": n,
@@ -287,12 +314,12 @@ def cmd_train(args):
             f"model.preset: {preset!r} is not one of small_cnn/mlp/linear"
         )
 
-    tspec = _expect(_get(cfg, "train", {}), "train", dict)
-    epochs = int(_get(tspec, "epochs", 4))
-    lr = float(_get(tspec, "lr", 0.05))
-    momentum = float(_get(tspec, "momentum", 0.9))
-    batch_size = int(_get(tspec, "batch_size", 128))
-    seed = args.seed if args.seed is not None else int(_get(cfg, "seed", 0))
+    _typed(cfg, "train", dict, {})
+    epochs = _typed(cfg, "train.epochs", int, 4)
+    lr = _typed(cfg, "train.lr", float, 0.05)
+    momentum = _typed(cfg, "train.momentum", float, 0.9)
+    batch_size = _typed(cfg, "train.batch_size", int, 128)
+    seed = args.seed if args.seed is not None else _typed(cfg, "seed", int, 0)
     resolved = {
         "command": "train",
         "dataset": dspec,
@@ -324,7 +351,7 @@ def cmd_train(args):
 def _resolved_eval_config(command, dspec, cfg, config, method, init):
     return {
         "command": command,
-        "model_path": str(_get(cfg, "model_path")),
+        "model_path": _typed(cfg, "model_path", str),
         "dataset": dspec,
         "attack": asdict(config),
         "method": method,
@@ -337,6 +364,7 @@ def cmd_attack(args):
     cfg = _load_config(args.config)
     clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
+    _check_seeds(config, len(ds))
     bs = geometry.boundary_set_for(clf)
     report = harness.evaluate(clf, bs, ds, config, method=method, init=init,
                               workers=_workers(cfg, args))
@@ -358,22 +386,24 @@ def cmd_sweep(args):
     cfg = _load_config(args.config)
     clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
-    sspec = _expect(_get(cfg, "sweep"), "sweep", dict)
-    values = [int(v) for v in
-              _expect(_get(sspec, "n_init_values"), "sweep.n_init_values",
-                      list)]
-    seeds = _get(sspec, "seeds", None)
+    _typed(cfg, "sweep", dict)
+    values = _typed(cfg, "sweep.n_init_values", [int])
+    if not values:
+        raise ConfigError("sweep.n_init_values: empty list")
+    for nv in values:
+        try:
+            config.with_budget_split(nv)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.n_init_values: {exc}") from exc
+    seeds = _typed(cfg, "sweep.seeds", [int], None)
     if seeds is not None:
-        seeds = tuple(int(s) for s in
-                      _expect(seeds, "sweep.seeds", list))
+        seeds = tuple(seeds)
+    _check_seeds(config, len(ds), seeds)
     bs = geometry.boundary_set_for(clf)
-    try:
-        result = harness.sweep_n_init(
-            clf, bs, ds, config, values, method=method, init=init,
-            seeds=seeds, workers=_workers(cfg, args),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
+    result = harness.sweep_n_init(
+        clf, bs, ds, config, values, method=method, init=init,
+        seeds=seeds, workers=_workers(cfg, args),
+    )
     resolved = _resolved_eval_config("sweep", dspec, cfg, config, method,
                                      init)
     resolved["sweep"] = {"n_init_values": values,
@@ -393,6 +423,7 @@ def cmd_export_repr(args):
     cfg = _load_config(args.config)
     clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
+    _check_seeds(config, len(ds))
     bs = geometry.boundary_set_for(clf)
     _, outcome = harness.attack_dataset(clf, bs, ds, config, method=method,
                                         init=init, workers=_workers(cfg, args))
@@ -416,7 +447,7 @@ def cmd_export_repr(args):
 
 def cmd_verify(args):
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(_get(cfg, "seed", 0))
+    seed = args.seed if args.seed is not None else _typed(cfg, "seed", int, 0)
     results = verify.run_all(seed=seed)
     failed = 0
     for r in results:

@@ -132,15 +132,12 @@ def signed_distances(bs, v_batch, y):
     vals = pair_values(bs, v_batch)
     b = vals.shape[0]
     y = np.broadcast_to(np.asarray(y), (b,))
-    dist = np.full((b, bs.k), np.inf)
-    for p, (i, j) in enumerate(bs.pairs):
-        d = vals[:, p] / bs.norms[p]
-        sel = y == i
-        if np.any(sel):
-            dist[sel, j] = d[sel]
-        sel = y == j
-        if np.any(sel):
-            dist[sel, i] = -d[sel]
+    classes = np.arange(bs.k)
+    p = bs._pair_of[y[:, None], classes]  # (B, K): the pair of (y, n)
+    sign = bs._sign_of[y[:, None], classes]
+    # negating before the division is bit-identical to negating after it
+    dist = np.take_along_axis(vals, p, axis=1) * sign / bs.norms[p]
+    dist[np.arange(b), y] = np.inf
     return dist
 
 

@@ -161,6 +161,22 @@ def check_labels(c, labels):
         )
 
 
+def check_seeds(config, n):
+    """Raise ValueError unless every restart seed of ``n`` examples fits.
+
+    The example at dataset position i draws restart seeds
+    ``seed + i·restarts + r`` for r < restarts, which must stay at or
+    below 2**63 - 1; the error names the first position past it.
+    """
+    first_bad = (2**63 - int(config.seed)) // int(config.restarts)
+    if first_bad < n:
+        raise ValueError(
+            f"seed {config.seed} with {config.restarts} restarts per example "
+            f"overflows at dataset position {first_bad}: restart seeds "
+            f"seed + position·restarts + r must stay at or below 2**63 - 1"
+        )
+
+
 def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
                    workers=1, chunk_size=256):
     """Attack ``dataset`` chunk by chunk; the loop behind :func:`evaluate`.
@@ -171,14 +187,15 @@ def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
     is not attacked: its ``x_adv`` is the input itself, it counts as a
     success at iteration 0 with restart -1, and it spends no gradient
     evaluations.  The result is independent of ``workers``.  Labels
-    outside the model's classes raise ValueError (:func:`check_labels`).
+    outside the model's classes and a seed whose restart seeds overflow
+    raise ValueError (:func:`check_labels`, :func:`check_seeds`).
     """
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("cannot evaluate an empty dataset")
+    check_seeds(config, n)
     check_labels(c, dataset.labels)
     x, y = dataset.images, dataset.labels
-    n = len(dataset)
-    stride = max(config.restarts, 1)
 
     def run_chunk(bounds):
         lo, hi = bounds
@@ -199,7 +216,7 @@ def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
         if idx.size:
             got = run_restarts_batch(
                 c, bs, xs[idx], ys[idx], config, method=method, init=init,
-                base_seeds=config.seed + (lo + idx) * stride,
+                base_seeds=config.seed + (lo + idx) * config.restarts,
             )
             for name in _OUTCOME_FIELDS:
                 getattr(out, name)[idx] = getattr(got, name)

@@ -313,23 +313,18 @@ LAYER_KINDS = {
 
 
 def layer_from_config(cfg):
-    """Rebuild a layer from its ``config()`` dict."""
-    kind = cfg.get("kind")
-    if kind == "dense":
-        return Dense(cfg["in_features"], cfg["out_features"])
-    if kind == "conv2d":
-        return Conv2d(cfg["in_channels"], cfg["out_channels"],
-                      cfg["kernel_size"], padding=cfg.get("padding", 0))
-    if kind == "relu":
-        return ReLU()
-    if kind == "maxpool2x2":
-        return MaxPool2x2()
-    if kind == "batchnorm":
-        return BatchNorm(cfg["channels"], eps=cfg.get("eps", 1e-5),
-                         momentum=cfg.get("momentum", 0.1))
-    if kind == "flatten":
-        return Flatten()
-    raise ValueError(f"unknown layer kind {kind!r}")
+    """Rebuild a layer from its ``config()`` dict.
+
+    Raises ValueError for an unknown kind and TypeError naming a missing
+    or unknown constructor key.
+    """
+    args = dict(cfg)
+    kind = args.pop("kind", None)
+    if kind not in LAYER_KINDS:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    if "rng" in args:  # a constructor argument that no config holds
+        raise TypeError(f"{kind} config has an unexpected key 'rng'")
+    return LAYER_KINDS[kind](**args)
 
 
 def log_softmax(z):

@@ -17,7 +17,6 @@ import numpy as np
 
 from .layers import (
     Dense,
-    LAYER_KINDS,
     ShapeMismatchError,
     as_tensor,
     cross_entropy_with_logits,
@@ -34,6 +33,13 @@ class CheckpointError(Exception):
     or holds non-finite tensor values."""
 
 
+def _entry(node, key, where):
+    """``node[key]`` of a checkpoint header, or CheckpointError naming it."""
+    if not isinstance(node, dict) or key not in node:
+        raise CheckpointError(f"checkpoint {where} has no {key!r} entry")
+    return node[key]
+
+
 def _box_warn(x):
     lo, hi = x.min(), x.max()
     if lo < 0.0 or hi > 1.0:
@@ -44,19 +50,19 @@ def _box_warn(x):
 
 
 class Classifier:
-    """Layer stack with a designated final dense layer as the linear tail.
+    """Layer stack whose last layer, a dense one, is the linear tail.
 
-    ``layers[split:]`` must be exactly one dense layer; everything before
-    it is the head.  ``input_shape`` is the per-example shape (no batch
-    dimension).  ``meta`` carries training provenance into checkpoints.
+    Everything before the tail is the head.  ``input_shape`` is the
+    per-example shape; every method takes and returns batches, with the
+    batch as the first dimension.  ``meta`` carries training provenance
+    into checkpoints.
     """
 
-    def __init__(self, layers, split, input_shape, meta=None):
+    def __init__(self, layers, input_shape, meta=None):
         layers = list(layers)
-        if split != len(layers) - 1 or not isinstance(layers[-1], Dense):
+        if not layers or not isinstance(layers[-1], Dense):
             raise ValueError("tail must be exactly one dense layer at the end")
         self.layers = layers
-        self.split = int(split)
         self.input_shape = tuple(int(s) for s in input_shape)
         self.meta = dict(meta) if meta else {}
 
@@ -86,31 +92,23 @@ class Classifier:
         """The tail's (weight, bias) as float64 copies."""
         return self.tail.weight.copy(), self.tail.bias.copy()
 
-    def _batchify(self, x):
-        x = as_tensor(x)
-        if x.shape == self.input_shape:
-            return x[None], True
-        if x.shape[1:] == self.input_shape:
-            return x, False
-        raise ShapeMismatchError(
-            f"expected input shape {self.input_shape} (optionally batched), "
-            f"got {x.shape}"
-        )
-
     def head_forward(self, x, train=False):
-        """Run the head; returns the representation batch (B, N)."""
-        xb, single = self._batchify(x)
-        _box_warn(xb)
-        h = xb
-        for layer in self.layers[: self.split]:
+        """Run the head on a batch; returns the representations (B, N)."""
+        h = as_tensor(x)
+        if h.shape[1:] != self.input_shape:
+            dims = ", ".join(str(s) for s in self.input_shape)
+            raise ShapeMismatchError(
+                f"expected a batch of shape (B, {dims}), got {h.shape}")
+        _box_warn(h)
+        for layer in self.layers[:-1]:
             h, _ = layer.forward(h, train=train)  # each ctx freed as we go
-        return h[0] if single else h
+        return h
 
     def head_forward_with_ctx(self, xb, train=False):
         """Head forward keeping per-layer contexts for a later backward."""
         h = xb
         ctxs = []
-        for layer in self.layers[: self.split]:
+        for layer in self.layers[:-1]:
             h, ctx = layer.forward(h, train=train)
             ctxs.append(ctx)
         return h, ctxs
@@ -118,27 +116,22 @@ class Classifier:
     def head_backward(self, ctxs, gv):
         """Back-propagate a representation-space gradient to the input."""
         g = gv
-        for layer, ctx in zip(reversed(self.layers[: self.split]),
-                              reversed(ctxs)):
+        for layer, ctx in zip(reversed(self.layers[:-1]), reversed(ctxs)):
             g, _ = layer.backward(ctx, g)
         return g
 
     def tail_forward(self, v):
-        """Logits z = W v + b for representation batch or single vector."""
-        v = as_tensor(v)
-        single = v.ndim == 1
-        z, _ = self.tail.forward(v[None] if single else v)
-        return z[0] if single else z
+        """Logits z = v Wᵀ + b for a representation batch (B, N)."""
+        z, _ = self.tail.forward(as_tensor(v))
+        return z
 
     def forward(self, x):
         """Logits for x; identical computational path to head then tail."""
         return self.tail_forward(self.head_forward(x))
 
     def predict(self, x):
-        """Predicted class index (argmax of logits)."""
-        z = self.forward(x)
-        pred = np.argmax(z, axis=-1)
-        return int(pred) if np.ndim(z) == 1 else pred
+        """Predicted class per example (argmax of logits)."""
+        return np.argmax(self.forward(x), axis=1)
 
     # -- persistence ----------------------------------------------------
 
@@ -160,7 +153,7 @@ class Classifier:
         header = {
             "arch": {
                 "input_shape": list(self.input_shape),
-                "split": self.split,
+                "split": len(self.layers) - 1,
                 "layers": [layer.config() for layer in self.layers],
             },
             "tensors": [
@@ -201,40 +194,71 @@ class Classifier:
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
 
+        arch = _entry(header, "arch", "header")
         layers = []
-        for cfg in header["arch"]["layers"]:
-            kind = cfg.get("kind")
-            if kind not in LAYER_KINDS:
-                raise CheckpointError(f"unknown layer kind {kind!r}")
-            layers.append(layer_from_config(cfg))
+        for i, cfg in enumerate(_entry(arch, "layers", "arch")):
+            try:
+                layers.append(layer_from_config(cfg))
+            except (TypeError, ValueError) as e:
+                raise CheckpointError(f"arch layer {i}: {e}") from None
+        split = _entry(arch, "split", "arch")
+        if split != len(layers) - 1:
+            raise CheckpointError(
+                f"arch split {split!r}: the tail must be the last of "
+                f"{len(layers)} layers"
+            )
+        try:
+            clf = cls(layers, _entry(arch, "input_shape", "arch"),
+                      meta=header.get("meta"))
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"arch: {e}") from None
 
+        expected = {(i, kind, name): arr
+                    for i, kind, name, arr in clf._tensor_manifest()}
         payload = raw[nl2 + 1 :]
         offset = 0
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = count * 8
+        for n, entry in enumerate(_entry(header, "tensors", "header")):
+            where = f"tensor {n}"
+            i, kind, name, shape = (
+                _entry(entry, key, where)
+                for key in ("layer", "kind", "name", "shape"))
+            if type(i) is not int or not 0 <= i < len(layers):
+                raise CheckpointError(
+                    f"{where}: layer {i!r} is not one of 0..{len(layers) - 1}")
+            what = f"layer {i} ({layers[i].kind}) {kind} {name!r}"
+            try:
+                target = expected.pop((i, kind, name))
+            except (KeyError, TypeError):
+                raise CheckpointError(
+                    f"{where}: {what} is not a param or buffer of that layer, "
+                    f"or is listed twice") from None
+            if shape != list(target.shape):
+                raise CheckpointError(
+                    f"{where}: {what} has shape {shape!r}, the layer's is "
+                    f"{list(target.shape)}")
+            nbytes = target.size * 8
             if offset + nbytes > len(payload):
                 raise CheckpointError(
                     f"truncated checkpoint payload: need {offset + nbytes} "
                     f"bytes, file has {len(payload)}"
                 )
             arr = np.frombuffer(
-                payload, dtype="<f8", count=count, offset=offset
-            ).reshape(shape).copy()
+                payload, dtype="<f8", count=target.size, offset=offset
+            ).reshape(target.shape).copy()
             if not np.all(np.isfinite(arr)):
-                raise CheckpointError(
-                    f"layer {entry['layer']} ({layers[entry['layer']].kind}) "
-                    f"{entry['kind']} {entry['name']!r} has non-finite values"
-                )
-            setattr(layers[entry["layer"]], entry["name"], arr)
+                raise CheckpointError(f"{what} has non-finite values")
+            setattr(layers[i], name, arr)
             offset += nbytes
+        if expected:
+            i, kind, name = next(iter(expected))
+            raise CheckpointError(
+                f"layer {i} ({layers[i].kind}) {kind} {name!r} is missing "
+                f"from the checkpoint's tensors")
         if offset != len(payload):
             raise CheckpointError(
                 f"checkpoint payload has {len(payload) - offset} trailing bytes"
             )
-        return cls(layers, header["arch"]["split"],
-                   header["arch"]["input_shape"], meta=header.get("meta"))
+        return clf
 
 
 # -- presets -------------------------------------------------------------
@@ -262,7 +286,7 @@ def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
         Dense(flat, n, rng=rng),
         Dense(n, k, rng=rng),
     ]
-    return Classifier(layers, len(layers) - 1, input_shape,
+    return Classifier(layers, input_shape,
                       meta={"preset": "small_cnn", "init_seed": seed})
 
 
@@ -281,12 +305,12 @@ def mlp(input_shape, k, *, n=8, hidden=(32,), seed=0):
         layers.append(ReLU())
     layers.pop()  # no nonlinearity on the representation itself
     layers.append(Dense(n, k, rng=rng))
-    return Classifier(layers, len(layers) - 1, input_shape,
+    return Classifier(layers, input_shape,
                       meta={"preset": "mlp", "init_seed": seed})
 
 
 def linear_model(d, k, *, weight=None, bias=None, seed=0):
-    """Identity head: the input is its own representation (split 0).
+    """Identity head: the input is its own representation.
 
     Geometry and attack math on this preset have closed forms, so tests
     can check exact values.  Pass ``weight``/``bias`` to pin the tail.
@@ -302,7 +326,7 @@ def linear_model(d, k, *, weight=None, bias=None, seed=0):
         if b.shape != (k,):
             raise ShapeMismatchError(f"bias must be ({k},), got {b.shape}")
         tail.bias = b.copy()
-    return Classifier([tail], 0, (d,), meta={"preset": "linear"})
+    return Classifier([tail], (d,), meta={"preset": "linear"})
 
 
 # -- training ------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Shared test utilities: finite differences and error metrics."""
+"""Shared test utilities: finite differences, error metrics and
+checkpoint surgery."""
+
+import json
 
 import numpy as np
 
@@ -26,3 +29,13 @@ def rel_err(analytic, fd):
     fd = np.asarray(fd, dtype=np.float64)
     return float(np.linalg.norm(analytic - fd)
                  / max(np.linalg.norm(fd), 1e-12))
+
+
+def rewrite_checkpoint_header(src, dst, mutate):
+    """Copy checkpoint ``src`` to ``dst`` with ``mutate`` applied to its
+    parsed JSON header; the payload bytes are kept as they are."""
+    magic, header, payload = src.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    mutate(header)
+    dst.write_bytes(b"\n".join((magic, json.dumps(header).encode(),
+                                payload)))

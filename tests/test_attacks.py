@@ -34,6 +34,11 @@ def test_config_rejects_bad_values():
             attacks.AttackConfig(**{**ok, **bad})
     with pytest.raises(ValueError, match="seed must be >= 0"):
         attacks.AttackConfig(**{**ok, "seed": -1})
+    for bad in (dict(restarts=2.5), dict(n_init="2"), dict(n_attack=True),
+                dict(seed=1.0)):
+        with pytest.raises(TypeError, match="must be an int"):
+            attacks.AttackConfig(**{**ok, **bad})
+    attacks.AttackConfig(**{**ok, "restarts": np.int64(2)})
 
 
 def test_config_defaults_resolve_from_epsilon():
@@ -429,7 +434,7 @@ def test_fab_holds_rows_with_a_flat_linearization():
     tail = Dense(2, 3)
     tail.weight[:] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     tail.bias[:] = [0.0, 0.0, 0.01]
-    clf = model.Classifier([head, ReLU(), tail], 2, (2,))
+    clf = model.Classifier([head, ReLU(), tail], (2,))
     bs = geometry.boundary_set_for(clf)
     x = np.array([[0.2, 0.3], [0.9, 0.6]])
     y = clf.predict(x)
@@ -511,6 +516,73 @@ def _oracle_pgd(c, x_orig, y, config, start):
     return x, success, iters, evals
 
 
+def _oracle_fab(c, bs, x_orig, y, config, start):
+    # gathers x[active] and its bounds every iteration and scatters the
+    # clipped blend back; the same head calls on the same rows
+    x_orig = np.asarray(x_orig, dtype=np.float64)
+    lo, hi = attacks._ball_bounds(x_orig, config.epsilon)
+    x = np.clip(start, lo, hi)
+    b = x.shape[0]
+    flat = int(np.prod(x.shape[1:]))
+    success = np.zeros(b, dtype=bool)
+    iters = np.full(b, -1, dtype=np.int64)
+    evals = np.zeros(b, dtype=np.int64)
+    active = np.arange(b)
+    wt, wb = c.tail.weight, c.tail.bias
+    n = wt.shape[1]
+    for t in range(config.n_attack + 1):
+        if active.size == 0:
+            break
+        xa = x[active]
+        na = active.size
+        v, ctxs = c.head_forward_with_ctx(xa, train=False)
+        z = v @ wt.T + wb
+        flip = np.argmax(z, axis=1) != y[active]
+        success[active[flip]] = True
+        iters[active[flip]] = t
+        if t == config.n_attack or flip.all():
+            break
+        live = ~flip
+        jac = np.empty((na, n, flat))
+        for q in range(n):
+            e = np.zeros((na, n))
+            e[:, q] = 1.0
+            jac[:, q, :] = c.head_backward(ctxs, e).reshape(na, flat)
+        ya = y[active]
+        diff_rows = wt[None, :, :] - wt[ya][:, None, :]
+        dgs = np.einsum("bkn,bnd->bkd", diff_rows, jac)
+        dfs = z - z[np.arange(na), ya][:, None]
+        norms1 = np.abs(dgs).sum(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pdist = np.abs(dfs) / norms1
+        pdist[norms1 == 0.0] = np.inf
+        pdist[np.arange(na), ya] = np.inf
+        s = np.argmin(pdist, axis=1)
+        rows = np.flatnonzero(live)
+        w = dgs[rows, s[rows]]
+        xa_flat = xa.reshape(na, flat)[rows]
+        active = active[live]
+        xo_flat = x_orig[active].reshape(-1, flat)
+        xn = xa_flat.copy()
+        move = w.any(axis=1)
+        w, xm, xo = w[move], xa_flat[move], xo_flat[move]
+        bias = dfs[rows[move], s[rows[move]]] - attacks._row_dot(w, xm)
+        d_adv = attacks.project_hyperplane_box(xm, w, bias) - xm
+        d_org = attacks.project_hyperplane_box(xo, w, bias) - xo
+        num = np.abs(d_adv).max(axis=1)
+        den = num + np.abs(d_org).max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta = np.where(den > 0, np.minimum(num / den,
+                                                config.fab_beta_max),
+                            0.0)[:, None]
+        xn[move] = ((1.0 - beta) * (xm + config.fab_eta * d_adv)
+                    + beta * (xo + config.fab_eta * d_org))
+        x[active] = np.clip(xn.reshape((-1,) + x.shape[1:]), lo[active],
+                            hi[active])
+        evals[active] += 1
+    return x, success, iters, evals
+
+
 @pytest.fixture(scope="module")
 def untrained_cnn_digits():
     c = model.small_cnn(k=4, n=2, input_shape=(1, 16, 16), seed=3)
@@ -545,16 +617,22 @@ def test_live_set_loops_match_gather_scatter(which, budget, blobs_mlp,
         x1, e1 = _oracle_boundary_init(c, bs, xb, yb, cfg, start)
         assert x0.tobytes() == x1.tobytes()
         assert e0.tobytes() == e1.tobytes()
-        seg = attacks.pgd_batch(c, xb, yb, cfg, x0)
-        want = _oracle_pgd(c, xb, yb, cfg, x0)
-        for got, ref in zip((seg.x_adv, seg.success, seg.iterations,
-                             seg.grad_evals), want):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        segs = {"pgd": (attacks.pgd_batch(c, xb, yb, cfg, x0),
+                        _oracle_pgd(c, xb, yb, cfg, x0)),
+                "fab": (attacks.fab_batch(c, bs, xb, yb, cfg, x0),
+                        _oracle_fab(c, bs, xb, yb, cfg, x0))}
+        for seg, want in segs.values():
+            for got, ref in zip((seg.x_adv, seg.success, seg.iterations,
+                                 seg.grad_evals), want):
+                assert (got.dtype == ref.dtype
+                        and got.tobytes() == ref.tobytes())
         if n:
             # rows that flip at t=0, mid-run and never; descents that stop
             # at once, part-way and run the whole budget
-            iters = set(seg.iterations.tolist())
+            iters = set(segs["pgd"][0].iterations.tolist())
             assert budget[1] == 0 or {-1, 0} < iters
+            if budget == (0, 6):  # from a random start fab flips mid-run too
+                assert {-1, 0} < set(segs["fab"][0].iterations.tolist())
             assert budget[0] == 0 or {0, budget[0]} < set(e0.tolist())
 
 
@@ -567,6 +645,7 @@ def test_live_set_loops_leave_their_inputs_alone(blobs_mlp, blobs_test):
     keep_x, keep_start = x.copy(), start.copy()
     attacks.boundary_init_batch(blobs_mlp, bs, x, y, cfg, start)
     attacks.pgd_batch(blobs_mlp, x, y, cfg, start)
+    attacks.fab_batch(blobs_mlp, bs, x, y, cfg, start)
     assert x.tobytes() == keep_x.tobytes()
     assert start.tobytes() == keep_start.tobytes()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from boundarylab import cli, data, model
+from helpers import rewrite_checkpoint_header
 
 BLOBS = {"kind": "blobs", "n_per_class": 15, "k": 3, "d": 6,
          "separation": 6.0, "seed": 1}
@@ -301,3 +302,108 @@ def test_train_rejects_unknown_preset(tmp_path, capsys):
     }))
     assert cli.main(["train", "--config", str(cfg)]) == 1
     assert "resnet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda h: h.pop("arch"), "header has no 'arch'"),
+    (lambda h: h["tensors"][0].update(layer=99), "layer 99 is not one of"),
+    (lambda h: h["tensors"][0].update(shape=h["tensors"][0]["shape"][::-1]),
+     "has shape"),
+], ids=["no-arch", "layer-99", "reversed-shape"])
+def test_malformed_checkpoint_header_is_io_error(tmp_path, trained, capsys,
+                                                 mutate, message):
+    root, ckpt = trained
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint_header(ckpt, bad, mutate)
+    cfg, _ = attack_config(root, ckpt, "badheader.json", model_path=str(bad))
+    assert cli.main(["attack", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: model_path:") and message in err
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep", "export-repr"])
+def test_overflowing_seed_is_config_error(trained, capsys, command):
+    root, ckpt = trained
+    cfg, _ = attack_config(root, ckpt, f"bigseed-{command}.json",
+                           sweep={"n_init_values": [0, 1]})
+    # 2 restarts: position 0 draws 2**63 - 2 and 2**63 - 1, position 1 wraps
+    assert cli.main([command, "--config", str(cfg),
+                     "--seed", str(2**63 - 2)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed:")
+    assert "dataset position 1:" in err
+
+
+def test_overflowing_sweep_seed_is_config_error(trained, capsys):
+    root, ckpt = trained
+    cfg, _ = attack_config(root, ckpt, "bigseed-sweep-seeds.json",
+                           sweep={"n_init_values": [0, 1],
+                                  "seeds": [0, 2**63 - 2]})
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    assert "dataset position 1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"workers": "two"}, "workers: expected int, got str"),
+    ({"workers": True}, "workers: expected int, got bool"),
+    ({"seed": 1.5, "attack": {"epsilon": 0.08, "alpha": 0.02, "restarts": 2,
+                              "n_init": 2, "n_attack": 8}},
+     "seed: expected int, got float"),
+    ({"dataset": dict(TEST_BLOBS, n_per_class="x")},
+     "dataset.n_per_class: expected int, got str"),
+    ({"dataset": dict(TEST_BLOBS, separation="far")},
+     "dataset.separation: expected float, got str"),
+    ({"dataset": dict(TEST_BLOBS, keep=[0, "1"])},
+     "dataset.keep[1]: expected int, got str"),
+    ({"dataset": dict(TEST_BLOBS, sample={"n": 5, "seed": [1]})},
+     "dataset.sample.seed: expected int, got list"),
+    ({"model_path": 7}, "model_path: expected str, got int"),
+    ({"attack": {"epsilon": 0.08, "alpha": 0.02, "restarts": 2.5,
+                 "n_init": 2, "n_attack": 8}},
+     "attack: restarts must be an int, got float"),
+])
+def test_config_value_of_the_wrong_type_is_config_error(trained, capsys,
+                                                        extra, key):
+    root, ckpt = trained
+    cfg, _ = attack_config(root, ckpt, "wrongtype.json", **extra)
+    assert cli.main(["attack", "--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_train_value_of_the_wrong_type_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "seed": 0, "dataset": BLOBS,
+        "model": {"preset": "mlp", "k": 3, "hidden": [16, "32"]},
+        "train": {"epochs": 1}, "out": str(tmp_path / "m.ckpt"),
+    }))
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert "model.hidden[1]: expected int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0, 11], "sweep.n_init_values: n_init 11 outside budget 0..10"),
+    ([], "sweep.n_init_values: empty"),
+    ([0, "2"], "sweep.n_init_values[1]: expected int"),
+])
+def test_bad_sweep_split_is_config_error(trained, capsys, values, message):
+    root, ckpt = trained
+    cfg, _ = attack_config(root, ckpt, "badsplit.json",
+                           sweep={"n_init_values": values})
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_invariant_failure_inside_a_sweep_exits_2(trained, capsys,
+                                                  monkeypatch):
+    from boundarylab import harness
+
+    def broken(*args, **kwargs):
+        raise ValueError("counts do not reconcile")
+
+    monkeypatch.setattr(harness, "sweep_n_init", broken)
+    root, ckpt = trained
+    cfg, _ = attack_config(root, ckpt, "broken-sweep.json",
+                           sweep={"n_init_values": [0, 1]})
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert "invariant failure" in capsys.readouterr().err

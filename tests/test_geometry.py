@@ -155,6 +155,38 @@ def test_signed_distance_sign_tracks_region(blobs_boundaries, rng):
             assert dist[k] > 0
 
 
+def _oracle_signed_distances(bs, v_batch, y):
+    # one pair at a time, the reversed orientation negated after dividing
+    vals = geometry.pair_values(bs, v_batch)
+    b = vals.shape[0]
+    y = np.broadcast_to(np.asarray(y), (b,))
+    dist = np.full((b, bs.k), np.inf)
+    for p, (i, j) in enumerate(bs.pairs):
+        d = vals[:, p] / bs.norms[p]
+        sel = y == i
+        dist[sel, j] = d[sel]
+        sel = y == j
+        dist[sel, i] = -d[sel]
+    return dist
+
+
+@pytest.mark.parametrize("k", [2, 4, 10])
+def test_signed_distances_match_the_per_pair_oracle(k):
+    rng = np.random.default_rng(k)
+    bias = rng.normal(size=k)
+    bias[1] = bias[0]
+    bs = geometry.build_boundary_set(rng.normal(size=(k, 3)), bias)
+    v = rng.normal(scale=2.0, size=(60, 3))
+    v[:3] = 0.0  # exactly on the (0, 1) boundary: the sign of zero counts
+    y = rng.integers(k, size=60)
+    cases = [(v, y), (v[:0], y[:0])] + [(v, c) for c in range(k)]
+    for vb, yb in cases:
+        got = geometry.signed_distances(bs, vb, yb)
+        want = _oracle_signed_distances(bs, vb, yb)
+        assert got.shape == want.shape == (vb.shape[0], k)
+        assert got.tobytes() == want.tobytes()
+
+
 def _dist_gradient(clf, bs, x, y, m):
     v, ctxs = clf.head_forward_with_ctx(x)
     return attacks.boundary_distance_grad(clf, bs, ctxs, y, m)

@@ -90,6 +90,35 @@ def test_attack_entry_rejects_labels_outside_the_model(blobs_mlp,
                              quick_attack_config, [0, 1])
 
 
+@pytest.mark.parametrize("seed, restarts, first_bad", [
+    (2**63 - 2, 2, 1),  # position 0 draws 2**63 - 2 and 2**63 - 1
+    (2**63 - 1, 1, 1),
+    (2**63 - 1, 2, 0),
+    (2**63 - 40, 4, 10),
+])
+def test_check_seeds_names_the_first_overflowing_position(seed, restarts,
+                                                          first_bad):
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=restarts,
+                               n_init=0, n_attack=1, seed=seed)
+    harness.check_seeds(cfg, first_bad)  # every position below it fits
+    harness.check_seeds(dataclasses.replace(cfg, seed=np.int64(seed),
+                                            restarts=np.int64(restarts)),
+                        first_bad)
+    assert (seed + first_bad * restarts - 1) <= 2**63 - 1
+    with pytest.raises(ValueError,
+                       match=f"overflows at dataset position {first_bad}:"):
+        harness.check_seeds(cfg, first_bad + 1)
+
+
+def test_attack_entry_rejects_overflowing_seeds(blobs_mlp, blobs_boundaries,
+                                                blobs_test):
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=2,
+                               n_init=0, n_attack=1, seed=2**63 - 2)
+    with pytest.raises(ValueError, match="dataset position 1:"):
+        harness.attack_dataset(blobs_mlp, blobs_boundaries, blobs_test, cfg,
+                               init="none")
+
+
 def test_zero_epsilon_keeps_robust_equal_to_clean(blobs_mlp,
                                                   blobs_boundaries,
                                                   blobs_test):

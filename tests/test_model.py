@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boundarylab import attacks, data, geometry, layers, model
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, rel_err, rewrite_checkpoint_header
 
 
 def test_head_tail_composition_is_bit_exact(blobs_mlp, rng):
@@ -17,21 +17,22 @@ def test_head_tail_composition_is_bit_exact(blobs_mlp, rng):
 
 def test_identity_head_passes_input_through():
     clf = model.linear_model(2, 2, weight=np.eye(2), bias=np.zeros(2))
-    np.testing.assert_array_equal(clf.head_forward(np.array([0.2, 0.8])),
-                                  [0.2, 0.8])
+    np.testing.assert_array_equal(clf.head_forward(np.array([[0.2, 0.8]])),
+                                  [[0.2, 0.8]])
 
 
 def test_tail_forward_hand_values():
     clf = model.linear_model(2, 2, weight=np.array([[2.0, 0.0], [0.0, 0.0]]),
                              bias=np.array([0.0, 1.0]))
-    np.testing.assert_array_equal(clf.tail_forward(np.array([1.0, 5.0])),
-                                  [2.0, 1.0])
+    np.testing.assert_array_equal(clf.tail_forward(np.array([[1.0, 5.0]])),
+                                  [[2.0, 1.0]])
 
 
 def test_cnn_preset_maps_image_to_plane():
     clf = model.small_cnn(k=4, n=2, input_shape=(1, 28, 28), seed=0)
-    v = clf.head_forward(np.random.default_rng(0).uniform(0, 1, (1, 28, 28)))
-    assert v.shape == (2,)
+    v = clf.head_forward(np.random.default_rng(0).uniform(0, 1,
+                                                          (1, 1, 28, 28)))
+    assert v.shape == (1, 2)
     assert clf.k == 4 and clf.n == 2 and clf.d == 784
 
 
@@ -39,6 +40,15 @@ def test_predict_is_argmax(blobs_mlp, rng):
     x = rng.uniform(0, 1, size=(10, 8))
     np.testing.assert_array_equal(blobs_mlp.predict(x),
                                   np.argmax(blobs_mlp.forward(x), axis=1))
+    assert blobs_mlp.predict(x[:1]).shape == (1,)
+
+
+@pytest.mark.parametrize("shape", [(8,), (), (2, 4), (3, 8, 1)])
+def test_unbatched_input_is_refused_by_name(blobs_mlp, shape):
+    with pytest.raises(layers.ShapeMismatchError, match=r"\(B, 8\)"):
+        blobs_mlp.predict(np.full(shape, 0.5))
+    with pytest.raises(layers.ShapeMismatchError):
+        blobs_mlp.tail_forward(np.zeros(2))  # one representation vector
 
 
 def test_softmax_never_changes_argmax(blobs_mlp, rng):
@@ -53,18 +63,19 @@ def test_tail_must_be_single_dense_layer():
     stack = [layers.Flatten(), layers.Dense(4, 3, rng=rng),
              layers.ReLU(), layers.Dense(3, 2, rng=rng)]
     with pytest.raises(ValueError):
-        model.Classifier(stack, split=2, input_shape=(4,))  # ReLU in tail
+        model.Classifier(stack[:3], input_shape=(4,))  # ReLU as the tail
     with pytest.raises(ValueError):
-        model.Classifier(stack, split=4, input_shape=(4,))  # empty tail
-    model.Classifier(stack, split=3, input_shape=(4,))  # valid
+        model.Classifier([], input_shape=(4,))  # no tail at all
+    clf = model.Classifier(stack, input_shape=(4,))  # valid
+    assert clf.tail is stack[3]
 
 
 def test_out_of_box_input_warns(blobs_mlp):
     with pytest.warns(UserWarning, match="outside"):
-        blobs_mlp.head_forward(np.full(8, 1.5))
+        blobs_mlp.head_forward(np.full((1, 8), 1.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        blobs_mlp.head_forward(np.full(8, 0.5))
+        blobs_mlp.head_forward(np.full((1, 8), 0.5))
 
 
 def _ce_gradient(clf, x, y):
@@ -141,7 +152,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, blobs_mlp, rng):
     np.testing.assert_array_equal(loaded.forward(probe),
                                   blobs_mlp.forward(probe))
     assert loaded.meta == blobs_mlp.meta
-    assert loaded.split == blobs_mlp.split
+    assert ([layer.config() for layer in loaded.layers]
+            == [layer.config() for layer in blobs_mlp.layers])
 
 
 def test_checkpoint_round_trip_cnn(tmp_path):
@@ -198,6 +210,72 @@ def test_checkpoint_rejects_unknown_layer_kind(tmp_path, blobs_mlp):
     raw = path.read_bytes().replace(b'"kind": "relu"', b'"kind": "gelu"', 1)
     path.write_bytes(raw)
     with pytest.raises(model.CheckpointError, match="gelu"):
+        model.Classifier.load(path)
+
+
+def _drop(*path):
+    def mutate(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return mutate
+
+
+def _set_tensor(i, **fields):
+    return lambda h: h["tensors"][i].update(fields)
+
+
+def _reverse_tensor_shape(h):
+    h["tensors"][0]["shape"] = h["tensors"][0]["shape"][::-1]
+
+
+# the blobs mlp: flatten, dense(8,16), relu, dense(16,2), dense(2,4)
+MALFORMED_HEADERS = {
+    "no-arch": (_drop("arch"), "header has no 'arch'"),
+    "no-tensors": (_drop("tensors"), "header has no 'tensors'"),
+    "no-layers": (_drop("arch", "layers"), "arch has no 'layers'"),
+    "no-split": (_drop("arch", "split"), "arch has no 'split'"),
+    "no-input-shape": (_drop("arch", "input_shape"),
+                       "arch has no 'input_shape'"),
+    "no-tensor-layer": (_drop("tensors", 2, "layer"),
+                        "tensor 2 has no 'layer'"),
+    "no-tensor-shape": (_drop("tensors", 2, "shape"),
+                        "tensor 2 has no 'shape'"),
+    "layer-out-of-range": (_set_tensor(0, layer=99),
+                           r"tensor 0: layer 99 is not one of 0\.\.4"),
+    "layer-not-an-index": (_set_tensor(0, layer="1"),
+                           r"tensor 0: layer '1' is not one of"),
+    "unknown-tensor-name": (_set_tensor(1, name="gain"),
+                            r"tensor 1: layer 1 \(dense\) param 'gain' "
+                            r"is not"),
+    "param-as-buffer": (_set_tensor(1, kind="buffer"),
+                        r"layer 1 \(dense\) buffer 'bias' is not"),
+    "tensor-on-relu": (_set_tensor(0, layer=2), r"layer 2 \(relu\) param"),
+    "reversed-shape": (_reverse_tensor_shape,
+                       r"tensor 0: .* has shape \[8, 16\], the layer's is "
+                       r"\[16, 8\]"),
+    "missing-tensor": (_drop("tensors", -1),
+                       r"layer 4 \(dense\) param 'bias' is missing"),
+    "layer-config-key": (_drop("arch", "layers", 1, "out_features"),
+                         r"arch layer 1: .*'out_features'"),
+    "layer-config-rng": (lambda h: h["arch"]["layers"][1].update(rng=3),
+                         r"arch layer 1: dense config has an unexpected "
+                         r"key 'rng'"),
+    "split-not-last": (lambda h: h["arch"].update(split=2),
+                       r"arch split 2: the tail must be the last of 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_checkpoint_rejects_malformed_header(tmp_path, blobs_mlp, case):
+    mutate, message = MALFORMED_HEADERS[case]
+    path = blobs_mlp.save(tmp_path / "m.ckpt")
+    if case == "missing-tensor":
+        # the last entry's bytes go too, so only the manifest is short
+        path.write_bytes(path.read_bytes()[:-4 * 8])
+    rewrite_checkpoint_header(path, path, mutate)
+    with pytest.raises(model.CheckpointError, match=message):
         model.Classifier.load(path)
 
 
