@@ -336,6 +336,7 @@ def boundary_init_batch(c, bs, x_orig, y, config, start):
         if not live.any():
             break
         gx = boundary_distance_grad(c, bs, ctxs, live_set.y, m)
+        del ctxs  # free this pass's contexts before the next head forward
         live_set.step(gx, -config.eta_init, live)
         evals[live_set.rows] += 1
     return live_set.finish(), evals
@@ -378,6 +379,7 @@ def _attack_loop(c, x_orig, y, config, start, move):
         if not live.any():
             break
         move(live_set, ctxs, z, live)
+        del ctxs  # free this pass's contexts before the next head forward
         evals[live_set.rows] += 1
     return BatchSegment(x_adv=live_set.finish(), success=success,
                         iterations=iters, grad_evals=evals)

@@ -142,10 +142,13 @@ def _dataset_from(cfg):
             "size": _typed(cfg, "dataset.size", int, 28),
             "seed": _typed(cfg, "dataset.seed", int, 0),
         }
-        ds = data.make_digits(
-            resolved["n_per_class"], classes=tuple(resolved["classes"]),
-            size=resolved["size"], seed=resolved["seed"],
-        )
+        try:
+            ds = data.make_digits(
+                resolved["n_per_class"], classes=tuple(resolved["classes"]),
+                size=resolved["size"], seed=resolved["seed"],
+            )
+        except ValueError as exc:  # names the argument, which is the key
+            raise ConfigError(f"dataset.{exc}") from exc
     elif kind == "blobs":
         resolved = {
             "kind": "blobs",
@@ -155,10 +158,13 @@ def _dataset_from(cfg):
             "separation": _typed(cfg, "dataset.separation", float),
             "seed": _typed(cfg, "dataset.seed", int, 0),
         }
-        ds = data.make_blobs(
-            resolved["n_per_class"], resolved["k"], resolved["d"],
-            resolved["separation"], resolved["seed"],
-        )
+        try:
+            ds = data.make_blobs(
+                resolved["n_per_class"], resolved["k"], resolved["d"],
+                resolved["separation"], resolved["seed"],
+            )
+        except ValueError as exc:
+            raise ConfigError(f"dataset.{exc}") from exc
     elif kind == "idx":
         resolved = {
             "kind": "idx",
@@ -235,12 +241,15 @@ def _model_and_dataset(cfg):
     """The checkpoint and a dataset whose labels are classes of it."""
     clf = _load_model(cfg)
     ds, dspec = _dataset_from(cfg)
+    # an IDX file is input data; other kinds come from the config
+    error = InputError if dspec["kind"] == "idx" else ConfigError
     try:
         harness.check_labels(clf, ds.labels)
     except ValueError as exc:
-        # an IDX label file is input data; other kinds come from the config
-        error = InputError if dspec["kind"] == "idx" else ConfigError
         raise error(f"dataset: {exc}") from exc
+    if ds.input_shape != clf.input_shape:
+        raise error(f"dataset: images have shape {ds.input_shape}, the "
+                    f"checkpoint takes {clf.input_shape}")
     return clf, ds, dspec
 
 

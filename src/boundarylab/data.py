@@ -190,6 +190,12 @@ def sample(dataset, n, seed):
     )
 
 
+def _check_count(name, value, least):
+    # generator arguments are refused as "<name>: ...", the caller's key
+    if value < least:
+        raise ValueError(f"{name}: must be >= {least}, got {value}")
+
+
 def make_blobs(n_per_class, k, d, separation, seed, *, center=0.5):
     """Gaussian clusters at fixed centers, ``separation`` sigmas apart.
 
@@ -199,10 +205,11 @@ def make_blobs(n_per_class, k, d, separation, seed, *, center=0.5):
     closed-form linear-model checks; such data sits outside the box on
     purpose).
     """
-    if k < 2:
-        raise ValueError(f"need at least 2 classes, got {k}")
+    _check_count("n_per_class", n_per_class, 0)
+    _check_count("k", k, 2)
+    _check_count("d", d, 1)
     if separation <= 0:
-        raise ValueError(f"separation must be > 0, got {separation}")
+        raise ValueError(f"separation: must be > 0, got {separation}")
     rng = np.random.default_rng(seed)
     # Unit-scale centers on a circle in the first two dims (line for d=1).
     centers = np.zeros((k, d))
@@ -305,10 +312,12 @@ def make_digits(n_per_class, *, classes=tuple(range(10)), size=28, seed=0):
     rescales, translates, renders a distance field at 2x resolution,
     mean-pools down, blurs, and adds pixel noise.  Deterministic per seed.
     """
+    _check_count("n_per_class", n_per_class, 0)
+    _check_count("size", size, 1)
     classes = tuple(int(cl) for cl in classes)
     for cl in classes:
         if cl not in _STROKES:
-            raise ValueError(f"no stroke template for digit {cl}")
+            raise ValueError(f"classes: no stroke template for digit {cl}")
     rng = np.random.default_rng(seed)
     hi = 2 * size
     images = np.empty((n_per_class * len(classes), 1, size, size))

@@ -40,7 +40,8 @@ def conv2d_forward(x, w, bias, padding=0):
     b = x.shape[0]
     co, ci, kh, kw = w.shape
     cols, oh, ow = _im2col(x, kh, kw)
-    y = cols @ _c64(w).reshape(co, ci * kh * kw).T + _c64(bias)
+    y = cols @ _c64(w).reshape(co, ci * kh * kw).T
+    y += _c64(bias)  # in place: a second output-sized array page-faults fresh
     return np.ascontiguousarray(y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2))
 
 
@@ -90,13 +91,17 @@ def maxpool2_forward(x):
     b, c, h, w = x.shape
     oh, ow = h // 2, w // 2
     pairs = _c64(x[:, :, : 2 * oh, : 2 * ow]).reshape(-1, 2)
+    # Winners are taken with np.maximum(second, first), not a select on the
+    # pick mask, which mispredicts a branch per element.  It returns
+    # ``first`` on a tie (+-0.0 included) and a NaN over any number, the
+    # argmax rule; only the payload kept when both are NaN may differ.
     right = _pick_second(pairs[:, 0], pairs[:, 1])
     # horizontal winners, then the vertical pair of (top, bottom) winners
-    hmax = np.where(right, pairs[:, 1], pairs[:, 0]).reshape(b * c * oh, 2, ow)
+    hmax = np.maximum(pairs[:, 1], pairs[:, 0]).reshape(b * c * oh, 2, ow)
     right = right.reshape(b * c * oh, 2, ow)
     down = _pick_second(hmax[:, 0], hmax[:, 1])
-    y = np.where(down, hmax[:, 1], hmax[:, 0]).reshape(b, c, oh, ow)
-    idx = 2 * down.view(np.uint8) + np.where(down, right[:, 1], right[:, 0])
+    y = np.maximum(hmax[:, 1], hmax[:, 0]).reshape(b, c, oh, ow)
+    idx = down.view(np.uint8) << 1 | (down & right[:, 1]) | (~down & right[:, 0])
     return y, idx.reshape(b, c, oh, ow)
 
 

@@ -151,13 +151,20 @@ class ReLU:
     def buffers(self):
         return {}
 
+    # Both passes keep a value where x > 0 and write +0.0 elsewhere, bit for
+    # bit, with no per-element branch on the data (a select on the mask
+    # mispredicts on activations): fmax drops NaN and -inf, ``+= 0.0`` turns
+    # the -0.0 fmax may keep into +0.0, and the backward multiplies the
+    # upstream's bits, as uint64 words, by the 0/1 mask.
     def forward(self, x, train=False):
-        mask = x > 0
-        return np.where(mask, x, 0.0), (mask,)
+        y = np.fmax(x, 0.0)
+        y += 0.0
+        return y, (x > 0,)
 
     def backward(self, ctx, gy, need_param_grads=False):
         (mask,) = ctx
-        return np.where(mask, gy, 0.0), {}
+        gx = np.multiply(as_tensor(gy).view(np.uint64), mask)
+        return gx.view(np.float64), {}
 
 
 class MaxPool2x2:
@@ -248,14 +255,19 @@ class BatchNorm:
             y = x * scale.reshape(bshape)
             y += shift.reshape(bshape)
             return y, (x, scale, axes, bshape, train)
+        # x.var(axes) is mean((x - mean)**2) in numpy, so the centred x is
+        # computed once and becomes xhat in place; y reuses the square's buffer
         mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        xhat = x - mean.reshape(bshape)
+        y = np.multiply(xhat, xhat)
+        var = y.mean(axis=axes)
         m = self.momentum
         self.running_mean = (1 - m) * self.running_mean + m * mean
         self.running_var = (1 - m) * self.running_var + m * var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean.reshape(bshape)) * inv.reshape(bshape)
-        y = self.gamma.reshape(bshape) * xhat + self.beta.reshape(bshape)
+        xhat *= inv.reshape(bshape)
+        np.multiply(xhat, self.gamma.reshape(bshape), out=y)
+        y += self.beta.reshape(bshape)
         return y, (xhat, inv, axes, bshape, train)
 
     def backward(self, ctx, gy, need_param_grads=False):
@@ -263,11 +275,15 @@ class BatchNorm:
         held, per_channel, axes, bshape, train = ctx
         if train:
             # Batch statistics depend on x, so the gradient couples the batch.
+            # (gxhat - mean_g - xhat*mean_gx) * inv, in place on gx = gxhat
             xhat = held
-            gxhat = gy * self.gamma.reshape(bshape)
-            mean_g = gxhat.mean(axis=axes).reshape(bshape)
-            mean_gx = (gxhat * xhat).mean(axis=axes).reshape(bshape)
-            gx = (gxhat - mean_g - xhat * mean_gx) * per_channel.reshape(bshape)
+            gx = gy * self.gamma.reshape(bshape)
+            tmp = np.multiply(gx, xhat)
+            mean_g = gx.mean(axis=axes).reshape(bshape)
+            mean_gx = tmp.mean(axis=axes).reshape(bshape)
+            gx -= mean_g
+            gx -= np.multiply(xhat, mean_gx, out=tmp)
+            gx *= per_channel.reshape(bshape)
         else:
             gx = gy * per_channel.reshape(bshape)
         return gx, self.param_grads(ctx, gy) if need_param_grads else {}

@@ -25,7 +25,7 @@ from .layers import (
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, parameter or buffer."""
 
 
 class CheckpointError(Exception):
@@ -332,6 +332,18 @@ def linear_model(d, k, *, weight=None, bias=None, seed=0):
 # -- training ------------------------------------------------------------
 
 
+def _check_finite(clf, epoch, step):
+    # ReLU zeroes NaN activations, so the loss can stay finite while a
+    # tensor (a BatchNorm running_var, say) has already diverged
+    for i, layer in enumerate(clf.layers):
+        for name, arr in {**layer.params(), **layer.buffers()}.items():
+            if not np.isfinite(arr).all():
+                raise TrainingDivergedError(
+                    f"non-finite {name} of layer {i} ({layer.kind}) at "
+                    f"epoch {epoch}, step {step}"
+                )
+
+
 def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
              attack_config):
     clf = copy.deepcopy(clf)
@@ -382,6 +394,7 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                     vel = momentum * vel - lr * grad
                     velocity[key] = vel
                     params[name] += vel
+            _check_finite(clf, epoch, step)
             step += 1
     clf.meta.update({
         "seed": int(seed),

@@ -407,3 +407,63 @@ def test_invariant_failure_inside_a_sweep_exits_2(trained, capsys,
                            sweep={"n_init_values": [0, 1]})
     assert cli.main(["sweep", "--config", str(cfg)]) == 2
     assert "invariant failure" in capsys.readouterr().err
+
+
+def test_diverged_training_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "m.ckpt"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "seed": 0,
+        "dataset": {"kind": "digits", "n_per_class": 16,
+                    "classes": [0, 1, 2, 3], "size": 16, "seed": 0},
+        "model": {"preset": "small_cnn"},
+        "train": {"epochs": 3, "lr": 1000.0, "batch_size": 16},
+        "out": str(out),
+    }))
+    with np.errstate(all="ignore"):
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert "non-finite running_var of layer 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset, shape", [
+    ({"kind": "digits", "n_per_class": 2, "classes": [0, 1, 2], "size": 12},
+     "(1, 12, 12)"),
+    (dict(TEST_BLOBS, d=5), "(5,)"),
+])
+def test_dataset_of_another_shape_is_config_error(trained, capsys, dataset,
+                                                  shape):
+    root, ckpt = trained  # takes (6,)
+    cfg, _ = attack_config(root, ckpt, "shape.json", dataset=dataset)
+    assert cli.main(["attack", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"images have shape {shape}, the checkpoint takes (6,)" in err
+
+
+def test_idx_images_of_another_shape_are_io_error(tmp_path, trained, capsys):
+    root, ckpt = trained
+    ds = data.Dataset(images=np.zeros((3, 1, 2, 3)),
+                      labels=np.array([0, 1, 2]))
+    ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+    data.write_idx(ds, ip, lp)
+    cfg, _ = attack_config(root, ckpt, "idx-shape.json",
+                           dataset={"kind": "idx", "images": str(ip),
+                                    "labels": str(lp)})
+    assert cli.main(["attack", "--config", str(cfg)]) == 3
+    assert "images have shape (1, 2, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dataset, key", [
+    ({"kind": "digits", "n_per_class": -1, "classes": [0, 1, 2]},
+     "n_per_class"),
+    ({"kind": "digits", "n_per_class": 2, "classes": [0, 1, 2], "size": -4},
+     "size"),
+    (dict(TEST_BLOBS, n_per_class=-1), "n_per_class"),
+    (dict(TEST_BLOBS, k=1), "k"),
+    (dict(TEST_BLOBS, d=0), "d"),
+])
+def test_bad_dataset_size_is_config_error(trained, capsys, dataset, key):
+    root, ckpt = trained
+    cfg, _ = attack_config(root, ckpt, "badsize.json", dataset=dataset)
+    assert cli.main(["attack", "--config", str(cfg)]) == 1
+    assert f"config error: dataset.{key}: must be >=" in capsys.readouterr().err

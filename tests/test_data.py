@@ -191,6 +191,21 @@ def test_digits_shapes_and_range():
     assert ds.class_map == {0: 0, 1: 1, 7: 2}
 
 
+@pytest.mark.parametrize("make, key", [
+    (lambda: data.make_digits(-1, classes=(0, 1), size=8), "n_per_class"),
+    (lambda: data.make_digits(2, classes=(0, 1), size=0), "size"),
+    (lambda: data.make_digits(2, classes=(0, 11), size=8), "classes"),
+    (lambda: data.make_blobs(-1, 3, 4, 5.0, 0), "n_per_class"),
+    (lambda: data.make_blobs(5, 1, 4, 5.0, 0), "k"),
+    (lambda: data.make_blobs(5, 3, 0, 5.0, 0), "d"),
+    (lambda: data.make_blobs(5, 3, 4, 0.0, 0), "separation"),
+], ids=["digits-n_per_class", "digits-size", "digits-classes",
+        "blobs-n_per_class", "blobs-k", "blobs-d", "blobs-separation"])
+def test_generators_refuse_bad_arguments_by_name(make, key):
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        make()
+
+
 def test_digits_are_deterministic():
     a = data.make_digits(2, classes=(3, 5), size=14, seed=8)
     b = data.make_digits(2, classes=(3, 5), size=14, seed=8)

@@ -170,6 +170,81 @@ def test_relu_masks_gradient():
     np.testing.assert_array_equal(gx, [[0.0, 1.0, 0.0, 1.0]])
 
 
+def _with_specials(rng, shape):
+    # NaN of both signs and a payload, +-inf, +-0.0 and subnormals
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                        5e-324, -5e-324, 2.2e-310, -2.2e-310])
+    special = np.append(special, np.uint64(0x7FF8000000000123).view(np.float64))
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape) < 0.5
+    x[pick] = rng.choice(special, pick.sum())
+    return x
+
+
+@pytest.mark.parametrize("shape", [(37,), (5, 13), (3, 4, 7, 6)])
+def test_relu_matches_where_bit_for_bit(rng, shape):
+    x, gy = _with_specials(rng, shape), _with_specials(rng, shape)
+    relu = layers.ReLU()
+    y, ctx = relu.forward(x)
+    assert y.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    gx, _ = relu.backward(ctx, gy)
+    assert gx.tobytes() == np.where(x > 0, gy, 0.0).tobytes()
+    gy_t = _with_specials(rng, shape[::-1]).T  # a strided upstream
+    gx, _ = relu.backward(ctx, gy_t)
+    assert gx.tobytes() == np.where(x > 0, gy_t, 0.0).tobytes()
+    # fmax's vector and scalar loops differ on -0.0 vs 0.0: fill every lane
+    y, _ = relu.forward(np.full(shape, -0.0))
+    assert not np.signbit(y).any()
+
+
+def test_relu_leaves_its_inputs_alone(rng):
+    x, gy = _with_specials(rng, (4, 9)), _with_specials(rng, (4, 9))
+    x0, gy0 = x.tobytes(), gy.tobytes()
+    relu = layers.ReLU()
+    _, ctx = relu.forward(x)
+    relu.backward(ctx, gy)
+    assert x.tobytes() == x0 and gy.tobytes() == gy0
+
+
+def _batchnorm_train_oracle(bn, x, gy):
+    # the straightforward expressions the train path must reproduce
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    bshape = (1, bn.channels) + (1,) * (x.ndim - 2)
+    mean, var, m = x.mean(axis=axes), x.var(axis=axes), bn.momentum
+    running = ((1 - m) * bn.running_mean + m * mean,
+               (1 - m) * bn.running_var + m * var)
+    inv = 1.0 / np.sqrt(var + bn.eps)
+    xhat = (x - mean.reshape(bshape)) * inv.reshape(bshape)
+    y = bn.gamma.reshape(bshape) * xhat + bn.beta.reshape(bshape)
+    gxhat = gy * bn.gamma.reshape(bshape)
+    mean_g = gxhat.mean(axis=axes).reshape(bshape)
+    mean_gx = (gxhat * xhat).mean(axis=axes).reshape(bshape)
+    gx = (gxhat - mean_g - xhat * mean_gx) * inv.reshape(bshape)
+    grads = {"gamma": (gy * xhat).sum(axis=axes), "beta": gy.sum(axis=axes)}
+    return y, xhat, running, gx, grads
+
+
+@pytest.mark.parametrize("shape", [(33, 5), (16, 4, 14, 14), (3, 2, 5, 7)])
+def test_batchnorm_train_matches_oracle_bit_for_bit(rng, shape):
+    bn = layers.BatchNorm(shape[1])
+    _set_running_stats(bn, rng)
+    x = rng.standard_normal(shape) * 3.0 + 1.5
+    gy = rng.standard_normal(shape)
+    x0, gy0 = x.tobytes(), gy.tobytes()
+    y_ref, xhat_ref, running_ref, gx_ref, grads_ref = \
+        _batchnorm_train_oracle(bn, x, gy)
+    y, ctx = bn.forward(x, train=True)
+    gx, grads = bn.backward(ctx, gy, need_param_grads=True)
+    assert y.tobytes() == y_ref.tobytes()
+    assert ctx[0].tobytes() == xhat_ref.tobytes()
+    assert bn.running_mean.tobytes() == running_ref[0].tobytes()
+    assert bn.running_var.tobytes() == running_ref[1].tobytes()
+    assert gx.tobytes() == gx_ref.tobytes()
+    for name in ("gamma", "beta"):
+        assert grads[name].tobytes() == grads_ref[name].tobytes()
+    assert x.tobytes() == x0 and gy.tobytes() == gy0
+
+
 def test_flatten_round_trips_shape(rng):
     x = rng.standard_normal((3, 2, 4, 5))
     flat = layers.Flatten()

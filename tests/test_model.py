@@ -376,6 +376,18 @@ def test_divergence_aborts_with_diagnostic(blobs_train):
             model.train(clf, blobs_train, epochs=5, lr=1e30, seed=0)
 
 
+def test_training_refuses_a_non_finite_buffer():
+    # the loss stays finite here: ReLU zeroes the NaN activations
+    ds = data.make_digits(16, classes=(0, 1, 2, 3), size=16, seed=0)
+    clf = model.small_cnn(k=4, input_shape=(1, 16, 16), seed=0)
+    with pytest.raises(model.TrainingDivergedError,
+                       match=r"non-finite running_var of layer 5 "
+                             r"\(batchnorm\) at epoch 1, step 5"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model.train(clf, ds, epochs=3, lr=1000.0, batch_size=16, seed=0)
+
+
 def test_adv_train_with_zero_epsilon_equals_train(tmp_path, blobs_train):
     cfg = attacks.AttackConfig(epsilon=0.0, alpha=0.01, restarts=1,
                                n_init=0, n_attack=3, seed=0)
