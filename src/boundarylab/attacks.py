@@ -131,26 +131,14 @@ def _ball_bounds(x, epsilon):
     return (np.maximum(x - epsilon, 0.0), np.minimum(x + epsilon, 1.0))
 
 
-def random_start(x, epsilon, seed):
-    """Uniform point in the ε-ball around x, clipped to the [0,1] box.
-
-    Shape-agnostic: draws one perturbation of ``x.shape`` from a single
-    generator, so a batch passed here shares one stream.  The restart
-    engine instead seeds each example separately via
-    :func:`random_start_batch`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    delta = np.random.default_rng(seed).uniform(-epsilon, epsilon, x.shape)
-    return np.clip(x + delta, 0.0, 1.0)
-
-
 def random_start_batch(x_batch, epsilon, seeds):
-    """Per-example :func:`random_start`: row i uses seeds[i].
+    """Uniform points in the ε-balls around a batch, clipped to the box.
 
     Row i is ``default_rng(seeds[i]).uniform(-epsilon, epsilon)`` added
-    to ``x_batch[i]`` and clipped to the box, bit for bit, but the seed
+    to ``x_batch[i]`` and clipped to [0,1], bit for bit, but the seed
     hashing is vectorized over the batch (:func:`_seed_states`) and the
-    scaling and clipping run once over the whole batch.
+    scaling and clipping run once over the whole batch.  A caller that
+    wants one stream for many examples passes them as one row.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     seeds = np.asarray(seeds)
@@ -362,12 +350,11 @@ def _attack_loop(c, x_orig, y, config, start, move):
     success = np.zeros(b, dtype=bool)
     iters = np.full(b, -1, dtype=np.int64)
     evals = np.zeros(b, dtype=np.int64)
-    wt, wb = c.tail.weight, c.tail.bias
     for t in range(config.n_attack + 1):
         if live_set.rows.size == 0:
             break
         v, ctxs = c.head_forward_with_ctx(live_set.x, train=False)
-        z = v @ wt.T + wb
+        z = c.tail_forward(v)
         flip = np.argmax(z, axis=1) != live_set.y
         if flip.any():
             hit = live_set.rows[flip]

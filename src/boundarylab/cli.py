@@ -52,6 +52,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 
 from . import __version__, attacks, data, geometry, harness, model, verify
 
@@ -288,6 +289,7 @@ def _workers(cfg, args):
 
 def cmd_train(args):
     cfg = _load_config(args.config)
+    out = _out_path(cfg, args)
     ds, dspec = _dataset_from(cfg)
     _typed(cfg, "model", dict)
     preset = _get(cfg, "model.preset")
@@ -300,14 +302,14 @@ def cmd_train(args):
                 f"model.preset: small_cnn needs image data, dataset shape "
                 f"is {ds.input_shape}"
             )
-        clf = model.small_cnn(k=k, n=n, input_shape=ds.input_shape,
-                              seed=mseed)
+        build = partial(model.small_cnn, k=k, n=n,
+                        input_shape=ds.input_shape, seed=mseed)
         resolved_model = {"preset": preset, "k": k, "n": n, "seed": mseed}
     elif preset == "mlp":
         n = _typed(cfg, "model.n", int, 8)
         hidden = _typed(cfg, "model.hidden", [int], [32])
-        clf = model.mlp(ds.input_shape, k, n=n, hidden=tuple(hidden),
-                        seed=mseed)
+        build = partial(model.mlp, ds.input_shape, k, n=n,
+                        hidden=tuple(hidden), seed=mseed)
         resolved_model = {"preset": preset, "k": k, "n": n,
                           "hidden": hidden, "seed": mseed}
     elif preset == "linear":
@@ -316,12 +318,21 @@ def cmd_train(args):
                 f"model.preset: linear needs flat data, dataset shape is "
                 f"{ds.input_shape}"
             )
-        clf = model.linear_model(ds.input_shape[0], k, seed=mseed)
+        build = partial(model.linear_model, ds.input_shape[0], k,
+                        seed=mseed)
         resolved_model = {"preset": preset, "k": k, "seed": mseed}
     else:
         raise ConfigError(
             f"model.preset: {preset!r} is not one of small_cnn/mlp/linear"
         )
+    try:
+        clf = build()
+    except ValueError as exc:  # names the preset argument, which is the key
+        raise ConfigError(f"model.{exc}") from exc
+    try:
+        harness.check_labels(clf, ds.labels)
+    except ValueError as exc:
+        raise ConfigError(f"model.k: {exc}") from exc
 
     _typed(cfg, "train", dict, {})
     epochs = _typed(cfg, "train.epochs", int, 4)
@@ -338,7 +349,14 @@ def cmd_train(args):
         "seed": seed,
         "adversarial": None,
     }
-    if "adversarial" in cfg:
+    adversarial = "adversarial" in cfg
+    try:
+        model.check_fit(len(ds), epochs=epochs, batch_size=batch_size,
+                        seed=seed, adversarial=adversarial)
+    except ValueError as exc:  # names the argument; the seed is top level
+        where = "" if str(exc).startswith("seed:") else "train."
+        raise ConfigError(where + str(exc)) from exc
+    if adversarial:
         adv_cfg, _, _ = _attack_from({"attack": cfg["adversarial"]}, None)
         resolved["adversarial"] = asdict(adv_cfg)
         fitted = model.adv_train(clf, ds, adv_cfg, epochs=epochs, lr=lr,
@@ -348,7 +366,6 @@ def cmd_train(args):
         fitted = model.train(clf, ds, epochs=epochs, lr=lr,
                              momentum=momentum, batch_size=batch_size,
                              seed=seed)
-    out = _out_path(cfg, args)
     fitted.meta["version"] = __version__
     fitted.meta["run_config"] = resolved
     fitted.save(out)
@@ -371,6 +388,7 @@ def _resolved_eval_config(command, dspec, cfg, config, method, init):
 
 def cmd_attack(args):
     cfg = _load_config(args.config)
+    out = _out_path(cfg, args)
     clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
     _check_seeds(config, len(ds))
@@ -381,7 +399,6 @@ def cmd_attack(args):
                                      init)
     payload = report.to_dict()
     payload["run_config"] = resolved
-    out = _out_path(cfg, args)
     _write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(
         f"robust accuracy {report.robust_accuracy:.4f} "
@@ -393,6 +410,7 @@ def cmd_attack(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args.config)
+    out = _out_path(cfg, args)
     clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
     _typed(cfg, "sweep", dict)
@@ -417,7 +435,6 @@ def cmd_sweep(args):
                                      init)
     resolved["sweep"] = {"n_init_values": values,
                          "seeds": list(seeds) if seeds else [config.seed]}
-    out = _out_path(cfg, args)
     _write_text(out, result.to_csv(
         meta={"run_config": json.dumps(resolved, sort_keys=True)}))
     series = ", ".join(
@@ -430,6 +447,7 @@ def cmd_sweep(args):
 
 def cmd_export_repr(args):
     cfg = _load_config(args.config)
+    out = _out_path(cfg, args)
     clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
     _check_seeds(config, len(ds))
@@ -439,7 +457,6 @@ def cmd_export_repr(args):
     export = harness.export_representation_space(clf, bs, ds, outcome)
     resolved = _resolved_eval_config("export-repr", dspec, cfg, config,
                                      method, init)
-    out = _out_path(cfg, args)
     if args.format == "json":
         payload = export.to_dict()
         payload["run_config"] = resolved

@@ -177,6 +177,7 @@ def filter_classes(dataset, keep):
 
 def sample(dataset, n, seed):
     """Uniform subsample without replacement, deterministic per seed."""
+    _check_count("seed", seed, 0)
     size = len(dataset)
     if n > size:
         raise ValueError(f"cannot sample {n} from {size} examples")
@@ -191,7 +192,7 @@ def sample(dataset, n, seed):
 
 
 def _check_count(name, value, least):
-    # generator arguments are refused as "<name>: ...", the caller's key
+    # an argument is refused as "<name>: ...", which callers map to their key
     if value < least:
         raise ValueError(f"{name}: must be >= {least}, got {value}")
 
@@ -210,6 +211,7 @@ def make_blobs(n_per_class, k, d, separation, seed, *, center=0.5):
     _check_count("d", d, 1)
     if separation <= 0:
         raise ValueError(f"separation: must be > 0, got {separation}")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # Unit-scale centers on a circle in the first two dims (line for d=1).
     centers = np.zeros((k, d))
@@ -314,6 +316,7 @@ def make_digits(n_per_class, *, classes=tuple(range(10)), size=28, seed=0):
     """
     _check_count("n_per_class", n_per_class, 0)
     _check_count("size", size, 1)
+    _check_count("seed", seed, 0)
     classes = tuple(int(cl) for cl in classes)
     for cl in classes:
         if cl not in _STROKES:

@@ -97,7 +97,7 @@ def build_boundary_set(w, b):
 
 def boundary_set_for(clf):
     """Boundary set of a classifier's tail."""
-    return build_boundary_set(*clf.tail_weights())
+    return build_boundary_set(clf.tail.weight, clf.tail.bias)
 
 
 def pair_values(bs, v_batch):

@@ -1,11 +1,13 @@
 """Layer primitives with explicit forward/backward passes.
 
 Every layer computes in float64 and keeps its parameters as plain numpy
-arrays.  ``forward`` returns the output together with an opaque context
-tuple; ``backward`` consumes that context and the upstream gradient and
-returns the input gradient, plus parameter gradients when asked.  Layers
-with parameters also have ``param_grads``, the parameter gradients alone.
-No autograd tape: the model walks the layer list explicitly.
+arrays.  Each method has one job: ``forward(x, train)`` returns the
+output and an opaque context tuple, ``backward(ctx, gy)`` the input
+gradient, and ``param_grads(ctx, gy)`` the parameter gradients, keyed and
+shaped as ``params()``.  :class:`Layer` supplies the defaults of a layer
+without parameters or buffers; each concrete layer defines ``forward``
+and ``backward`` itself.  No autograd tape: the model walks the layer
+list explicitly.
 """
 
 from __future__ import annotations
@@ -37,7 +39,23 @@ def _check_rank(name, x, rank):
         )
 
 
-class Dense:
+class Layer:
+    """Protocol defaults: no parameters, no buffers, no parameter gradients."""
+
+    def config(self):
+        return {"kind": self.kind}
+
+    def params(self):
+        return {}
+
+    def buffers(self):
+        return {}
+
+    def param_grads(self, ctx, gy):
+        return {}
+
+
+class Dense(Layer):
     """Affine map y = x @ W^T + b.
 
     ``weight`` has shape (out_features, in_features) so that row k is the
@@ -64,9 +82,6 @@ class Dense:
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def buffers(self):
-        return {}
-
     def forward(self, x, train=False):
         _check_rank("dense", x, 2)
         if x.shape[1] != self.in_features:
@@ -75,16 +90,15 @@ class Dense:
             )
         return x @ self.weight.T + self.bias, (x,)
 
-    def backward(self, ctx, gy, need_param_grads=False):
-        gx = gy @ self.weight
-        return gx, self.param_grads(ctx, gy) if need_param_grads else {}
+    def backward(self, ctx, gy):
+        return gy @ self.weight
 
     def param_grads(self, ctx, gy):
         (x,) = ctx
         return {"weight": gy.T @ x, "bias": gy.sum(axis=0)}
 
 
-class Conv2d:
+class Conv2d(Layer):
     """2D cross-correlation, stride 1, optional symmetric zero padding."""
 
     kind = "conv2d"
@@ -111,9 +125,6 @@ class Conv2d:
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def buffers(self):
-        return {}
-
     def forward(self, x, train=False):
         _check_rank("conv2d", x, 4)
         if x.shape[1] != self.in_channels:
@@ -128,10 +139,9 @@ class Conv2d:
         y = conv2d_forward(x, self.weight, self.bias, padding=self.padding)
         return y, (x,)
 
-    def backward(self, ctx, gy, need_param_grads=False):
+    def backward(self, ctx, gy):
         (x,) = ctx
-        gx = conv2d_input_grad(gy, self.weight, x.shape, padding=self.padding)
-        return gx, self.param_grads(ctx, gy) if need_param_grads else {}
+        return conv2d_input_grad(gy, self.weight, x.shape, padding=self.padding)
 
     def param_grads(self, ctx, gy):
         (x,) = ctx
@@ -139,17 +149,8 @@ class Conv2d:
         return {"weight": gw, "bias": gb}
 
 
-class ReLU:
+class ReLU(Layer):
     kind = "relu"
-
-    def config(self):
-        return {"kind": self.kind}
-
-    def params(self):
-        return {}
-
-    def buffers(self):
-        return {}
 
     # Both passes keep a value where x > 0 and write +0.0 elsewhere, bit for
     # bit, with no per-element branch on the data (a select on the mask
@@ -161,13 +162,13 @@ class ReLU:
         y += 0.0
         return y, (x > 0,)
 
-    def backward(self, ctx, gy, need_param_grads=False):
+    def backward(self, ctx, gy):
         (mask,) = ctx
         gx = np.multiply(as_tensor(gy).view(np.uint64), mask)
-        return gx.view(np.float64), {}
+        return gx.view(np.float64)
 
 
-class MaxPool2x2:
+class MaxPool2x2(Layer):
     """2x2 max pooling, stride 2.  Odd trailing rows/columns are dropped.
 
     Ties go to the first maximum in row-major window order, and the
@@ -175,15 +176,6 @@ class MaxPool2x2:
     """
 
     kind = "maxpool2x2"
-
-    def config(self):
-        return {"kind": self.kind}
-
-    def params(self):
-        return {}
-
-    def buffers(self):
-        return {}
 
     def forward(self, x, train=False):
         _check_rank("maxpool2x2", x, 4)
@@ -194,12 +186,12 @@ class MaxPool2x2:
         y, idx = maxpool2_forward(x)
         return y, (idx, x.shape)
 
-    def backward(self, ctx, gy, need_param_grads=False):
+    def backward(self, ctx, gy):
         idx, x_shape = ctx
-        return maxpool2_backward(gy, idx, x_shape), {}
+        return maxpool2_backward(gy, idx, x_shape)
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-channel batch normalization.
 
     ``train=True`` normalizes by batch statistics and updates the running
@@ -254,7 +246,7 @@ class BatchNorm:
             shift = self.beta - self.running_mean * scale
             y = x * scale.reshape(bshape)
             y += shift.reshape(bshape)
-            return y, (x, scale, axes, bshape, train)
+            return y, (None, scale, axes, bshape)
         # x.var(axes) is mean((x - mean)**2) in numpy, so the centred x is
         # computed once and becomes xhat in place; y reuses the square's buffer
         mean = x.mean(axis=axes)
@@ -268,54 +260,43 @@ class BatchNorm:
         xhat *= inv.reshape(bshape)
         np.multiply(xhat, self.gamma.reshape(bshape), out=y)
         y += self.beta.reshape(bshape)
-        return y, (xhat, inv, axes, bshape, train)
+        return y, (xhat, inv, axes, bshape)
 
-    def backward(self, ctx, gy, need_param_grads=False):
-        # train ctx: (xhat, 1/std of the batch, ...); eval: (x, scale, ...)
-        held, per_channel, axes, bshape, train = ctx
-        if train:
-            # Batch statistics depend on x, so the gradient couples the batch.
-            # (gxhat - mean_g - xhat*mean_gx) * inv, in place on gx = gxhat
-            xhat = held
-            gx = gy * self.gamma.reshape(bshape)
-            tmp = np.multiply(gx, xhat)
-            mean_g = gx.mean(axis=axes).reshape(bshape)
-            mean_gx = tmp.mean(axis=axes).reshape(bshape)
-            gx -= mean_g
-            gx -= np.multiply(xhat, mean_gx, out=tmp)
-            gx *= per_channel.reshape(bshape)
-        else:
-            gx = gy * per_channel.reshape(bshape)
-        return gx, self.param_grads(ctx, gy) if need_param_grads else {}
+    def backward(self, ctx, gy):
+        # train ctx: (xhat, 1/std of the batch, ...); eval: (None, scale, ...)
+        xhat, per_channel, axes, bshape = ctx
+        if xhat is None:
+            return gy * per_channel.reshape(bshape)
+        # Batch statistics depend on x, so the gradient couples the batch.
+        # (gxhat - mean_g - xhat*mean_gx) * inv, in place on gx = gxhat
+        gx = gy * self.gamma.reshape(bshape)
+        tmp = np.multiply(gx, xhat)
+        mean_g = gx.mean(axis=axes).reshape(bshape)
+        mean_gx = tmp.mean(axis=axes).reshape(bshape)
+        gx -= mean_g
+        gx -= np.multiply(xhat, mean_gx, out=tmp)
+        gx *= per_channel.reshape(bshape)
+        return gx
 
     def param_grads(self, ctx, gy):
-        held, _, axes, bshape, train = ctx
-        if train:
-            xhat = held
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (held - self.running_mean.reshape(bshape)) * inv.reshape(bshape)
+        xhat, _, axes, _ = ctx
+        if xhat is None:
+            # training is the only caller; an eval context keeps no input
+            raise ValueError(
+                "batchnorm: param_grads takes a train-mode context, got an "
+                "eval-mode one")
         return {"gamma": (gy * xhat).sum(axis=axes), "beta": gy.sum(axis=axes)}
 
 
-class Flatten:
+class Flatten(Layer):
     kind = "flatten"
-
-    def config(self):
-        return {"kind": self.kind}
-
-    def params(self):
-        return {}
-
-    def buffers(self):
-        return {}
 
     def forward(self, x, train=False):
         return x.reshape(x.shape[0], -1), (x.shape,)
 
-    def backward(self, ctx, gy, need_param_grads=False):
+    def backward(self, ctx, gy):
         (x_shape,) = ctx
-        return gy.reshape(x_shape), {}
+        return gy.reshape(x_shape)
 
 
 LAYER_KINDS = {

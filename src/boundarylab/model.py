@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from .data import _check_count
 from .layers import (
     Dense,
     ShapeMismatchError,
@@ -88,10 +89,6 @@ class Classifier:
             d *= s
         return d
 
-    def tail_weights(self):
-        """The tail's (weight, bias) as float64 copies."""
-        return self.tail.weight.copy(), self.tail.bias.copy()
-
     def head_forward(self, x, train=False):
         """Run the head on a batch; returns the representations (B, N)."""
         h = as_tensor(x)
@@ -117,7 +114,7 @@ class Classifier:
         """Back-propagate a representation-space gradient to the input."""
         g = gv
         for layer, ctx in zip(reversed(self.layers[:-1]), reversed(ctxs)):
-            g, _ = layer.backward(ctx, g)
+            g = layer.backward(ctx, g)
         return g
 
     def tail_forward(self, v):
@@ -264,6 +261,13 @@ class Classifier:
 # -- presets -------------------------------------------------------------
 
 
+def _check_preset(k, n, seed, n_name="n"):
+    # refused as "<argument>: ...", which the CLI prefixes with "model."
+    _check_count("k", k, 2)
+    _check_count(n_name, n, 1)
+    _check_count("seed", seed, 0)
+
+
 def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
     """Two conv/BN/ReLU/pool blocks, a dense bottleneck to N, dense tail.
 
@@ -272,12 +276,14 @@ def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
     """
     from .layers import BatchNorm, Conv2d, Flatten, MaxPool2x2, ReLU
 
+    _check_preset(k, n, seed)
     c, h, w = input_shape
-    rng = np.random.default_rng(seed)
     oh = (((h - 2) // 2) - 2) // 2
     ow = (((w - 2) // 2) - 2) // 2
     if oh < 1 or ow < 1:
-        raise ValueError(f"input {h}x{w} too small for two conv/pool blocks")
+        raise ValueError(
+            f"input_shape: {h}x{w} is too small for two conv/pool blocks")
+    rng = np.random.default_rng(seed)
     flat = 32 * oh * ow
     layers = [
         Conv2d(c, 16, 3, rng=rng), BatchNorm(16), ReLU(), MaxPool2x2(),
@@ -294,6 +300,9 @@ def mlp(input_shape, k, *, n=8, hidden=(32,), seed=0):
     """Flatten + dense/ReLU stack to an N-dim representation, dense tail."""
     from .layers import Flatten, ReLU
 
+    _check_preset(k, n, seed)
+    for i, width in enumerate(hidden):
+        _check_count(f"hidden[{i}]", width, 1)
     rng = np.random.default_rng(seed)
     d = 1
     for s in input_shape:
@@ -315,6 +324,7 @@ def linear_model(d, k, *, weight=None, bias=None, seed=0):
     Geometry and attack math on this preset have closed forms, so tests
     can check exact values.  Pass ``weight``/``bias`` to pin the tail.
     """
+    _check_preset(k, d, seed, n_name="d")
     tail = Dense(d, k, rng=np.random.default_rng(seed))
     if weight is not None:
         w = as_tensor(weight)
@@ -344,8 +354,30 @@ def _check_finite(clf, epoch, step):
                 )
 
 
+# Step t of adversarial training starts from seed·_START_STRIDE + t: a stream
+# apart from the shuffler's, so epsilon 0 leaves the run equal to train().
+_START_STRIDE = 1_000_003
+
+
+def check_fit(n, *, epochs, batch_size, seed, adversarial=False):
+    """Raise ValueError naming the first out-of-range argument of training
+    on ``n`` examples, as "<argument>: ..."."""
+    _check_count("epochs", epochs, 0)
+    _check_count("batch_size", batch_size, 1)
+    _check_count("seed", seed, 0)
+    steps = epochs * -(-n // batch_size)
+    last = int(seed) * _START_STRIDE + steps - 1
+    if adversarial and steps and last > 2**63 - 1:
+        raise ValueError(
+            f"seed: {seed} overflows adversarial training's start seeds "
+            f"seed·{_START_STRIDE} + step, which must stay at or below "
+            f"2**63 - 1")
+
+
 def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
              attack_config):
+    check_fit(len(data.labels), epochs=epochs, batch_size=batch_size,
+              seed=seed, adversarial=attack_config is not None)
     clf = copy.deepcopy(clf)
     images = as_tensor(data.images)
     labels = np.asarray(data.labels)
@@ -358,12 +390,12 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
             idx = perm[lo : lo + batch_size]
             x, y = images[idx], labels[idx]
             if attack_config is not None:
-                from .attacks import pgd_batch, random_start
+                from .attacks import pgd_batch, random_start_batch
 
-                # Separate seed stream from the shuffler, so a zero-budget
-                # attack leaves the run identical to plain train().
-                atk_seed = seed * 1_000_003 + step
-                start = random_start(x, attack_config.epsilon, atk_seed)
+                # the whole batch as one row, drawn from one stream
+                start = random_start_batch(
+                    x.reshape(1, -1), attack_config.epsilon,
+                    [int(seed) * _START_STRIDE + step]).reshape(x.shape)
                 x = pgd_batch(clf, x, y, attack_config, start).x_adv
             h = x
             ctxs = []
@@ -377,14 +409,9 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                 )
             for i in range(len(clf.layers) - 1, -1, -1):
                 layer = clf.layers[i]
-                if i > 0:
-                    g, grads = layer.backward(ctxs[i], g,
-                                              need_param_grads=True)
-                elif layer.params():
-                    # nothing reads the first layer's input gradient
-                    grads = layer.param_grads(ctxs[i], g)
-                else:
-                    break
+                grads = layer.param_grads(ctxs[i], g)
+                if i > 0:  # nothing reads the first layer's input gradient
+                    g = layer.backward(ctxs[i], g)
                 params = layer.params()
                 for name, grad in grads.items():
                     key = (i, name)
@@ -410,7 +437,8 @@ def train(clf, data, *, epochs, lr=0.05, momentum=0.9, batch_size=128,
     """SGD-with-momentum training; returns a new classifier.
 
     Deterministic per seed: the same preset, data, and seed reproduce an
-    identical checkpoint.
+    identical checkpoint.  Out-of-range arguments are refused by name
+    (:func:`check_fit`), adversarial training's too large seeds included.
     """
     return _sgd_fit(clf, data, epochs=epochs, lr=lr, momentum=momentum,
                     batch_size=batch_size, seed=seed, attack_config=None)

@@ -65,7 +65,7 @@ def check_layer_gradients(seed=0, tol=1e-5):
             yq, _ = layer.forward(xq, train=True)
             return float((yq * proj).sum())
 
-        gx, _ = layer.backward(ctx, proj, need_param_grads=False)
+        gx = layer.backward(ctx, proj)
         err = _rel_err(gx, _fd_grad(scalar, x))
         if err > worst:
             worst, worst_name = err, name

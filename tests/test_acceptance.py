@@ -83,7 +83,7 @@ def test_1_gradient_fidelity(capfd):
                 out, _ = layer.forward(xq, train=True)
                 return float((out * gy).sum())
 
-            gx, _ = layer.backward(ctx, gy)
+            gx = layer.backward(ctx, gy)
             err = _rel(gx, _fd_input_grad(scalar, x.copy()))
             worst = max(worst, err)
             assert err < 1e-4, f"{name}: rel err {err:.2e}"

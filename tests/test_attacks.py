@@ -70,22 +70,24 @@ def test_budget_split_preserves_total():
 def test_random_start_stays_in_ball_and_box(rng):
     x = rng.uniform(0, 1, size=17)
     for seed in range(20):
-        s = attacks.random_start(x, 0.3, seed)
+        s = attacks.random_start_batch(one(x), 0.3, [seed])[0]
         assert np.all(np.abs(s - x) <= 0.3 + 1e-15)
         assert np.all((s >= 0.0) & (s <= 1.0))
 
 
 def test_random_start_is_deterministic(rng):
     x = rng.uniform(0, 1, size=9)
-    np.testing.assert_array_equal(attacks.random_start(x, 0.2, 5),
-                                  attacks.random_start(x, 0.2, 5))
-    assert not np.array_equal(attacks.random_start(x, 0.2, 5),
-                              attacks.random_start(x, 0.2, 6))
+    def start(seed):
+        return attacks.random_start_batch(one(x), 0.2, [seed])
+
+    np.testing.assert_array_equal(start(5), start(5))
+    assert not np.array_equal(start(5), start(6))
 
 
 def test_random_start_zero_radius_is_identity(rng):
     x = rng.uniform(0, 1, size=9)
-    np.testing.assert_array_equal(attacks.random_start(x, 0.0, 3), x)
+    np.testing.assert_array_equal(
+        attacks.random_start_batch(one(x), 0.0, [3])[0], x)
 
 
 def test_random_start_batch_matches_scalar(rng):
@@ -93,9 +95,10 @@ def test_random_start_batch_matches_scalar(rng):
     seeds = np.array([3, 9, 27, 81, 243, 729])
     batch = attacks.random_start_batch(x, 0.15, seeds)
     for r in range(6):
-        np.testing.assert_array_equal(batch[r],
-                                      attacks.random_start(x[r], 0.15,
-                                                           int(seeds[r])))
+        # a B=1 call equals its row of the batch
+        np.testing.assert_array_equal(
+            batch[r:r + 1],
+            attacks.random_start_batch(x[r:r + 1], 0.15, seeds[r:r + 1]))
 
 
 # Seeds at the 32- and 64-bit word edges of SeedSequence's entropy, plus
@@ -380,8 +383,8 @@ def test_pgd_iterates_stay_in_ball_and_box(blobs_mlp, blobs_test,
     for i in range(10):
         x = blobs_test.images[i]
         y = blobs_test.labels[i:i + 1]
-        start = attacks.random_start(x, cfg.epsilon, 100 + i)
-        seg = attacks.pgd_batch(blobs_mlp, one(x), y, cfg, one(start))
+        start = attacks.random_start_batch(one(x), cfg.epsilon, [100 + i])
+        seg = attacks.pgd_batch(blobs_mlp, one(x), y, cfg, start)
         assert np.max(np.abs(seg.x_adv[0] - x)) <= cfg.epsilon + 1e-15
         assert np.all((seg.x_adv >= 0.0) & (seg.x_adv <= 1.0))
 
@@ -455,10 +458,10 @@ def test_fab_iterates_stay_in_ball_and_box(blobs_mlp, blobs_boundaries,
     for i in range(10):
         x = blobs_test.images[i]
         y = blobs_test.labels[i:i + 1]
-        start = attacks.random_start(x, min(cfg.fab_mu, cfg.epsilon),
-                                     50 + i)
+        start = attacks.random_start_batch(
+            one(x), min(cfg.fab_mu, cfg.epsilon), [50 + i])
         seg = attacks.fab_batch(blobs_mlp, blobs_boundaries, one(x), y, cfg,
-                                one(start))
+                                start)
         assert np.max(np.abs(seg.x_adv[0] - x)) <= cfg.epsilon + 1e-15
         assert np.all((seg.x_adv >= 0.0) & (seg.x_adv <= 1.0))
 
@@ -759,8 +762,8 @@ def test_restart_seeds_differ_per_restart(blobs_mlp, blobs_boundaries,
                                      method="pgd", init="random",
                                      base_seeds=np.array([0, 10, 20, 30]))
     for r in range(4):
-        expected = attacks.random_start(blobs_test.images[r], 0.08,
-                                        int([0, 10, 20, 30][r]))
+        expected = attacks.random_start_batch(
+            blobs_test.images[r:r + 1], 0.08, [10 * r])[0]
         if out.restart[r] in (-1, 0):
             np.testing.assert_array_equal(out.x_adv[r], expected)
 

@@ -461,9 +461,76 @@ def test_idx_images_of_another_shape_are_io_error(tmp_path, trained, capsys):
     (dict(TEST_BLOBS, n_per_class=-1), "n_per_class"),
     (dict(TEST_BLOBS, k=1), "k"),
     (dict(TEST_BLOBS, d=0), "d"),
+    (dict(TEST_BLOBS, seed=-2), "seed"),
+    ({"kind": "digits", "n_per_class": 2, "classes": [0, 1, 2], "seed": -2},
+     "seed"),
+    (dict(TEST_BLOBS, sample={"n": 5, "seed": -2}), "sample: seed"),
 ])
 def test_bad_dataset_size_is_config_error(trained, capsys, dataset, key):
     root, ckpt = trained
     cfg, _ = attack_config(root, ckpt, "badsize.json", dataset=dataset)
     assert cli.main(["attack", "--config", str(cfg)]) == 1
     assert f"config error: dataset.{key}: must be >=" in capsys.readouterr().err
+
+
+def _train_config(tmp_path, **extra):
+    cfg = {"seed": 0, "dataset": BLOBS,
+           "model": {"preset": "mlp", "k": 3, "n": 2, "hidden": [8]},
+           "train": {"epochs": 1}, "out": str(tmp_path / "m.ckpt")}
+    cfg.update(extra)
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+ADV = {"epsilon": 0.05, "restarts": 1, "n_init": 0, "n_attack": 1}
+
+
+@pytest.mark.parametrize("flags, extra, message", [
+    (["--seed", "-1"], {}, "seed: must be >= 0, got -1"),
+    ([], {"model": {"preset": "mlp", "seed": -3}},
+     "model.seed: must be >= 0, got -3"),
+    ([], {"model": {"preset": "mlp", "n": 0}}, "model.n: must be >= 1, got 0"),
+    ([], {"model": {"preset": "mlp", "hidden": [0]}},
+     "model.hidden[0]: must be >= 1, got 0"),
+    ([], {"model": {"preset": "mlp", "k": 1}}, "model.k: must be >= 2, got 1"),
+    ([], {"model": {"preset": "mlp", "k": 2}},
+     "model.k: label 2 at index 30 is outside the model's classes 0..1"),
+    ([], {"train": {"batch_size": 0}}, "train.batch_size: must be >= 1, got 0"),
+    ([], {"train": {"epochs": -1}}, "train.epochs: must be >= 0, got -1"),
+    # one step: the largest seed is 2**63 // 1_000_003 = 9223344366821
+    (["--seed", "9223344366822"], {"adversarial": ADV},
+     "seed: 9223344366822 overflows adversarial training's start seeds"),
+], ids=["seed-flag", "model-seed", "model-n", "model-hidden", "model-k",
+        "model-k-labels", "batch_size", "epochs", "adversarial-seed"])
+def test_train_refuses_out_of_range_values_by_key(tmp_path, capsys, flags,
+                                                  extra, message):
+    cfg = _train_config(tmp_path, **extra)
+    assert cli.main(["train", "--config", str(cfg), *flags]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, work", [
+    ("train", ("model", "train")),
+    ("attack", ("harness", "evaluate")),
+    ("sweep", ("harness", "sweep_n_init")),
+    ("export-repr", ("harness", "attack_dataset")),
+], ids=["train", "attack", "sweep", "export-repr"])
+def test_missing_out_is_refused_before_the_work(tmp_path, trained, capsys,
+                                                monkeypatch, command, work):
+    from boundarylab import harness
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} ran its work without an out path")
+
+    monkeypatch.setattr({"model": model, "harness": harness}[work[0]],
+                        work[1], never)
+    if command == "train":
+        cfg = _train_config(tmp_path, out=None)
+    else:
+        root, ckpt = trained
+        cfg, _ = attack_config(root, ckpt, f"no-out-{command}.json", out=None,
+                               sweep={"n_init_values": [0, 1]})
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert "config error: out: required" in capsys.readouterr().err

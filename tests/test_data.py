@@ -199,8 +199,12 @@ def test_digits_shapes_and_range():
     (lambda: data.make_blobs(5, 1, 4, 5.0, 0), "k"),
     (lambda: data.make_blobs(5, 3, 0, 5.0, 0), "d"),
     (lambda: data.make_blobs(5, 3, 4, 0.0, 0), "separation"),
+    (lambda: data.make_digits(2, classes=(0, 1), size=8, seed=-2), "seed"),
+    (lambda: data.make_blobs(5, 3, 4, 5.0, -2), "seed"),
+    (lambda: data.sample(data.make_blobs(5, 3, 4, 5.0, 0), 4, -2), "seed"),
 ], ids=["digits-n_per_class", "digits-size", "digits-classes",
-        "blobs-n_per_class", "blobs-k", "blobs-d", "blobs-separation"])
+        "blobs-n_per_class", "blobs-k", "blobs-d", "blobs-separation",
+        "digits-seed", "blobs-seed", "sample-seed"])
 def test_generators_refuse_bad_arguments_by_name(make, key):
     with pytest.raises(ValueError, match=f"^{key}: "):
         make()

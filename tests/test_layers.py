@@ -50,14 +50,12 @@ def test_input_gradient_matches_finite_differences(name, train, rng):
         yq, _ = layer.forward(xq, train=train)
         return float((yq * proj).sum())
 
-    gx, _ = layer.backward(ctx, proj, need_param_grads=False)
+    gx = layer.backward(ctx, proj)
     assert rel_err(gx, fd_grad(scalar, x)) < 1e-6
 
 
 @pytest.mark.parametrize("name,train", [
-    *[_mode(n, True) for n in ("dense", "conv-padded", "batchnorm-4d")],
-    *[_mode(n, False) for n in ("batchnorm-2d", "batchnorm-4d")],
-])
+    _mode(n, True) for n in ("dense", "conv-padded", "batchnorm-4d")])
 def test_param_gradients_match_finite_differences(name, train, rng):
     layer, shape = next((l, s) for n, l, s in _cases(rng) if n == name)
     if isinstance(layer, layers.BatchNorm):
@@ -65,7 +63,7 @@ def test_param_gradients_match_finite_differences(name, train, rng):
     x = rng.standard_normal(shape)
     y, ctx = layer.forward(x, train=train)
     proj = rng.standard_normal(y.shape)
-    _, grads = layer.backward(ctx, proj, need_param_grads=True)
+    grads = layer.param_grads(ctx, proj)
     for pname, param in layer.params().items():
         def scalar(pq):
             param[...] = pq
@@ -128,8 +126,31 @@ def test_batchnorm_eval_backward_is_the_scale(rng, shape):
     scale = (bn.gamma / np.sqrt(bn.running_var + bn.eps)).reshape(bshape)
     _, ctx = bn.forward(rng.standard_normal(shape), train=False)
     gy = rng.standard_normal(shape)
-    gx, _ = bn.backward(ctx, gy)
+    gx = bn.backward(ctx, gy)
     np.testing.assert_array_equal(gx, gy * scale)
+
+
+@pytest.mark.parametrize("name", [n for n, _, _ in _cases(
+    np.random.default_rng(0))])
+def test_param_grads_have_the_keys_and_shapes_of_params(name, rng):
+    layer, shape = next((l, s) for n, l, s in _cases(rng) if n == name)
+    y, ctx = layer.forward(rng.standard_normal(shape), train=True)
+    grads = layer.param_grads(ctx, rng.standard_normal(y.shape))
+    assert {k: g.shape for k, g in grads.items()} == {
+        k: p.shape for k, p in layer.params().items()}
+    if not layer.params():
+        assert grads == {}
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 3, 2, 2)])
+def test_batchnorm_param_grads_refuse_an_eval_context(rng, shape):
+    bn = layers.BatchNorm(3)
+    _set_running_stats(bn, rng)
+    y, ctx = bn.forward(rng.standard_normal(shape), train=False)
+    assert not any(isinstance(a, np.ndarray) and a.shape == shape
+                   for a in ctx)  # the eval context holds no input
+    with pytest.raises(ValueError, match="train-mode context.*eval-mode"):
+        bn.param_grads(ctx, np.ones_like(y))
 
 
 def test_batchnorm_buffers_update_only_in_train(rng):
@@ -155,7 +176,7 @@ def test_maxpool_tie_routes_gradient_to_first_in_scan_order():
     x = np.zeros((1, 1, 2, 2))  # all four tie
     pool = layers.MaxPool2x2()
     y, ctx = pool.forward(x)
-    gx, _ = pool.backward(ctx, np.ones_like(y))
+    gx = pool.backward(ctx, np.ones_like(y))
     expected = np.zeros_like(x)
     expected[0, 0, 0, 0] = 1.0
     np.testing.assert_array_equal(gx, expected)
@@ -166,7 +187,7 @@ def test_relu_masks_gradient():
     x = np.array([[-1.0, 0.5, -0.2, 2.0]])
     y, ctx = relu.forward(x)
     np.testing.assert_array_equal(y, [[0.0, 0.5, 0.0, 2.0]])
-    gx, _ = relu.backward(ctx, np.ones_like(y))
+    gx = relu.backward(ctx, np.ones_like(y))
     np.testing.assert_array_equal(gx, [[0.0, 1.0, 0.0, 1.0]])
 
 
@@ -187,10 +208,10 @@ def test_relu_matches_where_bit_for_bit(rng, shape):
     relu = layers.ReLU()
     y, ctx = relu.forward(x)
     assert y.tobytes() == np.where(x > 0, x, 0.0).tobytes()
-    gx, _ = relu.backward(ctx, gy)
+    gx = relu.backward(ctx, gy)
     assert gx.tobytes() == np.where(x > 0, gy, 0.0).tobytes()
     gy_t = _with_specials(rng, shape[::-1]).T  # a strided upstream
-    gx, _ = relu.backward(ctx, gy_t)
+    gx = relu.backward(ctx, gy_t)
     assert gx.tobytes() == np.where(x > 0, gy_t, 0.0).tobytes()
     # fmax's vector and scalar loops differ on -0.0 vs 0.0: fill every lane
     y, _ = relu.forward(np.full(shape, -0.0))
@@ -234,7 +255,8 @@ def test_batchnorm_train_matches_oracle_bit_for_bit(rng, shape):
     y_ref, xhat_ref, running_ref, gx_ref, grads_ref = \
         _batchnorm_train_oracle(bn, x, gy)
     y, ctx = bn.forward(x, train=True)
-    gx, grads = bn.backward(ctx, gy, need_param_grads=True)
+    grads = bn.param_grads(ctx, gy)
+    gx = bn.backward(ctx, gy)
     assert y.tobytes() == y_ref.tobytes()
     assert ctx[0].tobytes() == xhat_ref.tobytes()
     assert bn.running_mean.tobytes() == running_ref[0].tobytes()
@@ -250,7 +272,7 @@ def test_flatten_round_trips_shape(rng):
     flat = layers.Flatten()
     y, ctx = flat.forward(x)
     assert y.shape == (3, 40)
-    gx, _ = flat.backward(ctx, y)
+    gx = flat.backward(ctx, y)
     np.testing.assert_array_equal(gx, x)
 
 

@@ -319,8 +319,8 @@ def _full_backprop_train(clf, ds, *, epochs, lr, momentum, batch_size, seed):
                 ctxs.append(ctx)
             _, g = layers.cross_entropy_with_logits(h, ds.labels[idx])
             for i in range(len(clf.layers) - 1, -1, -1):
-                g, grads = clf.layers[i].backward(ctxs[i], g,
-                                                  need_param_grads=True)
+                grads = clf.layers[i].param_grads(ctxs[i], g)
+                g = clf.layers[i].backward(ctxs[i], g)
                 params = clf.layers[i].params()
                 for name, grad in grads.items():
                     vel = momentum * velocity.get((i, name), 0.0) - lr * grad
@@ -414,6 +414,79 @@ def test_adv_train_is_deterministic(tmp_path, blobs_train):
         fitted.save(path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_adv_train_start_is_one_uniform_draw_per_batch(monkeypatch,
+                                                       blobs_train):
+    cfg = attacks.AttackConfig(epsilon=0.1, alpha=0.02, restarts=1,
+                               n_init=0, n_attack=2, seed=0)
+    seen = []
+    pgd = attacks.pgd_batch
+
+    def recorded(c, x, y, config, start):
+        seen.append((x.copy(), start.copy()))
+        return pgd(c, x, y, config, start)
+
+    monkeypatch.setattr(attacks, "pgd_batch", recorded)
+    clf = model.mlp((8,), k=4, n=2, hidden=(16,), seed=0)
+    model.adv_train(clf, blobs_train, cfg, epochs=2, batch_size=37, seed=5)
+    assert len(seen) == 2 * 9  # 320 examples in batches of 37
+    for step, (x, start) in enumerate(seen):
+        delta = np.random.default_rng(5 * 1_000_003 + step).uniform(
+            -0.1, 0.1, x.shape)
+        assert start.tobytes() == np.clip(x + delta, 0, 1).tobytes(), step
+
+
+def test_adv_train_refuses_a_seed_past_the_start_seed_bound(blobs_train):
+    cfg = attacks.AttackConfig(epsilon=0.05, alpha=0.02, restarts=1,
+                               n_init=0, n_attack=1, seed=0)
+    clf = model.mlp((8,), k=4, n=2, hidden=(16,), seed=0)
+    steps = 3  # 320 examples in batches of 128, one epoch
+    top = (2**63 - steps) // 1_000_003  # the largest seed that fits
+    model.adv_train(clf, blobs_train, cfg, epochs=1, seed=top)
+    with pytest.raises(ValueError,
+                       match=rf"^seed: {top + 1} .*2\*\*63 - 1"):
+        model.adv_train(clf, blobs_train, cfg, epochs=1, seed=top + 1)
+    model.train(clf, blobs_train, epochs=1, seed=top + 1)  # no start seeds
+    # the last step's start seed at exactly 2**63 - 1, then one step past it
+    seed, steps = divmod(2**63, 1_000_003)
+    model.check_fit(steps, epochs=1, batch_size=1, seed=seed,
+                    adversarial=True)
+    with pytest.raises(ValueError, match=rf"^seed: {seed} "):
+        model.check_fit(steps + 1, epochs=1, batch_size=1, seed=seed,
+                        adversarial=True)
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: model.small_cnn(k=1, input_shape=(1, 16, 16)), "k"),
+    (lambda: model.small_cnn(n=0, input_shape=(1, 16, 16)), "n"),
+    (lambda: model.small_cnn(input_shape=(1, 16, 16), seed=-3), "seed"),
+    (lambda: model.small_cnn(input_shape=(1, 8, 8)), "input_shape"),
+    (lambda: model.mlp((8,), 4, hidden=(16, 0)), r"hidden\[1\]"),
+    (lambda: model.mlp((8,), 4, n=0), "n"),
+    (lambda: model.linear_model(8, 1), "k"),
+], ids=["small_cnn-k", "small_cnn-n", "small_cnn-seed", "small_cnn-input",
+        "mlp-hidden", "mlp-n", "linear-k"])
+def test_presets_refuse_bad_arguments_by_name(make, key):
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        make()
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"epochs": -1}, "epochs"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"seed": -1}, "seed"),
+], ids=["epochs", "batch_size", "seed"])
+@pytest.mark.parametrize("adversarial", [False, True], ids=["plain", "adv"])
+def test_training_refuses_bad_arguments_by_name(blobs_train, kwargs, key,
+                                                adversarial):
+    clf = model.mlp((8,), k=4, n=2, hidden=(16,), seed=0)
+    args = dict({"epochs": 1, "seed": 0}, **kwargs)
+    with pytest.raises(ValueError, match=f"^{key}: must be >= "):
+        if adversarial:
+            model.adv_train(clf, blobs_train, attacks.AttackConfig(), **args)
+        else:
+            model.train(clf, blobs_train, **args)
 
 
 def test_adv_training_improves_robustness():
