@@ -177,6 +177,7 @@ def filter_classes(dataset, keep):
 
 def sample(dataset, n, seed):
     """Uniform subsample without replacement, deterministic per seed."""
+    _check_count("n", n, 0)
     _check_count("seed", seed, 0)
     size = len(dataset)
     if n > size:
@@ -290,21 +291,107 @@ def _segments(polys):
     return a, b
 
 
-def _render(polys, size, width):
-    """Distance-field rasterization of polylines on a size x size grid."""
-    a, b = _segments(polys)
+# Example x segment x pixel elements per distance-field pass (one example
+# at least): each of the pass's three buffers then holds about 512 KB and
+# stays in cache.
+_RENDER_CHUNK = 1 << 16
+
+
+def _render(a, b, size, widths):
+    """Distance-field rasterization of E polylines on a size x size grid.
+
+    ``a`` and ``b`` are the (E, S, 2) segment start and end points (x, y)
+    of E examples with S segments each; ``widths`` is (E,).  Returns the
+    (E, size, size) images.  Each example's image is, bit for bit, the one
+    a per-example pass over a (pixels, segments, 2) array gives: the x and
+    y parts are separate (examples, segments, pixels) arrays, a sum over
+    the (x, y) axis is the x part plus the y part, and the minimum over
+    segments is taken before the square root, which is monotone and
+    correctly rounded.  Examples go through in chunks of about
+    ``_RENDER_CHUNK`` elements.
+    """
     coords = (np.arange(size) + 0.5) / size
-    px, py = np.meshgrid(coords, coords, indexing="xy")
-    p = np.stack([px.ravel(), py.ravel()], axis=1)  # (P, 2), (x, y)
+    px = np.tile(coords, size)  # row-major pixel order: x varies fastest
+    py = np.repeat(coords, size)
     ab = b - a
-    denom = (ab * ab).sum(axis=1)
+    ax, ay = a[..., 0, None], a[..., 1, None]  # (E, S, 1)
+    abx, aby = ab[..., 0, None], ab[..., 1, None]
+    denom = abx * abx + aby * aby
     denom[denom == 0.0] = 1e-12
-    ap = p[:, None, :] - a[None, :, :]  # (P, S, 2)
-    tpar = np.clip((ap * ab[None]).sum(axis=2) / denom, 0.0, 1.0)
-    closest = a[None] + tpar[:, :, None] * ab[None]
-    dist = np.sqrt(((p[:, None, :] - closest) ** 2).sum(axis=2)).min(axis=1)
-    img = np.exp(-((dist / width) ** 2))
-    return img.reshape(size, size)
+    n_ex, n_seg = a.shape[:2]
+    img = np.empty((n_ex, size * size))
+    step = max(1, _RENDER_CHUNK // (n_seg * size * size))
+    shape = (min(step, n_ex), n_seg, size * size)
+    tbuf, xbuf, ybuf = np.empty(shape), np.empty(shape), np.empty(shape)
+    for lo in range(0, n_ex, step):
+        e = slice(lo, lo + step)
+        m = min(step, n_ex - lo)
+        t, x, y = tbuf[:m], xbuf[:m], ybuf[:m]
+        # t = clip((p - a)·ab / |ab|², 0, 1)
+        np.subtract(px, ax[e], out=x)
+        x *= abx[e]
+        np.subtract(py, ay[e], out=y)
+        y *= aby[e]
+        np.add(x, y, out=t)
+        t /= denom[e]
+        np.clip(t, 0.0, 1.0, out=t)
+        # |p - (a + t·ab)|², minimized over segments
+        np.multiply(t, abx[e], out=x)
+        x += ax[e]
+        np.subtract(px, x, out=x)
+        x *= x
+        np.multiply(t, aby[e], out=y)
+        y += ay[e]
+        np.subtract(py, y, out=y)
+        y *= y
+        x += y
+        x.min(axis=1, out=img[e])
+    # exp(-(dist / width)²) with dist = sqrt(min |p - closest|²), in place
+    np.sqrt(img, out=img)
+    img /= widths[:, None]
+    img *= img
+    np.negative(img, out=img)
+    np.exp(img, out=img)
+    return img.reshape(n_ex, size, size)
+
+
+def _digit_images(rng, base, out):
+    """Fill ``out`` (E, size, size) with E jittered renderings of the
+    stroke template ``base``.
+
+    Rendering draws nothing, so every example's jitter, width, blur and
+    noise are drawn first, in per-example order; then all E examples are
+    rendered at 2x resolution in one :func:`_render` call and mean-pooled
+    down.  Only the blur, whose sigma differs per example, runs one
+    example at a time.
+    """
+    n, size = len(out), out.shape[-1]
+    n_seg = sum(len(ply) - 1 for ply in base)
+    a = np.empty((n, n_seg, 2))
+    b = np.empty((n, n_seg, 2))
+    widths = np.empty(n)
+    sigmas = np.empty(n)
+    noise = np.empty((n, size, size))
+    for e in range(n):
+        theta = rng.uniform(-0.21, 0.21)
+        scale = rng.uniform(0.85, 1.1)
+        shift = rng.uniform(-0.05, 0.05, 2)
+        rot = np.array([[np.cos(theta), -np.sin(theta)],
+                        [np.sin(theta), np.cos(theta)]])
+        polys = []
+        for ply in base:
+            jit = ply + rng.normal(0.0, 0.015, ply.shape)
+            polys.append((jit - 0.5) @ (scale * rot).T + 0.5 + shift)
+        a[e], b[e] = _segments(polys)
+        widths[e] = rng.uniform(0.022, 0.03)
+        sigmas[e] = rng.uniform(0.4, 0.9)
+        noise[e] = rng.normal(0.0, 0.02, (size, size))
+    fine = _render(a, b, 2 * size, widths)
+    pooled = fine.reshape(n, size, 2, size, 2).mean(axis=(2, 4))
+    for e in range(n):
+        out[e] = gaussian_filter(pooled[e], sigma=sigmas[e])
+    out += noise
+    np.clip(out, 0.0, 1.0, out=out)
 
 
 def make_digits(n_per_class, *, classes=tuple(range(10)), size=28, seed=0):
@@ -312,7 +399,9 @@ def make_digits(n_per_class, *, classes=tuple(range(10)), size=28, seed=0):
 
     Each example perturbs the control points, rotates up to ~12 degrees,
     rescales, translates, renders a distance field at 2x resolution,
-    mean-pools down, blurs, and adds pixel noise.  Deterministic per seed.
+    mean-pools down, blurs, and adds pixel noise.  Deterministic per seed:
+    the draws come in per-example order, class by class, and each class
+    is rendered as one batch (:func:`_digit_images`).
     """
     _check_count("n_per_class", n_per_class, 0)
     _check_count("size", size, 1)
@@ -322,30 +411,11 @@ def make_digits(n_per_class, *, classes=tuple(range(10)), size=28, seed=0):
         if cl not in _STROKES:
             raise ValueError(f"classes: no stroke template for digit {cl}")
     rng = np.random.default_rng(seed)
-    hi = 2 * size
     images = np.empty((n_per_class * len(classes), 1, size, size))
-    labels = np.empty(n_per_class * len(classes), dtype=np.int64)
-    row = 0
+    labels = np.repeat(np.arange(len(classes), dtype=np.int64), n_per_class)
     for ci, cl in enumerate(classes):
-        base = _STROKES[cl]
-        for _ in range(n_per_class):
-            theta = rng.uniform(-0.21, 0.21)
-            scale = rng.uniform(0.85, 1.1)
-            shift = rng.uniform(-0.05, 0.05, 2)
-            rot = np.array([[np.cos(theta), -np.sin(theta)],
-                            [np.sin(theta), np.cos(theta)]])
-            polys = []
-            for ply in base:
-                jit = ply + rng.normal(0.0, 0.015, ply.shape)
-                polys.append((jit - 0.5) @ (scale * rot).T + 0.5 + shift)
-            width = rng.uniform(0.022, 0.03)
-            img = _render(polys, hi, width)
-            img = img.reshape(size, 2, size, 2).mean(axis=(1, 3))
-            img = gaussian_filter(img, sigma=rng.uniform(0.4, 0.9))
-            img = img + rng.normal(0.0, 0.02, img.shape)
-            images[row, 0] = np.clip(img, 0.0, 1.0)
-            labels[row] = ci
-            row += 1
+        rows = images[ci * n_per_class:(ci + 1) * n_per_class, 0]
+        _digit_images(rng, _STROKES[cl], rows)
     order = rng.permutation(len(labels))
     return Dataset(
         images=images[order],

@@ -41,12 +41,16 @@ def _entry(node, key, where):
     return node[key]
 
 
+# Rows per block of ``Classifier.predict``, the harness's default chunk.
+_PREDICT_ROWS = 256
+
+
 def _box_warn(x):
     lo, hi = x.min(), x.max()
     if lo < 0.0 or hi > 1.0:
         warnings.warn(
             f"input outside [0,1] (min {lo:.4g}, max {hi:.4g})",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -89,17 +93,25 @@ class Classifier:
             d *= s
         return d
 
-    def head_forward(self, x, train=False):
-        """Run the head on a batch; returns the representations (B, N)."""
+    def _checked(self, x):
+        """``x`` as a float64 batch of ``input_shape`` examples; warns if
+        it leaves the [0,1] box."""
         h = as_tensor(x)
         if h.shape[1:] != self.input_shape:
             dims = ", ".join(str(s) for s in self.input_shape)
             raise ShapeMismatchError(
                 f"expected a batch of shape (B, {dims}), got {h.shape}")
         _box_warn(h)
+        return h
+
+    def _head(self, h, train=False):
         for layer in self.layers[:-1]:
             h, _ = layer.forward(h, train=train)  # each ctx freed as we go
         return h
+
+    def head_forward(self, x, train=False):
+        """Run the head on a batch; returns the representations (B, N)."""
+        return self._head(self._checked(x), train)
 
     def head_forward_with_ctx(self, xb, train=False):
         """Head forward keeping per-layer contexts for a later backward."""
@@ -127,8 +139,17 @@ class Classifier:
         return self.tail_forward(self.head_forward(x))
 
     def predict(self, x):
-        """Predicted class per example (argmax of logits)."""
-        return np.argmax(self.forward(x), axis=1)
+        """Predicted class per example (argmax of logits).
+
+        Runs ``_PREDICT_ROWS`` (256) rows at a time, so it holds one
+        block's activations, not the whole input's.
+        """
+        x = self._checked(x)
+        labels = np.empty(len(x), dtype=np.intp)
+        for lo in range(0, len(x), _PREDICT_ROWS):
+            z = self.tail_forward(self._head(x[lo:lo + _PREDICT_ROWS]))
+            labels[lo:lo + _PREDICT_ROWS] = np.argmax(z, axis=1)
+        return labels
 
     # -- persistence ----------------------------------------------------
 

@@ -465,6 +465,7 @@ def test_idx_images_of_another_shape_are_io_error(tmp_path, trained, capsys):
     ({"kind": "digits", "n_per_class": 2, "classes": [0, 1, 2], "seed": -2},
      "seed"),
     (dict(TEST_BLOBS, sample={"n": 5, "seed": -2}), "sample: seed"),
+    (dict(TEST_BLOBS, sample={"n": -1, "seed": 0}), "sample: n"),
 ])
 def test_bad_dataset_size_is_config_error(trained, capsys, dataset, key):
     root, ckpt = trained

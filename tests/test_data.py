@@ -202,9 +202,10 @@ def test_digits_shapes_and_range():
     (lambda: data.make_digits(2, classes=(0, 1), size=8, seed=-2), "seed"),
     (lambda: data.make_blobs(5, 3, 4, 5.0, -2), "seed"),
     (lambda: data.sample(data.make_blobs(5, 3, 4, 5.0, 0), 4, -2), "seed"),
+    (lambda: data.sample(data.make_blobs(5, 3, 4, 5.0, 0), -1, 0), "n"),
 ], ids=["digits-n_per_class", "digits-size", "digits-classes",
         "blobs-n_per_class", "blobs-k", "blobs-d", "blobs-separation",
-        "digits-seed", "blobs-seed", "sample-seed"])
+        "digits-seed", "blobs-seed", "sample-seed", "sample-n"])
 def test_generators_refuse_bad_arguments_by_name(make, key):
     with pytest.raises(ValueError, match=f"^{key}: "):
         make()
@@ -230,3 +231,84 @@ def test_digits_are_distinguishable_by_a_small_model():
                       flat_train, epochs=15, seed=0)
     acc = (clf.predict(flat_test.images) == flat_test.labels).mean()
     assert acc >= 0.9
+
+
+# -- the batched renderer against the per-example one ---------------------
+
+
+def _render_one(polys, size, width):
+    """The per-example distance field ``data._render`` replaced."""
+    a, b = data._segments(polys)
+    coords = (np.arange(size) + 0.5) / size
+    px, py = np.meshgrid(coords, coords, indexing="xy")
+    p = np.stack([px.ravel(), py.ravel()], axis=1)  # (P, 2), (x, y)
+    ab = b - a
+    denom = (ab * ab).sum(axis=1)
+    denom[denom == 0.0] = 1e-12
+    ap = p[:, None, :] - a[None, :, :]  # (P, S, 2)
+    tpar = np.clip((ap * ab[None]).sum(axis=2) / denom, 0.0, 1.0)
+    closest = a[None] + tpar[:, :, None] * ab[None]
+    dist = np.sqrt(((p[:, None, :] - closest) ** 2).sum(axis=2)).min(axis=1)
+    img = np.exp(-((dist / width) ** 2))
+    return img.reshape(size, size)
+
+
+def _digits_one_at_a_time(n_per_class, classes, size, seed):
+    """The per-example corpus loop ``data.make_digits`` replaced."""
+    from scipy.ndimage import gaussian_filter
+    rng = np.random.default_rng(seed)
+    hi = 2 * size
+    images = np.empty((n_per_class * len(classes), 1, size, size))
+    labels = np.empty(n_per_class * len(classes), dtype=np.int64)
+    row = 0
+    for ci, cl in enumerate(classes):
+        base = data._STROKES[cl]
+        for _ in range(n_per_class):
+            theta = rng.uniform(-0.21, 0.21)
+            scale = rng.uniform(0.85, 1.1)
+            shift = rng.uniform(-0.05, 0.05, 2)
+            rot = np.array([[np.cos(theta), -np.sin(theta)],
+                            [np.sin(theta), np.cos(theta)]])
+            polys = []
+            for ply in base:
+                jit = ply + rng.normal(0.0, 0.015, ply.shape)
+                polys.append((jit - 0.5) @ (scale * rot).T + 0.5 + shift)
+            width = rng.uniform(0.022, 0.03)
+            img = _render_one(polys, hi, width)
+            img = img.reshape(size, 2, size, 2).mean(axis=(1, 3))
+            img = gaussian_filter(img, sigma=rng.uniform(0.4, 0.9))
+            img = img + rng.normal(0.0, 0.02, img.shape)
+            images[row, 0] = np.clip(img, 0.0, 1.0)
+            labels[row] = ci
+            row += 1
+    order = rng.permutation(len(labels))
+    return images[order], labels[order]
+
+
+def _uneven_count(size):
+    """An n_per_class whose last render chunk is short for some class."""
+    pixels = (2 * size) ** 2
+    chunks = [data._RENDER_CHUNK // (sum(len(p) - 1 for p in polys) * pixels)
+              for polys in data._STROKES.values()]
+    return 1 + min(c for c in chunks if c > 1)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+@pytest.mark.parametrize("size", [5, 14, 16, 28])
+def test_digits_match_the_per_example_renderer(size, seed):
+    classes = tuple(range(10))
+    for n in (0, 1, _uneven_count(size)):
+        ds = data.make_digits(n, classes=classes, size=size, seed=seed)
+        images, labels = _digits_one_at_a_time(n, classes, size, seed)
+        assert ds.images.tobytes() == images.tobytes(), (n, size, seed)
+        assert ds.labels.tobytes() == labels.tobytes(), (n, size, seed)
+
+
+def test_render_of_one_example_matches_the_per_example_renderer(rng):
+    # a zero-length segment exercises the guarded denominator
+    polys = [rng.uniform(0, 1, (6, 2)), np.array([[0.3, 0.4], [0.3, 0.4]])]
+    a, b = data._segments(polys)
+    for size, width in ((7, 0.05), (32, 0.025)):
+        one = data._render(a[None], b[None], size, np.array([width]))
+        assert one.shape == (1, size, size)
+        assert one[0].tobytes() == _render_one(polys, size, width).tobytes()

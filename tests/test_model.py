@@ -37,9 +37,10 @@ def test_cnn_preset_maps_image_to_plane():
 
 
 def test_predict_is_argmax(blobs_mlp, rng):
-    x = rng.uniform(0, 1, size=(10, 8))
-    np.testing.assert_array_equal(blobs_mlp.predict(x),
-                                  np.argmax(blobs_mlp.forward(x), axis=1))
+    for rows in (10, 600):  # 600 rows run in three blocks, the last short
+        x = rng.uniform(0, 1, size=(rows, 8))
+        np.testing.assert_array_equal(blobs_mlp.predict(x),
+                                      np.argmax(blobs_mlp.forward(x), axis=1))
     assert blobs_mlp.predict(x[:1]).shape == (1,)
 
 
@@ -76,6 +77,11 @@ def test_out_of_box_input_warns(blobs_mlp):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         blobs_mlp.head_forward(np.full((1, 8), 0.5))
+    # predict warns once for the whole input, at the caller's line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        blobs_mlp.predict(np.linspace(0, 1.5, 600 * 8).reshape(600, 8))
+    assert [w.filename for w in caught] == [__file__]
 
 
 def _ce_gradient(clf, x, y):
