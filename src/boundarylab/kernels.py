@@ -1,48 +1,66 @@
-"""Conv and pool kernels in numpy.
+"""Conv and pool kernels in numpy, on channel-major activations.
 
-Convolutions go through im2col + BLAS matmul; 2x2 pooling through pair
-comparisons.  The public functions take any float array, handle padding
-and return C-contiguous float64.  ``bench/run.py --trace 1`` times each
-kernel at the shapes the presets run.
+Layout contract: every 4-D array these kernels return is a batch-first
+``(B, C, H, W)`` view of a C-contiguous ``(C, B, H, W)`` buffer, so
+``a.transpose(1, 0, 2, 3)`` is C-contiguous.  Inputs may have any layout
+and float dtype; a channel-major float64 input is read without a copy.
+At C=1 the two layouts are the same bytes, so the head's input and its
+input gradient are C-contiguous batch-first as well.  ``layers.Flatten``
+and ``model.Classifier.head_backward`` convert at the edges of the
+channel-major region.
+
+A convolution is one BLAS product ``W(O, C·kh·kw) @ P(C·kh·kw, B·OH·OW)``;
+the patch matrix ``P`` is kh·kw shifted-slice copies of the channel-major
+input, and the product reshaped to ``(O, B, OH, OW)`` is the output
+buffer.  The input gradient spreads the upstream through the kernel
+with ``Wᵀ @ gy`` and adds each tap's block into a ``(C, B, H, W)``
+buffer; the weight gradient is ``gy @ Pᵀ`` on the same ``P``.  2x2
+pooling is pair comparisons along the buffer's rows.  ``bench/run.py
+--trace 1`` times each kernel at the shapes the presets run.
 """
 
 import numpy as np
 
 
-def _c64(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
+def _cm(a):
+    # the (C, B, H, W) view of a batch-first array
+    return a.transpose(1, 0, 2, 3)
 
 
-def _pad(x, padding):
-    x = _c64(x)
+def _cm64(a):
+    # a's values as a C-contiguous float64 (C, B, H, W) buffer; no copy
+    # when a already is a channel-major float64 array
+    return np.ascontiguousarray(_cm(a), dtype=np.float64)
+
+
+def channel_major(a):
+    """``a`` (B, C, H, W) in the kernels' layout: a batch-first view of a
+    C-contiguous float64 (C, B, H, W) buffer, copied only if needed."""
+    return _cm(_cm64(a))
+
+
+def _patches(x, kh, kw, padding):
+    # (C·kh·kw, B·OH·OW) patch matrix: row (c, i, j) holds tap (i, j) of
+    # channel c at every output position, one shifted-slice copy per tap
+    xc = _cm(x)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    return x
-
-
-def _im2col(x, kh, kw):
-    # (B, C, H, W) -> (B*OH*OW, C*kh*kw) patch matrix
-    b, c, h, w = x.shape
+        xc = np.pad(xc, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    c, b, h, w = xc.shape
     oh, ow = h - kh + 1, w - kw + 1
-    sb, sc, sh, sw = x.strides
-    cols = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(b, oh, ow, c, kh, kw),
-        strides=(sb, sh, sw, sc, sh, sw),
-        writeable=False,
-    )
-    return cols.reshape(b * oh * ow, c * kh * kw), oh, ow
+    p = np.empty((c, kh, kw, b, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            p[:, i, j] = xc[:, :, i : i + oh, j : j + ow]
+    return p.reshape(c * kh * kw, b * oh * ow), oh, ow
 
 
 def conv2d_forward(x, w, bias, padding=0):
     """Valid cross-correlation of (B,C,H,W) with (O,C,kh,kw) plus bias."""
-    x = _pad(x, padding)
-    b = x.shape[0]
     co, ci, kh, kw = w.shape
-    cols, oh, ow = _im2col(x, kh, kw)
-    y = cols @ _c64(w).reshape(co, ci * kh * kw).T
-    y += _c64(bias)  # in place: a second output-sized array page-faults fresh
-    return np.ascontiguousarray(y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2))
+    p, oh, ow = _patches(x, kh, kw, padding)
+    y = np.asarray(w, dtype=np.float64).reshape(co, ci * kh * kw) @ p
+    y += np.asarray(bias, dtype=np.float64)[:, None]  # in place: no second buffer
+    return _cm(y.reshape(co, x.shape[0], oh, ow))
 
 
 def conv2d_input_grad(gy, w, x_shape, padding=0):
@@ -50,29 +68,25 @@ def conv2d_input_grad(gy, w, x_shape, padding=0):
     b, co, oh, ow = gy.shape
     _, ci, kh, kw = w.shape
     h, wdt = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
-    # channel-major: (C*kh*kw, B*OH*OW) spread of the upstream through the
-    # kernel, so each tap below adds one contiguous (C, B, OH, OW) block
-    gyc = _c64(gy).transpose(1, 0, 2, 3).reshape(co, -1)
-    gcols = (_c64(w).reshape(co, ci * kh * kw).T @ gyc).reshape(ci, kh, kw, b, oh, ow)
-    gx = np.zeros((ci, b, h, wdt), dtype=np.float64)
+    # (C*kh*kw, B*OH*OW) spread of the upstream through the kernel, so
+    # each tap below adds one (C, B, OH, OW) block
+    wm = np.asarray(w, dtype=np.float64).reshape(co, ci * kh * kw)
+    gcols = (wm.T @ _cm64(gy).reshape(co, -1)).reshape(ci, kh, kw, b, oh, ow)
+    gx = np.zeros((ci, b, h, wdt))
     for i in range(kh):
         for j in range(kw):
             gx[:, :, i : i + oh, j : j + ow] += gcols[:, i, j]
-    gx = gx.transpose(1, 0, 2, 3)
     if padding:
-        gx = gx[:, :, padding:-padding, padding:-padding]
-    return np.ascontiguousarray(gx)
+        gx = np.ascontiguousarray(gx[:, :, padding:-padding, padding:-padding])
+    return _cm(gx)
 
 
 def conv2d_param_grad(x, gy, w_shape, padding=0):
     """Gradients w.r.t. conv weight (O,C,kh,kw) and bias (O,)."""
-    x = _pad(x, padding)
     co, ci, kh, kw = w_shape
-    cols, _, _ = _im2col(x, kh, kw)
-    gyf = _c64(gy).transpose(0, 2, 3, 1).reshape(-1, co)
-    gw = (gyf.T @ cols).reshape(co, ci, kh, kw)
-    gb = gyf.sum(axis=0)
-    return gw, gb
+    p, _, _ = _patches(x, kh, kw, padding)
+    gyc = _cm64(gy).reshape(co, -1)
+    return (gyc @ p.T).reshape(co, ci, kh, kw), gyc.sum(axis=1)
 
 
 def _pick_second(a, b):
@@ -90,19 +104,19 @@ def maxpool2_forward(x):
     """
     b, c, h, w = x.shape
     oh, ow = h // 2, w // 2
-    pairs = _c64(x[:, :, : 2 * oh, : 2 * ow]).reshape(-1, 2)
+    pairs = _cm64(x[:, :, : 2 * oh, : 2 * ow]).reshape(-1, 2)
     # Winners are taken with np.maximum(second, first), not a select on the
     # pick mask, which mispredicts a branch per element.  It returns
     # ``first`` on a tie (+-0.0 included) and a NaN over any number, the
     # argmax rule; only the payload kept when both are NaN may differ.
     right = _pick_second(pairs[:, 0], pairs[:, 1])
     # horizontal winners, then the vertical pair of (top, bottom) winners
-    hmax = np.maximum(pairs[:, 1], pairs[:, 0]).reshape(b * c * oh, 2, ow)
-    right = right.reshape(b * c * oh, 2, ow)
+    hmax = np.maximum(pairs[:, 1], pairs[:, 0]).reshape(c * b * oh, 2, ow)
+    right = right.reshape(c * b * oh, 2, ow)
     down = _pick_second(hmax[:, 0], hmax[:, 1])
-    y = np.maximum(hmax[:, 1], hmax[:, 0]).reshape(b, c, oh, ow)
+    y = np.maximum(hmax[:, 1], hmax[:, 0]).reshape(c, b, oh, ow)
     idx = down.view(np.uint8) << 1 | (down & right[:, 1]) | (~down & right[:, 0])
-    return y, idx.reshape(b, c, oh, ow)
+    return _cm(y), _cm(idx.reshape(c, b, oh, ow))
 
 
 def maxpool2_backward(gy, idx, x_shape):
@@ -110,11 +124,12 @@ def maxpool2_backward(gy, idx, x_shape):
     shape x_shape; the odd trailing rows/columns get zero."""
     b, c, oh, ow = gy.shape
     h, w = x_shape[2], x_shape[3]
-    # flat offset of each window's top-left corner, plus the code's row/col
-    corner = (np.arange(b * c)[:, None, None] * (h * w)
-              + np.arange(oh)[:, None] * (2 * w)
-              + 2 * np.arange(ow)).reshape(gy.shape)
-    code = idx.astype(np.intp)
-    gx = np.zeros((b, c, h, w), dtype=np.float64)
-    gx.ravel()[corner + (code >> 1) * w + (code & 1)] = gy
-    return gx
+    # flat offset of each window's argmax: the code's offset in its window,
+    # plus the window's top-left corner, added in place
+    flat = np.take(np.array([0, 1, w, w + 1], dtype=np.intp), _cm(idx))
+    flat = flat.reshape(c * b, oh, ow)
+    flat += np.arange(0, c * b * h * w, h * w)[:, None, None]
+    flat += np.arange(0, oh * 2 * w, 2 * w)[:, None] + np.arange(0, 2 * ow, 2)
+    gx = np.zeros((c, b, h, w))
+    gx.ravel()[flat] = _cm(gy).reshape(c * b, oh, ow)
+    return _cm(gx)

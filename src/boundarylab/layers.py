@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import (
+    channel_major,
     conv2d_forward,
     conv2d_input_grad,
     conv2d_param_grad,
@@ -289,6 +290,10 @@ class BatchNorm(Layer):
 
 
 class Flatten(Layer):
+    """(B, ...) to (B, features) rows, and the end of the kernels'
+    channel-major layout: a 4-D input's channel-major buffer is gathered
+    into C-order rows, and the gradient goes back channel-major."""
+
     kind = "flatten"
 
     def forward(self, x, train=False):
@@ -296,7 +301,8 @@ class Flatten(Layer):
 
     def backward(self, ctx, gy):
         (x_shape,) = ctx
-        return gy.reshape(x_shape)
+        gx = gy.reshape(x_shape)
+        return channel_major(gx) if gx.ndim == 4 else gx
 
 
 LAYER_KINDS = {

@@ -123,11 +123,16 @@ class Classifier:
         return h, ctxs
 
     def head_backward(self, ctxs, gv):
-        """Back-propagate a representation-space gradient to the input."""
+        """Back-propagate a representation-space gradient to the input.
+
+        Returns a C-contiguous batch-first array.  The conv kernels hand
+        back a channel-major input gradient, which is the same bytes when
+        the input has one channel, so only a multi-channel input is copied.
+        """
         g = gv
         for layer, ctx in zip(reversed(self.layers[:-1]), reversed(ctxs)):
             g = layer.backward(ctx, g)
-        return g
+        return np.ascontiguousarray(g)
 
     def tail_forward(self, v):
         """Logits z = v Wᵀ + b for a representation batch (B, N)."""

@@ -36,6 +36,41 @@ def test_cnn_preset_maps_image_to_plane():
     assert clf.k == 4 and clf.n == 2 and clf.d == 784
 
 
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_cnn_head_is_channel_major_inside_and_c_order_outside(
+        monkeypatch, rng, channels, train):
+    # From conv1's output to Flatten's input, and back from Flatten's
+    # gradient to conv1's, every activation is a batch-first view of a
+    # channel-major buffer; what the head hands out is C-order batch-first
+    clf = model.small_cnn(k=4, n=2, input_shape=(channels, 16, 16), seed=0)
+    flat = next(i for i, layer in enumerate(clf.layers)
+                if layer.kind == "flatten")
+    inside = []
+    for layer in clf.layers[:flat + 1]:
+        def forward(x, train=False, _run=layer.forward):
+            y, ctx = _run(x, train=train)
+            inside.append(y)
+            return y, ctx
+
+        def backward(ctx, gy, _run=layer.backward):
+            gx = _run(ctx, gy)
+            inside.append(gx)
+            return gx
+        monkeypatch.setattr(layer, "forward", forward)
+        monkeypatch.setattr(layer, "backward", backward)
+    x = rng.uniform(0, 1, (5, channels, 16, 16))
+    v, ctxs = clf.head_forward_with_ctx(x, train=train)
+    g = clf.head_backward(ctxs, rng.standard_normal(v.shape))
+    inside.pop(flat)  # Flatten's own output is a C-order row batch
+    assert len(inside) == 2 * flat + 1
+    for a in inside:
+        assert a.ndim == 4 and a.transpose(1, 0, 2, 3).flags.c_contiguous
+    assert v.shape == (5, 2) and v.flags.c_contiguous
+    assert g.shape == x.shape and g.flags.c_contiguous
+    assert clf.head_forward(x).flags.c_contiguous
+
+
 def test_predict_is_argmax(blobs_mlp, rng):
     for rows in (10, 600):  # 600 rows run in three blocks, the last short
         x = rng.uniform(0, 1, size=(rows, 8))
