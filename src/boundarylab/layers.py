@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import (
-    channel_major,
+    batch_inner,
     conv2d_forward,
     conv2d_input_grad,
     conv2d_param_grad,
@@ -137,6 +137,8 @@ class Conv2d(Layer):
             raise ShapeMismatchError(
                 f"conv2d: input {x.shape[2]}x{x.shape[3]} smaller than kernel"
             )
+        # converted once: the forward and the weight gradient read it as is
+        x = batch_inner(x)
         y = conv2d_forward(x, self.weight, self.bias, padding=self.padding)
         return y, (x,)
 
@@ -291,8 +293,9 @@ class BatchNorm(Layer):
 
 class Flatten(Layer):
     """(B, ...) to (B, features) rows, and the end of the kernels'
-    channel-major layout: a 4-D input's channel-major buffer is gathered
-    into C-order rows, and the gradient goes back channel-major."""
+    batch-innermost layout.  A pure reshape both ways: the rows of a
+    batch-innermost input are a strided view of its buffer, and the
+    gradient goes back C-order, which the kernels read as it is."""
 
     kind = "flatten"
 
@@ -301,8 +304,7 @@ class Flatten(Layer):
 
     def backward(self, ctx, gy):
         (x_shape,) = ctx
-        gx = gy.reshape(x_shape)
-        return channel_major(gx) if gx.ndim == 4 else gx
+        return gy.reshape(x_shape)
 
 
 LAYER_KINDS = {

@@ -126,8 +126,8 @@ class Classifier:
         """Back-propagate a representation-space gradient to the input.
 
         Returns a C-contiguous batch-first array.  The conv kernels hand
-        back a channel-major input gradient, which is the same bytes when
-        the input has one channel, so only a multi-channel input is copied.
+        back a batch-innermost input gradient, so a CNN head pays one
+        transposing copy here: (H·W, B) to (B, H·W) at one input channel.
         """
         g = gv
         for layer, ctx in zip(reversed(self.layers[:-1]), reversed(ctxs)):

@@ -64,32 +64,32 @@ def test_padding_wrapper_matches_manual_pad(rng):
 
 def test_public_wrappers_handle_padding_and_strides(rng):
     # non-contiguous float32 input, padded: outputs come back float64,
-    # channel-major and shaped like the operands
+    # batch-innermost and shaped like the operands
     x = rng.standard_normal((2, 2, 14, 7)).astype(np.float32)[:, :, ::2, :]
     w = rng.standard_normal((3, 2, 3, 3))
     bias = rng.standard_normal(3)
     y = kernels.conv2d_forward(x, w, bias, padding=1)
-    assert y.dtype == np.float64 and y.transpose(1, 0, 2, 3).flags.c_contiguous
+    assert y.dtype == np.float64 and y.transpose(1, 2, 3, 0).flags.c_contiguous
     gy = rng.standard_normal(y.shape)
     gx = kernels.conv2d_input_grad(gy, w, x.shape, padding=1)
-    assert gx.shape == x.shape and gx.transpose(1, 0, 2, 3).flags.c_contiguous
+    assert gx.shape == x.shape and gx.transpose(1, 2, 3, 0).flags.c_contiguous
     gw, gb = kernels.conv2d_param_grad(x, gy, w.shape, padding=1)
     assert gw.shape == w.shape and gb.shape == bias.shape
 
 
-def _channel_major(a):
-    return a.transpose(1, 0, 2, 3).flags.c_contiguous
+def _batch_inner(a):
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
 @pytest.mark.parametrize("b", [1, 37, 256])
 def test_kernels_give_the_same_bits_for_either_input_layout(rng, b):
     # small_cnn's shapes on 16x16 digits: conv1 and conv2, pool1 and pool2.
-    # Each input comes C-order and as a channel-major buffer of the same
-    # values; both give the same bits, and every output is channel-major.
+    # Each input comes C-order and as a batch-innermost buffer of the same
+    # values; both give the same bits, and every output is batch-innermost.
     def layouts(shape):
         a = rng.standard_normal(shape)
         assert a.flags.c_contiguous
-        return a, kernels.channel_major(a)
+        return a, kernels.batch_inner(a)
 
     for ci, h, co in ((1, 16, 16), (16, 7, 32)):
         w = rng.standard_normal((co, ci, 3, 3))
@@ -103,7 +103,7 @@ def test_kernels_give_the_same_bits_for_either_input_layout(rng, b):
         for got, want in zip(*outs):
             assert got.tobytes() == want.tobytes()
         for out in outs[0][:2]:
-            assert _channel_major(out)
+            assert _batch_inner(out)
     for c, h in ((16, 14), (32, 5)):
         xs = layouts((b, c, h, h))
         gys = layouts((b, c, h // 2, h // 2))
@@ -113,7 +113,7 @@ def test_kernels_give_the_same_bits_for_either_input_layout(rng, b):
                for gy, idx in zip(gys, idxs)]
         for got, want in zip((*fwd[0], bwd[0]), (*fwd[1], bwd[1])):
             assert got.tobytes() == want.tobytes()
-            assert _channel_major(got)
+            assert _batch_inner(got)
 
 
 def _pool_oracle(x):

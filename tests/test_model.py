@@ -38,11 +38,11 @@ def test_cnn_preset_maps_image_to_plane():
 
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("channels", [1, 3])
-def test_cnn_head_is_channel_major_inside_and_c_order_outside(
+def test_cnn_head_is_batch_innermost_inside_and_c_order_outside(
         monkeypatch, rng, channels, train):
-    # From conv1's output to Flatten's input, and back from Flatten's
+    # From conv1's output to Flatten's input, and back from pool2's
     # gradient to conv1's, every activation is a batch-first view of a
-    # channel-major buffer; what the head hands out is C-order batch-first
+    # batch-innermost buffer; what the head hands out is C-order batch-first
     clf = model.small_cnn(k=4, n=2, input_shape=(channels, 16, 16), seed=0)
     flat = next(i for i, layer in enumerate(clf.layers)
                 if layer.kind == "flatten")
@@ -62,10 +62,12 @@ def test_cnn_head_is_channel_major_inside_and_c_order_outside(
     x = rng.uniform(0, 1, (5, channels, 16, 16))
     v, ctxs = clf.head_forward_with_ctx(x, train=train)
     g = clf.head_backward(ctxs, rng.standard_normal(v.shape))
-    inside.pop(flat)  # Flatten's own output is a C-order row batch
+    inside.pop(flat)  # Flatten's own output is a row batch
     assert len(inside) == 2 * flat + 1
+    # Flatten is a pure reshape: its gradient is Dense's, C-order
+    assert inside.pop(flat).flags.c_contiguous
     for a in inside:
-        assert a.ndim == 4 and a.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert a.ndim == 4 and a.transpose(1, 2, 3, 0).flags.c_contiguous
     assert v.shape == (5, 2) and v.flags.c_contiguous
     assert g.shape == x.shape and g.flags.c_contiguous
     assert clf.head_forward(x).flags.c_contiguous
