@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .geometry import nearest_boundary_batch
-from .layers import softmax_rows
+from .layers import _row_dot, softmax_rows
 
 _EPS_DEFAULT = 8.0 / 255.0
 _FAIL = 1 << 30  # iteration sentinel for "restart did not succeed"
@@ -446,12 +446,6 @@ def fab_batch(c, bs, x_orig, y, config, start):
 
 
 # -- exact L∞ projection onto hyperplane ∩ box ----------------------------
-
-
-def _row_dot(a, b):
-    # one 1-D dot product per row; a stacked matmul rounds each row as a
-    # 1-D ``a[i] @ b[i]`` does, independent of the other rows
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def project_hyperplane_box(points, w, b):

@@ -196,6 +196,10 @@ def _dataset_from(cfg):
             ds = data.sample(ds, n, sd)
         except ValueError as exc:
             raise ConfigError(f"dataset.sample: {exc}") from exc
+    if len(ds) == 0:
+        # an IDX file is input data; other kinds come from the config
+        error = InputError if kind == "idx" else ConfigError
+        raise error(f"dataset: the {kind} dataset has no examples")
     return ds, resolved
 
 

@@ -12,6 +12,8 @@ list explicitly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .kernels import (
@@ -194,13 +196,36 @@ class MaxPool2x2(Layer):
         return maxpool2_backward(gy, idx, x_shape)
 
 
+# Doubles per block of BatchNorm channel rows: 256 KB, a share of the
+# 2 MB per-core L2 of the benchmark's host, so each train-mode pass over
+# a block reads it from cache, not memory.
+_BLOCK = 32768
+
+
+def _row_dot(a, b):
+    # one 1-D dot product per row; a stacked matmul rounds each row as a
+    # 1-D ``a[i] @ b[i]`` does, independent of the other rows
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 class BatchNorm(Layer):
-    """Per-channel batch normalization.
+    """Per-channel batch normalization on channel rows.
+
+    The layer works on its input's channel rows, a C-contiguous (C, N)
+    float64 array.  A rank-4 (B, C, H, W) input has rows (C, H·W·B): a
+    free view of the kernels' batch-innermost buffer, copied once from
+    any other layout.  A rank-2 (B, C) input has rows (C, B), a copy.
+    The rows are processed in blocks of whole channels of about
+    ``_BLOCK`` doubles, so every train-mode pass over a block runs while
+    the block sits in cache.  Each channel's result, in both modes, is
+    the one the 1-D expressions give on its row alone, bit for bit,
+    whatever its block.  Rank-4 outputs and input gradients are
+    batch-innermost; rank-2 ones are C-order batch-first.
 
     ``train=True`` normalizes by batch statistics and updates the running
     buffers with momentum 0.1; ``train=False`` uses the frozen running
     statistics, which keeps inference (and every attack gradient) a fixed
-    affine map per channel.
+    affine map per channel, y = x·scale + shift.
     """
 
     kind = "batchnorm"
@@ -224,71 +249,97 @@ class BatchNorm(Layer):
     def buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
-    def _axes(self, x):
+    def _rows(self, x):
+        # x's (C, N) C-contiguous float64 channel rows
+        if x.ndim not in (2, 4):
+            raise ShapeMismatchError(
+                f"batchnorm: expected rank-2 or rank-4 input, got shape {x.shape}"
+            )
+        if x.shape[1] != self.channels:
+            what = "channels" if x.ndim == 4 else "features"
+            raise ShapeMismatchError(
+                f"batchnorm: expected {self.channels} {what}, got {x.shape[1]}"
+            )
         if x.ndim == 4:
-            if x.shape[1] != self.channels:
-                raise ShapeMismatchError(
-                    f"batchnorm: expected {self.channels} channels, got {x.shape[1]}"
-                )
-            return (0, 2, 3), (1, self.channels, 1, 1)
-        if x.ndim == 2:
-            if x.shape[1] != self.channels:
-                raise ShapeMismatchError(
-                    f"batchnorm: expected {self.channels} features, got {x.shape[1]}"
-                )
-            return (0,), (1, self.channels)
-        raise ShapeMismatchError(
-            f"batchnorm: expected rank-2 or rank-4 input, got shape {x.shape}"
-        )
+            return batch_inner(x).transpose(1, 2, 3, 0).reshape(self.channels, -1)
+        return np.ascontiguousarray(x.T, dtype=np.float64)
+
+    def _blocks(self, n):
+        # whole channels of n doubles each, about _BLOCK doubles per block
+        c = self.channels
+        step = max(1, _BLOCK // max(n, 1))
+        return [slice(lo, min(lo + step, c)) for lo in range(0, c, step)]
 
     def forward(self, x, train=False):
-        axes, bshape = self._axes(x)
+        rows = self._rows(x)
+        n = rows.shape[1]
         if not train:
-            # one affine map per channel: y = x*scale + shift
+            # one affine map per channel; two passes need no blocks
             scale = self.gamma / np.sqrt(self.running_var + self.eps)
             shift = self.beta - self.running_mean * scale
-            y = x * scale.reshape(bshape)
-            y += shift.reshape(bshape)
-            return y, (None, scale, axes, bshape)
-        # x.var(axes) is mean((x - mean)**2) in numpy, so the centred x is
-        # computed once and becomes xhat in place; y reuses the square's buffer
-        mean = x.mean(axis=axes)
-        xhat = x - mean.reshape(bshape)
-        y = np.multiply(xhat, xhat)
-        var = y.mean(axis=axes)
+            y = rows * scale[:, None]
+            y += shift[:, None]
+            return _from_rows(y, x.shape), (None, scale, x.shape)
+        y, xhat = np.empty_like(rows), np.empty_like(rows)
+        mean, var, inv = (np.empty(self.channels) for _ in range(3))
+        for s in self._blocks(n):
+            mean[s] = rows[s].sum(axis=1) / n
+            h = np.subtract(rows[s], mean[s, None], out=xhat[s])
+            var[s] = _row_dot(h, h) / n
+            inv[s] = 1.0 / np.sqrt(var[s] + self.eps)
+            h *= inv[s, None]
+            yb = np.multiply(h, self.gamma[s, None], out=y[s])
+            yb += self.beta[s, None]
         m = self.momentum
         self.running_mean = (1 - m) * self.running_mean + m * mean
         self.running_var = (1 - m) * self.running_var + m * var
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat *= inv.reshape(bshape)
-        np.multiply(xhat, self.gamma.reshape(bshape), out=y)
-        y += self.beta.reshape(bshape)
-        return y, (xhat, inv, axes, bshape)
+        return _from_rows(y, x.shape), (xhat, inv, x.shape)
 
     def backward(self, ctx, gy):
-        # train ctx: (xhat, 1/std of the batch, ...); eval: (None, scale, ...)
-        xhat, per_channel, axes, bshape = ctx
+        # train ctx: (xhat rows, 1/std of the batch, shape); eval: (None,
+        # scale, shape)
+        xhat, per_channel, shape = ctx
+        g = self._rows(gy)
         if xhat is None:
-            return gy * per_channel.reshape(bshape)
-        # Batch statistics depend on x, so the gradient couples the batch.
-        # (gxhat - mean_g - xhat*mean_gx) * inv, in place on gx = gxhat
-        gx = gy * self.gamma.reshape(bshape)
-        tmp = np.multiply(gx, xhat)
-        mean_g = gx.mean(axis=axes).reshape(bshape)
-        mean_gx = tmp.mean(axis=axes).reshape(bshape)
-        gx -= mean_g
-        gx -= np.multiply(xhat, mean_gx, out=tmp)
-        gx *= per_channel.reshape(bshape)
-        return gx
+            return _from_rows(g * per_channel[:, None], shape)
+        n = g.shape[1]
+        gx = np.empty_like(g)
+        blocks = self._blocks(n)
+        # Batch statistics depend on x, so the gradient couples the batch:
+        # gx = s·(gy - Σgy/n - x̂·Σgy·x̂/n) with s = γ·inv, as three terms
+        scale = self.gamma * per_channel
+        scratch = np.empty((blocks[0].stop, n))
+        for s in blocks:
+            gb, xb, sc = g[s], xhat[s], scale[s]
+            sum_g, sum_gx = gb.sum(axis=1), _row_dot(gb, xb)
+            out = np.multiply(xb, (-sc * sum_gx / n)[:, None], out=gx[s])
+            out += np.multiply(gb, sc[:, None], out=scratch[: len(sc)])
+            out += (-sc * sum_g / n)[:, None]
+        return _from_rows(gx, shape)
 
     def param_grads(self, ctx, gy):
-        xhat, _, axes, _ = ctx
+        xhat = ctx[0]
         if xhat is None:
             # training is the only caller; an eval context keeps no input
             raise ValueError(
                 "batchnorm: param_grads takes a train-mode context, got an "
                 "eval-mode one")
-        return {"gamma": (gy * xhat).sum(axis=axes), "beta": gy.sum(axis=axes)}
+        g = self._rows(gy)
+        gamma, beta = np.empty(self.channels), np.empty(self.channels)
+        for s in self._blocks(g.shape[1]):
+            beta[s] = g[s].sum(axis=1)
+            gamma[s] = _row_dot(g[s], xhat[s])
+        return {"gamma": gamma, "beta": beta}
+
+
+def _from_rows(rows, shape):
+    # (C, N) channel rows back as a layer output of ``shape``: the
+    # batch-first view of a (C, H, W, B) buffer at rank 4, a C-order
+    # (B, C) copy at rank 2
+    if len(shape) == 4:
+        b, c, h, w = shape
+        return rows.reshape(c, h, w, b).transpose(3, 0, 1, 2)
+    return np.ascontiguousarray(rows.T)
 
 
 class Flatten(Layer):
@@ -300,7 +351,8 @@ class Flatten(Layer):
     kind = "flatten"
 
     def forward(self, x, train=False):
-        return x.reshape(x.shape[0], -1), (x.shape,)
+        # the width from the shape: reshape cannot infer -1 at zero rows
+        return x.reshape(x.shape[0], math.prod(x.shape[1:])), (x.shape,)
 
     def backward(self, ctx, gy):
         (x_shape,) = ctx

@@ -46,6 +46,8 @@ _PREDICT_ROWS = 256
 
 
 def _box_warn(x):
+    if x.size == 0:  # an empty batch has no values to leave the box
+        return
     lo, hi = x.min(), x.max()
     if lo < 0.0 or hi > 1.0:
         warnings.warn(

@@ -512,6 +512,32 @@ def test_train_refuses_out_of_range_values_by_key(tmp_path, capsys, flags,
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("preset", ["mlp", "small_cnn"])
+def test_train_refuses_an_empty_dataset_before_writing(tmp_path, capsys,
+                                                       preset):
+    cfg = _train_config(
+        tmp_path, dataset={"kind": "digits", "n_per_class": 0,
+                           "classes": [0, 1], "size": 16},
+        model={"preset": preset, "n": 2})
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert ("config error: dataset: the digits dataset has no examples"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep", "export-repr"])
+def test_evaluation_refuses_an_empty_dataset_before_writing(
+        tmp_path, trained, capsys, command):
+    root, ckpt = trained
+    cfg, out = attack_config(root, ckpt, f"empty-{command}.json",
+                             dataset=dict(TEST_BLOBS, n_per_class=0),
+                             sweep={"n_init_values": [0, 1]})
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert ("config error: dataset: the blobs dataset has no examples"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, work", [
     ("train", ("model", "train")),
     ("attack", ("harness", "evaluate")),

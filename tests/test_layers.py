@@ -227,22 +227,34 @@ def test_relu_leaves_its_inputs_alone(rng):
     assert x.tobytes() == x0 and gy.tobytes() == gy0
 
 
+def _channel(a, c):
+    # channel c's values in (H, W, B) order at rank 4, B order at rank 2
+    return a[:, c].transpose(1, 2, 0).ravel() if a.ndim == 4 else a[:, c]
+
+
 def _batchnorm_train_oracle(bn, x, gy):
-    # the straightforward expressions the train path must reproduce
-    axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    bshape = (1, bn.channels) + (1,) * (x.ndim - 2)
-    mean, var, m = x.mean(axis=axes), x.var(axis=axes), bn.momentum
-    running = ((1 - m) * bn.running_mean + m * mean,
-               (1 - m) * bn.running_var + m * var)
-    inv = 1.0 / np.sqrt(var + bn.eps)
-    xhat = (x - mean.reshape(bshape)) * inv.reshape(bshape)
-    y = bn.gamma.reshape(bshape) * xhat + bn.beta.reshape(bshape)
-    gxhat = gy * bn.gamma.reshape(bshape)
-    mean_g = gxhat.mean(axis=axes).reshape(bshape)
-    mean_gx = (gxhat * xhat).mean(axis=axes).reshape(bshape)
-    gx = (gxhat - mean_g - xhat * mean_gx) * inv.reshape(bshape)
-    grads = {"gamma": (gy * xhat).sum(axis=axes), "beta": gy.sum(axis=axes)}
-    return y, xhat, running, gx, grads
+    # the 1-D expressions, one channel at a time, that the train path must
+    # reproduce for every channel whatever its block
+    m, out = bn.momentum, []
+    for c in range(bn.channels):
+        r, g = _channel(x, c).copy(), _channel(gy, c).copy()
+        n = r.size
+        mean = r.sum() / n
+        h = r - mean
+        var = h @ h / n
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        xhat = h * inv
+        y = xhat * bn.gamma[c]
+        y += bn.beta[c]
+        s, sum_g, sum_gx = bn.gamma[c] * inv, g.sum(), g @ xhat
+        gx = xhat * (-s * sum_gx / n)
+        gx += g * s
+        gx += -s * sum_g / n
+        out.append({"y": y, "xhat": xhat, "gx": gx, "gamma": sum_gx,
+                    "beta": sum_g,
+                    "running_mean": (1 - m) * bn.running_mean[c] + m * mean,
+                    "running_var": (1 - m) * bn.running_var[c] + m * var})
+    return out
 
 
 @pytest.mark.parametrize("shape", [(33, 5), (16, 4, 14, 14), (3, 2, 5, 7)])
@@ -252,19 +264,114 @@ def test_batchnorm_train_matches_oracle_bit_for_bit(rng, shape):
     x = rng.standard_normal(shape) * 3.0 + 1.5
     gy = rng.standard_normal(shape)
     x0, gy0 = x.tobytes(), gy.tobytes()
-    y_ref, xhat_ref, running_ref, gx_ref, grads_ref = \
-        _batchnorm_train_oracle(bn, x, gy)
+    ref = _batchnorm_train_oracle(bn, x, gy)
     y, ctx = bn.forward(x, train=True)
     grads = bn.param_grads(ctx, gy)
     gx = bn.backward(ctx, gy)
-    assert y.tobytes() == y_ref.tobytes()
-    assert ctx[0].tobytes() == xhat_ref.tobytes()
-    assert bn.running_mean.tobytes() == running_ref[0].tobytes()
-    assert bn.running_var.tobytes() == running_ref[1].tobytes()
-    assert gx.tobytes() == gx_ref.tobytes()
-    for name in ("gamma", "beta"):
-        assert grads[name].tobytes() == grads_ref[name].tobytes()
+    for c, want in enumerate(ref):
+        assert _channel(y, c).tobytes() == want["y"].tobytes()
+        assert ctx[0][c].tobytes() == want["xhat"].tobytes()
+        assert _channel(gx, c).tobytes() == want["gx"].tobytes()
+        for name in ("gamma", "beta"):
+            assert grads[name][c].tobytes() == want[name].tobytes()
+        for name in ("running_mean", "running_var"):
+            assert getattr(bn, name)[c].tobytes() == want[name].tobytes()
     assert x.tobytes() == x0 and gy.tobytes() == gy0
+
+
+def _batchnorm_pass(bn, x, gy, train):
+    # every result of one pass, as bytes: output, input gradient, parameter
+    # gradients (train) and running statistics
+    y, ctx = bn.forward(x, train=train)
+    out = {"y": y, "running_mean": bn.running_mean,
+           "running_var": bn.running_var}
+    if train:
+        out.update(bn.param_grads(ctx, gy))
+    out["gx"] = bn.backward(ctx, gy)
+    return {k: v.tobytes() for k, v in out.items()}
+
+
+def _fresh(bn):
+    # a copy of bn's parameters and buffers, before any train pass moves them
+    fresh = layers.BatchNorm(bn.channels)
+    for name, arr in {**bn.params(), **bn.buffers()}.items():
+        getattr(fresh, name)[...] = arr
+    return fresh
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("chw", [(16, 14, 14), (32, 5, 5)])
+@pytest.mark.parametrize("b", [1, 37, 256])
+def test_batchnorm_channel_equals_the_channel_alone(rng, b, chw, train):
+    # small_cnn's BatchNorm shapes on 16x16 digits: the blocks of a
+    # BatchNorm(C) group channels differently from a BatchNorm(1)
+    from boundarylab.kernels import batch_inner
+
+    c = chw[0]
+    bn = layers.BatchNorm(c)
+    _set_running_stats(bn, rng)
+    x = batch_inner(rng.standard_normal((b, *chw)) * 2.0 + 0.5)
+    gy = batch_inner(rng.standard_normal((b, *chw)))
+    alone = []
+    for ch in range(c):
+        one = layers.BatchNorm(1)
+        for name, arr in {**bn.params(), **bn.buffers()}.items():
+            getattr(one, name)[...] = arr[ch]
+        alone.append(_batchnorm_pass(one, x[:, ch:ch + 1],
+                                     gy[:, ch:ch + 1], train))
+    y, ctx = bn.forward(x, train=train)
+    grads = bn.param_grads(ctx, gy) if train else {}
+    gx = bn.backward(ctx, gy)
+    for ch, want in enumerate(alone):
+        got = {"y": y[:, ch:ch + 1], "gx": gx[:, ch:ch + 1],
+               "running_mean": bn.running_mean[ch:ch + 1],
+               "running_var": bn.running_var[ch:ch + 1],
+               **{k: g[ch:ch + 1] for k, g in grads.items()}}
+        assert {k: v.tobytes() for k, v in got.items()} == want, ch
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("shape", [(37, 4, 6, 5), (37, 4)])
+def test_batchnorm_gives_the_same_bits_for_either_input_layout(rng, shape,
+                                                               train):
+    # rank 4: C-order vs the kernels' batch-innermost buffer; rank 2:
+    # C-order vs F-order.  Outputs are batch-innermost at rank 4 and
+    # C-order at rank 2 either way.
+    from boundarylab.kernels import batch_inner
+
+    other_layout = batch_inner if len(shape) == 4 else np.asfortranarray
+    bn = layers.BatchNorm(4)
+    _set_running_stats(bn, rng)
+    x = rng.standard_normal(shape)
+    gy = rng.standard_normal(shape)
+    other = _fresh(bn)
+    c_order = _batchnorm_pass(bn, x, gy, train)
+    assert _batchnorm_pass(other, other_layout(x), other_layout(gy),
+                           train) == c_order
+    for xin in (x, other_layout(x)):
+        y, ctx = bn.forward(xin, train=train)
+        for out in (y, bn.backward(ctx, gy)):
+            assert (out.transpose(1, 2, 3, 0) if out.ndim == 4
+                    else out).flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(33, 5), (16, 5, 14, 14), (0, 5, 3, 3),
+                                   (0, 5)])
+def test_batchnorm_eval_matches_the_affine_expressions_bit_for_bit(rng,
+                                                                   shape):
+    bn = layers.BatchNorm(shape[1])
+    _set_running_stats(bn, rng)
+    x, gy = _with_specials(rng, shape), _with_specials(rng, shape)
+    bshape = (1, shape[1]) + (1,) * (len(shape) - 2)
+    scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+    shift = bn.beta - bn.running_mean * scale
+    y_ref = x * scale.reshape(bshape)
+    y_ref += shift.reshape(bshape)
+    y, ctx = bn.forward(x, train=False)
+    assert y.shape == shape and y.tobytes() == y_ref.tobytes()
+    gx = bn.backward(ctx, gy)
+    assert gx.shape == shape
+    assert gx.tobytes() == (gy * scale.reshape(bshape)).tobytes()
 
 
 def test_flatten_round_trips_shape(rng):

@@ -81,6 +81,21 @@ def test_predict_is_argmax(blobs_mlp, rng):
     assert blobs_mlp.predict(x[:1]).shape == (1,)
 
 
+@pytest.mark.parametrize("preset", ["mlp", "small_cnn"])
+def test_empty_batch_gives_empty_results(preset):
+    shape = (1, 16, 16)
+    clf = (model.small_cnn(k=4, n=2, input_shape=shape) if preset == "small_cnn"
+           else model.mlp(shape, 4, n=2))
+    x = np.zeros((0, *shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert clf.predict(x).shape == (0,)
+        assert clf.forward(x).shape == (0, 4)
+        assert clf.head_forward(x).shape == (0, 2)
+        v, ctxs = clf.head_forward_with_ctx(x)
+        assert clf.head_backward(ctxs, np.zeros_like(v)).shape == x.shape
+
+
 @pytest.mark.parametrize("shape", [(8,), (), (2, 4), (3, 8, 1)])
 def test_unbatched_input_is_refused_by_name(blobs_mlp, shape):
     with pytest.raises(layers.ShapeMismatchError, match=r"\(B, 8\)"):
