@@ -653,6 +653,66 @@ def test_live_set_loops_leave_their_inputs_alone(blobs_mlp, blobs_test):
     assert start.tobytes() == keep_start.tobytes()
 
 
+class _InPlaceSignLiveSet:
+    # a live set that compacts into fresh arrays and takes the sign of the
+    # gradient in place
+    def __init__(self, x_orig, y, epsilon, start):
+        self.lo, self.hi = attacks._ball_bounds(x_orig, epsilon)
+        self.full = self.x = np.clip(start, self.lo, self.hi)
+        self.rows = np.arange(self.x.shape[0])
+
+    def step(self, gx, size, live):
+        if not live.all():
+            gx = gx[live]
+            if self.x is not self.full:
+                self.full[self.rows[~live]] = self.x[~live]
+            self.rows = self.rows[live]
+            self.x, self.lo, self.hi = (
+                self.x[live], self.lo[live], self.hi[live])
+        np.sign(gx, out=gx)
+        gx *= size
+        self.x += gx
+        np.maximum(self.x, self.lo, out=self.x)
+        np.minimum(self.x, self.hi, out=self.x)
+
+    def finish(self):
+        if self.x is not self.full:
+            self.full[self.rows] = self.x
+        return self.full
+
+
+def test_live_set_step_matches_the_in_place_sign_step_bit_for_bit(rng):
+    b, shape, eps = 12, (1, 2, 3), 0.1
+    x_orig = rng.uniform(0.0, 1.0, (b, *shape))
+    x_orig[0] = 0.0
+    x_orig[1] = 1.0
+    y = np.arange(b) % 3
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0,
+                        5e-324])
+    # (size, rows that freeze); the live sets shrink 12 → 10 → 10 → 7 → 1
+    steps = [(0.03, []), (-0.05, [1, 4]), (0.02, []), (0.04, [0, 5, 9]),
+             (-0.03, [0, 1, 2, 3, 5, 6])]
+    work = attacks._Workspace(x_orig, eps)
+    for run, workspace in enumerate((None, work, work)):
+        start = attacks.random_start_batch(x_orig, eps, np.arange(b) + run)
+        live_set = attacks._LiveSet(x_orig, y, eps, start, workspace)
+        oracle = _InPlaceSignLiveSet(x_orig, y, eps, start)
+        for size, frozen in steps:
+            na = live_set.rows.size
+            gx = rng.choice(special, (na, *shape))
+            gx[::2] = rng.normal(0.0, 1.0, gx[::2].shape)
+            live = np.ones(na, dtype=bool)
+            live[frozen] = False
+            live_set.step(gx.copy(), size, live)
+            oracle.step(gx.copy(), size, live)
+            assert live_set.rows.tolist() == oracle.rows.tolist()
+            assert live_set.x.tobytes() == oracle.x.tobytes()
+        assert np.isnan(oracle.full).any()
+        assert live_set.finish().tobytes() == oracle.finish().tobytes()
+    assert work.lo.tobytes() == np.maximum(x_orig - eps, 0.0).tobytes()
+    assert work.hi.tobytes() == np.minimum(x_orig + eps, 1.0).tobytes()
+
+
 @pytest.mark.parametrize("init", ["none", "random", "boundary"])
 @pytest.mark.parametrize("method", ["pgd", "fab"])
 def test_every_restart_stays_within_the_equal_budget(method, init, blobs_mlp,
@@ -673,6 +733,65 @@ def test_every_restart_stays_within_the_equal_budget(method, init, blobs_mlp,
 
 
 # -- restart engine ------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["pgd", "fab"])
+@pytest.mark.parametrize("which", ["mlp", "cnn"])
+def test_restarts_equal_single_restart_runs(which, method, monkeypatch,
+                                             blobs_mlp, blobs_test,
+                                             untrained_cnn_digits):
+    # restart r of a 3-restart call is the 1-restart call at seeds + r: the
+    # shared ball and the reused live-set buffers carry nothing between
+    # restarts
+    c, ds, eps = ((blobs_mlp, blobs_test, 0.08) if which == "mlp"
+                  else (*untrained_cnn_digits, 0.03))
+    bs = geometry.boundary_set_for(c)
+    x, y = _mixed_batch(c, ds)
+    cfg = attacks.AttackConfig(epsilon=eps, alpha=eps / 4, eta_init=eps / 3,
+                               restarts=3, n_init=3, n_attack=6, seed=0)
+    seeds = 100 + 3 * np.arange(len(y))
+    name = f"{method}_batch"
+    attack = getattr(attacks, name)
+    segments = []
+
+    def recorded(*args, **kwargs):
+        seg = attack(*args, **kwargs)
+        segments.append(seg.x_adv.copy())
+        return seg
+
+    monkeypatch.setattr(attacks, name, recorded)
+    out = attacks.run_restarts_batch(c, bs, x, y, cfg, method=method,
+                                     init="boundary", base_seeds=seeds)
+    one = dataclasses.replace(cfg, restarts=1)
+    for r in range(3):
+        alone = attacks.run_restarts_batch(c, bs, x, y, one, method=method,
+                                           init="boundary",
+                                           base_seeds=seeds + r)
+        assert segments[3 + r].tobytes() == segments[r].tobytes()
+        for field in ("iterations_per_restart", "grad_evals_per_restart"):
+            got = np.ascontiguousarray(getattr(out, field)[:, r])
+            assert got.tobytes() == getattr(alone, field)[:, 0].tobytes()
+    # rows flip at t=0, mid-run and never, so the loops compact
+    assert {-1, 0} < set(out.iterations_per_restart.ravel().tolist())
+
+
+@pytest.mark.parametrize("method", ["pgd", "fab"])
+def test_restarts_compute_the_ball_once(method, monkeypatch, blobs_mlp,
+                                        blobs_boundaries, blobs_test):
+    calls = []
+    ball_bounds = attacks._ball_bounds
+
+    def counted(x, epsilon):
+        calls.append(x.shape)
+        return ball_bounds(x, epsilon)
+
+    monkeypatch.setattr(attacks, "_ball_bounds", counted)
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=4,
+                               n_init=2, n_attack=5, seed=0)
+    attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
+                               blobs_test.images, blobs_test.labels, cfg,
+                               method=method, init="boundary")
+    assert calls == [blobs_test.images.shape]
 
 
 def test_restart_selection_rule(blobs_mlp, blobs_boundaries, blobs_test,

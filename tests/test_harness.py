@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +155,25 @@ def test_report_is_identical_across_worker_counts(blobs_mlp,
                                quick_attack_config, workers=workers,
                                chunk_size=8)
         texts.append(rep.to_json())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("method", ["pgd", "fab"])
+def test_chunk_threads_share_no_attack_buffers(method, blobs_mlp,
+                                               blobs_boundaries, blobs_test):
+    # 20 chunks on two threads, each chunk's restarts reusing its own
+    # ball and live-set buffers; a short switch interval interleaves them
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, eta_init=0.02,
+                               restarts=2, n_init=3, n_attack=10, seed=7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        texts = [harness.evaluate(blobs_mlp, blobs_boundaries, blobs_test,
+                                  cfg, method=method, init="boundary",
+                                  workers=workers, chunk_size=8).to_json()
+                 for workers in (1, 2)]
+    finally:
+        sys.setswitchinterval(interval)
     assert texts[0] == texts[1]
 
 
