@@ -259,9 +259,9 @@ class _Workspace:
     ``lo`` and ``hi`` are the ε-ball bounds of the batch, computed once
     and read-only.  ``sets`` are two (x, lo, hi) buffer sets a live set
     compacts its rows into, alternately, and ``sign`` is the scratch of a
-    sign step; each has the batch's shape.  One loop uses the buffers at a time, and
-    a workspace lives for one call, so chunks attacked on different
-    threads never share one.
+    sign step; each has the batch's shape.  One loop uses the buffers at
+    a time, and a workspace lives for one call, so chunks attacked on
+    different threads never share one.
     """
 
     def __init__(self, x_orig, epsilon):
@@ -325,6 +325,7 @@ class _LiveSet:
         n = idx.size
         step = self.work.sign[:n]
         if n < gx.shape[0]:
+            # the live rows go to the scratch, their sign over gx's first
             np.take(gx, idx, axis=0, out=step, mode="clip")
             gx, step = step, gx[:n]
         # never in place: numpy 2.4's np.sign(g, out=g) is ~7x slower

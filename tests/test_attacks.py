@@ -656,7 +656,7 @@ def test_live_set_loops_leave_their_inputs_alone(blobs_mlp, blobs_test):
 class _InPlaceSignLiveSet:
     # a live set that compacts into fresh arrays and takes the sign of the
     # gradient in place
-    def __init__(self, x_orig, y, epsilon, start):
+    def __init__(self, x_orig, epsilon, start):
         self.lo, self.hi = attacks._ball_bounds(x_orig, epsilon)
         self.full = self.x = np.clip(start, self.lo, self.hi)
         self.rows = np.arange(self.x.shape[0])
@@ -696,7 +696,7 @@ def test_live_set_step_matches_the_in_place_sign_step_bit_for_bit(rng):
     for run, workspace in enumerate((None, work, work)):
         start = attacks.random_start_batch(x_orig, eps, np.arange(b) + run)
         live_set = attacks._LiveSet(x_orig, y, eps, start, workspace)
-        oracle = _InPlaceSignLiveSet(x_orig, y, eps, start)
+        oracle = _InPlaceSignLiveSet(x_orig, eps, start)
         for size, frozen in steps:
             na = live_set.rows.size
             gx = rng.choice(special, (na, *shape))
