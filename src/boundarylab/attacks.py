@@ -21,7 +21,8 @@ plus the example index, and restart r adds r on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -31,15 +32,42 @@ from .layers import _row_dot, softmax_rows
 
 _EPS_DEFAULT = 8.0 / 255.0
 _FAIL = 1 << 30  # iteration sentinel for "restart did not succeed"
+# FAB's constants (Croce & Hein, ICML 2020, arXiv:1907.02044): the
+# extrapolation past the projections and the cap on the blend weight
+# toward the original input's projection
+_FAB_ETA = 1.05
+_FAB_BETA_MAX = 0.1
+
+# Each AttackConfig field's type, then its range: (kind, relation, bound)
+_FIELD_RULES = {
+    "epsilon": (float, ">=", 0),
+    "alpha": (float, ">", 0),
+    "eta_init": (float, ">", 0),
+    "restarts": (int, ">=", 1),
+    "n_init": (int, ">=", 0),
+    "n_attack": (int, ">=", 0),
+    "seed": (int, ">=", 0),
+}
+_KINDS = {int: ((int, np.integer), "an int"),
+          float: ((int, float, np.integer, np.floating), "a real number")}
+
+
+def _check_field(name, value, kind, relation, bound):
+    types, noun = _KINDS[kind]
+    # a bool is an int to isinstance, and JSON's true would pass as 1
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{name} must be {noun}, got {type(value).__name__}")
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < bound or (relation == ">" and value == bound):
+        raise ValueError(f"{name} must be {relation} {bound}, got {value}")
 
 
 @dataclass(frozen=True)
 class AttackConfig:
     """Shared knobs for every attack and start strategy.
 
-    ``eta_init`` (the boundary-descent step) defaults to ``epsilon``;
-    ``fab_mu`` (cap on the fab random-start radius) also defaults to
-    ``epsilon``, which makes the standard start rule apply unchanged.
+    ``eta_init`` (the boundary-descent step) defaults to ``epsilon``.
     ``n_init + n_attack`` is the per-restart gradient budget.
     """
 
@@ -49,47 +77,19 @@ class AttackConfig:
     restarts: int = 4
     n_init: int = 5
     n_attack: int = 20
-    norm: str = "linf"
-    fab_eta: float = 1.05
-    fab_beta_max: float = 0.1
-    fab_mu: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "n_init", "n_attack", "seed"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, (int, np.integer)):
-                raise TypeError(
-                    f"{name} must be an int, got {type(value).__name__}")
-        if self.norm != "linf":
-            raise ValueError(f"norm {self.norm!r}: only 'linf' is implemented")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.eta_init is None:
-            # For a zero-radius ball any positive step is equivalent (the
-            # clip pins every iterate), so fall back to alpha there.
-            resolved = self.epsilon if self.epsilon > 0 else self.alpha
-            object.__setattr__(self, "eta_init", float(resolved))
-        if self.eta_init <= 0:
-            raise ValueError(f"eta_init must be > 0, got {self.eta_init}")
-        if self.fab_mu is None:
-            object.__setattr__(self, "fab_mu", float(self.epsilon))
-        for name in ("restarts",):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("n_init", "n_attack"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.fab_eta < 1.0:
-            raise ValueError(f"fab_eta must be >= 1, got {self.fab_eta}")
-        if not 0.0 <= self.fab_beta_max <= 1.0:
-            raise ValueError(
-                f"fab_beta_max must be in [0,1], got {self.fab_beta_max}"
-            )
+        # in field order, so epsilon and alpha are checked before eta_init
+        # resolves from them
+        for field in fields(self):
+            if field.name == "eta_init" and self.eta_init is None:
+                # For a zero-radius ball any positive step is equivalent
+                # (the clip pins every iterate), so fall back to alpha.
+                resolved = self.epsilon if self.epsilon > 0 else self.alpha
+                object.__setattr__(self, "eta_init", float(resolved))
+            _check_field(field.name, getattr(self, field.name),
+                         *_FIELD_RULES[field.name])
 
     def with_budget_split(self, n_init):
         """Same config with the fixed total budget re-split at ``n_init``."""
@@ -426,15 +426,15 @@ def pgd_batch(c, x_orig, y, config, start, *, workspace=None):
     return _attack_loop(c, x_orig, y, config, start, move, workspace)
 
 
-def fab_batch(c, bs, x_orig, y, config, start, *, workspace=None):
+def fab_batch(c, x_orig, y, config, start, *, workspace=None):
     """Boundary-projection attack for one restart over a batch.
 
     Each iteration linearizes the pairwise logit differences at the
     current iterate (via the head's representation jacobian and the exact
     tail rows), picks the nearest linearized hyperplane under L∞, projects
     both the iterate and the original input onto it within the box, blends
-    the two with β ≤ beta_max, extrapolates by fab_eta, and clips to ball
-    and box.  ``workspace`` is as in :func:`boundary_init_batch`.
+    the two with β ≤ ``_FAB_BETA_MAX``, extrapolates by ``_FAB_ETA``, and
+    clips to ball and box.  ``workspace`` is as in :func:`boundary_init_batch`.
     """
     x_orig = np.asarray(x_orig, dtype=np.float64)
     flat = int(np.prod(x_orig.shape[1:]))
@@ -475,10 +475,10 @@ def fab_batch(c, bs, x_orig, y, config, start, *, workspace=None):
         num = np.abs(d_adv).max(axis=1)
         den = num + np.abs(d_org).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            beta = np.where(den > 0, np.minimum(num / den, config.fab_beta_max),
+            beta = np.where(den > 0, np.minimum(num / den, _FAB_BETA_MAX),
                             0.0)[:, None]
-        xn[moves] = ((1.0 - beta) * (xm + config.fab_eta * d_adv)
-                     + beta * (xo + config.fab_eta * d_org))
+        xn[moves] = ((1.0 - beta) * (xm + _FAB_ETA * d_adv)
+                     + beta * (xo + _FAB_ETA * d_org))
         live_set.x[...] = xn.reshape(live_set.x.shape)
         live_set.clip()
 
@@ -562,8 +562,7 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
 
     Restart r of example i draws its start from seed base_seeds[i] + r,
     so callers must space base seeds at least config.restarts apart; the
-    default config.seed + position * restarts does.  For the fab method
-    the random-start radius is capped at fab_mu.  Every restart shares
+    default config.seed + position * restarts does.  Every restart shares
     one :class:`_Workspace`: the batch's ε-ball and the live-set buffers.
     """
     if method not in _METHODS:
@@ -576,8 +575,6 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
     if base_seeds is None:
         base_seeds = config.seed + np.arange(b) * config.restarts
     base_seeds = np.asarray(base_seeds, dtype=np.int64)
-    radius = config.epsilon if method == "pgd" else min(config.fab_mu,
-                                                        config.epsilon)
     r_count = config.restarts
     iters_all = np.full((b, r_count), -1, dtype=np.int64)
     evals_all = np.zeros((b, r_count), dtype=np.int64)
@@ -590,18 +587,17 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
         if init == "none":
             start = x_batch  # every attack clips its start into a new array
         else:
-            start = random_start_batch(x_batch, radius, base_seeds + r)
+            start = random_start_batch(x_batch, config.epsilon,
+                                       base_seeds + r)
         init_evals = 0
         if init == "boundary":
             start, init_evals = boundary_init_batch(
                 c, bs, x_batch, y_batch, config, start, workspace=work
             )
-        if method == "pgd":
-            seg = pgd_batch(c, x_batch, y_batch, config, start,
-                            workspace=work)
-        else:
-            seg = fab_batch(c, bs, x_batch, y_batch, config, start,
-                            workspace=work)
+        # looked up per call, so a module attribute patched over either
+        # function is the one that runs
+        seg = (pgd_batch if method == "pgd" else fab_batch)(
+            c, x_batch, y_batch, config, start, workspace=work)
         iters_all[:, r] = seg.iterations
         evals_all[:, r] = init_evals + seg.grad_evals
         seg_iters = np.where(seg.success, seg.iterations, _FAIL)

@@ -34,8 +34,7 @@ Config file schema (JSON object; flags override file values):
                     adversarial training
   model_path str    (attack/sweep/export-repr) checkpoint to load
   attack    object  AttackConfig fields: epsilon, alpha, eta_init,
-                    restarts, n_init, n_attack, fab_eta, fab_beta_max,
-                    fab_mu, seed
+                    restarts, n_init, n_attack, seed
   method    str     "pgd" (default) or "fab"
   init      str     "boundary" (default), "random", or "none"
   sweep     object  (sweep) {"n_init_values": [..], "seeds": [..]}
@@ -50,6 +49,7 @@ Exit codes: 0 ok, 1 config error, 2 invariant/computation failure,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields, replace
 from functools import partial
@@ -94,6 +94,8 @@ def _checked(value, path, kind):
     if not ok:
         raise ConfigError(
             f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):  # JSON NaN, Infinity
+        raise ConfigError(f"{path}: must be finite, got {value}")
     return float(value) if kind is float else value
 
 

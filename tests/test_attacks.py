@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -26,9 +27,8 @@ def test_config_rejects_bad_values():
     ok = dict(epsilon=0.1, alpha=0.01, restarts=1, n_init=2, n_attack=8,
               seed=0)
     attacks.AttackConfig(**ok)
-    for bad in (dict(norm="l2"), dict(epsilon=-0.1), dict(alpha=0.0),
+    for bad in (dict(epsilon=-0.1), dict(alpha=0.0),
                 dict(restarts=0), dict(n_init=-1), dict(n_attack=-1),
-                dict(fab_eta=0.5), dict(fab_beta_max=1.5),
                 dict(eta_init=-0.01), dict(seed=-1)):
         with pytest.raises(ValueError):
             attacks.AttackConfig(**{**ok, **bad})
@@ -38,6 +38,14 @@ def test_config_rejects_bad_values():
                 dict(seed=1.0)):
         with pytest.raises(TypeError, match="must be an int"):
             attacks.AttackConfig(**{**ok, **bad})
+    for name in ("epsilon", "alpha", "eta_init"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                attacks.AttackConfig(**{**ok, name: value})
+        for value in (True, "0.1"):
+            with pytest.raises(TypeError,
+                               match=f"^{name} must be a real number"):
+                attacks.AttackConfig(**{**ok, name: value})
     attacks.AttackConfig(**{**ok, "restarts": np.int64(2)})
 
 
@@ -45,7 +53,6 @@ def test_config_defaults_resolve_from_epsilon():
     cfg = attacks.AttackConfig(epsilon=0.25, alpha=0.01, restarts=1,
                                n_init=1, n_attack=1, seed=0)
     assert cfg.eta_init == 0.25
-    assert cfg.fab_mu == 0.25
     zero = attacks.AttackConfig(epsilon=0.0, alpha=0.03, restarts=1,
                                 n_init=1, n_attack=1, seed=0)
     assert zero.eta_init == 0.03  # any positive step; the clip pins it
@@ -129,10 +136,7 @@ def _random_start_rows(x, radius, seeds):
     return out
 
 
-FAB_RADIUS = 0.0173  # a fab_mu below epsilon, fab's random-start radius
-
-
-@pytest.mark.parametrize("radius", [0.0, 0.03, 8 / 255, FAB_RADIUS])
+@pytest.mark.parametrize("radius", [0.0, 0.03, 8 / 255, 0.0173])
 @pytest.mark.parametrize("shape", [(7,), (1, 14, 14)])
 def test_random_start_batch_equals_per_row_default_rng(radius, shape):
     rng = np.random.default_rng(1)
@@ -407,19 +411,17 @@ def test_pgd_single_equals_batch_row(blobs_mlp, blobs_test,
             assert seg.iterations[r] == one_seg.iterations[0]
 
 
-def test_fab_single_equals_batch_row(blobs_mlp, blobs_boundaries,
-                                     blobs_test, quick_attack_config):
+def test_fab_single_equals_batch_row(blobs_mlp, blobs_test,
+                                     quick_attack_config):
     cfg = quick_attack_config
     x = blobs_test.images[:8]
     y = blobs_test.labels[:8]
-    starts = attacks.random_start_batch(x, min(cfg.fab_mu, cfg.epsilon),
-                                        np.arange(8) * 7)
-    seg = attacks.fab_batch(blobs_mlp, blobs_boundaries, x, y, cfg,
-                            starts.copy())
+    starts = attacks.random_start_batch(x, cfg.epsilon, np.arange(8) * 7)
+    seg = attacks.fab_batch(blobs_mlp, x, y, cfg, starts.copy())
     for r in range(8):
         # a B=1 call must equal its row of the batch: rows do not mix
-        one_seg = attacks.fab_batch(blobs_mlp, blobs_boundaries, x[r:r + 1],
-                                    y[r:r + 1], cfg, starts[r:r + 1].copy())
+        one_seg = attacks.fab_batch(blobs_mlp, x[r:r + 1], y[r:r + 1], cfg,
+                                    starts[r:r + 1].copy())
         assert seg.success[r] == one_seg.success[0]
         np.testing.assert_allclose(seg.x_adv[r], one_seg.x_adv[0],
                                    atol=1e-12)
@@ -438,30 +440,27 @@ def test_fab_holds_rows_with_a_flat_linearization():
     tail.weight[:] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     tail.bias[:] = [0.0, 0.0, 0.01]
     clf = model.Classifier([head, ReLU(), tail], (2,))
-    bs = geometry.boundary_set_for(clf)
     x = np.array([[0.2, 0.3], [0.9, 0.6]])
     y = clf.predict(x)
     assert list(y) == [2, 0]
     cfg = attacks.AttackConfig(epsilon=0.3, alpha=0.01, restarts=1,
                                n_init=0, n_attack=3, seed=0)
-    seg = attacks.fab_batch(clf, bs, x, y, cfg, x.copy())
+    seg = attacks.fab_batch(clf, x, y, cfg, x.copy())
     np.testing.assert_array_equal(seg.x_adv[0], x[0])
     assert not seg.success[0] and seg.grad_evals[0] == 3
     assert np.any(seg.x_adv[1] != x[1])
-    alone = attacks.fab_batch(clf, bs, x[1:], y[1:], cfg, x[1:].copy())
+    alone = attacks.fab_batch(clf, x[1:], y[1:], cfg, x[1:].copy())
     assert seg.x_adv[1].tobytes() == alone.x_adv[0].tobytes()
 
 
-def test_fab_iterates_stay_in_ball_and_box(blobs_mlp, blobs_boundaries,
-                                           blobs_test, quick_attack_config):
+def test_fab_iterates_stay_in_ball_and_box(blobs_mlp, blobs_test,
+                                           quick_attack_config):
     cfg = quick_attack_config
     for i in range(10):
         x = blobs_test.images[i]
         y = blobs_test.labels[i:i + 1]
-        start = attacks.random_start_batch(
-            one(x), min(cfg.fab_mu, cfg.epsilon), [50 + i])
-        seg = attacks.fab_batch(blobs_mlp, blobs_boundaries, one(x), y, cfg,
-                                start)
+        start = attacks.random_start_batch(one(x), cfg.epsilon, [50 + i])
+        seg = attacks.fab_batch(blobs_mlp, one(x), y, cfg, start)
         assert np.max(np.abs(seg.x_adv[0] - x)) <= cfg.epsilon + 1e-15
         assert np.all((seg.x_adv >= 0.0) & (seg.x_adv <= 1.0))
 
@@ -519,7 +518,7 @@ def _oracle_pgd(c, x_orig, y, config, start):
     return x, success, iters, evals
 
 
-def _oracle_fab(c, bs, x_orig, y, config, start):
+def _oracle_fab(c, x_orig, y, config, start):
     # gathers x[active] and its bounds every iteration and scatters the
     # clipped blend back; the same head calls on the same rows
     x_orig = np.asarray(x_orig, dtype=np.float64)
@@ -576,10 +575,10 @@ def _oracle_fab(c, bs, x_orig, y, config, start):
         den = num + np.abs(d_org).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             beta = np.where(den > 0, np.minimum(num / den,
-                                                config.fab_beta_max),
+                                                attacks._FAB_BETA_MAX),
                             0.0)[:, None]
-        xn[move] = ((1.0 - beta) * (xm + config.fab_eta * d_adv)
-                    + beta * (xo + config.fab_eta * d_org))
+        xn[move] = ((1.0 - beta) * (xm + attacks._FAB_ETA * d_adv)
+                    + beta * (xo + attacks._FAB_ETA * d_org))
         x[active] = np.clip(xn.reshape((-1,) + x.shape[1:]), lo[active],
                             hi[active])
         evals[active] += 1
@@ -622,8 +621,8 @@ def test_live_set_loops_match_gather_scatter(which, budget, blobs_mlp,
         assert e0.tobytes() == e1.tobytes()
         segs = {"pgd": (attacks.pgd_batch(c, xb, yb, cfg, x0),
                         _oracle_pgd(c, xb, yb, cfg, x0)),
-                "fab": (attacks.fab_batch(c, bs, xb, yb, cfg, x0),
-                        _oracle_fab(c, bs, xb, yb, cfg, x0))}
+                "fab": (attacks.fab_batch(c, xb, yb, cfg, x0),
+                        _oracle_fab(c, xb, yb, cfg, x0))}
         for seg, want in segs.values():
             for got, ref in zip((seg.x_adv, seg.success, seg.iterations,
                                  seg.grad_evals), want):
@@ -648,7 +647,7 @@ def test_live_set_loops_leave_their_inputs_alone(blobs_mlp, blobs_test):
     keep_x, keep_start = x.copy(), start.copy()
     attacks.boundary_init_batch(blobs_mlp, bs, x, y, cfg, start)
     attacks.pgd_batch(blobs_mlp, x, y, cfg, start)
-    attacks.fab_batch(blobs_mlp, bs, x, y, cfg, start)
+    attacks.fab_batch(blobs_mlp, x, y, cfg, start)
     assert x.tobytes() == keep_x.tobytes()
     assert start.tobytes() == keep_start.tobytes()
 
@@ -887,18 +886,17 @@ def test_restart_seeds_differ_per_restart(blobs_mlp, blobs_boundaries,
             np.testing.assert_array_equal(out.x_adv[r], expected)
 
 
-def test_fab_random_start_radius_is_capped(blobs_mlp, blobs_boundaries,
-                                           blobs_test):
+def test_fab_and_pgd_draw_the_same_random_start(blobs_mlp, blobs_boundaries,
+                                                blobs_test):
     cfg = attacks.AttackConfig(epsilon=0.3, alpha=0.05, restarts=1,
-                               n_init=0, n_attack=0, fab_mu=0.05, seed=1)
-    out = attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
-                                     blobs_test.images[:6],
-                                     blobs_test.labels[:6], cfg,
-                                     method="fab", init="random")
-    # zero-budget fab returns the start itself, which must lie in the
-    # smaller fab ball
-    gap = np.max(np.abs(out.x_adv - blobs_test.images[:6]))
-    assert gap <= 0.05 + 1e-15
+                               n_init=0, n_attack=0, seed=1)
+    x = blobs_test.images[:6]
+    # a zero-budget attack returns its start: the ε-ball draw for both
+    out = {method: attacks.run_restarts_batch(
+        blobs_mlp, blobs_boundaries, x, blobs_test.labels[:6], cfg,
+        method=method, init="random").x_adv for method in ("fab", "pgd")}
+    ball = attacks.random_start_batch(x, cfg.epsilon, 1 + np.arange(6))
+    assert out["fab"].tobytes() == out["pgd"].tobytes() == ball.tobytes()
 
 
 def test_single_example_wrapper_matches_batch(blobs_mlp, blobs_boundaries,
@@ -919,3 +917,8 @@ def test_single_example_wrapper_matches_batch(blobs_mlp, blobs_boundaries,
     np.testing.assert_allclose(single.x_adv[0], batch.x_adv[3], atol=1e-12)
     np.testing.assert_array_equal(single.grad_evals_per_restart[0],
                                   batch.grad_evals_per_restart[3])
+
+
+def test_fab_and_pgd_share_one_signature():
+    assert (inspect.signature(attacks.fab_batch)
+            == inspect.signature(attacks.pgd_batch))

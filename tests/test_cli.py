@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import stat
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from boundarylab import cli, data, model
+from boundarylab import attacks, cli, data, model
 from helpers import rewrite_checkpoint_header
 
 BLOBS = {"kind": "blobs", "n_per_class": 15, "k": 3, "d": 6,
@@ -361,6 +363,8 @@ def test_overflowing_sweep_seed_is_config_error(trained, capsys):
     ({"attack": {"epsilon": 0.08, "alpha": 0.02, "restarts": 2.5,
                  "n_init": 2, "n_attack": 8}},
      "attack: restarts must be an int, got float"),
+    ({"dataset": dict(TEST_BLOBS, separation=float("inf"))},
+     "dataset.separation: must be finite, got inf"),
 ])
 def test_config_value_of_the_wrong_type_is_config_error(trained, capsys,
                                                         extra, key):
@@ -561,3 +565,71 @@ def test_missing_out_is_refused_before_the_work(tmp_path, trained, capsys,
                                sweep={"n_init_values": [0, 1]})
     assert cli.main([command, "--config", str(cfg)]) == 1
     assert "config error: out: required" in capsys.readouterr().err
+
+
+def _section_config(tmp_path, trained, section, **attack):
+    """An ``attack`` run, or an adversarial ``train``, whose attack
+    section is ``ADV`` updated by ``attack``; returns (command, config,
+    out)."""
+    spec = dict(ADV, **attack)
+    if section == "adversarial":
+        cfg = _train_config(tmp_path, adversarial=spec)
+        return "train", cfg, tmp_path / "m.ckpt"
+    cfg = tmp_path / "attack.json"
+    out = tmp_path / "report.json"
+    cfg.write_text(json.dumps({"dataset": TEST_BLOBS,
+                               "model_path": str(trained[1]),
+                               "attack": spec, "out": str(out)}))
+    return "attack", cfg, out
+
+
+@pytest.mark.parametrize("section", ["attack", "adversarial"])
+@pytest.mark.parametrize("key, value", [
+    ("norm", "linf"), ("fab_mu", 0.05), ("fab_eta", 1.05),
+    ("fab_beta_max", 0.1)])
+def test_removed_attack_keys_are_unknown(tmp_path, trained, capsys, section,
+                                         key, value):
+    command, cfg, out = _section_config(tmp_path, trained, section,
+                                        **{key: value})
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: attack.{key}: unknown key" in err
+    assert not out.exists()
+
+
+BAD_FLOATS = [(float("nan"), "must be finite, got nan"),
+              (float("inf"), "must be finite, got inf"),
+              (float("-inf"), "must be finite, got -inf"),
+              (True, "got bool"), ("0.1", "got str")]
+BAD_FLOAT_IDS = ["nan", "inf", "-inf", "true", "str"]
+
+
+@pytest.mark.parametrize("section", ["attack", "adversarial"])
+@pytest.mark.parametrize("value, message", BAD_FLOATS, ids=BAD_FLOAT_IDS)
+@pytest.mark.parametrize("key", ["epsilon", "alpha", "eta_init"])
+def test_bad_attack_float_is_config_error_by_name(tmp_path, trained, capsys,
+                                                  section, key, value,
+                                                  message):
+    command, cfg, out = _section_config(tmp_path, trained, section,
+                                        **{key: value})
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: attack: {key} must be" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", BAD_FLOATS, ids=BAD_FLOAT_IDS)
+def test_bad_train_lr_is_config_error_by_name(tmp_path, capsys, value,
+                                              message):
+    cfg = _train_config(tmp_path, train={"epochs": 1, "lr": value})
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: train.lr: " in err and message in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_schema_lists_the_attack_config_fields():
+    match = re.search(r"^  attack +object +AttackConfig fields: (.*?)\n  \S",
+                      cli.__doc__, re.M | re.S)
+    listed = [key.strip() for key in match.group(1).split(",")]
+    assert listed == [f.name for f in fields(attacks.AttackConfig)]
