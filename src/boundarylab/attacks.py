@@ -10,7 +10,10 @@ Three start rules feed two iterative attacks:
 Attacks are gradient loops: ``pgd`` ascends the cross-entropy, ``fab``
 repeatedly projects onto the nearest linearized pairwise boundary.  All
 iterates stay inside the ε-ball around the original input intersected
-with the [0,1] box.  Gradient budget is counted per restart so start
+with the [0,1] box.  Descent and an attack are phases of one loop
+(:func:`_phase`): a row stops, keeping its iterate, at the first check
+that finds it on or past a boundary or flipped (``success`` is
+``iterations >= 0``).  Gradient budget is counted per restart so start
 strategies can be compared at equal cost; a fab iteration counts as one
 evaluation (one linearization point) even though it back-propagates each
 representation coordinate.
@@ -21,7 +24,7 @@ plus the example index, and restart r adds r on top.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -31,7 +34,6 @@ from .geometry import nearest_boundary_batch
 from .layers import _row_dot, softmax_rows
 
 _EPS_DEFAULT = 8.0 / 255.0
-_FAIL = 1 << 30  # iteration sentinel for "restart did not succeed"
 # FAB's constants (Croce & Hein, ICML 2020, arXiv:1907.02044): the
 # extrapolation past the projections and the cap on the blend weight
 # toward the original input's projection
@@ -57,8 +59,10 @@ def _check_field(name, value, kind, relation, bound):
     # a bool is an int to isinstance, and JSON's true would pass as 1
     if isinstance(value, bool) or not isinstance(value, types):
         raise TypeError(f"{name} must be {noun}, got {type(value).__name__}")
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    # NaN, ±inf and an int too big for a float all fail the comparison
+    if kind is float and not abs(value) <= sys.float_info.max:
+        got = "an int too big for a float" if isinstance(value, int) else value
+        raise ValueError(f"{name} must be finite, got {got}")
     if value < bound or (relation == ">" and value == bound):
         raise ValueError(f"{name} must be {relation} {bound}, got {value}")
 
@@ -101,12 +105,15 @@ class AttackConfig:
 
 @dataclass
 class BatchSegment:
-    """One restart's attack loop over a batch (internal building block)."""
+    """One phase of a restart over a batch (internal building block)."""
 
     x_adv: np.ndarray
-    success: np.ndarray
-    iterations: np.ndarray  # -1 where the segment failed
+    iterations: np.ndarray  # the check a row stopped at, -1 where none
     grad_evals: np.ndarray
+
+    @property
+    def success(self):
+        return self.iterations >= 0
 
 
 @dataclass
@@ -120,11 +127,14 @@ class BatchOutcome:
     """
 
     x_adv: np.ndarray
-    success: np.ndarray
     iterations: np.ndarray  # -1 where no restart succeeded
     restart: np.ndarray  # -1 where no restart succeeded
     iterations_per_restart: np.ndarray  # (B, R), -1 on failure
     grad_evals_per_restart: np.ndarray  # (B, R)
+
+    @property
+    def success(self):
+        return self.iterations >= 0
 
 
 def _ball_bounds(x, epsilon):
@@ -250,7 +260,7 @@ def boundary_distance_grad(c, bs, ctxs, y, m):
     return c.head_backward(ctxs, rows / norms[:, None])
 
 
-# -- the live rows of an attack loop ------------------------------------
+# -- the live rows and the phase loop -----------------------------------
 
 
 class _Workspace:
@@ -273,7 +283,7 @@ class _Workspace:
 
 
 class _LiveSet:
-    """The rows of a batch an attack loop still moves, kept compact.
+    """The rows of a batch a phase still moves, kept compact.
 
     ``x`` starts as the start clipped to the ε-ball of ``x_orig`` and the
     box, and is updated in place; the rows, their ball bounds and labels
@@ -340,6 +350,34 @@ class _LiveSet:
         return self.full
 
 
+def _phase(c, x_orig, y, config, start, workspace, checks, moves, stop,
+           move):
+    """One phase of a restart over a batch; returns a BatchSegment.
+
+    Check t < ``checks`` is one head forward over the live rows, and a
+    move follows each of the first ``moves``.  ``stop(c, live_set, v)``
+    returns the mask of the rows that stop and what ``move(live_set,
+    ctxs, aux, live)`` needs; ``move`` must drop the stopped rows
+    (``live_set.keep(live)``) and leave the rest in ball and box.
+    """
+    live_set = _LiveSet(x_orig, y, config.epsilon, start, workspace)
+    iters = np.full(live_set.rows.size, -1, dtype=np.int64)
+    evals = np.zeros_like(iters)
+    for t in range(checks):
+        if live_set.rows.size == 0:
+            break
+        v, ctxs = c.head_forward_with_ctx(live_set.x, train=False)
+        stopped, aux = stop(c, live_set, v)
+        iters[live_set.rows[stopped]] = t
+        if t == moves or stopped.all():
+            break
+        move(live_set, ctxs, aux, ~stopped)
+        del ctxs  # free this pass's contexts before the next head forward
+        evals[live_set.rows] += 1
+    return BatchSegment(x_adv=live_set.finish(), iterations=iters,
+                        grad_evals=evals)
+
+
 # -- start strategy: boundary descent -------------------------------------
 
 
@@ -353,77 +391,43 @@ def boundary_init_batch(c, bs, x_orig, y, config, start, *, workspace=None):
     ``workspace`` is passed by :func:`run_restarts_batch`; a direct call
     makes its own.
     """
-    live_set = _LiveSet(x_orig, y, config.epsilon, start, workspace)
-    evals = np.zeros(live_set.rows.size, dtype=np.int64)
-    for _ in range(config.n_init):
-        if live_set.rows.size == 0:
-            break
-        v, ctxs = c.head_forward_with_ctx(live_set.x, train=False)
+    def stop(c, live_set, v):
         m, dist = nearest_boundary_batch(bs, v, live_set.y)
-        live = dist > 0.0
-        if not live.any():
-            break
+        return ~(dist > 0.0), m  # a NaN distance stops too
+
+    def move(live_set, ctxs, m, live):
         gx = boundary_distance_grad(c, bs, ctxs, live_set.y, m)
-        del ctxs  # free this pass's contexts before the next head forward
         live_set.step(gx, -config.eta_init, live)
-        evals[live_set.rows] += 1
-    return live_set.finish(), evals
+
+    # no check after the last step: the attack's first check sees it
+    seg = _phase(c, x_orig, y, config, start, workspace, config.n_init,
+                 config.n_init, stop, move)
+    return seg.x_adv, seg.grad_evals
 
 
 # -- attacks ---------------------------------------------------------------
 
 
-def _attack_loop(c, x_orig, y, config, start, move, workspace):
-    """One restart of an attack over a batch; ``move`` is the attack.
-
-    Iteration t checks the prediction at the current iterate (t=0 is the
-    start point) and records the first flip; flipped examples freeze
-    immediately, keeping their adversarial point.  Up to n_attack times,
-    ``move(live_set, ctxs, z, live)`` moves the rows still live: ``ctxs``
-    and logits ``z`` are those of the rows the head just saw, ``live``
-    marks the ones that did not flip, and ``move`` must drop the others
-    (``live_set.keep(live)``) and leave the rest in ball and box.  Every
-    row that moved spends one gradient evaluation.
-    """
-    live_set = _LiveSet(x_orig, y, config.epsilon, start, workspace)
-    b = live_set.rows.size
-    success = np.zeros(b, dtype=bool)
-    iters = np.full(b, -1, dtype=np.int64)
-    evals = np.zeros(b, dtype=np.int64)
-    for t in range(config.n_attack + 1):
-        if live_set.rows.size == 0:
-            break
-        v, ctxs = c.head_forward_with_ctx(live_set.x, train=False)
-        z = c.tail_forward(v)
-        flip = np.argmax(z, axis=1) != live_set.y
-        if flip.any():
-            hit = live_set.rows[flip]
-            success[hit] = True
-            iters[hit] = t
-        if t == config.n_attack:
-            break
-        live = ~flip
-        if not live.any():
-            break
-        move(live_set, ctxs, z, live)
-        del ctxs  # free this pass's contexts before the next head forward
-        evals[live_set.rows] += 1
-    return BatchSegment(x_adv=live_set.finish(), success=success,
-                        iterations=iters, grad_evals=evals)
+def _flipped(c, live_set, v):
+    """An attack's stop rule, first checked at the start: the prediction
+    is not the label (argmax keeps the first of tied logits)."""
+    z = c.tail_forward(v)
+    return np.argmax(z, axis=1) != live_set.y, z
 
 
 def pgd_batch(c, x_orig, y, config, start, *, workspace=None):
     """Sign-gradient cross-entropy ascent for one restart over a batch.
 
     n_attack steps of size alpha, each clipped to the ε-ball of the
-    original input and the box, under :func:`_attack_loop`'s first-flip
-    and freeze rule.  ``workspace`` is as in :func:`boundary_init_batch`.
+    original input and the box; a row stops at its first flip.
+    ``workspace`` is as in :func:`boundary_init_batch`.
     """
     def move(live_set, ctxs, z, live):
         gx = cross_entropy_grad(c, ctxs, z, live_set.y)
         live_set.step(gx, config.alpha, live)
 
-    return _attack_loop(c, x_orig, y, config, start, move, workspace)
+    return _phase(c, x_orig, y, config, start, workspace,
+                  config.n_attack + 1, config.n_attack, _flipped, move)
 
 
 def fab_batch(c, x_orig, y, config, start, *, workspace=None):
@@ -482,7 +486,8 @@ def fab_batch(c, x_orig, y, config, start, *, workspace=None):
         live_set.x[...] = xn.reshape(live_set.x.shape)
         live_set.clip()
 
-    return _attack_loop(c, x_orig, y, config, start, move, workspace)
+    return _phase(c, x_orig, y, config, start, workspace,
+                  config.n_attack + 1, config.n_attack, _flipped, move)
 
 
 # -- exact L∞ projection onto hyperplane ∩ box ----------------------------
@@ -578,9 +583,7 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
     r_count = config.restarts
     iters_all = np.full((b, r_count), -1, dtype=np.int64)
     evals_all = np.zeros((b, r_count), dtype=np.int64)
-    best_x = None
-    best_success = np.zeros(b, dtype=bool)
-    best_iters = np.full(b, _FAIL, dtype=np.int64)
+    best_iters = np.full(b, -1, dtype=np.int64)
     best_restart = np.full(b, -1, dtype=np.int64)
     work = _Workspace(x_batch, config.epsilon)
     for r in range(r_count):
@@ -600,21 +603,17 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
             c, x_batch, y_batch, config, start, workspace=work)
         iters_all[:, r] = seg.iterations
         evals_all[:, r] = init_evals + seg.grad_evals
-        seg_iters = np.where(seg.success, seg.iterations, _FAIL)
-        if best_x is None:
-            best_x = seg.x_adv.copy()
-            improve = np.ones(b, dtype=bool)
+        improve = seg.success & ((best_restart < 0)
+                                 | (seg.iterations < best_iters))
+        if r == 0:
+            best_x = seg.x_adv.copy()  # a row no restart flips keeps this
         else:
-            improve = seg_iters < best_iters
             best_x[improve] = seg.x_adv[improve]
-        best_iters = np.where(improve, seg_iters, best_iters)
-        best_success |= seg.success
-        best_restart = np.where(improve & seg.success, r, best_restart)
-    iterations = np.where(best_success, best_iters, -1)
+        best_iters[improve] = seg.iterations[improve]
+        best_restart[improve] = r
     return BatchOutcome(
         x_adv=best_x,
-        success=best_success,
-        iterations=iterations,
+        iterations=best_iters,
         restart=best_restart,
         iterations_per_restart=iters_all,
         grad_evals_per_restart=evals_all,

@@ -49,7 +49,6 @@ Exit codes: 0 ok, 1 config error, 2 invariant/computation failure,
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, fields, replace
 from functools import partial
@@ -94,8 +93,10 @@ def _checked(value, path, kind):
     if not ok:
         raise ConfigError(
             f"{path}: expected {kind.__name__}, got {type(value).__name__}")
-    if kind is float and not math.isfinite(value):  # JSON NaN, Infinity
-        raise ConfigError(f"{path}: must be finite, got {value}")
+    # JSON NaN, ±Infinity and an integer past the float range all fail
+    if kind is float and not abs(value) <= sys.float_info.max:
+        got = "an int too big for a float" if isinstance(value, int) else value
+        raise ConfigError(f"{path}: must be finite, got {got}")
     return float(value) if kind is float else value
 
 

@@ -204,7 +204,6 @@ def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
         correct = pred == ys
         out = BatchOutcome(
             x_adv=np.array(xs, dtype=np.float64),
-            success=~correct,
             iterations=np.where(correct, -1, 0).astype(np.int64),
             restart=np.full(hi - lo, -1, dtype=np.int64),
             iterations_per_restart=np.full((hi - lo, config.restarts), -1,

@@ -39,7 +39,7 @@ def test_config_rejects_bad_values():
         with pytest.raises(TypeError, match="must be an int"):
             attacks.AttackConfig(**{**ok, **bad})
     for name in ("epsilon", "alpha", "eta_init"):
-        for value in (np.nan, np.inf, -np.inf):
+        for value in (np.nan, np.inf, -np.inf, 10**400):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 attacks.AttackConfig(**{**ok, name: value})
         for value in (True, "0.1"):
@@ -352,6 +352,23 @@ def test_boundary_descent_respects_ball():
     assert np.all((out >= 0.0) & (out <= 1.0))
 
 
+def test_a_logit_tie_stops_descent_but_flips_only_a_later_label():
+    # z = [0.5, 0.5, -1]: x is on the (0, 1) boundary, and argmax keeps
+    # the first of tied logits, so the tie is a flip for y=1 only
+    clf = model.linear_model(2, 3, weight=[[1, 0], [0, 1], [-1, -1]],
+                             bias=[0, 0, 0])
+    bs = geometry.boundary_set_for(clf)
+    x = np.array([[0.5, 0.5], [0.5, 0.5]])
+    y = np.array([0, 1])
+    cfg = attacks.AttackConfig(epsilon=0.1, alpha=0.05, eta_init=0.05,
+                               restarts=1, n_init=3, n_attack=3, seed=0)
+    out, evals = attacks.boundary_init_batch(clf, bs, x, y, cfg, x.copy())
+    assert out.tobytes() == x.tobytes() and evals.tolist() == [0, 0]
+    seg = attacks.pgd_batch(clf, x, y, cfg, x.copy())
+    assert seg.iterations.tolist() == [1, 0]
+    assert seg.grad_evals.tolist() == [1, 0]
+
+
 # -- attack loops --------------------------------------------------------
 
 
@@ -602,8 +619,8 @@ def _mixed_batch(c, ds):
 @pytest.mark.parametrize("budget", [(4, 6), (0, 6), (4, 0), (0, 0)],
                          ids=lambda b: f"init{b[0]}-attack{b[1]}")
 @pytest.mark.parametrize("which", ["mlp", "cnn"])
-def test_live_set_loops_match_gather_scatter(which, budget, blobs_mlp,
-                                              blobs_test,
+def test_live_set_loops_match_gather_scatter(which, budget, monkeypatch,
+                                              blobs_mlp, blobs_test,
                                               untrained_cnn_digits):
     c, ds, eps = ((blobs_mlp, blobs_test, 0.08) if which == "mlp"
                   else (*untrained_cnn_digits, 0.03))
@@ -612,17 +629,44 @@ def test_live_set_loops_match_gather_scatter(which, budget, blobs_mlp,
     cfg = attacks.AttackConfig(epsilon=eps, alpha=eps / 4,
                                eta_init=eps / 3, restarts=1,
                                n_init=budget[0], n_attack=budget[1], seed=0)
+    # every head forward's row count and every nearest-boundary query, in
+    # order: an extra check or a wasted forward leaves the bytes alone
+    calls = []
+    forward, nearest = c.head_forward_with_ctx, geometry.nearest_boundary_batch
+
+    def counted_forward(xb, train=False):
+        calls.append(("head_forward", xb.shape[0]))
+        return forward(xb, train=train)
+
+    def counted_nearest(bs, v, y):
+        calls.append(("nearest_boundary", v.shape[0]))
+        return nearest(bs, v, y)
+
+    monkeypatch.setattr(c, "head_forward_with_ctx", counted_forward)
+    monkeypatch.setattr(attacks, "nearest_boundary_batch", counted_nearest)
+    monkeypatch.setattr(geometry, "nearest_boundary_batch", counted_nearest)
+
+    def same_calls(run, oracle, *args):
+        calls.clear()
+        got = run(*args)
+        ran = list(calls)
+        calls.clear()
+        want = oracle(*args)
+        assert ran == calls
+        return got, want
+
     for n in (len(y), 0):
         xb, yb = x[:n], y[:n]
         start = attacks.random_start_batch(xb, eps, np.arange(n))
-        x0, e0 = attacks.boundary_init_batch(c, bs, xb, yb, cfg, start)
-        x1, e1 = _oracle_boundary_init(c, bs, xb, yb, cfg, start)
+        (x0, e0), (x1, e1) = same_calls(attacks.boundary_init_batch,
+                                        _oracle_boundary_init,
+                                        c, bs, xb, yb, cfg, start)
         assert x0.tobytes() == x1.tobytes()
         assert e0.tobytes() == e1.tobytes()
-        segs = {"pgd": (attacks.pgd_batch(c, xb, yb, cfg, x0),
-                        _oracle_pgd(c, xb, yb, cfg, x0)),
-                "fab": (attacks.fab_batch(c, xb, yb, cfg, x0),
-                        _oracle_fab(c, xb, yb, cfg, x0))}
+        segs = {"pgd": same_calls(attacks.pgd_batch, _oracle_pgd,
+                                  c, xb, yb, cfg, x0),
+                "fab": same_calls(attacks.fab_batch, _oracle_fab,
+                                  c, xb, yb, cfg, x0)}
         for seg, want in segs.values():
             for got, ref in zip((seg.x_adv, seg.success, seg.iterations,
                                  seg.grad_evals), want):

@@ -600,8 +600,9 @@ def test_removed_attack_keys_are_unknown(tmp_path, trained, capsys, section,
 BAD_FLOATS = [(float("nan"), "must be finite, got nan"),
               (float("inf"), "must be finite, got inf"),
               (float("-inf"), "must be finite, got -inf"),
-              (True, "got bool"), ("0.1", "got str")]
-BAD_FLOAT_IDS = ["nan", "inf", "-inf", "true", "str"]
+              (True, "got bool"), ("0.1", "got str"),
+              (10**400, "must be finite, got an int too big for a float")]
+BAD_FLOAT_IDS = ["nan", "inf", "-inf", "true", "str", "int-past-float"]
 
 
 @pytest.mark.parametrize("section", ["attack", "adversarial"])
