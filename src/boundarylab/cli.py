@@ -119,13 +119,15 @@ def _load_config(path):
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an int past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path}: top level must be an object")

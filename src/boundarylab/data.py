@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 _IMAGES_MAGIC = 0x00000803
 _LABELS_MAGIC = 0x00000801
@@ -355,15 +354,45 @@ def _render(a, b, size, widths):
     return img.reshape(n_ex, size, size)
 
 
+def _blur(images, sigmas, out):
+    """Gaussian-blur each (size, size) image of ``images`` (E, size, size)
+    with its own sigma into ``out``; bit for bit what
+    ``scipy.ndimage.gaussian_filter(images[e], sigma=sigmas[e])`` gives.
+
+    As there: radius r = int(4 sigma + 0.5), weights exp(-0.5 / sigma² ·
+    x²) over x = -r..r divided by their sum, edges reflected with the
+    edge pixel repeated (``np.pad``'s "symmetric", which reflects again
+    when r exceeds the image), and one 1-D pass per axis, first axis
+    first.  Each output is the centre pixel times w_0 plus, from the
+    outermost mirrored pair inward, (left + right) · w_j.  Examples of
+    one radius go through as one batch.
+    """
+    radii = (4.0 * sigmas + 0.5).astype(np.int64)
+    for r in sorted(set(radii.tolist())):  # np.unique would import numpy.ma
+        rows = np.nonzero(radii == r)[0]
+        sig = sigmas[rows, None]
+        w = np.exp(-0.5 / (sig * sig) * np.arange(-r, r + 1) ** 2)
+        w = (w / w.sum(axis=1, keepdims=True))[:, :, None, None]
+        x = images[rows]
+        for _ in range(2):  # swapped, the last axis is axis 1, then axis 2
+            x = x.swapaxes(1, 2)
+            n = x.shape[2]
+            p = np.pad(x, ((0, 0), (0, 0), (r, r)), mode="symmetric")
+            x = p[..., r:r + n] * w[:, r]
+            for j in range(r, 0, -1):
+                x += (p[..., r - j:r - j + n] + p[..., r + j:r + j + n]) \
+                    * w[:, r + j]
+        out[rows] = x
+
+
 def _digit_images(rng, base, out):
     """Fill ``out`` (E, size, size) with E jittered renderings of the
     stroke template ``base``.
 
     Rendering draws nothing, so every example's jitter, width, blur and
     noise are drawn first, in per-example order; then all E examples are
-    rendered at 2x resolution in one :func:`_render` call and mean-pooled
-    down.  Only the blur, whose sigma differs per example, runs one
-    example at a time.
+    rendered at 2x resolution in one :func:`_render` call, mean-pooled
+    down and blurred by :func:`_blur`, one batch per kernel radius.
     """
     n, size = len(out), out.shape[-1]
     n_seg = sum(len(ply) - 1 for ply in base)
@@ -388,8 +417,7 @@ def _digit_images(rng, base, out):
         noise[e] = rng.normal(0.0, 0.02, (size, size))
     fine = _render(a, b, 2 * size, widths)
     pooled = fine.reshape(n, size, 2, size, 2).mean(axis=(2, 4))
-    for e in range(n):
-        out[e] = gaussian_filter(pooled[e], sigma=sigmas[e])
+    _blur(pooled, sigmas, out)
     out += noise
     np.clip(out, 0.0, 1.0, out=out)
 

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -126,6 +128,33 @@ def test_sweep_writes_csv(trained):
     assert len(data_rows) == 2 * 2 + 2  # per-seed rows plus mean rows
 
 
+def test_digits_and_a_sweep_load_no_scipy(trained):
+    # scipy serves verify's LP check and the tests, not the import path
+    root, ckpt = trained
+    cfg = root / "sweep-imports.json"
+    cfg.write_text(json.dumps({
+        "dataset": TEST_BLOBS,
+        "model_path": str(ckpt),
+        "attack": {"epsilon": 0.08, "alpha": 0.02, "restarts": 1,
+                   "n_init": 1, "n_attack": 2, "seed": 3},
+        "sweep": {"n_init_values": [0, 1], "seeds": [3]},
+        "out": str(root / "sweep-imports.csv"),
+    }))
+    script = (
+        "import sys\n"
+        "from boundarylab import cli, data\n"
+        "data.make_digits(2, classes=(0, 1), size=8)\n"
+        f"assert cli.main(['sweep', '--config', {str(cfg)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_export_repr_csv_and_json(trained):
     root, ckpt = trained
     for fmt, name in (("csv", "repr.csv"), ("json", "repr.json")):
@@ -183,6 +212,22 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["attack", "--config", str(bad)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "long.json"
+    bad.write_text('{"seed": ' + "1" * 5000 + "}")
+    assert cli.main(["train", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and str(bad) in err
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b'{"a": "\xff\xfe"}')
+    assert cli.main(["train", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(bad) in err
 
 
 def test_missing_required_key_is_config_error(tmp_path, capsys):

@@ -294,7 +294,7 @@ def _uneven_count(size):
 
 
 @pytest.mark.parametrize("seed", [0, 3, 17])
-@pytest.mark.parametrize("size", [5, 14, 16, 28])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 14, 16, 28])
 def test_digits_match_the_per_example_renderer(size, seed):
     classes = tuple(range(10))
     for n in (0, 1, _uneven_count(size)):
@@ -312,3 +312,20 @@ def test_render_of_one_example_matches_the_per_example_renderer(rng):
         one = data._render(a[None], b[None], size, np.array([width]))
         assert one.shape == (1, size, size)
         assert one[0].tobytes() == _render_one(polys, size, width).tobytes()
+
+
+def test_blur_matches_scipy_where_the_radius_steps(rng):
+    # int(4 sigma + 0.5) steps from 2 to 3 at 0.625 and from 3 to 4 at 0.875
+    from scipy.ndimage import gaussian_filter
+    sigmas = np.array([v for s in (0.625, 0.875) for v in
+                       (np.nextafter(s, 0.0), s, np.nextafter(s, 1.0))])
+    assert list((4.0 * sigmas + 0.5).astype(int)) == [2, 3, 3, 3, 4, 4]
+    for size in (1, 2, 3, 7, 16):
+        for images in (np.zeros((len(sigmas), size, size)),
+                       np.full((len(sigmas), size, size), 0.3),
+                       rng.uniform(0.0, 1.0, (len(sigmas), size, size))):
+            out = np.empty_like(images)
+            data._blur(images, sigmas, out)
+            for e, sigma in enumerate(sigmas):
+                want = gaussian_filter(images[e], sigma=sigma)
+                assert out[e].tobytes() == want.tobytes(), (size, sigma)
