@@ -128,7 +128,8 @@ def _load_config(path):
     try:
         cfg = json.loads(text)
     except ValueError as exc:  # bad syntax, or an int past the digit limit
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config {path} is not valid JSON or has an "
+                          f"integer too long to read: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     return cfg

@@ -219,7 +219,7 @@ def test_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
     bad.write_text('{"seed": ' + "1" * 5000 + "}")
     assert cli.main(["train", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert "not valid JSON" in err and str(bad) in err
+    assert "integer too long to read" in err and str(bad) in err
 
 
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Print what ``import boundarylab.cli`` costs a fresh interpreter.
 
-    python3 tools/footprint.py [--runs N] [--src DIR]
+    python3 tools/footprint.py [--src DIR]
 
-Each of N fresh interpreters (default 15), one after another, imports
+Each of RUNS (15) fresh interpreters, one after another, imports
 ``boundarylab.cli`` from ``DIR`` (default: the ``src/`` next to this
 file) with OPENBLAS_NUM_THREADS=1, as the benchmark runs.  Each reports
 the wall time of that import statement and its own peak resident set
@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+RUNS = 15
 
 CHILD = """
 import json, resource, sys, time
@@ -57,14 +58,11 @@ def spread(values, fmt):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=15)
     parser.add_argument("--src", type=Path, default=SRC,
                         help="directory that holds the boundarylab package")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
-    runs = [one_run(args.src.resolve()) for _ in range(args.runs)]
-    print(f"import boundarylab.cli from {args.src}, {args.runs} fresh "
+    runs = [one_run(args.src.resolve()) for _ in range(RUNS)]
+    print(f"import boundarylab.cli from {args.src}, {RUNS} fresh "
           f"interpreters, python {sys.version.split()[0]}")
     print("wall s:       " + spread([r["seconds"] for r in runs], "{:.3f}"))
     print("ru_maxrss MB: " + spread([r["maxrss_kb"] / 1024 for r in runs],
