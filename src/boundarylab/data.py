@@ -43,7 +43,8 @@ class Dataset:
             first = np.nonzero(~finite)[0][0]
             raise ValueError(f"image {first} has a non-finite pixel")
         if not self.class_map:
-            ks = sorted(int(v) for v in np.unique(self.labels))
+            # not np.unique, which imports numpy.ma on first use
+            ks = sorted({int(v) for v in np.asarray(self.labels).tolist()})
             object.__setattr__(self, "class_map", {k: k for k in ks})
 
     def __len__(self):

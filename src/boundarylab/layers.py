@@ -8,6 +8,18 @@ shaped as ``params()``.  :class:`Layer` supplies the defaults of a layer
 without parameters or buffers; each concrete layer defines ``forward``
 and ``backward`` itself.  No autograd tape: the model walks the layer
 list explicitly.
+
+A layer method never writes the arrays it is given, unless it is passed
+``overwrite=True``.  Only :class:`ReLU` and :class:`BatchNorm` take that
+keyword, on ``forward`` and ``backward``, and only the model's own layer
+loops pass it, for an array the model owns: one that a layer other than
+:class:`Flatten` produced.  The caller's input, the caller's
+representation gradient and Flatten's views of them are never owned; in
+training, the loss gradient is.  The result, bit for bit the one a
+fresh array gets, is then written over that array (BatchNorm: over its
+channel rows, which are the array itself when it is batch-innermost).
+No context keeps its layer's output, only its input, a mask or x̂, so
+no context sees such a write.
 """
 
 from __future__ import annotations
@@ -91,7 +103,9 @@ class Dense(Layer):
             raise ShapeMismatchError(
                 f"dense: expected {self.in_features} features, got {x.shape[1]}"
             )
-        return x @ self.weight.T + self.bias, (x,)
+        y = x @ self.weight.T
+        y += self.bias  # in place: no second buffer
+        return y, (x,)
 
     def backward(self, ctx, gy):
         return gy @ self.weight
@@ -161,15 +175,18 @@ class ReLU(Layer):
     # bit, with no per-element branch on the data (a select on the mask
     # mispredicts on activations): fmax drops NaN and -inf, ``+= 0.0`` turns
     # the -0.0 fmax may keep into +0.0, and the backward multiplies the
-    # upstream's bits, as uint64 words, by the 0/1 mask.
-    def forward(self, x, train=False):
-        y = np.fmax(x, 0.0)
+    # upstream's bits, as uint64 words, by the 0/1 mask.  With
+    # ``overwrite`` both write their result over the array they are given.
+    def forward(self, x, train=False, *, overwrite=False):
+        mask = x > 0
+        y = np.fmax(x, 0.0, out=x if overwrite else None)
         y += 0.0
-        return y, (x > 0,)
+        return y, (mask,)
 
-    def backward(self, ctx, gy):
+    def backward(self, ctx, gy, *, overwrite=False):
         (mask,) = ctx
-        gx = np.multiply(as_tensor(gy).view(np.uint64), mask)
+        bits = as_tensor(gy).view(np.uint64)
+        gx = np.multiply(bits, mask, out=bits if overwrite else None)
         return gx.view(np.float64)
 
 
@@ -220,7 +237,11 @@ class BatchNorm(Layer):
     the block sits in cache.  Each channel's result, in both modes, is
     the one the 1-D expressions give on its row alone, bit for bit,
     whatever its block.  Rank-4 outputs and input gradients are
-    batch-innermost; rank-2 ones are C-order batch-first.
+    batch-innermost; rank-2 ones are C-order batch-first.  With
+    ``overwrite=True`` a pass writes its result over the channel rows it
+    works on: the input's own buffer when that is batch-innermost, the
+    rows' copy otherwise, so a rank-2 result is a fresh C-order array
+    either way.
 
     ``train=True`` normalizes by batch statistics and updates the running
     buffers with momentum 0.1; ``train=False`` uses the frozen running
@@ -270,21 +291,24 @@ class BatchNorm(Layer):
         step = max(1, _BLOCK // max(n, 1))
         return [slice(lo, min(lo + step, c)) for lo in range(0, c, step)]
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, *, overwrite=False):
         rows = self._rows(x)
         n = rows.shape[1]
         if not train:
             # one affine map per channel; two passes need no blocks
             scale = self.gamma / np.sqrt(self.running_var + self.eps)
             shift = self.beta - self.running_mean * scale
-            y = rows * scale[:, None]
+            y = np.multiply(rows, scale[:, None],
+                            out=rows if overwrite else None)
             y += shift[:, None]
             return _from_rows(y, x.shape), (None, scale, x.shape)
         # xhat, kept until the backward, is allocated before y, which the
         # next layer frees; y first raised train-cnn's peak RSS by ~2 MB
-        xhat, y = np.empty_like(rows), np.empty_like(rows)
+        xhat = np.empty_like(rows)
+        y = rows if overwrite else np.empty_like(rows)
         mean, var, inv = (np.empty(self.channels) for _ in range(3))
         for s in self._blocks(n):
+            # y[s] may be rows[s]: it is written once the block is read
             mean[s] = rows[s].sum(axis=1) / n
             h = np.subtract(rows[s], mean[s, None], out=xhat[s])
             var[s] = _row_dot(h, h) / n
@@ -297,25 +321,32 @@ class BatchNorm(Layer):
         self.running_var = (1 - m) * self.running_var + m * var
         return _from_rows(y, x.shape), (xhat, inv, x.shape)
 
-    def backward(self, ctx, gy):
+    def backward(self, ctx, gy, *, overwrite=False):
         # train ctx: (xhat rows, 1/std of the batch, shape); eval: (None,
         # scale, shape)
         xhat, per_channel, shape = ctx
         g = self._rows(gy)
         if xhat is None:
-            return _from_rows(g * per_channel[:, None], shape)
+            gx = np.multiply(g, per_channel[:, None],
+                             out=g if overwrite else None)
+            return _from_rows(gx, shape)
         n = g.shape[1]
-        gx = np.empty_like(g)
+        gx = g if overwrite else np.empty_like(g)
         blocks = self._blocks(n)
         # Batch statistics depend on x, so the gradient couples the batch:
-        # gx = s·(gy - Σgy/n - x̂·Σgy·x̂/n) with s = γ·inv, as three terms
+        # gx = s·(gy - Σgy/n - x̂·Σgy·x̂/n) with s = γ·inv, as three terms,
+        # added as x̂·(-s·Σgy·x̂/n) + gy·s - s·Σgy/n.  gx[s] may be g[s], so
+        # gy·s goes to the scratch before x̂'s term is written; swapping
+        # the first two terms would change which NaN payload a sum of two
+        # NaNs keeps
         scale = self.gamma * per_channel
         scratch = np.empty((blocks[0].stop, n))
         for s in blocks:
             gb, xb, sc = g[s], xhat[s], scale[s]
             sum_g, sum_gx = gb.sum(axis=1), _row_dot(gb, xb)
+            term = np.multiply(gb, sc[:, None], out=scratch[: len(sc)])
             out = np.multiply(xb, (-sc * sum_gx / n)[:, None], out=gx[s])
-            out += np.multiply(gb, sc[:, None], out=scratch[: len(sc)])
+            out += term
             out += (-sc * sum_g / n)[:, None]
         return _from_rows(gx, shape)
 

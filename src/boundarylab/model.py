@@ -17,7 +17,10 @@ import numpy as np
 
 from .data import _check_count
 from .layers import (
+    BatchNorm,
     Dense,
+    Flatten,
+    ReLU,
     ShapeMismatchError,
     as_tensor,
     cross_entropy_with_logits,
@@ -39,6 +42,25 @@ def _entry(node, key, where):
     if not isinstance(node, dict) or key not in node:
         raise CheckpointError(f"checkpoint {where} has no {key!r} entry")
     return node[key]
+
+
+def _owning(layers, owned=False):
+    """Each of ``layers``, in the order given, with the keyword arguments
+    the model's own loops pass to its ``forward`` or ``backward``.
+
+    The ownership rule: an array is owned once a layer other than
+    ``Flatten`` has produced it, and ``owned`` says whether the first
+    layer's input is.  The caller's input and representation gradient,
+    and Flatten's views of them, are not; the loss gradient of training
+    is.  ReLU and BatchNorm write their result over an owned array
+    (``overwrite=True``).  No context keeps its layer's output, so no
+    context sees the write.
+    """
+    for layer in layers:
+        yield layer, ({"overwrite": True}
+                      if owned and isinstance(layer, (BatchNorm, ReLU))
+                      else {})
+        owned = owned or not isinstance(layer, Flatten)
 
 
 # Rows per block of ``Classifier.predict``, the harness's default chunk.
@@ -107,8 +129,8 @@ class Classifier:
         return h
 
     def _head(self, h, train=False):
-        for layer in self.layers[:-1]:
-            h, _ = layer.forward(h, train=train)  # each ctx freed as we go
+        for layer, kw in _owning(self.layers[:-1]):  # each ctx freed as we go
+            h, _ = layer.forward(h, train=train, **kw)
         return h
 
     def head_forward(self, x, train=False):
@@ -119,8 +141,8 @@ class Classifier:
         """Head forward keeping per-layer contexts for a later backward."""
         h = xb
         ctxs = []
-        for layer in self.layers[:-1]:
-            h, ctx = layer.forward(h, train=train)
+        for layer, kw in _owning(self.layers[:-1]):
+            h, ctx = layer.forward(h, train=train, **kw)
             ctxs.append(ctx)
         return h, ctxs
 
@@ -132,8 +154,9 @@ class Classifier:
         transposing copy here: (H·W, B) to (B, H·W) at one input channel.
         """
         g = gv
-        for layer, ctx in zip(reversed(self.layers[:-1]), reversed(ctxs)):
-            g = layer.backward(ctx, g)
+        for (layer, kw), ctx in zip(_owning(reversed(self.layers[:-1])),
+                                    reversed(ctxs)):
+            g = layer.backward(ctx, g, **kw)
         return np.ascontiguousarray(g)
 
     def tail_forward(self, v):
@@ -427,19 +450,21 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                 x = pgd_batch(clf, x, y, attack_config, start).x_adv
             h = x
             ctxs = []
-            for layer in clf.layers:
-                h, ctx = layer.forward(h, train=True)
+            for layer, kw in _owning(clf.layers):
+                h, ctx = layer.forward(h, train=True, **kw)
                 ctxs.append(ctx)
             loss, g = cross_entropy_with_logits(h, y)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step}"
                 )
-            for i in range(len(clf.layers) - 1, -1, -1):
-                layer = clf.layers[i]
+            backward = _owning(reversed(clf.layers), owned=True)
+            for i, (layer, kw) in zip(range(len(clf.layers) - 1, -1, -1),
+                                      backward):
+                # the parameter gradients read g before backward writes it
                 grads = layer.param_grads(ctxs[i], g)
                 if i > 0:  # nothing reads the first layer's input gradient
-                    g = layer.backward(ctxs[i], g)
+                    g = layer.backward(ctxs[i], g, **kw)
                 params = layer.params()
                 for name, grad in grads.items():
                     key = (i, name)

@@ -155,6 +155,42 @@ def test_digits_and_a_sweep_load_no_scipy(trained):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_idx_files_and_a_sweep_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use; a dataset built without a
+    # class map, as load_idx builds one, collects its labels without it
+    shape = (1, 3, 4)
+    ckpt = model.mlp(shape, 3, n=2, hidden=(4,), seed=0).save(
+        tmp_path / "mlp.ckpt")
+    ds = data.make_digits(3, classes=(0, 1, 2), size=4, seed=0)
+    ds = data.Dataset(images=ds.images[:, :, :3], labels=ds.labels,
+                      class_map=ds.class_map)
+    ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+    data.write_idx(ds, ip, lp)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"kind": "idx", "images": str(ip), "labels": str(lp)},
+        "model_path": str(ckpt),
+        "attack": {"epsilon": 0.08, "alpha": 0.02, "restarts": 1,
+                   "n_init": 1, "n_attack": 2, "seed": 3},
+        "sweep": {"n_init_values": [0, 1], "seeds": [3]},
+        "out": str(tmp_path / "sweep.csv"),
+    }))
+    script = (
+        "import sys\n"
+        "from boundarylab import cli, data\n"
+        f"assert data.load_idx({str(ip)!r}, {str(lp)!r}).k == 3\n"
+        f"assert cli.main(['sweep', '--config', {str(cfg)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_export_repr_csv_and_json(trained):
     root, ckpt = trained
     for fmt, name in (("csv", "repr.csv"), ("json", "repr.json")):

@@ -368,6 +368,100 @@ def test_batchnorm_eval_matches_the_affine_expressions_bit_for_bit(rng,
     assert gx.tobytes() == (gy * scale.reshape(bshape)).tobytes()
 
 
+# (shape, layout) of the arrays an in-place pass is checked on: rank 2 in
+# C and F order, rank 4 in C order and as the kernels' batch-innermost
+# buffer; (5000, 16) and (50, 16, 10, 10) take several train-mode blocks
+_IN_PLACE_CASES = [((33, 5), "c"), ((33, 5), "f"), ((5000, 16), "c"),
+                   ((4, 3, 5, 6), "batch-inner"), ((4, 3, 5, 6), "c"),
+                   ((50, 16, 10, 10), "batch-inner")]
+
+
+def _laid_out(a, layout):
+    from boundarylab.kernels import batch_inner
+
+    return {"c": np.ascontiguousarray, "f": np.asfortranarray,
+            "batch-inner": batch_inner}[layout](a)
+
+
+def _fresh_values(rng, shape, values):
+    if values == "specials":
+        return _with_specials(rng, shape)
+    return rng.standard_normal(shape) * 2.0 + 0.5
+
+
+def _same_array(a, b):
+    # equal bits in the same memory order
+    assert a.shape == b.shape and a.strides == b.strides
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape,layout", _IN_PLACE_CASES)
+def test_relu_in_place_equals_out_of_place(rng, shape, layout):
+    x = _laid_out(_with_specials(rng, shape), layout)
+    gy = _laid_out(_with_specials(rng, shape), layout)
+    relu = layers.ReLU()
+    y, ctx = relu.forward(x)
+    gx = relu.backward(ctx, gy)
+    # ReLU writes any float64 array it may overwrite, whatever its layout
+    x_in, gy_in = x.copy(order="K"), gy.copy(order="K")
+    y_in, ctx_in = relu.forward(x_in, overwrite=True)
+    assert np.shares_memory(y_in, x_in)
+    _same_array(y_in, y)
+    _same_array(ctx_in[0], ctx[0])
+    gx_in = relu.backward(ctx_in, gy_in, overwrite=True)
+    assert np.shares_memory(gx_in, gy_in)
+    _same_array(gx_in, gx)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("values", ["specials", "finite"])
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("shape,layout", _IN_PLACE_CASES)
+def test_batchnorm_in_place_equals_out_of_place(rng, shape, layout, train,
+                                                values):
+    bn = layers.BatchNorm(shape[1])
+    _set_running_stats(bn, rng)
+    bn_in = copy.deepcopy(bn)
+    x = _laid_out(_fresh_values(rng, shape, values), layout)
+    gy = _laid_out(_fresh_values(rng, shape, values), layout)
+    y, ctx = bn.forward(x, train=train)
+    grads = bn.param_grads(ctx, gy) if train else {}
+    gx = bn.backward(ctx, gy)
+
+    x_in, gy_in = x.copy(order="K"), gy.copy(order="K")
+    y_in, ctx_in = bn_in.forward(x_in, train=train, overwrite=True)
+    # the model's order: the parameter gradients read gy before backward
+    # writes it
+    grads_in = bn_in.param_grads(ctx_in, gy_in) if train else {}
+    gx_in = bn_in.backward(ctx_in, gy_in, overwrite=True)
+    _same_array(y_in, y)
+    _same_array(gx_in, gx)
+    assert grads_in.keys() == grads.keys()
+    for name, g in grads.items():
+        assert grads_in[name].tobytes() == g.tobytes(), name
+    for name, buf in bn.buffers().items():
+        assert bn_in.buffers()[name].tobytes() == buf.tobytes(), name
+    if train:
+        _same_array(ctx_in[0], ctx[0])
+    # the result is written over the channel rows: the input's own buffer
+    # when it is batch-innermost, a copy of it otherwise (a rank-2 result
+    # is C-order, its rows are (C, B))
+    assert np.shares_memory(y_in, x_in) == (layout == "batch-inner")
+    assert np.shares_memory(gx_in, gy_in) == (layout == "batch-inner")
+
+
+@pytest.mark.parametrize("name", ["dense", "conv-valid", "maxpool",
+                                  "flatten"])
+def test_only_relu_and_batchnorm_take_overwrite(name, rng):
+    layer, shape = next((l, s) for n, l, s in _cases(rng) if n == name)
+    x = rng.standard_normal(shape)
+    with pytest.raises(TypeError, match="overwrite"):
+        layer.forward(x, overwrite=True)
+    y, ctx = layer.forward(x)
+    with pytest.raises(TypeError, match="overwrite"):
+        layer.backward(ctx, y, overwrite=True)
+
+
 def test_flatten_round_trips_shape(rng):
     x = rng.standard_normal((3, 2, 4, 5))
     flat = layers.Flatten()

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from boundarylab import attacks, data, geometry, layers, model
+from boundarylab import attacks, data, geometry, kernels, layers, model
 from helpers import fd_grad, rel_err, rewrite_checkpoint_header
 
 
@@ -48,13 +48,13 @@ def test_cnn_head_is_batch_innermost_inside_and_c_order_outside(
                 if layer.kind == "flatten")
     inside = []
     for layer in clf.layers[:flat + 1]:
-        def forward(x, train=False, _run=layer.forward):
-            y, ctx = _run(x, train=train)
+        def forward(x, train=False, _run=layer.forward, **kwargs):
+            y, ctx = _run(x, train=train, **kwargs)
             inside.append(y)
             return y, ctx
 
-        def backward(ctx, gy, _run=layer.backward):
-            gx = _run(ctx, gy)
+        def backward(ctx, gy, _run=layer.backward, **kwargs):
+            gx = _run(ctx, gy, **kwargs)
             inside.append(gx)
             return gx
         monkeypatch.setattr(layer, "forward", forward)
@@ -71,6 +71,128 @@ def test_cnn_head_is_batch_innermost_inside_and_c_order_outside(
     assert v.shape == (5, 2) and v.flags.c_contiguous
     assert g.shape == x.shape and g.flags.c_contiguous
     assert clf.head_forward(x).flags.c_contiguous
+
+
+def _owned_heads():
+    # heads whose ReLU and BatchNorm layers the model's loops run in place:
+    # the presets, a head that starts and ends with ReLU (the last one gets
+    # the caller's representation gradient), one that starts with
+    # BatchNorm (its rank-4 input is the caller's array, batch-innermost
+    # below, so its rows view it), and Flatten then ReLU (the ReLU gets a
+    # view of the caller's input)
+    rng = np.random.default_rng(3)
+    L = layers
+    heads = {
+        "small_cnn": model.small_cnn(k=3, n=2, input_shape=(1, 12, 12),
+                                     seed=1),
+        "mlp": model.mlp((1, 6, 6), 3, n=2, hidden=(8,), seed=1),
+        "relu-first": model.Classifier(
+            [L.ReLU(), L.Dense(12, 2, rng=rng), L.ReLU(),
+             L.Dense(2, 3, rng=rng)], (12,)),
+        "batchnorm-first": model.Classifier(
+            [L.BatchNorm(2), L.Conv2d(2, 3, 3, rng=rng), L.BatchNorm(3),
+             L.ReLU(), L.Flatten(), L.Dense(48, 2, rng=rng),
+             L.Dense(2, 3, rng=rng)], (2, 6, 6)),
+        "flatten-relu": model.Classifier(
+            [L.Flatten(), L.ReLU(), L.Dense(18, 5, rng=rng), L.BatchNorm(5),
+             L.ReLU(), L.Dense(5, 2, rng=rng), L.Dense(2, 3, rng=rng)],
+            (2, 3, 3)),
+    }
+    for clf in heads.values():
+        for layer in clf.layers:  # running statistics away from identity
+            if isinstance(layer, L.BatchNorm):
+                layer.running_mean[:] = rng.normal(size=layer.channels)
+                layer.running_var[:] = rng.uniform(0.5, 2.0, layer.channels)
+                layer.gamma[:] = rng.uniform(0.5, 2.0, layer.channels)
+                layer.beta[:] = rng.normal(size=layer.channels)
+    return heads
+
+
+def _caller_input(name, clf, rng, rows=7):
+    # negative values too, which a ReLU written over x would change
+    x = rng.uniform(-1, 1, (rows, *clf.input_shape))
+    return kernels.batch_inner(x) if name == "batchnorm-first" else x
+
+
+def _pure_head_pass(clf, x, gv, train):
+    # the head's layer loops with every layer method called as a caller
+    # would, without overwrite: the oracle of the model's in-place loops
+    h, ctxs = x, []
+    for layer in clf.layers[:-1]:
+        h, ctx = layer.forward(h, train=train)
+        ctxs.append(ctx)
+    g = gv
+    for layer, ctx in zip(reversed(clf.layers[:-1]), reversed(ctxs)):
+        g = layer.backward(ctx, g)
+    return h, np.ascontiguousarray(g)
+
+
+@pytest.mark.filterwarnings("ignore:input outside")
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("name", list(_owned_heads()))
+def test_head_passes_leave_the_callers_arrays_alone(name, train, rng):
+    clf = _owned_heads()[name]
+    x = _caller_input(name, clf, rng)
+    x0 = x.tobytes()
+    clf.head_forward(x, train=train)
+    v, ctxs = clf.head_forward_with_ctx(x, train=train)
+    gv = rng.standard_normal(v.shape)
+    gv0 = gv.tobytes()
+    clf.head_backward(ctxs, gv)
+    clf.forward(x)
+    clf.predict(x[1:])
+    assert x.tobytes() == x0 and gv.tobytes() == gv0
+
+
+@pytest.mark.filterwarnings("ignore:input outside")
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("name", list(_owned_heads()))
+def test_head_passes_equal_the_pure_layer_loop(name, train, rng):
+    clf = _owned_heads()[name]
+    pure = copy.deepcopy(clf)
+    x = _caller_input(name, clf, rng)
+    v, ctxs = clf.head_forward_with_ctx(x, train=train)
+    gv = rng.standard_normal(v.shape)
+    want_v, want_g = _pure_head_pass(pure, x, gv, train)
+    assert v.tobytes() == want_v.tobytes()
+    # FAB back-propagates several directions through one forward's
+    # contexts, so a backward must leave them as they were
+    for _ in range(2):
+        assert clf.head_backward(ctxs, gv).tobytes() == want_g.tobytes()
+    for layer, other in zip(clf.layers, pure.layers):  # train-mode updates
+        for key, buf in layer.buffers().items():
+            assert buf.tobytes() == other.buffers()[key].tobytes(), key
+    want_v, _ = _pure_head_pass(pure, x, gv, False)
+    assert clf.head_forward(x).tobytes() == want_v.tobytes()
+
+
+@pytest.mark.parametrize("adversarial", [False, True],
+                         ids=["train", "adv_train"])
+@pytest.mark.parametrize("name", list(_owned_heads()))
+def test_training_in_place_equals_pure_and_leaves_the_data_alone(
+        monkeypatch, name, adversarial, rng):
+    clf = _owned_heads()[name]
+    images = rng.uniform(0, 1, (12, *clf.input_shape))
+    ds = data.Dataset(images=images, labels=np.arange(12) % 3)
+    before = images.tobytes()
+    cfg = attacks.AttackConfig(epsilon=0.05, alpha=0.02, restarts=1,
+                               n_init=0, n_attack=2, seed=0)
+
+    def fit():
+        if adversarial:
+            return model.adv_train(clf, ds, cfg, epochs=2, batch_size=5,
+                                   seed=4)
+        return model.train(clf, ds, epochs=2, batch_size=5, seed=4)
+
+    got = fit()
+    assert images.tobytes() == before
+    # the oracle: the same loops with no layer told to overwrite
+    monkeypatch.setattr(model, "_owning",
+                        lambda layers, owned=False: ((l, {}) for l in layers))
+    want = fit()
+    for a, b in zip(got.layers, want.layers):
+        for key, p in {**a.params(), **a.buffers()}.items():
+            assert p.tobytes() == {**b.params(), **b.buffers()}[key].tobytes()
 
 
 def test_predict_is_argmax(blobs_mlp, rng):
