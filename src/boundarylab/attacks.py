@@ -123,10 +123,12 @@ class BatchOutcome:
     Selection per example: success beats failure; among successes, fewer
     attack iterations win, earlier restart breaking ties.  For examples
     where every restart failed, ``x_adv`` is restart 0's final iterate
-    and ``restart`` is -1.
+    and ``restart`` is -1.  An outcome of several budget splits
+    (:func:`run_restarts_batch` with ``n_init_values``) has a leading
+    split axis on every field.
     """
 
-    x_adv: np.ndarray
+    x_adv: np.ndarray | None  # None when the caller keeps no points
     iterations: np.ndarray  # -1 where no restart succeeded
     restart: np.ndarray  # -1 where no restart succeeded
     iterations_per_restart: np.ndarray  # (B, R), -1 on failure
@@ -349,9 +351,16 @@ class _LiveSet:
             self.full[self.rows] = self.x
         return self.full
 
+    def snapshot(self):
+        """The batch iterate ``finish`` would return now, in a new array."""
+        full = self.full.copy()
+        if self.x is not self.full:
+            full[self.rows] = self.x
+        return full
+
 
 def _phase(c, x_orig, y, config, start, workspace, checks, moves, stop,
-           move):
+           move, capture=None):
     """One phase of a restart over a batch; returns a BatchSegment.
 
     Check t < ``checks`` is one head forward over the live rows, and a
@@ -359,11 +368,23 @@ def _phase(c, x_orig, y, config, start, workspace, checks, moves, stop,
     returns the mask of the rows that stop and what ``move(live_set,
     ctxs, aux, live)`` needs; ``move`` must drop the stopped rows
     (``live_set.keep(live)``) and leave the rest in ball and box.
+
+    ``capture``, for a phase with no check after its last move
+    (``checks == moves``), is a dict keyed by move counts k below
+    ``moves``.  Each key is set to the BatchSegment this phase run with
+    k checks and k moves returns: up to its end that phase keeps the
+    same rows and makes the same head calls, so the capture is its
+    result bit for bit.
     """
     live_set = _LiveSet(x_orig, y, config.epsilon, start, workspace)
     iters = np.full(live_set.rows.size, -1, dtype=np.int64)
     evals = np.zeros_like(iters)
+    pending = sorted(capture or (), reverse=True)  # the next one last
     for t in range(checks):
+        if pending and pending[-1] == t:  # t moves made
+            capture[pending.pop()] = BatchSegment(
+                x_adv=live_set.snapshot(), iterations=iters.copy(),
+                grad_evals=evals.copy())
         if live_set.rows.size == 0:
             break
         v, ctxs = c.head_forward_with_ctx(live_set.x, train=False)
@@ -374,14 +395,18 @@ def _phase(c, x_orig, y, config, start, workspace, checks, moves, stop,
         move(live_set, ctxs, aux, ~stopped)
         del ctxs  # free this pass's contexts before the next head forward
         evals[live_set.rows] += 1
-    return BatchSegment(x_adv=live_set.finish(), iterations=iters,
-                        grad_evals=evals)
+    seg = BatchSegment(x_adv=live_set.finish(), iterations=iters,
+                       grad_evals=evals)
+    for k in pending:  # every row stopped before k moves
+        capture[k] = seg
+    return seg
 
 
 # -- start strategy: boundary descent -------------------------------------
 
 
-def boundary_init_batch(c, bs, x_orig, y, config, start, *, workspace=None):
+def boundary_init_batch(c, bs, x_orig, y, config, start, *, workspace=None,
+                        capture=None):
     """Descend the nearest-boundary distance for up to n_init steps.
 
     Each step recomputes the nearest boundary class m, takes a signed
@@ -390,6 +415,14 @@ def boundary_init_batch(c, bs, x_orig, y, config, start, *, workspace=None):
     their current iterate.  Returns (x_init, grad_evals per example).
     ``workspace`` is passed by :func:`run_restarts_batch`; a direct call
     makes its own.
+
+    ``capture`` lets one descent serve every budget split of a sweep
+    (:func:`run_restarts_batch`): a dict keyed by step counts below
+    n_init, each set to the (x_init, grad_evals) a descent of that many
+    steps from the same start returns, bit for bit.  The caller draws
+    the random start once for all of them, and the descent runs once, to
+    n_init.  Each capture's grad_evals count only its own steps, so each
+    split is still charged its own budget.
     """
     def stop(c, live_set, v):
         m, dist = nearest_boundary_batch(bs, v, live_set.y)
@@ -399,9 +432,15 @@ def boundary_init_batch(c, bs, x_orig, y, config, start, *, workspace=None):
         gx = boundary_distance_grad(c, bs, ctxs, live_set.y, m)
         live_set.step(gx, -config.eta_init, live)
 
+    if not all(0 <= k < config.n_init for k in capture or ()):
+        raise ValueError(f"capture: step counts {sorted(capture)} are not "
+                         f"all in 0..{config.n_init - 1}")
+    segs = dict.fromkeys(capture or ())
     # no check after the last step: the attack's first check sees it
     seg = _phase(c, x_orig, y, config, start, workspace, config.n_init,
-                 config.n_init, stop, move)
+                 config.n_init, stop, move, segs)
+    for k, short in segs.items():
+        capture[k] = short.x_adv, short.grad_evals
     return seg.x_adv, seg.grad_evals
 
 
@@ -562,13 +601,27 @@ _METHODS = ("pgd", "fab")
 
 
 def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
-                       init="boundary", base_seeds=None):
+                       init="boundary", base_seeds=None, n_init_values=None,
+                       keep_x=True):
     """Run every restart for a batch and keep each example's best outcome.
 
     Restart r of example i draws its start from seed base_seeds[i] + r,
     so callers must space base seeds at least config.restarts apart; the
     default config.seed + position * restarts does.  Every restart shares
     one :class:`_Workspace`: the batch's ε-ball and the live-set buffers.
+
+    ``n_init_values`` attacks several budget splits at once: each value
+    re-splits the config's total ``n_init + n_attack``
+    (:meth:`AttackConfig.with_budget_split`), and the outcome gets a
+    leading split axis in the order of the values.  A restart's random
+    start is drawn once for all splits, and boundary descent runs once,
+    to the largest n_init; each split's attack starts from the iterate
+    that descent had after the split's own n_init steps, which is what a
+    descent of that length ends in, and runs its own n_attack.  Each
+    split is still charged its own budget: ``grad_evals_per_restart``
+    counts the descent steps of its n_init, not of the longest descent.
+    A single split takes no capture.  ``keep_x=False`` keeps no
+    adversarial points: ``x_adv`` is None.
     """
     if method not in _METHODS:
         raise ValueError(f"method {method!r}: expected one of {_METHODS}")
@@ -580,41 +633,56 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
     if base_seeds is None:
         base_seeds = config.seed + np.arange(b) * config.restarts
     base_seeds = np.asarray(base_seeds, dtype=np.int64)
-    r_count = config.restarts
-    iters_all = np.full((b, r_count), -1, dtype=np.int64)
-    evals_all = np.zeros((b, r_count), dtype=np.int64)
-    best_iters = np.full(b, -1, dtype=np.int64)
-    best_restart = np.full(b, -1, dtype=np.int64)
+    splits = ([config] if n_init_values is None else
+              [config.with_budget_split(int(v)) for v in n_init_values])
+    if not splits:
+        raise ValueError("n_init_values is empty")
+    deepest = max(splits, key=lambda cfg: cfg.n_init)
+    # the descent lengths below the deepest that some split starts from
+    shallower = {cfg.n_init for cfg in splits} - {deepest.n_init}
+    shape = (len(splits), b, config.restarts)
+    iters_all = np.full(shape, -1, dtype=np.int64)
+    evals_all = np.zeros(shape, dtype=np.int64)
+    best_iters = np.full(shape[:2], -1, dtype=np.int64)
+    best_restart = np.full(shape[:2], -1, dtype=np.int64)
+    best_x = np.empty((len(splits), *x_batch.shape)) if keep_x else None
+    # looked up per call, so a module attribute patched over either
+    # function is the one that runs
+    attack = pgd_batch if method == "pgd" else fab_batch
     work = _Workspace(x_batch, config.epsilon)
-    for r in range(r_count):
+    for r in range(config.restarts):
         if init == "none":
             start = x_batch  # every attack clips its start into a new array
         else:
             start = random_start_batch(x_batch, config.epsilon,
                                        base_seeds + r)
-        init_evals = 0
         if init == "boundary":
-            start, init_evals = boundary_init_batch(
-                c, bs, x_batch, y_batch, config, start, workspace=work
-            )
-        # looked up per call, so a module attribute patched over either
-        # function is the one that runs
-        seg = (pgd_batch if method == "pgd" else fab_batch)(
-            c, x_batch, y_batch, config, start, workspace=work)
-        iters_all[:, r] = seg.iterations
-        evals_all[:, r] = init_evals + seg.grad_evals
-        improve = seg.success & ((best_restart < 0)
-                                 | (seg.iterations < best_iters))
-        if r == 0:
-            best_x = seg.x_adv.copy()  # a row no restart flips keeps this
+            captured = dict.fromkeys(shallower)  # empty for one split
+            starts = {deepest.n_init: boundary_init_batch(
+                c, bs, x_batch, y_batch, deepest, start, workspace=work,
+                capture=captured)}
+            starts.update(captured)
         else:
-            best_x[improve] = seg.x_adv[improve]
-        best_iters[improve] = seg.iterations[improve]
-        best_restart[improve] = r
-    return BatchOutcome(
-        x_adv=best_x,
-        iterations=best_iters,
-        restart=best_restart,
-        iterations_per_restart=iters_all,
-        grad_evals_per_restart=evals_all,
-    )
+            starts = {cfg.n_init: (start, 0) for cfg in splits}
+        del start  # a descent's start is not kept while the attacks run
+        for s, cfg in enumerate(splits):
+            x_init, init_evals = starts[cfg.n_init]
+            seg = attack(c, x_batch, y_batch, cfg, x_init, workspace=work)
+            iters_all[s, :, r] = seg.iterations
+            evals_all[s, :, r] = init_evals + seg.grad_evals
+            improve = seg.success & ((best_restart[s] < 0)
+                                     | (seg.iterations < best_iters[s]))
+            if keep_x:
+                # restart 0 sets every row: a row no restart flips keeps it
+                rows = slice(None) if r == 0 else improve
+                best_x[s][rows] = seg.x_adv[rows]
+            best_iters[s][improve] = seg.iterations[improve]
+            best_restart[s][improve] = r
+        del starts, x_init, seg  # not kept while the next restart starts
+    arrays = dict(x_adv=best_x, iterations=best_iters, restart=best_restart,
+                  iterations_per_restart=iters_all,
+                  grad_evals_per_restart=evals_all)
+    if n_init_values is None:  # the config's own split, without the axis
+        arrays = {name: None if a is None else a[0]
+                  for name, a in arrays.items()}
+    return BatchOutcome(**arrays)

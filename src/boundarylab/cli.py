@@ -434,6 +434,8 @@ def cmd_sweep(args):
             raise ConfigError(f"sweep.n_init_values: {exc}") from exc
     seeds = _typed(cfg, "sweep.seeds", [int], None)
     if seeds is not None:
+        if not seeds:
+            raise ConfigError("sweep.seeds: empty list")
         seeds = tuple(seeds)
     _check_seeds(config, len(ds), seeds)
     bs = geometry.boundary_set_for(clf)

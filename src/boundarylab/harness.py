@@ -177,9 +177,69 @@ def check_seeds(config, n):
         )
 
 
+def _attack_splits(c, bs, dataset, config, method, init, n_init_values, *,
+                   workers, chunk_size, keep_x):
+    """The chunk loop behind :func:`attack_dataset`, :func:`evaluate` and
+    :func:`sweep_n_init`: one pass over ``dataset`` serves every budget
+    split in ``n_init_values``.
+
+    Returns ``(pred, fields)``: the clean predictions and a dict of the
+    BatchOutcome fields with a leading split axis, ``x_adv`` only when
+    ``keep_x``.  Each chunk's correctly classified examples go through
+    one ``run_restarts_batch`` call for all splits.
+    """
+    n = len(dataset)
+    if n == 0:
+        raise ValueError("cannot evaluate an empty dataset")
+    check_seeds(config, n)
+    check_labels(c, dataset.labels)
+    x, y = dataset.images, dataset.labels
+    names = [f for f in _OUTCOME_FIELDS if keep_x or f != "x_adv"]
+    splits = len(n_init_values)
+
+    def run_chunk(bounds):
+        lo, hi = bounds
+        xs, ys = x[lo:hi], y[lo:hi]
+        pred = c.predict(xs)
+        correct = pred == ys
+        shape = (splits, hi - lo)
+        out = {
+            "iterations": np.full(shape, -1, dtype=np.int64),
+            "restart": np.full(shape, -1, dtype=np.int64),
+            "iterations_per_restart": np.full((*shape, config.restarts), -1,
+                                              dtype=np.int64),
+            "grad_evals_per_restart": np.zeros((*shape, config.restarts),
+                                               dtype=np.int64),
+        }
+        out["iterations"][:, ~correct] = 0
+        if keep_x:
+            out["x_adv"] = np.repeat(
+                np.asarray(xs, dtype=np.float64)[None], splits, axis=0)
+        idx = np.nonzero(correct)[0]
+        if idx.size:
+            got = run_restarts_batch(
+                c, bs, xs[idx], ys[idx], config, method=method, init=init,
+                base_seeds=config.seed + (lo + idx) * config.restarts,
+                n_init_values=n_init_values, keep_x=keep_x,
+            )
+            for name in names:
+                out[name][:, idx] = getattr(got, name)
+        return pred, out
+
+    bounds = [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_chunk, bounds))
+    else:
+        results = [run_chunk(b) for b in bounds]
+    pred = np.concatenate([r[0] for r in results])
+    return pred, {name: np.concatenate([r[1][name] for r in results], axis=1)
+                  for name in names}
+
+
 def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
                    workers=1, chunk_size=256):
-    """Attack ``dataset`` chunk by chunk; the loop behind :func:`evaluate`.
+    """Attack ``dataset`` chunk by chunk, keeping the adversarial points.
 
     Returns ``(pred, outcome)``: the clean predictions and a BatchOutcome
     aligned with the dataset.  ``run_restarts_batch`` runs on the
@@ -190,65 +250,18 @@ def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
     outside the model's classes and a seed whose restart seeds overflow
     raise ValueError (:func:`check_labels`, :func:`check_seeds`).
     """
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    check_seeds(config, n)
-    check_labels(c, dataset.labels)
-    x, y = dataset.images, dataset.labels
-
-    def run_chunk(bounds):
-        lo, hi = bounds
-        xs, ys = x[lo:hi], y[lo:hi]
-        pred = c.predict(xs)
-        correct = pred == ys
-        out = BatchOutcome(
-            x_adv=np.array(xs, dtype=np.float64),
-            iterations=np.where(correct, -1, 0).astype(np.int64),
-            restart=np.full(hi - lo, -1, dtype=np.int64),
-            iterations_per_restart=np.full((hi - lo, config.restarts), -1,
-                                           dtype=np.int64),
-            grad_evals_per_restart=np.zeros((hi - lo, config.restarts),
-                                            dtype=np.int64),
-        )
-        idx = np.nonzero(correct)[0]
-        if idx.size:
-            got = run_restarts_batch(
-                c, bs, xs[idx], ys[idx], config, method=method, init=init,
-                base_seeds=config.seed + (lo + idx) * config.restarts,
-            )
-            for name in _OUTCOME_FIELDS:
-                getattr(out, name)[idx] = getattr(got, name)
-        return pred, out
-
-    bounds = [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, bounds))
-    else:
-        results = [run_chunk(b) for b in bounds]
-    pred = np.concatenate([r[0] for r in results])
-    outcome = BatchOutcome(**{
-        name: np.concatenate([getattr(r[1], name) for r in results])
-        for name in _OUTCOME_FIELDS
-    })
-    return pred, outcome
+    pred, got = _attack_splits(c, bs, dataset, config, method, init,
+                               [config.n_init], workers=workers,
+                               chunk_size=chunk_size, keep_x=True)
+    return pred, BatchOutcome(**{name: a[0] for name, a in got.items()})
 
 
-def evaluate(c, bs, dataset, config, method="pgd", init="boundary", *,
-             workers=1, chunk_size=256):
-    """Attack every example of ``dataset`` and aggregate an EvalReport.
-
-    Misclassified inputs are immediate successes (see
-    :func:`attack_dataset`).  The report is deterministic in (config,
-    dataset, model) and independent of ``workers``.
-    """
-    pred, out = attack_dataset(c, bs, dataset, config, method, init,
-                               workers=workers, chunk_size=chunk_size)
+def _report(c, dataset, config, method, init, pred, iters, restart):
+    """The EvalReport of one split's per-example outcomes."""
     y = dataset.labels
     n = len(dataset)
     correct = pred == y
-    success, iters, restart = out.success, out.iterations, out.restart
+    success = iters >= 0
 
     samples = iters[correct & success]
     mean_its = float(samples.mean()) if samples.size else None
@@ -282,6 +295,21 @@ def evaluate(c, bs, dataset, config, method="pgd", init="boundary", *,
         config=_config_snapshot(config, method, init),
         examples=examples,
     )
+
+
+def evaluate(c, bs, dataset, config, method="pgd", init="boundary", *,
+             workers=1, chunk_size=256):
+    """Attack every example of ``dataset`` and aggregate an EvalReport.
+
+    Misclassified inputs are immediate successes (see
+    :func:`attack_dataset`).  The report is deterministic in (config,
+    dataset, model) and independent of ``workers``.
+    """
+    pred, got = _attack_splits(c, bs, dataset, config, method, init,
+                               [config.n_init], workers=workers,
+                               chunk_size=chunk_size, keep_x=False)
+    return _report(c, dataset, config, method, init, pred,
+                   got["iterations"][0], got["restart"][0])
 
 
 @dataclass(frozen=True)
@@ -381,23 +409,35 @@ def sweep_n_init(c, bs, dataset, config, n_init_values, method="pgd",
     Every split keeps n_init + n_attack equal to the base config's
     total, so columns compare strategies at equal cost.  ``seeds``
     (default: just the config seed) repeats each split for averaging.
+    Each point's report is the one :func:`evaluate` gives at that split
+    and seed, but a seed attacks every split in one pass over the
+    dataset: each restart's random start is drawn once, and boundary
+    descent runs once, to the largest n_init, with each split's attack
+    starting from the iterate after its own n_init steps
+    (:func:`run_restarts_batch`).  Each split is still charged its own
+    n_init + n_attack evaluations.
     """
     values = [int(v) for v in n_init_values]
     if not values:
         raise ValueError("n_init_values is empty")
     seeds = (config.seed,) if seeds is None else tuple(int(s) for s in seeds)
-    points = []
-    for nv in values:
-        cfg = config.with_budget_split(nv)
-        for sd in seeds:
-            rep = evaluate(
-                c, bs, dataset, replace(cfg, seed=sd), method=method,
-                init=init, workers=workers, chunk_size=chunk_size,
-            )
-            points.append(
-                SweepPoint(n_init=nv, n_attack=cfg.n_attack, seed=sd,
-                           report=rep)
-            )
+    if not seeds:
+        raise ValueError("seeds is empty")
+    splits = [config.with_budget_split(nv) for nv in values]
+    reports = {}
+    for sd in seeds:
+        pred, got = _attack_splits(
+            c, bs, dataset, replace(config, seed=sd), method, init, values,
+            workers=workers, chunk_size=chunk_size, keep_x=False)
+        for s, cfg in enumerate(splits):
+            reports[s, sd] = _report(c, dataset, replace(cfg, seed=sd),
+                                     method, init, pred,
+                                     got["iterations"][s], got["restart"][s])
+    points = tuple(
+        SweepPoint(n_init=cfg.n_init, n_attack=cfg.n_attack, seed=sd,
+                   report=reports[s, sd])
+        for s, cfg in enumerate(splits) for sd in seeds
+    )
     return SweepResult(
         total_budget=config.n_init + config.n_attack,
         n_init_values=tuple(values),
@@ -405,7 +445,7 @@ def sweep_n_init(c, bs, dataset, config, n_init_values, method="pgd",
         method=method,
         init=init,
         base_config=asdict(config),
-        points=tuple(points),
+        points=points,
     )
 
 

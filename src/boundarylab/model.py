@@ -12,6 +12,8 @@ from __future__ import annotations
 import copy
 import json
 import warnings
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +65,17 @@ def _owning(layers, owned=False):
         owned = owned or not isinstance(layer, Flatten)
 
 
+@dataclass(frozen=True)
+class _Passes:
+    """The (layer, keyword arguments) pairs of the model's own layer
+    loops, in the order each loop runs, from :func:`_owning`."""
+
+    head_forward: tuple
+    head_backward: tuple
+    train_forward: tuple
+    train_backward: tuple
+
+
 # Rows per block of ``Classifier.predict``, the harness's default chunk.
 _PREDICT_ROWS = 256
 
@@ -94,6 +107,16 @@ class Classifier:
         self.layers = layers
         self.input_shape = tuple(int(s) for s in input_shape)
         self.meta = dict(meta) if meta else {}
+
+    @cached_property
+    def _passes(self):
+        # once per classifier: its layer list is fixed at construction
+        layers, head = self.layers, self.layers[:-1]
+        return _Passes(head_forward=tuple(_owning(head)),
+                       head_backward=tuple(_owning(reversed(head))),
+                       train_forward=tuple(_owning(layers)),
+                       train_backward=tuple(_owning(reversed(layers),
+                                                    owned=True)))
 
     @property
     def tail(self):
@@ -129,7 +152,7 @@ class Classifier:
         return h
 
     def _head(self, h, train=False):
-        for layer, kw in _owning(self.layers[:-1]):  # each ctx freed as we go
+        for layer, kw in self._passes.head_forward:  # each ctx freed as we go
             h, _ = layer.forward(h, train=train, **kw)
         return h
 
@@ -141,7 +164,7 @@ class Classifier:
         """Head forward keeping per-layer contexts for a later backward."""
         h = xb
         ctxs = []
-        for layer, kw in _owning(self.layers[:-1]):
+        for layer, kw in self._passes.head_forward:
             h, ctx = layer.forward(h, train=train, **kw)
             ctxs.append(ctx)
         return h, ctxs
@@ -154,7 +177,7 @@ class Classifier:
         transposing copy here: (H·W, B) to (B, H·W) at one input channel.
         """
         g = gv
-        for (layer, kw), ctx in zip(_owning(reversed(self.layers[:-1])),
+        for (layer, kw), ctx in zip(self._passes.head_backward,
                                     reversed(ctxs)):
             g = layer.backward(ctx, g, **kw)
         return np.ascontiguousarray(g)
@@ -430,6 +453,7 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
     check_fit(len(data.labels), epochs=epochs, batch_size=batch_size,
               seed=seed, adversarial=attack_config is not None)
     clf = copy.deepcopy(clf)
+    passes = clf._passes
     images = as_tensor(data.images)
     labels = np.asarray(data.labels)
     shuffle_rng = np.random.default_rng(seed)
@@ -450,7 +474,7 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                 x = pgd_batch(clf, x, y, attack_config, start).x_adv
             h = x
             ctxs = []
-            for layer, kw in _owning(clf.layers):
+            for layer, kw in passes.train_forward:
                 h, ctx = layer.forward(h, train=True, **kw)
                 ctxs.append(ctx)
             loss, g = cross_entropy_with_logits(h, y)
@@ -458,9 +482,8 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                 raise TrainingDivergedError(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step}"
                 )
-            backward = _owning(reversed(clf.layers), owned=True)
             for i, (layer, kw) in zip(range(len(clf.layers) - 1, -1, -1),
-                                      backward):
+                                      passes.train_backward):
                 # the parameter gradients read g before backward writes it
                 grads = layer.param_grads(ctxs[i], g)
                 if i > 0:  # nothing reads the first layer's input gradient

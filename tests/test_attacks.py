@@ -966,3 +966,96 @@ def test_single_example_wrapper_matches_batch(blobs_mlp, blobs_boundaries,
 def test_fab_and_pgd_share_one_signature():
     assert (inspect.signature(attacks.fab_batch)
             == inspect.signature(attacks.pgd_batch))
+
+
+@pytest.mark.parametrize("init", ["none", "random", "boundary"])
+@pytest.mark.parametrize("method", ["pgd", "fab"])
+@pytest.mark.parametrize("which", ["mlp", "cnn"])
+def test_budget_splits_in_one_call_equal_one_call_per_split(
+        which, method, init, blobs_mlp, blobs_test, untrained_cnn_digits):
+    # unsorted, one split twice, one with no attack steps: each split's
+    # outcome is the one-split call's at that split, bit for bit
+    c, ds, eps = ((blobs_mlp, blobs_test, 0.08) if which == "mlp"
+                  else (*untrained_cnn_digits, 0.03))
+    bs = geometry.boundary_set_for(c)
+    x, y = _mixed_batch(c, ds)
+    cfg = attacks.AttackConfig(epsilon=eps, alpha=eps / 4, eta_init=eps / 3,
+                               restarts=2, n_init=3, n_attack=6, seed=0)
+    values = [5, 0, 2, 2, 9]
+    seeds = 100 + 2 * np.arange(len(y))
+    out = attacks.run_restarts_batch(c, bs, x, y, cfg, method=method,
+                                     init=init, base_seeds=seeds,
+                                     n_init_values=values)
+    for s, nv in enumerate(values):
+        alone = attacks.run_restarts_batch(c, bs, x, y,
+                                           cfg.with_budget_split(nv),
+                                           method=method, init=init,
+                                           base_seeds=seeds)
+        for f in dataclasses.fields(attacks.BatchOutcome):
+            got, want = getattr(out, f.name)[s], getattr(alone, f.name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (nv, f.name)
+    # rows flip at t=0, mid-run and never, so the loops compact
+    assert {-1, 0} < set(out.iterations_per_restart.ravel().tolist())
+    skipped = attacks.run_restarts_batch(c, bs, x, y, cfg, method=method,
+                                         init=init, base_seeds=seeds,
+                                         n_init_values=values, keep_x=False)
+    assert skipped.x_adv is None
+    assert skipped.iterations.tobytes() == out.iterations.tobytes()
+
+
+def test_one_descent_serves_every_budget_split(monkeypatch, blobs_mlp,
+                                               blobs_boundaries, blobs_test):
+    # one random start and one descent, to the largest n_init, per restart
+    calls = {"random_start_batch": 0, "boundary_init_batch": 0}
+    for name in calls:
+        fn = getattr(attacks, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, name, counted)
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=3,
+                               n_init=0, n_attack=6, seed=0)
+    attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
+                               blobs_test.images, blobs_test.labels, cfg,
+                               n_init_values=[4, 0, 2])
+    assert calls == {"random_start_batch": 3, "boundary_init_batch": 3}
+
+
+def test_an_empty_split_list_is_refused(blobs_mlp, blobs_boundaries,
+                                        blobs_test, quick_attack_config):
+    with pytest.raises(ValueError, match="n_init_values is empty"):
+        attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
+                                   blobs_test.images, blobs_test.labels,
+                                   quick_attack_config, n_init_values=[])
+
+
+@pytest.mark.parametrize("which", ["mlp", "cnn"])
+def test_descent_captures_equal_shorter_descents(which, blobs_mlp,
+                                                 blobs_test,
+                                                 untrained_cnn_digits):
+    c, ds, eps = ((blobs_mlp, blobs_test, 0.08) if which == "mlp"
+                  else (*untrained_cnn_digits, 0.03))
+    bs = geometry.boundary_set_for(c)
+    x, y = _mixed_batch(c, ds)
+    cfg = attacks.AttackConfig(epsilon=eps, alpha=eps / 4, eta_init=eps / 3,
+                               restarts=1, n_init=6, n_attack=0, seed=0)
+    start = attacks.random_start_batch(x, eps, np.arange(len(y)))
+    captured = dict.fromkeys([4, 0, 1, 3])
+    longest = attacks.boundary_init_batch(c, bs, x, y, cfg, start,
+                                          capture=captured)
+    assert start.tobytes() == attacks.random_start_batch(
+        x, eps, np.arange(len(y))).tobytes()
+    for k, (x_k, evals_k) in {**captured, 6: longest}.items():
+        want_x, want_evals = attacks.boundary_init_batch(
+            c, bs, x, y, dataclasses.replace(cfg, n_init=k), start)
+        assert x_k.tobytes() == want_x.tobytes(), k
+        assert evals_k.tobytes() == want_evals.tobytes(), k
+    # some rows stop before the last capture, so the live set compacts
+    assert 0 < (longest[1] < 4).sum() < len(y)
+    for bad in (6, -1):  # no shorter descent of this one
+        with pytest.raises(ValueError, match=r"not all in 0\.\.5"):
+            attacks.boundary_init_batch(c, bs, x, y, cfg, start,
+                                        capture=dict.fromkeys([2, bad]))

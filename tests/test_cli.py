@@ -479,6 +479,15 @@ def test_bad_sweep_split_is_config_error(trained, capsys, values, message):
     assert message in capsys.readouterr().err
 
 
+def test_empty_sweep_seeds_is_config_error(trained, capsys):
+    root, ckpt = trained
+    cfg, out = attack_config(root, ckpt, "noseeds.json",
+                             sweep={"n_init_values": [0, 1], "seeds": []})
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    assert "sweep.seeds: empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invariant_failure_inside_a_sweep_exits_2(trained, capsys,
                                                   monkeypatch):
     from boundarylab import harness

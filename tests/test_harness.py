@@ -273,6 +273,83 @@ def test_sweep_is_deterministic(blobs_mlp, blobs_boundaries, blobs_test):
     assert a == b
 
 
+def _sweep_by_evaluate(c, bs, ds, config, values, method, init, seeds):
+    # the sweep as one evaluate call per (split, seed), in the sweep's order
+    points = []
+    for nv in values:
+        cfg = config.with_budget_split(nv)
+        for sd in seeds:
+            rep = harness.evaluate(c, bs, ds,
+                                   dataclasses.replace(cfg, seed=sd),
+                                   method=method, init=init)
+            points.append(harness.SweepPoint(n_init=nv, n_attack=cfg.n_attack,
+                                             seed=sd, report=rep))
+    return harness.SweepResult(
+        total_budget=config.n_init + config.n_attack,
+        n_init_values=tuple(values), seeds=tuple(seeds), method=method,
+        init=init, base_config=dataclasses.asdict(config),
+        points=tuple(points))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("init", ["none", "random", "boundary"])
+@pytest.mark.parametrize("method", ["pgd", "fab"])
+def test_sweep_equals_one_evaluate_per_point(method, init, workers,
+                                             blobs_mlp, blobs_boundaries,
+                                             blobs_test, quick_attack_config):
+    # unsorted, a split twice and one with no attack steps; 48-example
+    # chunks split the 160 examples 48/48/48/16
+    values, seeds = [5, 0, 2, 2, 13], [7, 8]
+    sw = harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test,
+                              quick_attack_config, values, method=method,
+                              init=init, seeds=seeds, workers=workers,
+                              chunk_size=48)
+    want = _sweep_by_evaluate(blobs_mlp, blobs_boundaries, blobs_test,
+                              quick_attack_config, values, method, init,
+                              seeds)
+    assert sw.to_csv() == want.to_csv()
+    assert len(sw.points) == len(want.points) == 10
+    for got, ref in zip(sw.points, want.points):
+        assert (got.n_init, got.n_attack, got.seed) == (
+            ref.n_init, ref.n_attack, ref.seed)
+        assert got.report.to_json() == ref.report.to_json()
+
+
+def test_sweep_draws_each_start_once_and_descends_once(
+        monkeypatch, blobs_mlp, blobs_boundaries, blobs_test):
+    counts = {"random_start_batch": 0, "boundary_distance_grad": 0}
+    for name in counts:
+        fn = getattr(attacks, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, name, counted)
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, eta_init=0.02,
+                               restarts=3, n_init=0, n_attack=8, seed=1)
+    seeds, chunks = (1, 2), 4  # 160 examples in chunks of 48
+    harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test, cfg,
+                         list(range(6)), seeds=seeds, chunk_size=48)
+    assert counts["random_start_batch"] == len(seeds) * chunks * 3
+    # each descent move is one head backward; the n_init=5 point alone
+    # makes every one the whole sweep makes
+    sweep_moves = counts["boundary_distance_grad"]
+    counts["boundary_distance_grad"] = 0
+    for sd in seeds:
+        harness.evaluate(blobs_mlp, blobs_boundaries, blobs_test,
+                         dataclasses.replace(cfg.with_budget_split(5),
+                                             seed=sd), chunk_size=48)
+    assert counts["boundary_distance_grad"] == sweep_moves > 0
+
+
+def test_sweep_refuses_an_empty_seed_list(blobs_mlp, blobs_boundaries,
+                                          blobs_test, quick_attack_config):
+    with pytest.raises(ValueError, match="seeds is empty"):
+        harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test,
+                             quick_attack_config, [0, 2], seeds=())
+
+
 # -- representation export ----------------------------------------------
 
 

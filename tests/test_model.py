@@ -195,6 +195,63 @@ def test_training_in_place_equals_pure_and_leaves_the_data_alone(
             assert p.tobytes() == {**b.params(), **b.buffers()}[key].tobytes()
 
 
+@pytest.mark.parametrize("preset, overwritten", [
+    ("mlp", [2]),  # Flatten, Dense, ReLU, Dense | Dense
+    # Conv, BatchNorm, ReLU, Pool, Conv, BatchNorm, ReLU, Pool, Flatten,
+    # Dense | Dense
+    ("small_cnn", [1, 2, 5, 6]),
+])
+def test_which_layers_the_model_loops_overwrite(monkeypatch, preset,
+                                                overwritten, rng):
+    # every pass of the model's own loops tells the same layers to write
+    # over their argument: a BatchNorm or ReLU after the first layer that
+    # is not Flatten
+    shape = (1, 8, 8) if preset == "mlp" else (1, 16, 16)
+    clf = (model.mlp(shape, 3, n=2, hidden=(6,)) if preset == "mlp"
+           else model.small_cnn(k=3, n=2, input_shape=shape))
+    calls = []  # (method, overwrite) per layer call, in call order
+    for cls in {type(layer) for layer in clf.layers}:
+        for method in ("forward", "backward"):
+            def recorded(self, *args, _fn=getattr(cls, method),
+                         _method=method, **kwargs):
+                calls.append((_method, kwargs.get("overwrite", False)))
+                return _fn(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, recorded)
+
+    def told(run, last):
+        # the layer index of each call told to overwrite: forward calls go
+        # from layer 0 up, backward calls from layer ``last`` down
+        calls.clear()
+        run()
+        out = {"forward": [], "backward": []}
+        for method in out:
+            mine = [o for m, o in calls if m == method]
+            index = range(len(mine)) if method == "forward" else range(
+                last, last - len(mine), -1)
+            out[method] = sorted(i for i, o in zip(index, mine) if o)
+        return out
+
+    head = len(clf.layers) - 2
+    x = rng.uniform(0, 1, (4, *shape))
+    v, ctxs = clf.head_forward_with_ctx(x)
+    assert told(lambda: clf.head_forward_with_ctx(x), head) == {
+        "forward": overwritten, "backward": []}
+    assert told(lambda: clf.head_backward(ctxs, np.ones_like(v)), head) == {
+        "forward": [], "backward": overwritten}
+    # forward, predict: the head's forward pass, then the tail
+    for run in (lambda: clf.forward(x), lambda: clf.predict(x)):
+        assert told(run, head)["forward"] == overwritten
+    ds = data.Dataset(images=x, labels=np.arange(4) % 3)
+    fit = told(lambda: model.train(clf, ds, epochs=1, batch_size=4, seed=0),
+               len(clf.layers) - 1)
+    assert fit == {"forward": overwritten, "backward": overwritten}
+    # a copy's loops run its own layers, as training's deep copy needs
+    dup = copy.deepcopy(clf)
+    for pass_ in vars(dup._passes).values():
+        assert {id(layer) for layer, _ in pass_} <= set(map(id, dup.layers))
+
+
 def test_predict_is_argmax(blobs_mlp, rng):
     for rows in (10, 600):  # 600 rows run in three blocks, the last short
         x = rng.uniform(0, 1, size=(rows, 8))

@@ -1,16 +1,19 @@
-"""Write the fixed set of 44 CLI outputs and print their sha256.
+"""Write the fixed set of 68 CLI outputs and print their sha256.
 
-    python3 tools/output_set.py DIR
+    python3 tools/output_set.py DIR [--src SRC]
 
-Run it from any directory; boundarylab is imported from the ``src/``
-next to this file, with OPENBLAS_NUM_THREADS=1.  Into ``DIR`` go four
-checkpoints and, for each, six ``attack`` reports (pgd/fab ×
-none/random/boundary), two ``sweep`` CSVs and two ``export-repr`` CSVs
-(one per method).  The set-up: 16x16 digits of classes 0–3, 40 per class
-to train (seed 0) and 20 per class to attack (seed 1); mlp (hidden 16,
-n 2) and small_cnn, 2 epochs at batch 37, plain and adversarial (ε 0.02,
-α 0.005, 1 restart, 0+3); attacks at ε 0.02, α 0.005, 2 restarts, 3+8,
-seed 0; sweeps over n_init {0, 2, 5, 11} × seeds {3, 4}.
+Run it from any directory; boundarylab is imported from ``SRC`` (default:
+the ``src/`` next to this file), with OPENBLAS_NUM_THREADS=1, so one copy
+of the script hashes two checkouts with the same command list.  Into
+``DIR`` go four checkpoints and, for each, six ``attack`` reports
+(pgd/fab × none/random/boundary), five ``sweep`` CSVs and two
+``export-repr`` CSVs (one per method).  The set-up: 16x16 digits of
+classes 0–3, 40 per class to train (seed 0) and 20 per class to attack
+(seed 1); mlp (hidden 16, n 2) and small_cnn, 2 epochs at batch 37, plain
+and adversarial (ε 0.02, α 0.005, 1 restart, 0+3); attacks at ε 0.02,
+α 0.005, 2 restarts, 3+8, seed 0; sweeps over seeds {3, 4}, per method:
+n_init {0, 2, 5, 11} at init boundary, random and none, and n_init
+{5, 0, 2, 2} (unsorted, a split repeated) at init boundary.
 
 Each command's stdout is written beside its output as ``<output>.stdout``,
 and the script prints ``sha256  file`` for every output and stdout.
@@ -38,6 +41,10 @@ ADVERSARIAL = {"epsilon": 0.02, "alpha": 0.005, "restarts": 1,
 ATTACK = {"epsilon": 0.02, "alpha": 0.005, "restarts": 2, "n_init": 3,
           "n_attack": 8, "seed": 0}
 SWEEP = {"n_init_values": [0, 2, 5, 11], "seeds": [3, 4]}
+# (output name suffix, init, n_init_values) of the sweeps beyond SWEEP's
+MORE_SWEEPS = (("random", "random", SWEEP["n_init_values"]),
+               ("none", "none", SWEEP["n_init_values"]),
+               ("unsorted", "boundary", [5, 0, 2, 2]))
 
 
 def commands(out):
@@ -63,6 +70,14 @@ def commands(out):
                          dict(base, method=method, sweep=SWEEP)))
             runs.append(("export-repr", f"repr-{tag}-{method}.csv",
                          dict(base, method=method)))
+    # after the original 44 outputs, so their order stays as it was
+    for tag, ckpt in ckpts.items():
+        base = {"dataset": TEST, "model_path": str(ckpt), "attack": ATTACK}
+        for method in ("fab", "pgd"):
+            for suffix, init, values in MORE_SWEEPS:
+                runs.append(("sweep", f"sweep-{tag}-{method}-{suffix}.csv",
+                             dict(base, method=method, init=init,
+                                  sweep=dict(SWEEP, n_init_values=values))))
     return runs
 
 
@@ -73,9 +88,12 @@ def sha256(path):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir", help="output directory (created if missing)")
-    out = Path(parser.parse_args(argv).dir).resolve()
+    parser.add_argument("--src", type=Path, default=SRC,
+                        help="directory that holds the boundarylab package")
+    args = parser.parse_args(argv)
+    out = Path(args.dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    sys.path.insert(0, str(SRC))
+    sys.path.insert(0, str(args.src.resolve()))
     from boundarylab import cli
 
     for command, name, cfg in commands(out):
