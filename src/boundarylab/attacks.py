@@ -269,31 +269,54 @@ class _Workspace:
     """What the restarts of one :func:`run_restarts_batch` call share.
 
     ``lo`` and ``hi`` are the ε-ball bounds of the batch, computed once
-    and read-only.  ``sets`` are two (x, lo, hi) buffer sets a live set
-    compacts its rows into, alternately, and ``sign`` is the scratch of a
-    sign step; each has the batch's shape.  One loop uses the buffers at
-    a time, and a workspace lives for one call, so chunks attacked on
-    different threads never share one.
+    and read-only.  ``live`` is the one C-contiguous (x, lo, hi) buffer
+    set a live set compacts its rows into, and ``sign`` is the scratch
+    of a sign step; each has the batch's shape.  One loop uses the
+    buffers at a time, and a workspace lives for one call, so chunks
+    attacked on different threads never share one.
     """
 
     def __init__(self, x_orig, epsilon):
         self.lo, self.hi = _ball_bounds(x_orig, epsilon)
         self.lo.flags.writeable = self.hi.flags.writeable = False
-        self.sets = [[np.empty_like(x_orig) for _ in range(3)]
-                     for _ in range(2)]
+        self.live = tuple(np.empty(x_orig.shape) for _ in range(3))
         self.sign = np.empty_like(x_orig)
+
+
+def _compact(a, idx):
+    """Move rows ``idx`` (ascending) of the C-contiguous ``a`` to its
+    first ``idx.size`` rows, in place, and return that view.
+
+    Row i comes from row ``idx[i] >= i``, so rows only move toward the
+    front and keep their order.  Each run of consecutive rows moves as
+    one copy between 1-D views, which numpy makes front to back with no
+    temporary when the source lies after the destination; ``np.take``
+    or a 2-D slice copy would stage an overlapping move in a temporary.
+    """
+    flat = a.reshape(-1)
+    width = flat.size // len(a)  # a keeps at least one row more than idx
+    # the first position of each run of consecutive rows, and its length
+    starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1)
+    lengths = np.diff(starts, append=idx.size)
+    for dst, length in zip(starts.tolist(), lengths.tolist()):
+        src = int(idx[dst])
+        if src != dst:
+            flat[dst * width:(dst + length) * width] = \
+                flat[src * width:(src + length) * width]
+    return a[:idx.size]
 
 
 class _LiveSet:
     """The rows of a batch a phase still moves, kept compact.
 
     ``x`` starts as the start clipped to the ε-ball of ``x_orig`` and the
-    box, and is updated in place; the rows, their ball bounds and labels
-    are compacted only on the steps where some row freezes, into the
-    workspace's buffer set that does not hold the current rows, and a
-    frozen row is written back to the batch iterate as it freezes.
-    ``finish`` writes back the rows still live and returns the batch
-    iterate.
+    box, and is updated in place.  The rows, their ball bounds and labels
+    are compacted only on the steps where some row freezes, and a frozen
+    row is written back to the batch iterate as it freezes.  The first
+    compaction takes the live rows out of the batch iterate and the ball
+    into the workspace's one buffer set; later ones move rows within
+    that set (:func:`_compact`).  ``finish`` writes back the rows still
+    live and returns the batch iterate.
     """
 
     def __init__(self, x_orig, y, epsilon, start, workspace=None):
@@ -305,7 +328,6 @@ class _LiveSet:
         self.full = self.x = np.clip(start, self.lo, self.hi)
         self.rows = np.arange(self.x.shape[0])
         self.y = np.asarray(y)
-        self.spare = 0  # the buffer set the next compaction writes
 
     def keep(self, live):
         """Keep only the ``live`` rows, writing the others back; returns
@@ -313,15 +335,17 @@ class _LiveSet:
         idx = np.flatnonzero(live)
         if idx.size == live.size:
             return idx
-        if self.x is not self.full:
+        if self.x is self.full:
+            # mode="clip" keeps np.take from staging the rows in a temporary
+            self.x, self.lo, self.hi = (
+                np.take(a, idx, axis=0, out=buf[:idx.size], mode="clip")
+                for a, buf in zip((self.x, self.lo, self.hi),
+                                  self.work.live))
+        else:
             self.full[self.rows[~live]] = self.x[~live]
+            self.x, self.lo, self.hi = (
+                _compact(a, idx) for a in (self.x, self.lo, self.hi))
         self.rows = self.rows[idx]
-        into = self.work.sets[self.spare]
-        self.spare ^= 1
-        # mode="clip" keeps np.take from staging the rows in a temporary
-        self.x, self.lo, self.hi = (
-            np.take(a, idx, axis=0, out=buf[:idx.size], mode="clip")
-            for a, buf in zip((self.x, self.lo, self.hi), into))
         self.y = self.y[idx]
         return idx
 
@@ -488,15 +512,18 @@ def fab_batch(c, x_orig, y, config, start, *, workspace=None):
     def move(live_set, ctxs, z, live):
         na = z.shape[0]
         # Representation jacobian dv/dx: one backprop per representation
-        # coordinate; the pairwise gradients are tail-row combinations.
+        # coordinate, through one one-hot (head_backward never writes
+        # it); the pairwise gradients are tail-row combinations.
         jac = np.empty((na, n, flat))
+        e = np.zeros((na, n))
         for q in range(n):
-            e = np.zeros((na, n))
             e[:, q] = 1.0
             jac[:, q, :] = c.head_backward(ctxs, e).reshape(na, flat)
+            e[:, q] = 0.0
         ya = live_set.y
         diff_rows = wt[None, :, :] - wt[ya][:, None, :]  # (na, K, N)
         dgs = np.einsum("bkn,bnd->bkd", diff_rows, jac)
+        del jac  # (na, n, D), not kept through the projections
         dfs = z - z[np.arange(na), ya][:, None]  # (na, K)
         norms1 = np.abs(dgs).sum(axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -506,23 +533,31 @@ def fab_batch(c, x_orig, y, config, start, *, workspace=None):
         s = np.argmin(pdist, axis=1)
         rows = np.flatnonzero(live)
         w = dgs[rows, s[rows]]
-        xa_flat = live_set.x.reshape(na, flat)[rows]
+        del dgs  # (na, K, D)
         live_set.keep(live)
-        xo_flat = xo_rows[live_set.rows]
-        xn = xa_flat.copy()  # a flat linearization holds its position
+        # a flat linearization holds its position
         moves = w.any(axis=1)
-        w, xm, xo = w[moves], xa_flat[moves], xo_flat[moves]
+        w = w[moves]
+        xm = live_set.x[moves].reshape(-1, flat)
+        xo = xo_rows[live_set.rows[moves]]
         bias = dfs[rows[moves], s[rows[moves]]] - _row_dot(w, xm)
-        d_adv = project_hyperplane_box(xm, w, bias) - xm
-        d_org = project_hyperplane_box(xo, w, bias) - xo
+        d_adv = project_hyperplane_box(xm, w, bias)
+        d_adv -= xm
+        d_org = project_hyperplane_box(xo, w, bias)
+        d_org -= xo
         num = np.abs(d_adv).max(axis=1)
         den = num + np.abs(d_org).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             beta = np.where(den > 0, np.minimum(num / den, _FAB_BETA_MAX),
                             0.0)[:, None]
-        xn[moves] = ((1.0 - beta) * (xm + _FAB_ETA * d_adv)
-                     + beta * (xo + _FAB_ETA * d_org))
-        live_set.x[...] = xn.reshape(live_set.x.shape)
+        # (1 - β)·(xm + η·d_adv) + β·(xo + η·d_org), each operation with
+        # the operands in this order, so a NaN keeps the same payload
+        for d, x0, weight in ((d_adv, xm, 1.0 - beta), (d_org, xo, beta)):
+            np.multiply(_FAB_ETA, d, out=d)
+            np.add(x0, d, out=d)
+            np.multiply(weight, d, out=d)
+        d_adv += d_org
+        live_set.x[moves] = d_adv.reshape((-1, *live_set.x.shape[1:]))
         live_set.clip()
 
     return _phase(c, x_orig, y, config, start, workspace,

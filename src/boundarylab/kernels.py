@@ -5,8 +5,9 @@ Layout contract: every 4-D array these kernels return is a batch-first
 ``a.transpose(1, 2, 3, 0)`` is C-contiguous.  Inputs may have any layout
 and float dtype; a batch-innermost float64 input is read without a copy.
 The layout has two edges.  ``layers.Conv2d`` converts its input once
-with :func:`batch_inner` and keeps the converted array for its weight
-gradient, and ``layers.Flatten`` is a pure reshape both ways, so the
+with :func:`batch_inner`, and in train mode keeps the converted array
+so the weight gradient reads it; the input gradient needs only its
+shape.  ``layers.Flatten`` is a pure reshape both ways, so the
 rows it hands on are a strided view of the buffer and the gradient it
 hands back is C-order batch-first.  ``model.Classifier.head_backward``
 returns a C-contiguous batch-first input gradient.

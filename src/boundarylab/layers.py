@@ -18,8 +18,15 @@ representation gradient and Flatten's views of them are never owned; in
 training, the loss gradient is.  The result, bit for bit the one a
 fresh array gets, is then written over that array (BatchNorm: over its
 channel rows, which are the array itself when it is batch-innermost).
-No context keeps its layer's output, only its input, a mask or x̂, so
-no context sees such a write.
+No context keeps its layer's output, so no context sees such a write.
+
+A context keeps only what its layer's later passes read.  In train mode
+that includes what ``param_grads`` reads: the input of :class:`Dense`
+and :class:`Conv2d`, and BatchNorm's x̂.  An eval-mode context keeps no
+input, only what the backward reads (ReLU's mask, pooling's window
+codes, BatchNorm's scale, Conv2d's input shape, nothing for Dense), and
+``param_grads`` refuses it.  So an attack's head pass holds no layer
+input past the forward that reads it.
 """
 
 from __future__ import annotations
@@ -52,6 +59,15 @@ def _check_rank(name, x, rank):
         raise ShapeMismatchError(
             f"{name}: expected rank-{rank} input, got shape {x.shape}"
         )
+
+
+def _check_train_ctx(name, kept):
+    # training is the only caller of param_grads; an eval context keeps
+    # None where a train one keeps what the parameter gradients read
+    if kept is None:
+        raise ValueError(
+            f"{name}: param_grads takes a train-mode context, got an "
+            "eval-mode one")
 
 
 class Layer:
@@ -105,13 +121,16 @@ class Dense(Layer):
             )
         y = x @ self.weight.T
         y += self.bias  # in place: no second buffer
-        return y, (x,)
+        # the backward reads only the weight; the input is kept for
+        # param_grads, which only training calls
+        return y, (x if train else None,)
 
     def backward(self, ctx, gy):
         return gy @ self.weight
 
     def param_grads(self, ctx, gy):
         (x,) = ctx
+        _check_train_ctx("dense", x)
         return {"weight": gy.T @ x, "bias": gy.sum(axis=0)}
 
 
@@ -153,17 +172,19 @@ class Conv2d(Layer):
             raise ShapeMismatchError(
                 f"conv2d: input {x.shape[2]}x{x.shape[3]} smaller than kernel"
             )
-        # converted once: the forward and the weight gradient read it as is
+        # converted once: the forward and, in train mode, the weight
+        # gradient read it as is; the backward reads only its shape
         x = batch_inner(x)
         y = conv2d_forward(x, self.weight, self.bias, padding=self.padding)
-        return y, (x,)
+        return y, (x if train else None, x.shape)
 
     def backward(self, ctx, gy):
-        (x,) = ctx
-        return conv2d_input_grad(gy, self.weight, x.shape, padding=self.padding)
+        _, x_shape = ctx
+        return conv2d_input_grad(gy, self.weight, x_shape, padding=self.padding)
 
     def param_grads(self, ctx, gy):
-        (x,) = ctx
+        x, _ = ctx
+        _check_train_ctx("conv2d", x)
         gw, gb = conv2d_param_grad(x, gy, self.weight.shape, padding=self.padding)
         return {"weight": gw, "bias": gb}
 
@@ -352,11 +373,7 @@ class BatchNorm(Layer):
 
     def param_grads(self, ctx, gy):
         xhat = ctx[0]
-        if xhat is None:
-            # training is the only caller; an eval context keeps no input
-            raise ValueError(
-                "batchnorm: param_grads takes a train-mode context, got an "
-                "eval-mode one")
+        _check_train_ctx("batchnorm", xhat)
         g = self._rows(gy)
         gamma, beta = np.empty(self.channels), np.empty(self.channels)
         for s in self._blocks(g.shape[1]):

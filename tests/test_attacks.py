@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -754,6 +755,76 @@ def test_live_set_step_matches_the_in_place_sign_step_bit_for_bit(rng):
         assert live_set.finish().tobytes() == oracle.finish().tobytes()
     assert work.lo.tobytes() == np.maximum(x_orig - eps, 0.0).tobytes()
     assert work.hi.tobytes() == np.minimum(x_orig + eps, 1.0).tobytes()
+
+
+# rows of an na-row live set that freeze: patterns an in-place compaction
+# can get wrong (a run that stays put, runs that each move, one survivor)
+_FREEZE = {
+    "first": lambda na: list(range(na))[:1],
+    "last": lambda na: list(range(na))[-1:],
+    "alternate-even": lambda na: list(range(0, na, 2)),
+    "alternate-odd": lambda na: list(range(1, na, 2)),
+    "all-but-one": lambda na: [i for i in range(na) if i != na // 2],
+}
+
+
+def test_live_set_compaction_freeze_patterns_match_bit_for_bit(rng):
+    b, shape, eps = 16, (2, 2, 3), 0.1
+    x_orig = rng.uniform(0.0, 1.0, (b, *shape))
+    y = np.arange(b) % 3
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0,
+                        5e-324])
+    # each pattern leads one run, as the compaction out of the batch
+    # iterate, and follows in others, as a move within the buffer set;
+    # the last runs end with an empty live set
+    orders = [("first", "last", "alternate-even", "all-but-one"),
+              ("last", "alternate-odd", "first", "all-but-one"),
+              ("alternate-even", "first", "alternate-odd", "last"),
+              ("alternate-odd", "last", "first", "alternate-even"),
+              ("all-but-one", "last", "first")]
+    work = attacks._Workspace(x_orig, eps)
+    for run, order in enumerate(orders):
+        start = attacks.random_start_batch(x_orig, eps, np.arange(b) + run)
+        live_set = attacks._LiveSet(x_orig, y, eps, start, work)
+        oracle = _InPlaceSignLiveSet(x_orig, eps, start)
+        for k, pattern in enumerate(order):
+            for frozen in ([], _FREEZE[pattern](live_set.rows.size)):
+                na = live_set.rows.size
+                gx = rng.choice(special, (na, *shape))
+                gx[::2] = rng.normal(0.0, 1.0, gx[::2].shape)
+                live = np.ones(na, dtype=bool)
+                live[frozen] = False
+                size = (-1) ** k * 0.03
+                live_set.step(gx.copy(), size, live)
+                oracle.step(gx.copy(), size, live)
+                assert live_set.rows.tolist() == oracle.rows.tolist()
+                for got, want in ((live_set.x, oracle.x),
+                                  (live_set.lo, oracle.lo),
+                                  (live_set.hi, oracle.hi)):
+                    assert got.tobytes() == want.tobytes()
+                # once compacted, the rows sit in the workspace's one
+                # buffer set
+                compacted = live_set.x is not live_set.full
+                assert compacted == (k > 0 or bool(frozen))
+                for got, buf in zip((live_set.x, live_set.lo, live_set.hi),
+                                    work.live):
+                    assert not compacted or got.base is buf
+                assert live_set.y.tolist() == y[oracle.rows].tolist()
+        assert live_set.finish().tobytes() == oracle.finish().tobytes()
+    assert work.lo.tobytes() == np.maximum(x_orig - eps, 0.0).tobytes()
+
+
+def test_workspace_allocates_a_single_buffer_set():
+    x = np.zeros((64, 1, 16, 16))
+    tracemalloc.start()
+    try:
+        work = attacks._Workspace(x, 0.1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the ball's lo and hi, one (x, lo, hi) set and the sign scratch
+    assert [a.shape for a in work.live] == [x.shape] * 3
+    assert 6 * x.nbytes <= held < 7 * x.nbytes
 
 
 @pytest.mark.parametrize("init", ["none", "random", "boundary"])

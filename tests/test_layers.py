@@ -155,6 +155,16 @@ def test_batchnorm_param_grads_refuse_an_eval_context(rng, shape):
         bn.param_grads(ctx, np.ones_like(y))
 
 
+@pytest.mark.parametrize("name", ["dense", "conv-valid", "conv-padded"])
+def test_conv_and_dense_param_grads_refuse_an_eval_context(name, rng):
+    layer, shape = next((l, s) for n, l, s in _cases(rng) if n == name)
+    y, ctx = layer.forward(rng.standard_normal(shape), train=False)
+    assert not any(isinstance(a, np.ndarray) and a.shape == shape
+                   for a in ctx)  # the eval context holds no input
+    with pytest.raises(ValueError, match="train-mode context.*eval-mode"):
+        layer.param_grads(ctx, np.ones_like(y))
+
+
 def test_batchnorm_buffers_update_only_in_train(rng):
     bn = layers.BatchNorm(2)
     x = rng.standard_normal((32, 2)) + 3.0
