@@ -407,9 +407,8 @@ def cmd_attack(args):
                               workers=_workers(cfg, args))
     resolved = _resolved_eval_config("attack", dspec, cfg, config, method,
                                      init)
-    payload = report.to_dict()
-    payload["run_config"] = resolved
-    _write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(out, harness.json_text({**report.to_dict(),
+                                        "run_config": resolved}))
     print(
         f"robust accuracy {report.robust_accuracy:.4f} "
         f"(clean {report.clean_accuracy:.4f}, "
@@ -470,9 +469,8 @@ def cmd_export_repr(args):
     resolved = _resolved_eval_config("export-repr", dspec, cfg, config,
                                      method, init)
     if args.format == "json":
-        payload = export.to_dict()
-        payload["run_config"] = resolved
-        _write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(out, harness.json_text({**export.to_dict(),
+                                            "run_config": resolved}))
     else:
         _write_text(out, export.to_csv(
             meta={"run_config": json.dumps(resolved, sort_keys=True)}))
@@ -486,6 +484,10 @@ def cmd_export_repr(args):
 def cmd_verify(args):
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else _typed(cfg, "seed", int, 0)
+    try:
+        verify.validate_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(f"seed: {exc}") from exc
     results = verify.run_all(seed=seed)
     failed = 0
     for r in results:

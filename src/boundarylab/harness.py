@@ -27,6 +27,20 @@ from .attacks import BatchOutcome, run_restarts_batch
 _OUTCOME_FIELDS = tuple(f.name for f in fields(BatchOutcome))
 
 
+def json_text(payload):
+    """``payload`` as the text of every JSON output: sorted keys, indent 2
+    and a trailing newline.  With no timestamps, re-runs are byte-identical."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_head(magic, items, meta):
+    """The comment lines that open a CSV: the ``magic`` line, the version,
+    the artifact's own ``items`` in order, then ``meta`` by sorted key."""
+    return [f"# {magic}", f"# version: {__version__}",
+            *(f"# {key}: {value}" for key, value in items.items()),
+            *(f"# {key}: {meta[key]}" for key in sorted(meta or {}))]
+
+
 @dataclass(frozen=True)
 class ExampleOutcome:
     """Per-example result inside an EvalReport.
@@ -44,17 +58,6 @@ class ExampleOutcome:
     iterations: int
     restart: int
     attacked: bool
-
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "label": self.label,
-            "predicted": self.predicted,
-            "success": self.success,
-            "iterations": self.iterations,
-            "restart": self.restart,
-            "attacked": self.attacked,
-        }
 
 
 @dataclass(frozen=True)
@@ -99,27 +102,13 @@ class EvalReport:
             )
 
     def to_dict(self):
-        return {
-            "version": __version__,
-            "model_id": self.model_id,
-            "attack_id": self.attack_id,
-            "method": self.method,
-            "init": self.init,
-            "clean_accuracy": self.clean_accuracy,
-            "robust_accuracy": self.robust_accuracy,
-            "evaluated": self.evaluated,
-            "successes": self.successes,
-            "failures": self.failures,
-            "mean_iterations_to_success": self.mean_iterations_to_success,
-            "median_iterations_to_success": self.median_iterations_to_success,
-            "seeds": list(self.seeds),
-            "config": self.config,
-            "examples": [e.to_dict() for e in self.examples],
-        }
+        """The report's fields plus ``version``, in fresh lists and dicts."""
+        return dict(vars(self), version=__version__, seeds=list(self.seeds),
+                    config=dict(self.config),
+                    examples=[vars(e).copy() for e in self.examples])
 
     def to_json(self):
-        # sorted keys and no timestamps: byte-identical re-runs
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
 
 
 def model_id_of(c):
@@ -166,9 +155,10 @@ def check_seeds(config, n):
 
     The example at dataset position i draws restart seeds
     ``seed + i·restarts + r`` for r < restarts, which must stay at or
-    below 2**63 - 1; the error names the first position past it.
+    below 2**63 - 1; the error names the first position past it (0 for a
+    seed past it).
     """
-    first_bad = (2**63 - int(config.seed)) // int(config.restarts)
+    first_bad = max(0, (2**63 - int(config.seed)) // int(config.restarts))
     if first_bad < n:
         raise ValueError(
             f"seed {config.seed} with {config.restarts} restarts per example "
@@ -363,16 +353,13 @@ class SweepResult:
 
         ``meta`` key/value pairs are embedded as leading comment lines.
         """
-        lines = ["# boundarylab-sweep 1", f"# version: {__version__}"]
-        lines.append(f"# method: {self.method}")
-        lines.append(f"# init: {self.init}")
-        lines.append(f"# total_budget: {self.total_budget}")
-        lines.append(
-            "# base_config: " + json.dumps(self.base_config, sort_keys=True)
-        )
-        lines.append("# seeds: " + ",".join(str(s) for s in self.seeds))
-        for key in sorted(meta or {}):
-            lines.append(f"# {key}: {meta[key]}")
+        lines = _csv_head("boundarylab-sweep 1", {
+            "method": self.method,
+            "init": self.init,
+            "total_budget": self.total_budget,
+            "base_config": json.dumps(self.base_config, sort_keys=True),
+            "seeds": ",".join(str(s) for s in self.seeds),
+        }, meta)
         lines.append(
             "n_init,n_attack,total_budget,seed,evaluated,successes,"
             "robust_accuracy,mean_iterations_to_success,"
@@ -498,11 +485,8 @@ class ReprExport:
                 )
 
     def to_csv(self, meta=None):
-        lines = ["# boundarylab-repr-export 1", f"# version: {__version__}"]
-        lines.append(f"# k: {self.k}")
-        lines.append(f"# n: {self.n}")
-        for key in sorted(meta or {}):
-            lines.append(f"# {key}: {meta[key]}")
+        lines = _csv_head("boundarylab-repr-export 1",
+                          {"k": self.k, "n": self.n}, meta)
         comp = ",".join(f"c{q}" for q in range(self.n))
         lines.append(
             f"kind,index,class_i,class_j,label,predicted,success,bias,{comp}"
@@ -519,25 +503,19 @@ class ReprExport:
         return "\n".join(lines) + "\n"
 
     def to_dict(self):
-        return {
-            "version": __version__,
-            "k": self.k,
-            "n": self.n,
-            "boundaries": [
-                {"class_i": ci, "class_j": cj,
-                 "w": [float(q) for q in w], "bias": bias}
-                for ci, cj, w, bias in self.boundaries
-            ],
-            "records": [
-                {"index": r.index, "kind": r.kind, "label": r.label,
-                 "predicted": r.predicted, "success": r.success,
-                 "v": [float(q) for q in r.v]}
-                for r in self.records
-            ],
-        }
+        """The export's fields plus ``version``, in fresh lists and dicts;
+        a boundary tuple becomes a dict of its four named parts."""
+        return dict(
+            vars(self), version=__version__,
+            boundaries=[{"class_i": ci, "class_j": cj,
+                         "w": [float(q) for q in w], "bias": bias}
+                        for ci, cj, w, bias in self.boundaries],
+            records=[dict(vars(r), v=[float(q) for q in r.v])
+                     for r in self.records],
+        )
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
 
 
 def export_representation_space(c, bs, dataset, outcome):

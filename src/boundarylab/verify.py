@@ -4,7 +4,8 @@ Each check is a cheap, seeded variant of an invariant the test suite
 covers in depth: gradient fidelity against finite differences, the
 pairwise-boundary partition, distance and projection oracles, the
 linear-case descent identity, threat-model containment, and report
-reconciliation.  ``run_all`` returns results; it never raises for a
+reconciliation.  Each check returns ``(ok, detail)`` and is named once,
+in ``CHECKS``; ``run_all`` returns results, and never raises for a
 failing check.
 """
 
@@ -69,11 +70,8 @@ def check_layer_gradients(seed=0, tol=1e-5):
         err = _rel_err(gx, _fd_grad(scalar, x))
         if err > worst:
             worst, worst_name = err, name
-    ok = worst < tol
-    return CheckResult(
-        "layer-gradients", ok,
-        f"worst rel err {worst:.2e} ({worst_name}), tol {tol:g}",
-    )
+    return (worst < tol,
+            f"worst rel err {worst:.2e} ({worst_name}), tol {tol:g}")
 
 
 def check_scalar_gradients(seed=0, tol=1e-5):
@@ -91,10 +89,7 @@ def check_scalar_gradients(seed=0, tol=1e-5):
              bs, clf.head_forward(xq), 2)[0, 0]),
     ]
     worst = max(_rel_err(g, _fd_grad(f, x.copy())) for g, f in cases)
-    ok = worst < tol
-    return CheckResult(
-        "scalar-gradients", ok, f"worst rel err {worst:.2e}, tol {tol:g}"
-    )
+    return worst < tol, f"worst rel err {worst:.2e}, tol {tol:g}"
 
 
 def check_antisymmetry(seed=0):
@@ -109,10 +104,7 @@ def check_antisymmetry(seed=0):
     for _ in range(50):
         v = rng.standard_normal(4)
         bad += int(np.sum(rows_ij @ v + b_ij != -(rows_ji @ v + b_ji)))
-    return CheckResult(
-        "boundary-antisymmetry", bad == 0,
-        f"{bad} sign violations over 50 points x 30 ordered pairs",
-    )
+    return bad == 0, f"{bad} sign violations over 50 points x 30 ordered pairs"
 
 
 def check_partition(seed=0):
@@ -125,8 +117,8 @@ def check_partition(seed=0):
     winners = np.argmax(v @ w.T + b, axis=1)
     decided = regions >= 0
     bad = int((regions[decided] != winners[decided]).sum())
-    return CheckResult(
-        "region-partition", bad == 0 and int(decided.sum()) == 2000,
+    return (
+        bad == 0 and int(decided.sum()) == 2000,
         f"{bad} disagreements, {2000 - int(decided.sum())} tie flags "
         "on 2000 points",
     )
@@ -152,9 +144,8 @@ def check_distance_oracle(seed=0, tol=1e-9):
         worst_on = max(worst_on, abs(dist(v - d * unit)))
         t = float(rng.uniform(0.1, 2.0))
         worst_shift = max(worst_shift, abs(dist(v + t * unit) - (d + t)))
-    ok = worst_on < tol and worst_shift < 1e-9
-    return CheckResult(
-        "distance-oracle", ok,
+    return (
+        worst_on < tol and worst_shift < 1e-9,
         f"on-boundary residual {worst_on:.2e}, shift error "
         f"{worst_shift:.2e}, tol {tol:g}",
     )
@@ -190,11 +181,10 @@ def check_projection_oracle(seed=0, tol=1e-6, instances=60):
         res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[-b],
                       bounds=[(0, 1)] * d + [(0, None)], method="highs")
         if not res.success:
-            return CheckResult("projection-oracle", False,
-                               "LP reference failed to solve")
+            return False, "LP reference failed to solve"
         worst = max(worst, abs(mine - res.fun))
-    return CheckResult(
-        "projection-oracle", worst < tol,
+    return (
+        worst < tol,
         f"worst objective gap {worst:.2e} over {instances} instances, "
         f"tol {tol:g}",
     )
@@ -216,19 +206,20 @@ def check_linear_descent(seed=0, tol=1e-12):
     x1, _ = attacks.boundary_init_batch(clf, bset, x, y, cfg, x.copy())
     d1 = geometry.signed_distances(bset, x1, y)[0, m[0]]
     err = abs((d0[0] - d1) - expected)
-    return CheckResult(
-        "linear-descent-step", err < tol,
-        f"step decrease error {err:.2e}, tol {tol:g}",
-    )
+    return err < tol, f"step decrease error {err:.2e}, tol {tol:g}"
+
+
+def _threat_case(seed):
+    cfg = attacks.AttackConfig(epsilon=0.1, alpha=0.02, restarts=2,
+                               n_init=2, n_attack=5, seed=seed)
+    return cfg, data.make_blobs(20, k=3, d=6, separation=4.0, seed=seed)
 
 
 def check_threat_model(seed=0):
-    ds = data.make_blobs(20, k=3, d=6, separation=4.0, seed=seed)
+    cfg, ds = _threat_case(seed)
     clf = model.mlp((6,), k=3, n=2, hidden=(8,), seed=seed)
     clf = model.train(clf, ds, epochs=10, seed=seed)
     bset = geometry.boundary_set_for(clf)
-    cfg = attacks.AttackConfig(epsilon=0.1, alpha=0.02, restarts=2,
-                               n_init=2, n_attack=5, seed=seed)
     worst = 0.0
     for method, init in [("pgd", "boundary"), ("pgd", "random"),
                          ("fab", "random")]:
@@ -237,50 +228,60 @@ def check_threat_model(seed=0):
         delta = np.max(np.abs(out.x_adv - ds.images))
         box = max(float(out.x_adv.max() - 1.0), float(-out.x_adv.min()))
         worst = max(worst, delta - cfg.epsilon, box)
-    return CheckResult(
-        "threat-model-containment", worst <= 1e-12,
-        f"worst ball/box excess {worst:.2e}",
-    )
+    return worst <= 1e-12, f"worst ball/box excess {worst:.2e}"
+
+
+def _report_case(seed):
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=1,
+                               n_init=2, n_attack=5, seed=seed)
+    return cfg, data.make_blobs(15, k=3, d=5, separation=4.0, seed=seed)
 
 
 def check_report_reconciliation(seed=0):
-    ds = data.make_blobs(15, k=3, d=5, separation=4.0, seed=seed)
+    cfg, ds = _report_case(seed)
     clf = model.mlp((5,), k=3, n=2, hidden=(8,), seed=seed)
     clf = model.train(clf, ds, epochs=10, seed=seed)
     bset = geometry.boundary_set_for(clf)
-    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=1,
-                               n_init=2, n_attack=5, seed=seed)
     rep = harness.evaluate(clf, bset, ds, cfg)
     rep.validate()
     ok = (rep.successes + rep.failures == rep.evaluated
           and rep.robust_accuracy <= rep.clean_accuracy + 1e-12)
-    return CheckResult(
-        "report-reconciliation", ok,
+    return (
+        ok,
         f"{rep.successes}+{rep.failures} of {rep.evaluated}, robust "
         f"{rep.robust_accuracy:.3f} <= clean {rep.clean_accuracy:.3f}",
     )
 
 
 CHECKS = (
-    check_layer_gradients,
-    check_scalar_gradients,
-    check_antisymmetry,
-    check_partition,
-    check_distance_oracle,
-    check_projection_oracle,
-    check_linear_descent,
-    check_threat_model,
-    check_report_reconciliation,
+    ("layer-gradients", check_layer_gradients),
+    ("scalar-gradients", check_scalar_gradients),
+    ("boundary-antisymmetry", check_antisymmetry),
+    ("region-partition", check_partition),
+    ("distance-oracle", check_distance_oracle),
+    ("projection-oracle", check_projection_oracle),
+    ("linear-descent-step", check_linear_descent),
+    ("threat-model-containment", check_threat_model),
+    ("report-reconciliation", check_report_reconciliation),
 )
+
+
+def validate_seed(seed):
+    """Raise ValueError unless every check can run at ``seed``: it must be
+    >= 0, and the restart seeds of the checks that attack must fit
+    (:func:`harness.check_seeds`)."""
+    for case in (_threat_case, _report_case):
+        cfg, ds = case(seed)
+        harness.check_seeds(cfg, len(ds))
 
 
 def run_all(seed=0):
     """Run every check; exceptions become failing results."""
     results = []
-    for fn in CHECKS:
+    for name, fn in CHECKS:
         try:
-            results.append(fn(seed=seed))
+            ok, detail = fn(seed=seed)
         except Exception as exc:  # a crashed check is a failed check
-            name = fn.__name__.removeprefix("check_").replace("_", "-")
-            results.append(CheckResult(name, False, f"raised {exc!r}"))
+            ok, detail = False, f"raised {exc!r}"
+        results.append(CheckResult(name, ok, detail))
     return results

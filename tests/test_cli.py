@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from boundarylab import attacks, cli, data, model
+from boundarylab import attacks, cli, data, model, verify
 from helpers import rewrite_checkpoint_header
 
 BLOBS = {"kind": "blobs", "n_per_class": 15, "k": 3, "d": 6,
@@ -233,6 +233,37 @@ def test_export_repr_is_identical_across_worker_counts(trained):
 
 def test_verify_command_passes():
     assert cli.main(["verify"]) == 0
+
+
+def _verify_lines(capsys, status):
+    return [l.split(":")[0].removeprefix(f"{status}  ")
+            for l in capsys.readouterr().out.splitlines()
+            if l.startswith(f"{status}  ")]
+
+
+def test_a_raising_check_fails_under_its_usual_name(monkeypatch, capsys):
+    assert cli.main(["verify"]) == 0
+    names = _verify_lines(capsys, "PASS")
+    assert len(names) == len(verify.CHECKS)
+
+    def boom(seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "CHECKS",
+                        tuple((name, boom) for name, _ in verify.CHECKS))
+    assert cli.main(["verify"]) == 2
+    assert _verify_lines(capsys, "FAIL") == names
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, "seed must be >= 0, got -1"),
+    (99999999999999999999999, "overflows at dataset position 0:"),
+    (2**63 - 119, "overflows at dataset position 59:"),
+])
+def test_verify_refuses_a_seed_its_checks_cannot_use(seed, error, capsys):
+    assert cli.main(["verify", "--seed", str(seed)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed: ") and error in err
 
 
 # -- failure modes -------------------------------------------------------

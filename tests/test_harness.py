@@ -96,16 +96,18 @@ def test_attack_entry_rejects_labels_outside_the_model(blobs_mlp,
     (2**63 - 1, 1, 1),
     (2**63 - 1, 2, 0),
     (2**63 - 40, 4, 10),
+    (99999999999999999999999, 1, 0),  # past 2**63 - 1 at position 0
 ])
 def test_check_seeds_names_the_first_overflowing_position(seed, restarts,
                                                           first_bad):
     cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=restarts,
                                n_init=0, n_attack=1, seed=seed)
     harness.check_seeds(cfg, first_bad)  # every position below it fits
-    harness.check_seeds(dataclasses.replace(cfg, seed=np.int64(seed),
-                                            restarts=np.int64(restarts)),
-                        first_bad)
-    assert (seed + first_bad * restarts - 1) <= 2**63 - 1
+    if seed <= 2**63 - 1:  # numpy ints too, where the seed fits one
+        harness.check_seeds(dataclasses.replace(cfg, seed=np.int64(seed),
+                                                restarts=np.int64(restarts)),
+                            first_bad)
+    assert first_bad == 0 or seed + first_bad * restarts - 1 <= 2**63 - 1
     with pytest.raises(ValueError,
                        match=f"overflows at dataset position {first_bad}:"):
         harness.check_seeds(cfg, first_bad + 1)
@@ -197,6 +199,28 @@ def test_report_json_round_trips(blobs_mlp, blobs_boundaries, blobs_test,
     assert payload["config"]["epsilon"] == quick_attack_config.epsilon
     assert "version" in payload
     assert "workers" not in payload["config"]
+
+
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_report_dict_is_its_fields_plus_version(blobs_mlp, blobs_boundaries,
+                                                blobs_test,
+                                                quick_attack_config):
+    rep = harness.evaluate(blobs_mlp, blobs_boundaries, blobs_test,
+                           quick_attack_config)
+    got = rep.to_dict()
+    assert set(got) == _field_names(harness.EvalReport) | {"version"}
+    assert all(set(e) == _field_names(harness.ExampleOutcome)
+               for e in got["examples"])
+    text = rep.to_json()
+    got["seeds"].append(99)
+    got["config"]["epsilon"] = 1.0
+    got["examples"][0]["success"] = not got["examples"][0]["success"]
+    got["examples"].pop()
+    got["model_id"] = "changed"
+    assert rep.to_json() == text
 
 
 def test_attack_and_model_ids_are_descriptive(blobs_mlp,
@@ -399,3 +423,19 @@ def test_export_csv_is_stable(repr_export):
     header = [l for l in exp.to_csv().split("\n")
               if l and not l.startswith("#")][0]
     assert header.split(",")[:3] == ["kind", "index", "class_i"]
+
+
+def test_export_dict_is_its_fields_plus_version(repr_export):
+    exp = repr_export[0]
+    got = exp.to_dict()
+    assert set(got) == _field_names(harness.ReprExport) | {"version"}
+    assert all(set(r) == _field_names(harness.ReprRecord)
+               for r in got["records"])
+    assert all(set(b) == {"class_i", "class_j", "w", "bias"}
+               for b in got["boundaries"])
+    text = exp.to_json()
+    got["records"][0]["v"][0] = 7.0
+    got["records"][1]["kind"] = "changed"
+    got["boundaries"][0]["w"][0] = 7.0
+    got["k"] = 0
+    assert exp.to_json() == text

@@ -1,4 +1,4 @@
-"""Write the fixed set of 68 CLI outputs and print their sha256.
+"""Write the fixed set of 76 CLI outputs and print their sha256.
 
     python3 tools/output_set.py DIR [--src SRC]
 
@@ -6,14 +6,15 @@ Run it from any directory; boundarylab is imported from ``SRC`` (default:
 the ``src/`` next to this file), with OPENBLAS_NUM_THREADS=1, so one copy
 of the script hashes two checkouts with the same command list.  Into
 ``DIR`` go four checkpoints and, for each, six ``attack`` reports
-(pgd/fab × none/random/boundary), five ``sweep`` CSVs and two
-``export-repr`` CSVs (one per method).  The set-up: 16x16 digits of
-classes 0–3, 40 per class to train (seed 0) and 20 per class to attack
-(seed 1); mlp (hidden 16, n 2) and small_cnn, 2 epochs at batch 37, plain
-and adversarial (ε 0.02, α 0.005, 1 restart, 0+3); attacks at ε 0.02,
-α 0.005, 2 restarts, 3+8, seed 0; sweeps over seeds {3, 4}, per method:
-n_init {0, 2, 5, 11} at init boundary, random and none, and n_init
-{5, 0, 2, 2} (unsorted, a split repeated) at init boundary.
+(pgd/fab × none/random/boundary) and, per method, four ``sweep`` CSVs,
+one ``export-repr`` CSV and one ``export-repr --format json`` export.
+The set-up: 16x16 digits of classes 0–3, 40 per class to train (seed 0)
+and 20 per class to attack (seed 1); mlp (hidden 16, n 2) and small_cnn,
+2 epochs at batch 37, plain and adversarial (ε 0.02, α 0.005, 1 restart,
+0+3); attacks at ε 0.02, α 0.005, 2 restarts, 3+8, seed 0; sweeps over
+seeds {3, 4}, per method: n_init {0, 2, 5, 11} at init boundary, random
+and none, and n_init {5, 0, 2, 2} (unsorted, a split repeated) at init
+boundary.
 
 Each command's stdout is written beside its output as ``<output>.stdout``,
 and the script prints ``sha256  file`` for every output and stdout.
@@ -78,6 +79,13 @@ def commands(out):
                 runs.append(("sweep", f"sweep-{tag}-{method}-{suffix}.csv",
                              dict(base, method=method, init=init,
                                   sweep=dict(SWEEP, n_init_values=values))))
+    # after the 68 above; an export-repr output named .json is written
+    # with --format json
+    for tag, ckpt in ckpts.items():
+        base = {"dataset": TEST, "model_path": str(ckpt), "attack": ATTACK}
+        for method in ("fab", "pgd"):
+            runs.append(("export-repr", f"repr-{tag}-{method}.json",
+                         dict(base, method=method)))
     return runs
 
 
@@ -99,9 +107,12 @@ def main(argv=None):
     for command, name, cfg in commands(out):
         config = out / f"{name}.config.json"
         config.write_text(json.dumps(dict(cfg, out=str(out / name))))
+        cli_args = [command, "--config", str(config)]
+        if command == "export-repr" and name.endswith(".json"):
+            cli_args += ["--format", "json"]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = cli.main([command, "--config", str(config)])
+            code = cli.main(cli_args)
         if code != 0:
             sys.exit(f"{command} for {name} exited {code}")
         (out / f"{name}.stdout").write_text(stdout.getvalue())
