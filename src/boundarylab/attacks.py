@@ -269,41 +269,19 @@ class _Workspace:
     """What the restarts of one :func:`run_restarts_batch` call share.
 
     ``lo`` and ``hi`` are the ε-ball bounds of the batch, computed once
-    and read-only.  ``live`` is the one C-contiguous (x, lo, hi) buffer
-    set a live set compacts its rows into, and ``sign`` is the scratch
-    of a sign step; each has the batch's shape.  One loop uses the
-    buffers at a time, and a workspace lives for one call, so chunks
-    attacked on different threads never share one.
+    and read-only.  ``live_x``, ``live_lo`` and ``live_hi`` hold a
+    compacted live set's rows, and ``sign`` is the scratch of a sign
+    step; each has the batch's shape.  A compaction gathers the kept
+    iterate rows into ``sign`` and then swaps it with ``live_x``.  One
+    loop uses the buffers at a time, and a workspace lives for one call,
+    so chunks attacked on different threads never share one.
     """
 
     def __init__(self, x_orig, epsilon):
         self.lo, self.hi = _ball_bounds(x_orig, epsilon)
         self.lo.flags.writeable = self.hi.flags.writeable = False
-        self.live = tuple(np.empty(x_orig.shape) for _ in range(3))
-        self.sign = np.empty_like(x_orig)
-
-
-def _compact(a, idx):
-    """Move rows ``idx`` (ascending) of the C-contiguous ``a`` to its
-    first ``idx.size`` rows, in place, and return that view.
-
-    Row i comes from row ``idx[i] >= i``, so rows only move toward the
-    front and keep their order.  Each run of consecutive rows moves as
-    one copy between 1-D views, which numpy makes front to back with no
-    temporary when the source lies after the destination; ``np.take``
-    or a 2-D slice copy would stage an overlapping move in a temporary.
-    """
-    flat = a.reshape(-1)
-    width = flat.size // len(a)  # a keeps at least one row more than idx
-    # the first position of each run of consecutive rows, and its length
-    starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1)
-    lengths = np.diff(starts, append=idx.size)
-    for dst, length in zip(starts.tolist(), lengths.tolist()):
-        src = int(idx[dst])
-        if src != dst:
-            flat[dst * width:(dst + length) * width] = \
-                flat[src * width:(src + length) * width]
-    return a[:idx.size]
+        self.live_x, self.live_lo, self.live_hi, self.sign = (
+            np.empty(x_orig.shape) for _ in range(4))
 
 
 class _LiveSet:
@@ -312,11 +290,13 @@ class _LiveSet:
     ``x`` starts as the start clipped to the ε-ball of ``x_orig`` and the
     box, and is updated in place.  The rows, their ball bounds and labels
     are compacted only on the steps where some row freezes, and a frozen
-    row is written back to the batch iterate as it freezes.  The first
-    compaction takes the live rows out of the batch iterate and the ball
-    into the workspace's one buffer set; later ones move rows within
-    that set (:func:`_compact`).  ``finish`` writes back the rows still
-    live and returns the batch iterate.
+    row is written back to the batch iterate as it freezes.  A
+    compaction gathers the kept rows of ``x`` into the workspace's sign
+    scratch, which then takes the role of ``live_x`` (the old buffer
+    becomes the scratch), and gathers their ball bounds from the
+    workspace's read-only ball into ``live_lo`` and ``live_hi``.
+    ``finish`` writes back the rows still live and returns the batch
+    iterate.
     """
 
     def __init__(self, x_orig, y, epsilon, start, workspace=None):
@@ -335,17 +315,17 @@ class _LiveSet:
         idx = np.flatnonzero(live)
         if idx.size == live.size:
             return idx
-        if self.x is self.full:
-            # mode="clip" keeps np.take from staging the rows in a temporary
-            self.x, self.lo, self.hi = (
-                np.take(a, idx, axis=0, out=buf[:idx.size], mode="clip")
-                for a, buf in zip((self.x, self.lo, self.hi),
-                                  self.work.live))
-        else:
+        n, work = idx.size, self.work
+        if self.x is not self.full:
             self.full[self.rows[~live]] = self.x[~live]
-            self.x, self.lo, self.hi = (
-                _compact(a, idx) for a in (self.x, self.lo, self.hi))
+        # mode="clip" keeps np.take from staging the rows in a temporary
+        self.x = np.take(self.x, idx, axis=0, out=work.sign[:n], mode="clip")
+        work.live_x, work.sign = work.sign, work.live_x
         self.rows = self.rows[idx]
+        self.lo, self.hi = (
+            np.take(ball, self.rows, axis=0, out=buf[:n], mode="clip")
+            for ball, buf in ((work.lo, work.live_lo),
+                              (work.hi, work.live_hi)))
         self.y = self.y[idx]
         return idx
 
@@ -402,13 +382,18 @@ def _phase(c, x_orig, y, config, start, workspace, checks, moves, stop,
     """
     live_set = _LiveSet(x_orig, y, config.epsilon, start, workspace)
     iters = np.full(live_set.rows.size, -1, dtype=np.int64)
-    evals = np.zeros_like(iters)
+
+    def evals(made):
+        # a row that stopped at check t made t moves, a live row all of them
+        return np.where(iters >= 0, iters, made)
+
     pending = sorted(capture or (), reverse=True)  # the next one last
+    made = 0
     for t in range(checks):
         if pending and pending[-1] == t:  # t moves made
             capture[pending.pop()] = BatchSegment(
                 x_adv=live_set.snapshot(), iterations=iters.copy(),
-                grad_evals=evals.copy())
+                grad_evals=evals(t))
         if live_set.rows.size == 0:
             break
         v, ctxs = c.head_forward_with_ctx(live_set.x, train=False)
@@ -418,9 +403,9 @@ def _phase(c, x_orig, y, config, start, workspace, checks, moves, stop,
             break
         move(live_set, ctxs, aux, ~stopped)
         del ctxs  # free this pass's contexts before the next head forward
-        evals[live_set.rows] += 1
+        made = t + 1
     seg = BatchSegment(x_adv=live_set.finish(), iterations=iters,
-                       grad_evals=evals)
+                       grad_evals=evals(made))
     for k in pending:  # every row stopped before k moves
         capture[k] = seg
     return seg
@@ -603,36 +588,115 @@ def project_hyperplane_box(points, w, b):
     cap = np.where(we > 0, points, 1.0 - points)
     cap = np.where(rate > 0, cap, 0.0)
     direction = -np.sign(we)
-    # Infeasible (or exactly achievable at the corner): go to walls.
-    out = points + direction * cap
-    # Feasible rows: waterfilling.
     fill = (_row_dot(rate, cap) > s) & (s0 != 0.0)
-    cap_f, rate_f, s_f = cap[fill], rate[fill], s[fill]
-    order = np.argsort(cap_f, axis=1, kind="stable")
-    cs = np.take_along_axis(cap_f, order, axis=1)
-    rs = np.take_along_axis(rate_f, order, axis=1)
-    zeros = np.zeros((cs.shape[0], 1))
-    # dec(cap_j) = sum_i rate_i * min(cap_j, cap_i), nondecreasing in j.
-    a = np.concatenate((zeros, np.cumsum(rs * cs, axis=1)), axis=1)
-    srem = rate_f.sum(axis=1)[:, None] - np.concatenate(
-        (zeros, np.cumsum(rs, axis=1)), axis=1)
+    every = fill.all()
+    if every:  # the usual case in an attack step: no row gathers
+        cap_f, rate_f, s_f = cap, rate, s
+    else:
+        cap_f, rate_f, s_f = cap[fill], rate[fill], s[fill]
+    # Feasible rows: waterfilling.  dec(cap_j) = sum_i rate_i *
+    # min(cap_j, cap_i) is nondecreasing in the sorted j; a[:, j] sums
+    # rate·cap over the j smallest caps and srem[:, j] the other rates.
+    cs, rs = _stable_sorted(cap_f, rate_f)
+    m, d = cs.shape
+    a = np.zeros((m, d + 1))
+    np.cumsum(rs * cs, axis=1, out=a[:, 1:])
+    srem = np.zeros((m, d + 1))
+    np.cumsum(rs, axis=1, out=srem[:, 1:])
+    np.subtract(rate_f.sum(axis=1)[:, None], srem, out=srem)
     dec_at = a[:, 1:] + cs * srem[:, 1:]
     # j: the first index where dec_at reaches s (D if none does)
     reach = dec_at >= s_f[:, None]
-    j = np.where(reach.any(axis=1), reach.argmax(axis=1), cs.shape[1])
-    rows = np.arange(cs.shape[0])
+    j = np.where(reach.any(axis=1), reach.argmax(axis=1), d)
+    rows = np.arange(m)
     t_star = (s_f - a[rows, j]) / srem[rows, j]
-    out[fill] = points[fill] + direction[fill] * np.minimum(cap_f, t_star[:, None])
-    # A point already on its plane only needs clipping.
-    on = s0 == 0.0
-    out[on] = points[on]
-    return np.clip(out, 0.0, 1.0)
+    moved = np.minimum(cap_f, t_star[:, None])
+    if every:
+        out = points + direction * moved
+    else:
+        # Infeasible (or exactly achievable at the corner): go to walls.
+        out = points + direction * cap
+        out[fill] = points[fill] + direction[fill] * moved
+        # A point already on its plane only needs clipping.
+        on = s0 == 0.0
+        out[on] = points[on]
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _stable_sorted(cap, rate):
+    """``cap`` and ``rate`` with each row in the order of
+    ``np.argsort(cap, axis=1, kind="stable")``.
+
+    One uint64 key per coordinate is sorted instead: the cap's bits with
+    the low ⌈log₂ D⌉ bits replaced by the coordinate's index.
+    Non-negative doubles order as their bits and equal caps key alike
+    (−0.0 keys as +0.0), so where a row's caps come out non-decreasing,
+    equal caps are in index order and the row is in the stable order.
+    A row that does not (a negative or NaN cap, or caps that differ only
+    in the replaced bits and come out misordered) is sorted again by
+    the stable argsort.
+    """
+    m, d = cap.shape
+    low = np.uint64((1 << (d - 1).bit_length()) - 1)
+    key = np.add(cap, 0.0).view(np.uint64)
+    key &= ~low
+    key |= np.arange(d, dtype=np.uint64)
+    key.sort(axis=1)
+    key &= low
+    flat = key.view(np.int64)  # each row's order, as flat positions
+    flat += (np.arange(m) * d)[:, None]
+    cs, rs = np.take(cap, flat), np.take(rate, flat)
+    redo = ~(cs[:, 1:] >= cs[:, :-1]).all(axis=1)
+    if redo.any():
+        order = np.argsort(cap[redo], axis=1, kind="stable")
+        cs[redo] = np.take_along_axis(cap[redo], order, axis=1)
+        rs[redo] = np.take_along_axis(rate[redo], order, axis=1)
+    return cs, rs
 
 
 # -- restart orchestration -------------------------------------------------
 
 _INITS = ("none", "random", "boundary")
 _METHODS = ("pgd", "fab")
+_SEED_MAX = 2**63 - 1  # restart seeds are formed in int64
+
+
+def check_seeds(config, n):
+    """Raise ValueError unless every restart seed of ``n`` examples fits.
+
+    The example at dataset position i draws restart seeds
+    ``seed + i·restarts + r`` for r < restarts, which must stay at or
+    below 2**63 - 1; the error names the first position past it (0 for a
+    seed past it).
+    """
+    first_bad = max(0, (_SEED_MAX + 1 - int(config.seed))
+                    // int(config.restarts))
+    if first_bad < n:
+        raise ValueError(
+            f"seed {config.seed} with {config.restarts} restarts per example "
+            f"overflows at dataset position {first_bad}: restart seeds "
+            f"seed + position·restarts + r must stay at or below 2**63 - 1"
+        )
+
+
+def _base_seeds(config, base_seeds, n):
+    """The base seeds of ``n`` examples in int64, each checked to leave
+    room for its restarts."""
+    if base_seeds is None:
+        check_seeds(config, n)  # before int64 could wrap
+        if n == 0:  # a seed past int64 forms no seeds
+            return np.zeros(0, dtype=np.int64)
+        return config.seed + np.arange(n) * config.restarts
+    base_seeds = np.asarray(base_seeds)
+    over = base_seeds > _SEED_MAX - (config.restarts - 1)
+    if over.any():
+        i = int(np.argmax(over))
+        raise ValueError(
+            f"base seed {base_seeds[i]} at row {i} overflows with "
+            f"{config.restarts} restarts: base_seeds + restarts - 1 must "
+            f"stay at or below 2**63 - 1"
+        )
+    return base_seeds.astype(np.int64)
 
 
 def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
@@ -642,8 +706,10 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
 
     Restart r of example i draws its start from seed base_seeds[i] + r,
     so callers must space base seeds at least config.restarts apart; the
-    default config.seed + position * restarts does.  Every restart shares
-    one :class:`_Workspace`: the batch's ε-ball and the live-set buffers.
+    default config.seed + position * restarts does.  A restart seed past
+    2**63 - 1 raises ValueError before any is formed (:func:`check_seeds`
+    for the default).  Every restart shares one :class:`_Workspace`: the
+    batch's ε-ball and the live-set buffers.
 
     ``n_init_values`` attacks several budget splits at once: each value
     re-splits the config's total ``n_init + n_attack``
@@ -665,9 +731,7 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
     x_batch = np.asarray(x_batch, dtype=np.float64)
     y_batch = np.asarray(y_batch)
     b = x_batch.shape[0]
-    if base_seeds is None:
-        base_seeds = config.seed + np.arange(b) * config.restarts
-    base_seeds = np.asarray(base_seeds, dtype=np.int64)
+    base_seeds = _base_seeds(config, base_seeds, b)
     splits = ([config] if n_init_values is None else
               [config.with_budget_split(int(v)) for v in n_init_values])
     if not splits:

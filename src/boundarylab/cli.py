@@ -268,7 +268,7 @@ def _check_seeds(config, n, seeds=None):
     """Every attack seed's restart seeds fit for an n-example dataset."""
     for seed in seeds or (config.seed,):
         try:
-            harness.check_seeds(replace(config, seed=seed), n)
+            attacks.check_seeds(replace(config, seed=seed), n)
         except ValueError as exc:
             raise ConfigError(f"seed: {exc}") from exc
 

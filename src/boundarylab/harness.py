@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .attacks import BatchOutcome, run_restarts_batch
+from .attacks import BatchOutcome, check_seeds, run_restarts_batch
 
 _OUTCOME_FIELDS = tuple(f.name for f in fields(BatchOutcome))
 
@@ -147,23 +147,6 @@ def check_labels(c, labels):
         raise ValueError(
             f"label {labels[bad[0]]} at index {bad[0]} is outside the "
             f"model's classes 0..{c.k - 1}"
-        )
-
-
-def check_seeds(config, n):
-    """Raise ValueError unless every restart seed of ``n`` examples fits.
-
-    The example at dataset position i draws restart seeds
-    ``seed + i·restarts + r`` for r < restarts, which must stay at or
-    below 2**63 - 1; the error names the first position past it (0 for a
-    seed past it).
-    """
-    first_bad = max(0, (2**63 - int(config.seed)) // int(config.restarts))
-    if first_bad < n:
-        raise ValueError(
-            f"seed {config.seed} with {config.restarts} restarts per example "
-            f"overflows at dataset position {first_bad}: restart seeds "
-            f"seed + position·restarts + r must stay at or below 2**63 - 1"
         )
 
 

@@ -269,10 +269,10 @@ CHECKS = (
 def validate_seed(seed):
     """Raise ValueError unless every check can run at ``seed``: it must be
     >= 0, and the restart seeds of the checks that attack must fit
-    (:func:`harness.check_seeds`)."""
+    (:func:`attacks.check_seeds`)."""
     for case in (_threat_case, _report_case):
         cfg, ds = case(seed)
-        harness.check_seeds(cfg, len(ds))
+        attacks.check_seeds(cfg, len(ds))
 
 
 def run_all(seed=0):

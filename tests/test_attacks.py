@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -173,14 +174,52 @@ def test_random_start_batch_names_a_negative_seed(rng):
 
 def test_restart_seed_overflow_is_named(blobs_mlp, blobs_boundaries,
                                         blobs_test):
-    # seed + index * restarts wraps past 2**63 - 1 at example 1
+    # seed + index * restarts passes 2**63 - 1 at example 1
     cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=2,
                                n_init=0, n_attack=1, seed=2**63 - 2)
-    with pytest.raises(ValueError, match="seed must be >= 0: row 1"):
+    with pytest.raises(ValueError, match="overflows at dataset position 1:"):
         attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
                                    blobs_test.images[:3],
                                    blobs_test.labels[:3], cfg,
                                    init="random")
+
+
+@pytest.mark.parametrize("seed, first_bad", [(2**63 - 50, 25), (2**64, 0)])
+def test_default_restart_seeds_are_checked_before_they_wrap(
+        seed, first_bad, blobs_mlp, blobs_boundaries):
+    # position 25 would draw 2**63 - 50 + 25·2 = 2**63, which int64 wraps
+    # to -2**63; a seed past int64 cannot be formed at all
+    ds = data.make_blobs(15, k=4, d=8, separation=6.0, seed=2)
+    assert len(ds) == 60
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=2,
+                               n_init=0, n_attack=1, seed=seed)
+    for init in ("none", "random"):
+        with pytest.raises(ValueError, match=f"overflows at dataset "
+                                             f"position {first_bad}:"):
+            attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
+                                       ds.images, ds.labels, cfg, init=init)
+    # every position below the first overflowing one runs
+    out = attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
+                                     ds.images[:first_bad],
+                                     ds.labels[:first_bad], cfg,
+                                     init="random")
+    assert out.iterations.shape == (first_bad,)
+
+
+def test_explicit_base_seeds_must_leave_room_for_their_restarts(
+        blobs_mlp, blobs_boundaries, blobs_test):
+    x, y = blobs_test.images[:3], blobs_test.labels[:3]
+    cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=3,
+                               n_init=0, n_attack=1, seed=0)
+    fits = [0, 2**63 - 3, 5]  # restart 2 of row 1 draws 2**63 - 1
+    attacks.run_restarts_batch(blobs_mlp, blobs_boundaries, x, y, cfg,
+                               init="random", base_seeds=fits)
+    for seeds in ([0, 2**63 - 2, 5], [0, 5, 2**64]):
+        bad = 1 if seeds[1] > 5 else 2
+        with pytest.raises(ValueError, match=f"base seed {seeds[bad]} at "
+                                             f"row {bad} overflows"):
+            attacks.run_restarts_batch(blobs_mlp, blobs_boundaries, x, y,
+                                       cfg, init="random", base_seeds=seeds)
 
 
 # -- hyperplane-box projection -------------------------------------------
@@ -312,6 +351,160 @@ def test_projection_rows_do_not_mix(rng):
         assert batch[i].tobytes() == project_one(x[i], w[i], b[i]).tobytes()
     np.testing.assert_array_equal(batch[on_plane], x[on_plane])
     assert attacks.project_hyperplane_box(x[:0], w[:0], b[:0]).shape == (0, d)
+
+
+def _argsort_projection(points, w, b):
+    """project_hyperplane_box's arithmetic with a stable argsort of every
+    row's caps, its sort before the packed keys: the byte-for-byte
+    reference (inputs unchecked)."""
+    s0 = attacks._row_dot(w, points) + b
+    sgn = np.where(s0 > 0, 1.0, -1.0)
+    we = sgn[:, None] * w
+    s = sgn * s0
+    rate = np.abs(we)
+    cap = np.where(we > 0, points, 1.0 - points)
+    cap = np.where(rate > 0, cap, 0.0)
+    direction = -np.sign(we)
+    out = points + direction * cap
+    fill = (attacks._row_dot(rate, cap) > s) & (s0 != 0.0)
+    cap_f, rate_f, s_f = cap[fill], rate[fill], s[fill]
+    order = np.argsort(cap_f, axis=1, kind="stable")
+    cs = np.take_along_axis(cap_f, order, axis=1)
+    rs = np.take_along_axis(rate_f, order, axis=1)
+    zeros = np.zeros((cs.shape[0], 1))
+    a = np.concatenate((zeros, np.cumsum(rs * cs, axis=1)), axis=1)
+    srem = rate_f.sum(axis=1)[:, None] - np.concatenate(
+        (zeros, np.cumsum(rs, axis=1)), axis=1)
+    dec_at = a[:, 1:] + cs * srem[:, 1:]
+    reach = dec_at >= s_f[:, None]
+    j = np.where(reach.any(axis=1), reach.argmax(axis=1), cs.shape[1])
+    rows = np.arange(cs.shape[0])
+    t_star = (s_f - a[rows, j]) / srem[rows, j]
+    out[fill] = points[fill] + direction[fill] * np.minimum(
+        cap_f, t_star[:, None])
+    on = s0 == 0.0
+    out[on] = points[on]
+    return np.clip(out, 0.0, 1.0)
+
+
+def _projection_instances(rng, m, d, pool=None):
+    """m rows of (points, normals, offsets) over every branch: planes
+    through a box point, through the point itself and missing the box;
+    ``pool`` values are scattered into points and normals."""
+    x = rng.uniform(0.0, 1.0, (m, d))
+    w = rng.normal(size=(m, d))
+    w[rng.random((m, d)) < 0.2] = 0.0
+    if pool is not None:
+        for a in (x, w):
+            spots = rng.random((m, d)) < 0.3
+            a[spots] = rng.choice(pool, spots.sum())
+    w[~w.any(axis=1), 0] = 1.0
+    b = -(w * rng.uniform(0.0, 1.0, (m, d))).sum(axis=1)
+    on_plane, infeasible = np.arange(0, m, 5), np.arange(1, m, 5)
+    b[on_plane] = -(w[on_plane] * x[on_plane]).sum(axis=1)
+    b[infeasible] = -3.0 * np.abs(w[infeasible]).sum(axis=1) - 1.0
+    if pool is not None:
+        b[rng.random(m) < 0.05] = np.nan
+    return x, w, b
+
+
+def _same_projection(x, w, b):
+    with np.errstate(all="ignore"):
+        got = attacks.project_hyperplane_box(x, w, b)
+        want = _argsort_projection(x, w, b)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+_SPECIAL = np.array([0.0, -0.0, 1.0, 0.5, 0.5 + 2**-50, 0.5 - 2**-50,
+                     0.25, np.nan, -0.25, 1.5, 5e-324, -5e-324])
+
+
+@pytest.mark.parametrize("case", ["ties", "signed-zeros", "nan",
+                                  "outside-box", "near-ties", "d1", "m0",
+                                  "d-not-power-of-two", "mixed"])
+def test_projection_matches_the_argsort_reference_bit_for_bit(case, rng):
+    m, d = (0, 6) if case == "m0" else (300, 1) if case == "d1" else (
+        200, 7 if case == "d-not-power-of-two" else 13)
+    x, w, b = _projection_instances(rng, m, d)
+    if case == "ties":  # quantized points and normals: many equal caps
+        x = np.round(x * 4) / 4
+        w = np.round(w)
+        w[~w.any(axis=1), 0] = 1.0
+    elif case == "signed-zeros":
+        x[rng.random((m, d)) < 0.4] = -0.0
+        x[rng.random((m, d)) < 0.2] = 0.0
+        w[rng.random((m, d)) < 0.3] = -0.0
+        w[~w.any(axis=1), 0] = -1.0
+    elif case == "nan":
+        x[rng.random((m, d)) < 0.05] = np.nan
+        w[rng.random((m, d)) < 0.05] = np.nan
+    elif case == "outside-box":
+        x = rng.uniform(-0.5, 1.5, (m, d))
+    elif case == "near-ties":  # caps apart in their last few bits
+        x = 0.5 + rng.integers(-40, 40, (m, d)) * 2.0**-52
+    elif case in ("d1", "mixed"):
+        x, w, b = _projection_instances(rng, m, d, _SPECIAL)
+    _same_projection(x, w, b)
+
+
+@pytest.mark.parametrize("m", [1, 102, 256])
+def test_projection_matches_the_reference_at_fab_shapes(m, rng,
+                                                        monkeypatch):
+    # FAB projects rows of D = 256 digit pixels, many exactly 0 or 1;
+    # such caps never need the argsort fallback
+    d = 256
+    x = rng.uniform(0.0, 1.0, (m, d))
+    x[rng.random((m, d)) < 0.5] = 0.0
+    x[rng.random((m, d)) < 0.1] = 1.0
+    w = rng.normal(size=(m, d))
+    b = -(w * rng.uniform(0.0, 1.0, (m, d))).sum(axis=1)
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda *a, **k: sorts.append(k) or argsort(*a, **k))
+    got = attacks.project_hyperplane_box(x, w, b)
+    assert sorts == []
+    monkeypatch.undo()
+    assert got.tobytes() == _argsort_projection(x, w, b).tobytes()
+    # and random instances of every branch at the same shape
+    _same_projection(*_projection_instances(rng, m, d, _SPECIAL))
+
+
+def test_packed_key_sort_orders_signed_zeros_by_index(monkeypatch):
+    # -0.0 and +0.0 are equal caps, so the stable order keeps them by
+    # index, with no argsort fallback
+    cap = np.array([[-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.25, -0.0]])
+    rate = np.arange(8.0).reshape(2, 4)
+    monkeypatch.setattr(np, "argsort", None)
+    cs, rs = attacks._stable_sorted(cap, rate)
+    monkeypatch.undo()
+    order = np.argsort(cap, axis=1, kind="stable")
+    assert cs.tobytes() == np.take_along_axis(cap, order, axis=1).tobytes()
+    assert rs.tobytes() == np.take_along_axis(rate, order, axis=1).tobytes()
+
+
+def test_projection_falls_back_where_the_packed_key_misorders(monkeypatch):
+    # With D = 16 a key keeps a cap's bits above its low 4; caps 0.5 +
+    # 2**-50 (index 0) and 0.5 (index 1) differ only below them, so the
+    # keys order the larger cap first and the row is sorted again.
+    x = np.full((2, 16), 0.75)
+    x[:, 0], x[:, 1] = 0.5 + 2**-50, 0.5
+    assert len({v >> np.uint64(4) for v in x[0, :2].view(np.uint64)}) == 1
+    x[1, 0] = 0.5 + 2**-48  # apart above the low 4 bits: in order
+    w, b = np.ones((2, 16)), np.full(2, -4.0)  # cap = x on both rows
+    sorts = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        sorts.append((a.shape, kwargs.get("kind")))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    got = attacks.project_hyperplane_box(x, w, b)
+    assert sorts == [((1, 16), "stable")]  # only the misordered row
+    monkeypatch.undo()
+    assert got.tobytes() == _argsort_projection(x, w, b).tobytes()
 
 
 # -- boundary descent ----------------------------------------------------
@@ -802,13 +995,16 @@ def test_live_set_compaction_freeze_patterns_match_bit_for_bit(rng):
                                   (live_set.lo, oracle.lo),
                                   (live_set.hi, oracle.hi)):
                     assert got.tobytes() == want.tobytes()
-                # once compacted, the rows sit in the workspace's one
-                # buffer set
+                # once compacted, the rows sit in the workspace's buffers,
+                # apart from its read-only ball and the caller's arrays
                 compacted = live_set.x is not live_set.full
                 assert compacted == (k > 0 or bool(frozen))
                 for got, buf in zip((live_set.x, live_set.lo, live_set.hi),
-                                    work.live):
+                                    (work.live_x, work.live_lo, work.live_hi)):
                     assert not compacted or got.base is buf
+                    assert not compacted or not any(
+                        np.shares_memory(got, a)
+                        for a in (work.lo, work.hi, x_orig, start))
                 assert live_set.y.tolist() == y[oracle.rows].tolist()
         assert live_set.finish().tobytes() == oracle.finish().tobytes()
     assert work.lo.tobytes() == np.maximum(x_orig - eps, 0.0).tobytes()
@@ -823,7 +1019,8 @@ def test_workspace_allocates_a_single_buffer_set():
     finally:
         tracemalloc.stop()
     # the ball's lo and hi, one (x, lo, hi) set and the sign scratch
-    assert [a.shape for a in work.live] == [x.shape] * 3
+    assert [a.shape for a in (work.live_x, work.live_lo, work.live_hi,
+                              work.sign)] == [x.shape] * 4
     assert 6 * x.nbytes <= held < 7 * x.nbytes
 
 
@@ -1101,6 +1298,36 @@ def test_an_empty_split_list_is_refused(blobs_mlp, blobs_boundaries,
         attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
                                    blobs_test.images, blobs_test.labels,
                                    quick_attack_config, n_init_values=[])
+
+
+def test_phase_counts_each_rows_moves_from_its_stop_check(rng):
+    # a scripted phase: row i stops at check stop_at[i] (-1: never), and
+    # each move is a sign step that freezes the stopped rows
+    stop_at = np.array([0, 2, -1, 1, 4, -1, 2, 0, 3, -1])
+    x = rng.uniform(0.0, 1.0, (stop_at.size, 3))
+    cfg = attacks.AttackConfig(epsilon=0.1, alpha=0.01, restarts=1,
+                               n_init=5, n_attack=0, seed=0)
+    checks = []
+
+    def stop(c, live_set, v):
+        checks.append(live_set.rows.size)
+        return stop_at[live_set.rows] == len(checks) - 1, None
+
+    def move(live_set, ctxs, aux, live):
+        live_set.step(np.ones((live.size, 3)), 0.01, live)
+
+    c = types.SimpleNamespace(head_forward_with_ctx=lambda x, train: (x, None))
+    captured = dict.fromkeys(range(5))
+    seg = attacks._phase(c, x, np.zeros(stop_at.size, dtype=np.int64), cfg,
+                         x, None, 5, 5, stop, move, captured)
+    assert checks == [10, 8, 7, 5, 4]
+    for k, short in {**captured, 5: seg}.items():
+        stopped = (stop_at >= 0) & (stop_at < k)
+        assert short.iterations.tolist() == np.where(stopped, stop_at,
+                                                     -1).tolist()
+        assert short.grad_evals.dtype == np.int64
+        assert short.grad_evals.tolist() == np.where(stopped, stop_at,
+                                                     k).tolist()
 
 
 @pytest.mark.parametrize("which", ["mlp", "cnn"])
