@@ -589,37 +589,32 @@ def project_hyperplane_box(points, w, b):
     cap = np.where(rate > 0, cap, 0.0)
     direction = -np.sign(we)
     fill = (_row_dot(rate, cap) > s) & (s0 != 0.0)
-    every = fill.all()
-    if every:  # the usual case in an attack step: no row gathers
-        cap_f, rate_f, s_f = cap, rate, s
-    else:
-        cap_f, rate_f, s_f = cap[fill], rate[fill], s[fill]
-    # Feasible rows: waterfilling.  dec(cap_j) = sum_i rate_i *
-    # min(cap_j, cap_i) is nondecreasing in the sorted j; a[:, j] sums
-    # rate·cap over the j smallest caps and srem[:, j] the other rates.
-    cs, rs = _stable_sorted(cap_f, rate_f)
-    m, d = cs.shape
-    a = np.zeros((m, d + 1))
-    np.cumsum(rs * cs, axis=1, out=a[:, 1:])
-    srem = np.zeros((m, d + 1))
-    np.cumsum(rs, axis=1, out=srem[:, 1:])
-    np.subtract(rate_f.sum(axis=1)[:, None], srem, out=srem)
-    dec_at = a[:, 1:] + cs * srem[:, 1:]
-    # j: the first index where dec_at reaches s (D if none does)
-    reach = dec_at >= s_f[:, None]
-    j = np.where(reach.any(axis=1), reach.argmax(axis=1), d)
-    rows = np.arange(m)
-    t_star = (s_f - a[rows, j]) / srem[rows, j]
-    moved = np.minimum(cap_f, t_star[:, None])
-    if every:
-        out = points + direction * moved
-    else:
-        # Infeasible (or exactly achievable at the corner): go to walls.
-        out = points + direction * cap
-        out[fill] = points[fill] + direction[fill] * moved
-        # A point already on its plane only needs clipping.
-        on = s0 == 0.0
-        out[on] = points[on]
+    # Waterfilling on every row: rows never mix, and a row that does not
+    # fill (it may meet inf - inf or 0/0 here) goes to its walls below.
+    # dec(cap_j) = sum_i rate_i * min(cap_j, cap_i) is nondecreasing in
+    # the sorted j; a[:, j] sums rate·cap over the j smallest caps and
+    # srem[:, j] the other rates.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        cs, rs = _stable_sorted(cap, rate)
+        m, d = cs.shape
+        a = np.zeros((m, d + 1))
+        np.cumsum(rs * cs, axis=1, out=a[:, 1:])
+        srem = np.zeros((m, d + 1))
+        np.cumsum(rs, axis=1, out=srem[:, 1:])
+        np.subtract(rate.sum(axis=1)[:, None], srem, out=srem)
+        dec_at = a[:, 1:] + cs * srem[:, 1:]
+        # j: the first index where dec_at reaches s (D if none does)
+        reach = dec_at >= s[:, None]
+        j = np.where(reach.any(axis=1), reach.argmax(axis=1), d)
+        rows = np.arange(m)
+        t_star = (s - a[rows, j]) / srem[rows, j]
+    # Infeasible (or exactly achievable at the corner): go to walls, as
+    # min(cap, inf) is cap, NaN included.
+    t_star[~fill] = np.inf
+    out = points + direction * np.minimum(cap, t_star[:, None])
+    # A point already on its plane only needs clipping.
+    on = s0 == 0.0
+    out[on] = points[on]
     return np.clip(out, 0.0, 1.0, out=out)
 
 
