@@ -18,8 +18,9 @@ strategies can be compared at equal cost; a fab iteration counts as one
 evaluation (one linearization point) even though it back-propagates each
 representation coordinate.
 
-Everything is deterministic: per-example seeds are the caller's base seed
-plus the example index, and restart r adds r on top.
+Everything is deterministic: restart r of the example at dataset
+position p draws its start from seed ``seed + p·restarts + r``
+(:func:`run_restarts_batch`).
 """
 
 from __future__ import annotations
@@ -137,6 +138,21 @@ class BatchOutcome:
     @property
     def success(self):
         return self.iterations >= 0
+
+    @classmethod
+    def unflipped(cls, shape, x_adv=None):
+        """The outcome of ``shape`` = (splits, B, restarts) rows no restart
+        flipped: -1 iterations and restarts, no evaluations."""
+        return cls(x_adv=x_adv,
+                   iterations=np.full(shape[:2], -1, dtype=np.int64),
+                   restart=np.full(shape[:2], -1, dtype=np.int64),
+                   iterations_per_restart=np.full(shape, -1, dtype=np.int64),
+                   grad_evals_per_restart=np.zeros(shape, dtype=np.int64))
+
+    def split(self, s):
+        """Split ``s`` of an outcome with a split axis, without the axis."""
+        return BatchOutcome(**{name: None if a is None else a[s]
+                               for name, a in vars(self).items()})
 
 
 def _ball_bounds(x, epsilon):
@@ -576,6 +592,8 @@ def project_hyperplane_box(points, w, b):
         raise ValueError(
             f"hyperplane normal of row {int(np.argmax(zero))} is the zero vector"
         )
+    if not points.size:  # no rows: no row has a first cap to reach
+        return np.empty(points.shape)
     s0 = _row_dot(w, points) + b
     # Orient each row so its value at the point is positive and must be
     # driven to 0.
@@ -674,36 +692,16 @@ def check_seeds(config, n):
         )
 
 
-def _base_seeds(config, base_seeds, n):
-    """The base seeds of ``n`` examples in int64, each checked to leave
-    room for its restarts."""
-    if base_seeds is None:
-        check_seeds(config, n)  # before int64 could wrap
-        if n == 0:  # a seed past int64 forms no seeds
-            return np.zeros(0, dtype=np.int64)
-        return config.seed + np.arange(n) * config.restarts
-    base_seeds = np.asarray(base_seeds)
-    over = base_seeds > _SEED_MAX - (config.restarts - 1)
-    if over.any():
-        i = int(np.argmax(over))
-        raise ValueError(
-            f"base seed {base_seeds[i]} at row {i} overflows with "
-            f"{config.restarts} restarts: base_seeds + restarts - 1 must "
-            f"stay at or below 2**63 - 1"
-        )
-    return base_seeds.astype(np.int64)
-
-
 def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
-                       init="boundary", base_seeds=None, n_init_values=None,
+                       init="boundary", positions=None, n_init_values=None,
                        keep_x=True):
     """Run every restart for a batch and keep each example's best outcome.
 
-    Restart r of example i draws its start from seed base_seeds[i] + r,
-    so callers must space base seeds at least config.restarts apart; the
-    default config.seed + position * restarts does.  A restart seed past
-    2**63 - 1 raises ValueError before any is formed (:func:`check_seeds`
-    for the default).  Every restart shares one :class:`_Workspace`: the
+    Row i is the example at dataset position ``positions[i]`` (default
+    i), and restart r draws its start from seed ``config.seed +
+    positions[i]·restarts + r``.  A negative position or a restart seed
+    past 2**63 - 1 (:func:`check_seeds`) raises ValueError before any
+    seed is formed.  Every restart shares one :class:`_Workspace`: the
     batch's ε-ball and the live-set buffers.
 
     ``n_init_values`` attacks several budget splits at once: each value
@@ -726,7 +724,19 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
     x_batch = np.asarray(x_batch, dtype=np.float64)
     y_batch = np.asarray(y_batch)
     b = x_batch.shape[0]
-    base_seeds = _base_seeds(config, base_seeds, b)
+    positions = np.arange(b) if positions is None else np.asarray(positions)
+    if positions.shape != (b,) or positions.dtype.kind not in "iu":
+        raise ValueError(f"expected {b} integer positions, got "
+                         f"{positions.dtype} of shape {positions.shape}")
+    negative = positions < 0
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise ValueError(f"position must be >= 0: row {i} has position "
+                         f"{positions[i]}")
+    seeds = positions  # an empty batch forms none: its seed may pass int64
+    if b:
+        check_seeds(config, int(positions.max()) + 1)  # before int64 wraps
+        seeds = config.seed + positions.astype(np.int64) * config.restarts
     splits = ([config] if n_init_values is None else
               [config.with_budget_split(int(v)) for v in n_init_values])
     if not splits:
@@ -734,12 +744,9 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
     deepest = max(splits, key=lambda cfg: cfg.n_init)
     # the descent lengths below the deepest that some split starts from
     shallower = {cfg.n_init for cfg in splits} - {deepest.n_init}
-    shape = (len(splits), b, config.restarts)
-    iters_all = np.full(shape, -1, dtype=np.int64)
-    evals_all = np.zeros(shape, dtype=np.int64)
-    best_iters = np.full(shape[:2], -1, dtype=np.int64)
-    best_restart = np.full(shape[:2], -1, dtype=np.int64)
-    best_x = np.empty((len(splits), *x_batch.shape)) if keep_x else None
+    out = BatchOutcome.unflipped(
+        (len(splits), b, config.restarts),
+        np.empty((len(splits), *x_batch.shape)) if keep_x else None)
     # looked up per call, so a module attribute patched over either
     # function is the one that runs
     attack = pgd_batch if method == "pgd" else fab_batch
@@ -748,8 +755,7 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
         if init == "none":
             start = x_batch  # every attack clips its start into a new array
         else:
-            start = random_start_batch(x_batch, config.epsilon,
-                                       base_seeds + r)
+            start = random_start_batch(x_batch, config.epsilon, seeds + r)
         if init == "boundary":
             captured = dict.fromkeys(shallower)  # empty for one split
             starts = {deepest.n_init: boundary_init_batch(
@@ -762,21 +768,17 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
         for s, cfg in enumerate(splits):
             x_init, init_evals = starts[cfg.n_init]
             seg = attack(c, x_batch, y_batch, cfg, x_init, workspace=work)
-            iters_all[s, :, r] = seg.iterations
-            evals_all[s, :, r] = init_evals + seg.grad_evals
-            improve = seg.success & ((best_restart[s] < 0)
-                                     | (seg.iterations < best_iters[s]))
+            out.iterations_per_restart[s, :, r] = seg.iterations
+            out.grad_evals_per_restart[s, :, r] = init_evals + seg.grad_evals
+            best_iters, best_restart = out.iterations[s], out.restart[s]
+            improve = seg.success & ((best_restart < 0)
+                                     | (seg.iterations < best_iters))
             if keep_x:
                 # restart 0 sets every row: a row no restart flips keeps it
                 rows = slice(None) if r == 0 else improve
-                best_x[s][rows] = seg.x_adv[rows]
-            best_iters[s][improve] = seg.iterations[improve]
-            best_restart[s][improve] = r
+                out.x_adv[s][rows] = seg.x_adv[rows]
+            best_iters[improve] = seg.iterations[improve]
+            best_restart[improve] = r
         del starts, x_init, seg  # not kept while the next restart starts
-    arrays = dict(x_adv=best_x, iterations=best_iters, restart=best_restart,
-                  iterations_per_restart=iters_all,
-                  grad_evals_per_restart=evals_all)
-    if n_init_values is None:  # the config's own split, without the axis
-        arrays = {name: None if a is None else a[0]
-                  for name, a in arrays.items()}
-    return BatchOutcome(**arrays)
+    # the config's own split, without the axis
+    return out if n_init_values is not None else out.split(0)

@@ -17,14 +17,12 @@ statistics describe attacked examples only.
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .attacks import BatchOutcome, check_seeds, run_restarts_batch
-
-_OUTCOME_FIELDS = tuple(f.name for f in fields(BatchOutcome))
 
 
 def json_text(payload):
@@ -156,10 +154,11 @@ def _attack_splits(c, bs, dataset, config, method, init, n_init_values, *,
     :func:`sweep_n_init`: one pass over ``dataset`` serves every budget
     split in ``n_init_values``.
 
-    Returns ``(pred, fields)``: the clean predictions and a dict of the
-    BatchOutcome fields with a leading split axis, ``x_adv`` only when
+    Returns ``(pred, outcome)``: the clean predictions and a BatchOutcome
+    of the whole dataset with a leading split axis, ``x_adv`` only when
     ``keep_x``.  Each chunk's correctly classified examples go through
-    one ``run_restarts_batch`` call for all splits.
+    one ``run_restarts_batch`` call for all splits, and each chunk writes
+    only its own rows.
     """
     n = len(dataset)
     if n == 0:
@@ -167,47 +166,37 @@ def _attack_splits(c, bs, dataset, config, method, init, n_init_values, *,
     check_seeds(config, n)
     check_labels(c, dataset.labels)
     x, y = dataset.images, dataset.labels
-    names = [f for f in _OUTCOME_FIELDS if keep_x or f != "x_adv"]
-    splits = len(n_init_values)
+    pred = np.empty(n, dtype=np.intp)
+    out = BatchOutcome.unflipped(
+        (len(n_init_values), n, config.restarts),
+        np.empty((len(n_init_values), *x.shape)) if keep_x else None)
 
-    def run_chunk(bounds):
-        lo, hi = bounds
+    def run_chunk(lo):
+        hi = min(lo + chunk_size, n)
         xs, ys = x[lo:hi], y[lo:hi]
-        pred = c.predict(xs)
-        correct = pred == ys
-        shape = (splits, hi - lo)
-        out = {
-            "iterations": np.full(shape, -1, dtype=np.int64),
-            "restart": np.full(shape, -1, dtype=np.int64),
-            "iterations_per_restart": np.full((*shape, config.restarts), -1,
-                                              dtype=np.int64),
-            "grad_evals_per_restart": np.zeros((*shape, config.restarts),
-                                               dtype=np.int64),
-        }
-        out["iterations"][:, ~correct] = 0
+        pred[lo:hi] = c.predict(xs)
+        correct = pred[lo:hi] == ys
+        out.iterations[:, lo + np.flatnonzero(~correct)] = 0
         if keep_x:
-            out["x_adv"] = np.repeat(
-                np.asarray(xs, dtype=np.float64)[None], splits, axis=0)
-        idx = np.nonzero(correct)[0]
+            out.x_adv[:, lo:hi] = xs
+        idx = np.flatnonzero(correct)
         if idx.size:
             got = run_restarts_batch(
                 c, bs, xs[idx], ys[idx], config, method=method, init=init,
-                base_seeds=config.seed + (lo + idx) * config.restarts,
-                n_init_values=n_init_values, keep_x=keep_x,
-            )
-            for name in names:
-                out[name][:, idx] = getattr(got, name)
-        return pred, out
+                positions=lo + idx, n_init_values=n_init_values,
+                keep_x=keep_x)
+            for name, a in vars(got).items():
+                if a is not None:
+                    getattr(out, name)[:, lo + idx] = a
 
-    bounds = [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
+    starts = range(0, n, chunk_size)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, bounds))
+            list(pool.map(run_chunk, starts))
     else:
-        results = [run_chunk(b) for b in bounds]
-    pred = np.concatenate([r[0] for r in results])
-    return pred, {name: np.concatenate([r[1][name] for r in results], axis=1)
-                  for name in names}
+        for lo in starts:
+            run_chunk(lo)
+    return pred, out
 
 
 def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
@@ -226,7 +215,7 @@ def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
     pred, got = _attack_splits(c, bs, dataset, config, method, init,
                                [config.n_init], workers=workers,
                                chunk_size=chunk_size, keep_x=True)
-    return pred, BatchOutcome(**{name: a[0] for name, a in got.items()})
+    return pred, got.split(0)
 
 
 def _report(c, dataset, config, method, init, pred, iters, restart):
@@ -282,7 +271,7 @@ def evaluate(c, bs, dataset, config, method="pgd", init="boundary", *,
                                [config.n_init], workers=workers,
                                chunk_size=chunk_size, keep_x=False)
     return _report(c, dataset, config, method, init, pred,
-                   got["iterations"][0], got["restart"][0])
+                   got.iterations[0], got.restart[0])
 
 
 @dataclass(frozen=True)
@@ -394,6 +383,8 @@ def sweep_n_init(c, bs, dataset, config, n_init_values, method="pgd",
     if not seeds:
         raise ValueError("seeds is empty")
     splits = [config.with_budget_split(nv) for nv in values]
+    for sd in seeds:  # every seed, before the first one's attack
+        check_seeds(replace(config, seed=sd), len(dataset))
     reports = {}
     for sd in seeds:
         pred, got = _attack_splits(
@@ -402,7 +393,7 @@ def sweep_n_init(c, bs, dataset, config, n_init_values, method="pgd",
         for s, cfg in enumerate(splits):
             reports[s, sd] = _report(c, dataset, replace(cfg, seed=sd),
                                      method, init, pred,
-                                     got["iterations"][s], got["restart"][s])
+                                     got.iterations[s], got.restart[s])
     points = tuple(
         SweepPoint(n_init=cfg.n_init, n_attack=cfg.n_attack, seed=sd,
                    report=reports[s, sd])

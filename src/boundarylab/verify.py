@@ -23,13 +23,16 @@ class CheckResult:
     detail: str
 
 
-def _rel_err(analytic, fd):
+def rel_err(analytic, fd):
+    """Norm-relative gradient error; safe when the true gradient is 0."""
     num = np.linalg.norm(analytic - fd)
     return num / max(np.linalg.norm(fd), 1e-12)
 
 
-def _fd_grad(f, x, eps=1e-6):
-    """Central finite differences of scalar f at x, elementwise."""
+def fd_grad(f, x, eps=1e-6):
+    """Central finite differences of scalar f at a float64 copy of x,
+    elementwise."""
+    x = np.array(x, dtype=np.float64)
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
@@ -67,7 +70,7 @@ def check_layer_gradients(seed=0, tol=1e-5):
             return float((yq * proj).sum())
 
         gx = layer.backward(ctx, proj)
-        err = _rel_err(gx, _fd_grad(scalar, x))
+        err = rel_err(gx, fd_grad(scalar, x))
         if err > worst:
             worst, worst_name = err, name
     return (worst < tol,
@@ -88,7 +91,7 @@ def check_scalar_gradients(seed=0, tol=1e-5):
          lambda xq: geometry.signed_distances(
              bs, clf.head_forward(xq), 2)[0, 0]),
     ]
-    worst = max(_rel_err(g, _fd_grad(f, x.copy())) for g, f in cases)
+    worst = max(rel_err(g, fd_grad(f, x)) for g, f in cases)
     return worst < tol, f"worst rel err {worst:.2e}, tol {tol:g}"
 
 

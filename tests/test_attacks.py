@@ -206,20 +206,28 @@ def test_default_restart_seeds_are_checked_before_they_wrap(
     assert out.iterations.shape == (first_bad,)
 
 
-def test_explicit_base_seeds_must_leave_room_for_their_restarts(
-        blobs_mlp, blobs_boundaries, blobs_test):
+def test_positions_are_refused_by_name(blobs_mlp, blobs_boundaries,
+                                      blobs_test):
     x, y = blobs_test.images[:3], blobs_test.labels[:3]
     cfg = attacks.AttackConfig(epsilon=0.08, alpha=0.02, restarts=3,
-                               n_init=0, n_attack=1, seed=0)
-    fits = [0, 2**63 - 3, 5]  # restart 2 of row 1 draws 2**63 - 1
+                               n_init=0, n_attack=1, seed=2)
+    last = (2**63 - 3) // 3  # restart 2 draws 2 + 3·last + 2 = 2**63 - 1
     attacks.run_restarts_batch(blobs_mlp, blobs_boundaries, x, y, cfg,
-                               init="random", base_seeds=fits)
-    for seeds in ([0, 2**63 - 2, 5], [0, 5, 2**64]):
-        bad = 1 if seeds[1] > 5 else 2
-        with pytest.raises(ValueError, match=f"base seed {seeds[bad]} at "
-                                             f"row {bad} overflows"):
+                               init="random", positions=[0, last, 5])
+    for positions in ([0, last + 1, 5], [0, 5, last + 1]):
+        with pytest.raises(ValueError, match=f"overflows at dataset "
+                                             f"position {last + 1}:"):
             attacks.run_restarts_batch(blobs_mlp, blobs_boundaries, x, y,
-                                       cfg, init="random", base_seeds=seeds)
+                                       cfg, init="random",
+                                       positions=positions)
+    with pytest.raises(ValueError, match="row 2 has position -1"):
+        attacks.run_restarts_batch(blobs_mlp, blobs_boundaries, x, y, cfg,
+                                   init="random", positions=[0, 1, -1])
+    for positions in ([0, 1], [[0, 1, 2]], [0.0, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="expected 3 integer positions"):
+            attacks.run_restarts_batch(blobs_mlp, blobs_boundaries, x, y,
+                                       cfg, init="random",
+                                       positions=positions)
 
 
 # -- hyperplane-box projection -------------------------------------------
@@ -351,6 +359,9 @@ def test_projection_rows_do_not_mix(rng):
         assert batch[i].tobytes() == project_one(x[i], w[i], b[i]).tobytes()
     np.testing.assert_array_equal(batch[on_plane], x[on_plane])
     assert attacks.project_hyperplane_box(x[:0], w[:0], b[:0]).shape == (0, d)
+    # no rows and no coordinates
+    assert attacks.project_hyperplane_box(x[:0, :0], w[:0, :0],
+                                          b[:0]).shape == (0, 0)
 
 
 def _argsort_projection(points, w, b):
@@ -1059,8 +1070,8 @@ def test_restarts_equal_single_restart_runs(which, method, monkeypatch,
     bs = geometry.boundary_set_for(c)
     x, y = _mixed_batch(c, ds)
     cfg = attacks.AttackConfig(epsilon=eps, alpha=eps / 4, eta_init=eps / 3,
-                               restarts=3, n_init=3, n_attack=6, seed=0)
-    seeds = 100 + 3 * np.arange(len(y))
+                               restarts=3, n_init=3, n_attack=6, seed=100)
+    positions = np.arange(len(y))
     name = f"{method}_batch"
     attack = getattr(attacks, name)
     segments = []
@@ -1072,12 +1083,12 @@ def test_restarts_equal_single_restart_runs(which, method, monkeypatch,
 
     monkeypatch.setattr(attacks, name, recorded)
     out = attacks.run_restarts_batch(c, bs, x, y, cfg, method=method,
-                                     init="boundary", base_seeds=seeds)
-    one = dataclasses.replace(cfg, restarts=1)
+                                     init="boundary", positions=positions)
     for r in range(3):
+        one = dataclasses.replace(cfg, seed=cfg.seed + r, restarts=1)
         alone = attacks.run_restarts_batch(c, bs, x, y, one, method=method,
                                            init="boundary",
-                                           base_seeds=seeds + r)
+                                           positions=positions * 3)
         assert segments[3 + r].tobytes() == segments[r].tobytes()
         for field in ("iterations_per_restart", "grad_evals_per_restart"):
             got = np.ascontiguousarray(getattr(out, field)[:, r])
@@ -1190,10 +1201,10 @@ def test_restart_seeds_differ_per_restart(blobs_mlp, blobs_boundaries,
                                      blobs_test.images[:4],
                                      blobs_test.labels[:4], cfg,
                                      method="pgd", init="random",
-                                     base_seeds=np.array([0, 10, 20, 30]))
+                                     positions=np.array([0, 10, 20, 30]))
     for r in range(4):
         expected = attacks.random_start_batch(
-            blobs_test.images[r:r + 1], 0.08, [10 * r])[0]
+            blobs_test.images[r:r + 1], 0.08, [30 * r])[0]
         if out.restart[r] in (-1, 0):
             np.testing.assert_array_equal(out.x_adv[r], expected)
 
@@ -1218,13 +1229,12 @@ def test_single_example_wrapper_matches_batch(blobs_mlp, blobs_boundaries,
     batch = attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
                                        blobs_test.images, blobs_test.labels,
                                        cfg)
-    # a B=1 call with example 3's default base seed equals row 3
-    seed = cfg.seed + 3 * cfg.restarts
+    # a B=1 call at example 3's position equals row 3
     single = attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
                                         blobs_test.images[3:4],
                                         blobs_test.labels[3:4],
                                         dataclasses.replace(cfg),
-                                        base_seeds=np.array([seed]))
+                                        positions=np.array([3]))
     assert single.success[0] == batch.success[3]
     np.testing.assert_allclose(single.x_adv[0], batch.x_adv[3], atol=1e-12)
     np.testing.assert_array_equal(single.grad_evals_per_restart[0],
@@ -1250,15 +1260,15 @@ def test_budget_splits_in_one_call_equal_one_call_per_split(
     cfg = attacks.AttackConfig(epsilon=eps, alpha=eps / 4, eta_init=eps / 3,
                                restarts=2, n_init=3, n_attack=6, seed=0)
     values = [5, 0, 2, 2, 9]
-    seeds = 100 + 2 * np.arange(len(y))
+    positions = 50 + np.arange(len(y))  # seeds 100 + 2·i + r
     out = attacks.run_restarts_batch(c, bs, x, y, cfg, method=method,
-                                     init=init, base_seeds=seeds,
+                                     init=init, positions=positions,
                                      n_init_values=values)
     for s, nv in enumerate(values):
         alone = attacks.run_restarts_batch(c, bs, x, y,
                                            cfg.with_budget_split(nv),
                                            method=method, init=init,
-                                           base_seeds=seeds)
+                                           positions=positions)
         for f in dataclasses.fields(attacks.BatchOutcome):
             got, want = getattr(out, f.name)[s], getattr(alone, f.name)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -1266,7 +1276,7 @@ def test_budget_splits_in_one_call_equal_one_call_per_split(
     # rows flip at t=0, mid-run and never, so the loops compact
     assert {-1, 0} < set(out.iterations_per_restart.ravel().tolist())
     skipped = attacks.run_restarts_batch(c, bs, x, y, cfg, method=method,
-                                         init=init, base_seeds=seeds,
+                                         init=init, positions=positions,
                                          n_init_values=values, keep_x=False)
     assert skipped.x_adv is None
     assert skipped.iterations.tobytes() == out.iterations.tobytes()

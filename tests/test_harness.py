@@ -66,7 +66,7 @@ def test_attack_dataset_keeps_misclassified_inputs(blobs_boundaries,
     idx = np.flatnonzero(~wrong)
     ref = attacks.run_restarts_batch(
         raw, bs, blobs_test.images[idx], blobs_test.labels[idx], cfg,
-        base_seeds=cfg.seed + idx * cfg.restarts)
+        positions=idx)
     np.testing.assert_allclose(out.x_adv[idx], ref.x_adv, atol=1e-12)
     np.testing.assert_array_equal(out.success[idx], ref.success)
     np.testing.assert_array_equal(out.grad_evals_per_restart[idx],
@@ -120,6 +120,24 @@ def test_attack_entry_rejects_overflowing_seeds(blobs_mlp, blobs_boundaries,
     with pytest.raises(ValueError, match="dataset position 1:"):
         harness.attack_dataset(blobs_mlp, blobs_boundaries, blobs_test, cfg,
                                init="none")
+
+
+def test_sweep_refuses_every_seed_before_its_first_attack(
+        monkeypatch, blobs_mlp, blobs_boundaries, blobs_test,
+        quick_attack_config):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return run(*args, **kwargs)
+
+    run = harness.run_restarts_batch
+    monkeypatch.setattr(harness, "run_restarts_batch", spy)
+    with pytest.raises(ValueError, match="seed 9223372036854775807 "):
+        harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test,
+                             quick_attack_config, [0, 1],
+                             seeds=(0, 2**63 - 1))
+    assert calls == []
 
 
 def test_zero_epsilon_keeps_robust_equal_to_clean(blobs_mlp,
@@ -177,6 +195,28 @@ def test_chunk_threads_share_no_attack_buffers(method, blobs_mlp,
     finally:
         sys.setswitchinterval(interval)
     assert texts[0] == texts[1]
+
+
+def test_chunk_threads_fill_one_outcome_without_losing_rows(
+        blobs_boundaries, blobs_test, quick_attack_config):
+    # threads write their chunks' rows of one dataset-wide outcome: every
+    # field, attacked and misclassified rows alike, is the one-thread one
+    raw = model.mlp((8,), k=4, n=2, hidden=(16,), seed=99)
+    bs = geometry.boundary_set_for(raw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [harness.attack_dataset(raw, bs, blobs_test,
+                                       quick_attack_config, workers=workers,
+                                       chunk_size=8)
+                for workers in (1, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    (pred, one), (pred3, three) = runs
+    assert (pred != blobs_test.labels).any()
+    assert pred.tobytes() == pred3.tobytes()
+    for name, a in vars(one).items():
+        assert a.tobytes() == getattr(three, name).tobytes(), name
 
 
 def test_report_is_identical_across_chunk_sizes(blobs_mlp,

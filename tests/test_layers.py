@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boundarylab import layers
-from helpers import fd_grad, rel_err
+from boundarylab.verify import fd_grad, rel_err
 
 
 def _cases(rng):

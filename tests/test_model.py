@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from boundarylab import attacks, data, geometry, kernels, layers, model
-from helpers import fd_grad, rel_err, rewrite_checkpoint_header
+from boundarylab.verify import fd_grad, rel_err
+from helpers import rewrite_checkpoint_header
 
 
 def test_head_tail_composition_is_bit_exact(blobs_mlp, rng):
