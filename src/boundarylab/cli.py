@@ -1,7 +1,9 @@
 """Command-line entry point: one binary, verb subcommands.
 
-Usage: ``boundarylab <command> [--config FILE] [--seed N] [--workers N]
-[--out PATH]``.  Commands: ``train`` (fit and checkpoint a model),
+Usage: ``boundarylab <command> [--config FILE] [--seed N] [--out PATH]
+[--workers N]``, where ``verify`` takes only ``--config`` and ``--seed``,
+``train`` takes no ``--workers``, and ``export-repr`` also takes
+``--format csv|json``.  Commands: ``train`` (fit and checkpoint a model),
 ``attack`` (robust-accuracy report as JSON), ``sweep`` (budget-split
 series as CSV), ``export-repr`` (representation-space CSV/JSON), and
 ``verify`` (invariant self-checks).  ``attack``, ``sweep`` and
@@ -10,7 +12,10 @@ fixed chunks, and an example the model already misclassifies is not
 attacked (export-repr records the input itself as its adversarial
 point, with success true).
 
-Config file schema (JSON object; flags override file values):
+Config file schema (JSON object; flags override file values).  A key
+left out takes the default of the library parameter it feeds, except
+``model.k`` (the dataset's class count), ``train.epochs`` (4) and the
+seeds of blobs and of ``sample`` (0):
 
   seed      int     primary seed for the command (train seed for
                     ``train``, attack seed otherwise)
@@ -19,7 +24,7 @@ Config file schema (JSON object; flags override file values):
   out       str     output path (required by every command but verify)
   dataset   object  one of
                     {"kind": "digits", "n_per_class": N, "classes":
-                     [..], "size": 28, "seed": S}
+                     [..], "size": H, "seed": S}
                     {"kind": "blobs", "n_per_class": N, "k": K, "d": D,
                      "separation": SEP, "seed": S}
                     {"kind": "idx", "images": PATH, "labels": PATH}
@@ -35,8 +40,8 @@ Config file schema (JSON object; flags override file values):
   model_path str    (attack/sweep/export-repr) checkpoint to load
   attack    object  AttackConfig fields: epsilon, alpha, eta_init,
                     restarts, n_init, n_attack, seed
-  method    str     "pgd" (default) or "fab"
-  init      str     "boundary" (default), "random", or "none"
+  method    str     "pgd" or "fab"
+  init      str     "boundary", "random", or "none"
   sweep     object  (sweep) {"n_init_values": [..], "seeds": [..]}
 
 Every output embeds the fully resolved config, seed, and toolkit
@@ -48,10 +53,11 @@ Exit codes: 0 ok, 1 config error, 2 invariant/computation failure,
 """
 
 import argparse
+import inspect
 import json
 import sys
+from collections import namedtuple
 from dataclasses import asdict, fields, replace
-from functools import partial
 
 from . import __version__, attacks, data, geometry, harness, model, verify
 
@@ -69,6 +75,60 @@ class ConfigError(Exception):
 
 class InputError(Exception):
     """Unreadable or malformed input file."""
+
+
+def _default(fn, name):
+    """The default of ``fn``'s parameter ``name`` (a tuple as the list a
+    config holds), or _REQUIRED where it has none."""
+    default = inspect.signature(fn).parameters[name].default
+    if default is inspect.Parameter.empty:
+        return _REQUIRED
+    return list(default) if isinstance(default, tuple) else default
+
+
+def _library(fn, *keys):
+    """``fn``'s name and its config keys as (key, kind, default); a key
+    given as (key, kind) has the default of ``fn``'s parameter ``key``.
+
+    Read once, at import: the bench replaces some library functions with
+    untyped wrappers, so a call goes through the module attribute.
+    """
+    return fn.__name__, tuple(
+        key if len(key) == 3 else (*key, _default(fn, key[0])) for key in keys)
+
+
+# dataset kind -> (error class, message prefix, data function, keys); an
+# IDX file is input data, the other kinds come from the config.  The
+# required keys are passed by position, the rest by name.
+_DATASETS = {
+    "digits": (ConfigError, "dataset.", *_library(
+        data.make_digits, ("n_per_class", int), ("classes", [int]),
+        ("size", int), ("seed", int))),
+    "blobs": (ConfigError, "dataset.", *_library(
+        data.make_blobs, ("n_per_class", int), ("k", int), ("d", int),
+        ("separation", float), ("seed", int, 0))),
+    "idx": (InputError, "dataset.idx: ", *_library(
+        data.load_idx, ("images", str, _REQUIRED),
+        ("labels", str, _REQUIRED))),
+}
+# model preset -> (the dataset rank it needs and what that data is
+# called, the arguments the dataset shape gives, model function, keys);
+# the seed comes first, as it is read right after model.k
+_PRESETS = {
+    "small_cnn": (3, "image", lambda shape: {"input_shape": shape},
+                  *_library(model.small_cnn, ("seed", int), ("n", int))),
+    "mlp": (None, None, lambda shape: {"input_shape": shape}, *_library(
+        model.mlp, ("seed", int), ("n", int), ("hidden", [int]))),
+    "linear": (1, "flat", lambda shape: {"d": shape[0]},
+               *_library(model.linear_model, ("seed", int))),
+}
+_TRAIN_KEYS = _library(model.train, ("epochs", int, 4), ("lr", float),
+                       ("momentum", float), ("batch_size", int))[1]
+_TRAIN_SEED = _default(model.train, "seed")
+_ATTACK_SEED = _default(attacks.AttackConfig, "seed")
+_VERIFY_SEED = _default(verify.run_all, "seed")
+_METHOD, _INIT, _WORKERS = (_default(harness.evaluate, name)
+                            for name in ("method", "init", "workers"))
 
 
 def _get(cfg, path, default=_REQUIRED):
@@ -115,6 +175,12 @@ def _typed(cfg, path, kind, default=_REQUIRED):
     return _checked(value, path, kind)
 
 
+def _resolve(cfg, section, keys):
+    """The ``keys`` entries of a config section, read in order."""
+    return {key: _typed(cfg, f"{section}.{key}", kind, default)
+            for key, kind, default in keys}
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -140,52 +206,17 @@ def _dataset_from(cfg):
     fully resolved spec that produced it."""
     spec = _typed(cfg, "dataset", dict)
     kind = _get(cfg, "dataset.kind")
-    if kind == "digits":
-        resolved = {
-            "kind": "digits",
-            "n_per_class": _typed(cfg, "dataset.n_per_class", int),
-            "classes": _typed(cfg, "dataset.classes", [int],
-                              list(range(10))),
-            "size": _typed(cfg, "dataset.size", int, 28),
-            "seed": _typed(cfg, "dataset.seed", int, 0),
-        }
-        try:
-            ds = data.make_digits(
-                resolved["n_per_class"], classes=tuple(resolved["classes"]),
-                size=resolved["size"], seed=resolved["seed"],
-            )
-        except ValueError as exc:  # names the argument, which is the key
-            raise ConfigError(f"dataset.{exc}") from exc
-    elif kind == "blobs":
-        resolved = {
-            "kind": "blobs",
-            "n_per_class": _typed(cfg, "dataset.n_per_class", int),
-            "k": _typed(cfg, "dataset.k", int),
-            "d": _typed(cfg, "dataset.d", int),
-            "separation": _typed(cfg, "dataset.separation", float),
-            "seed": _typed(cfg, "dataset.seed", int, 0),
-        }
-        try:
-            ds = data.make_blobs(
-                resolved["n_per_class"], resolved["k"], resolved["d"],
-                resolved["separation"], resolved["seed"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"dataset.{exc}") from exc
-    elif kind == "idx":
-        resolved = {
-            "kind": "idx",
-            "images": _typed(cfg, "dataset.images", str),
-            "labels": _typed(cfg, "dataset.labels", str),
-        }
-        try:
-            ds = data.load_idx(resolved["images"], resolved["labels"])
-        except (OSError, ValueError) as exc:
-            raise InputError(f"dataset.idx: {exc}") from exc
-    else:
-        raise ConfigError(
-            f"dataset.kind: {kind!r} is not one of digits/blobs/idx"
-        )
+    if not isinstance(kind, str) or kind not in _DATASETS:
+        raise ConfigError(f"dataset.kind: {kind!r} is not one of "
+                          f"{'/'.join(_DATASETS)}")
+    error, prefix, fn, keys = _DATASETS[kind]
+    resolved = {"kind": kind, **_resolve(cfg, "dataset", keys)}
+    try:  # the data function names the argument, which is the key
+        ds = getattr(data, fn)(
+            *(resolved[key] for key, _, d in keys if d is _REQUIRED),
+            **{key: resolved[key] for key, _, d in keys if d is not _REQUIRED})
+    except (OSError, ValueError) as exc:
+        raise error(f"{prefix}{exc}") from exc
     if "keep" in spec:
         keep = _typed(cfg, "dataset.keep", [int])
         resolved["keep"] = keep
@@ -203,8 +234,6 @@ def _dataset_from(cfg):
         except ValueError as exc:
             raise ConfigError(f"dataset.sample: {exc}") from exc
     if len(ds) == 0:
-        # an IDX file is input data; other kinds come from the config
-        error = InputError if kind == "idx" else ConfigError
         raise error(f"dataset: the {kind} dataset has no examples")
     return ds, resolved
 
@@ -223,13 +252,13 @@ def _attack_from(cfg, seed_override):
     if seed_override is not None:
         spec["seed"] = seed_override
     elif "seed" not in spec:
-        spec["seed"] = _typed(cfg, "seed", int, 0)
+        spec["seed"] = _typed(cfg, "seed", int, _ATTACK_SEED)
     try:
         config = attacks.AttackConfig(**spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"attack: {exc}") from exc
-    method = _get(cfg, "method", "pgd")
-    init = _get(cfg, "init", "boundary")
+    method = _get(cfg, "method", _METHOD)
+    init = _get(cfg, "init", _INIT)
     for key, value, choices in (("method", method, attacks._METHODS),
                                 ("init", init, attacks._INITS)):
         if value not in choices:
@@ -238,22 +267,17 @@ def _attack_from(cfg, seed_override):
     return config, method, init
 
 
-def _load_model(cfg):
+def _model_and_dataset(cfg):
+    """The checkpoint and a dataset whose labels are classes of it."""
     path = _typed(cfg, "model_path", str)
     try:
-        return model.Classifier.load(path)
+        clf = model.Classifier.load(path)
     except model.CheckpointError as exc:
         raise InputError(f"model_path: {exc}") from exc
     except OSError as exc:
         raise InputError(f"model_path: cannot read {path}: {exc}") from exc
-
-
-def _model_and_dataset(cfg):
-    """The checkpoint and a dataset whose labels are classes of it."""
-    clf = _load_model(cfg)
     ds, dspec = _dataset_from(cfg)
-    # an IDX file is input data; other kinds come from the config
-    error = InputError if dspec["kind"] == "idx" else ConfigError
+    error = _DATASETS[dspec["kind"]][0]
     try:
         harness.check_labels(clf, ds.labels)
     except ValueError as exc:
@@ -262,15 +286,6 @@ def _model_and_dataset(cfg):
         raise error(f"dataset: images have shape {ds.input_shape}, the "
                     f"checkpoint takes {clf.input_shape}")
     return clf, ds, dspec
-
-
-def _check_seeds(config, n, seeds=None):
-    """Every attack seed's restart seeds fit for an n-example dataset."""
-    for seed in seeds or (config.seed,):
-        try:
-            attacks.check_seeds(replace(config, seed=seed), n)
-        except ValueError as exc:
-            raise ConfigError(f"seed: {exc}") from exc
 
 
 def _out_path(cfg, args):
@@ -291,7 +306,7 @@ def _write_text(path, text):
 def _workers(cfg, args):
     w = args.workers
     if w is None:
-        w = _typed(cfg, "workers", int, 1)
+        w = _typed(cfg, "workers", int, _WORKERS)
     if w < 1:
         raise ConfigError(f"workers: {w} is not >= 1")
     return w
@@ -302,41 +317,19 @@ def cmd_train(args):
     out = _out_path(cfg, args)
     ds, dspec = _dataset_from(cfg)
     _typed(cfg, "model", dict)
-    preset = _get(cfg, "model.preset")
+    name = _get(cfg, "model.preset")
     k = _typed(cfg, "model.k", int, ds.k)
-    mseed = _typed(cfg, "model.seed", int, 0)
-    if preset == "small_cnn":
-        n = _typed(cfg, "model.n", int, 2)
-        if len(ds.input_shape) != 3:
-            raise ConfigError(
-                f"model.preset: small_cnn needs image data, dataset shape "
-                f"is {ds.input_shape}"
-            )
-        build = partial(model.small_cnn, k=k, n=n,
-                        input_shape=ds.input_shape, seed=mseed)
-        resolved_model = {"preset": preset, "k": k, "n": n, "seed": mseed}
-    elif preset == "mlp":
-        n = _typed(cfg, "model.n", int, 8)
-        hidden = _typed(cfg, "model.hidden", [int], [32])
-        build = partial(model.mlp, ds.input_shape, k, n=n,
-                        hidden=tuple(hidden), seed=mseed)
-        resolved_model = {"preset": preset, "k": k, "n": n,
-                          "hidden": hidden, "seed": mseed}
-    elif preset == "linear":
-        if len(ds.input_shape) != 1:
-            raise ConfigError(
-                f"model.preset: linear needs flat data, dataset shape is "
-                f"{ds.input_shape}"
-            )
-        build = partial(model.linear_model, ds.input_shape[0], k,
-                        seed=mseed)
-        resolved_model = {"preset": preset, "k": k, "seed": mseed}
-    else:
-        raise ConfigError(
-            f"model.preset: {preset!r} is not one of small_cnn/mlp/linear"
-        )
+    if not isinstance(name, str) or name not in _PRESETS:
+        _typed(cfg, "model.seed", int, None)  # checked first, as for a preset
+        raise ConfigError(f"model.preset: {name!r} is not one of "
+                          f"{'/'.join(_PRESETS)}")
+    rank, kind, inputs, fn, keys = _PRESETS[name]
+    preset = _resolve(cfg, "model", keys)
+    if rank is not None and len(ds.input_shape) != rank:
+        raise ConfigError(f"model.preset: {name} needs {kind} data, dataset "
+                          f"shape is {ds.input_shape}")
     try:
-        clf = build()
+        clf = getattr(model, fn)(**inputs(ds.input_shape), k=k, **preset)
     except ValueError as exc:  # names the preset argument, which is the key
         raise ConfigError(f"model.{exc}") from exc
     try:
@@ -345,37 +338,31 @@ def cmd_train(args):
         raise ConfigError(f"model.k: {exc}") from exc
 
     _typed(cfg, "train", dict, {})
-    epochs = _typed(cfg, "train.epochs", int, 4)
-    lr = _typed(cfg, "train.lr", float, 0.05)
-    momentum = _typed(cfg, "train.momentum", float, 0.9)
-    batch_size = _typed(cfg, "train.batch_size", int, 128)
-    seed = args.seed if args.seed is not None else _typed(cfg, "seed", int, 0)
+    fit = _resolve(cfg, "train", _TRAIN_KEYS)
+    seed = (args.seed if args.seed is not None
+            else _typed(cfg, "seed", int, _TRAIN_SEED))
     resolved = {
         "command": "train",
         "dataset": dspec,
-        "model": resolved_model,
-        "train": {"epochs": epochs, "lr": lr, "momentum": momentum,
-                  "batch_size": batch_size},
+        "model": {"preset": name, "k": k, **preset},
+        "train": fit,
         "seed": seed,
         "adversarial": None,
     }
     adversarial = "adversarial" in cfg
     try:
-        model.check_fit(len(ds), epochs=epochs, batch_size=batch_size,
-                        seed=seed, adversarial=adversarial)
+        model.check_fit(len(ds), epochs=fit["epochs"],
+                        batch_size=fit["batch_size"], seed=seed,
+                        adversarial=adversarial)
     except ValueError as exc:  # names the argument; the seed is top level
         where = "" if str(exc).startswith("seed:") else "train."
         raise ConfigError(where + str(exc)) from exc
     if adversarial:
         adv_cfg, _, _ = _attack_from({"attack": cfg["adversarial"]}, None)
         resolved["adversarial"] = asdict(adv_cfg)
-        fitted = model.adv_train(clf, ds, adv_cfg, epochs=epochs, lr=lr,
-                                 momentum=momentum, batch_size=batch_size,
-                                 seed=seed)
+        fitted = model.adv_train(clf, ds, adv_cfg, **fit, seed=seed)
     else:
-        fitted = model.train(clf, ds, epochs=epochs, lr=lr,
-                             momentum=momentum, batch_size=batch_size,
-                             seed=seed)
+        fitted = model.train(clf, ds, **fit, seed=seed)
     fitted.meta["version"] = __version__
     fitted.meta["run_config"] = resolved
     fitted.save(out)
@@ -384,106 +371,107 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _resolved_eval_config(command, dspec, cfg, config, method, init):
-    return {
-        "command": command,
-        "model_path": _typed(cfg, "model_path", str),
-        "dataset": dspec,
-        "attack": asdict(config),
-        "method": method,
-        "init": init,
-        "seed": config.seed,
-    }
+_Evaluation = namedtuple("_Evaluation", "out clf bs ds config method init "
+                                        "workers run_config")
 
 
-def cmd_attack(args):
+def _evaluation(args, command):
+    """Everything an evaluation command needs before its harness call,
+    read and checked in one order, and the run config its output embeds;
+    a sweep's budget splits and seeds are in ``run_config["sweep"]``."""
     cfg = _load_config(args.config)
     out = _out_path(cfg, args)
     clf, ds, dspec = _model_and_dataset(cfg)
     config, method, init = _attack_from(cfg, args.seed)
-    _check_seeds(config, len(ds))
+    run_config = {"command": command, "model_path": cfg["model_path"],
+                  "dataset": dspec, "attack": asdict(config),
+                  "method": method, "init": init, "seed": config.seed}
+    seeds = [config.seed]
+    if command == "sweep":
+        _typed(cfg, "sweep", dict)
+        values = _typed(cfg, "sweep.n_init_values", [int])
+        if not values:
+            raise ConfigError("sweep.n_init_values: empty list")
+        for nv in values:
+            try:
+                config.with_budget_split(nv)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.n_init_values: {exc}") from exc
+        seeds = _typed(cfg, "sweep.seeds", [int], seeds)
+        if not seeds:
+            raise ConfigError("sweep.seeds: empty list")
+        run_config["sweep"] = {"n_init_values": values, "seeds": seeds}
+    for seed in seeds:  # every attack seed's restart seeds fit the dataset
+        try:
+            attacks.check_seeds(replace(config, seed=seed), len(ds))
+        except ValueError as exc:
+            raise ConfigError(f"seed: {exc}") from exc
     bs = geometry.boundary_set_for(clf)
-    report = harness.evaluate(clf, bs, ds, config, method=method, init=init,
-                              workers=_workers(cfg, args))
-    resolved = _resolved_eval_config("attack", dspec, cfg, config, method,
-                                     init)
-    _write_text(out, harness.json_text({**report.to_dict(),
-                                        "run_config": resolved}))
+    return _Evaluation(out, clf, bs, ds, config, method, init,
+                       _workers(cfg, args), run_config)
+
+
+def _write_output(ev, artifact, fmt):
+    """Write ``artifact`` with the run config embedded, as JSON or CSV."""
+    if fmt == "json":
+        text = harness.json_text({**artifact.to_dict(),
+                                  "run_config": ev.run_config})
+    else:
+        text = artifact.to_csv(
+            meta={"run_config": json.dumps(ev.run_config, sort_keys=True)})
+    _write_text(ev.out, text)
+
+
+def cmd_attack(args):
+    ev = _evaluation(args, "attack")
+    report = harness.evaluate(ev.clf, ev.bs, ev.ds, ev.config,
+                              method=ev.method, init=ev.init,
+                              workers=ev.workers)
+    _write_output(ev, report, "json")
     print(
         f"robust accuracy {report.robust_accuracy:.4f} "
         f"(clean {report.clean_accuracy:.4f}, "
-        f"{report.successes}/{report.evaluated} successes) -> {out}"
+        f"{report.successes}/{report.evaluated} successes) -> {ev.out}"
     )
     return EXIT_OK
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args.config)
-    out = _out_path(cfg, args)
-    clf, ds, dspec = _model_and_dataset(cfg)
-    config, method, init = _attack_from(cfg, args.seed)
-    _typed(cfg, "sweep", dict)
-    values = _typed(cfg, "sweep.n_init_values", [int])
-    if not values:
-        raise ConfigError("sweep.n_init_values: empty list")
-    for nv in values:
-        try:
-            config.with_budget_split(nv)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.n_init_values: {exc}") from exc
-    seeds = _typed(cfg, "sweep.seeds", [int], None)
-    if seeds is not None:
-        if not seeds:
-            raise ConfigError("sweep.seeds: empty list")
-        seeds = tuple(seeds)
-    _check_seeds(config, len(ds), seeds)
-    bs = geometry.boundary_set_for(clf)
+    ev = _evaluation(args, "sweep")
+    sweep = ev.run_config["sweep"]
     result = harness.sweep_n_init(
-        clf, bs, ds, config, values, method=method, init=init,
-        seeds=seeds, workers=_workers(cfg, args),
+        ev.clf, ev.bs, ev.ds, ev.config, sweep["n_init_values"],
+        method=ev.method, init=ev.init, seeds=sweep["seeds"],
+        workers=ev.workers,
     )
-    resolved = _resolved_eval_config("sweep", dspec, cfg, config, method,
-                                     init)
-    resolved["sweep"] = {"n_init_values": values,
-                         "seeds": list(seeds) if seeds else [config.seed]}
-    _write_text(out, result.to_csv(
-        meta={"run_config": json.dumps(resolved, sort_keys=True)}))
+    _write_output(ev, result, "csv")
     series = ", ".join(
         "-" if m is None else f"{m:.2f}"
         for m in result.mean_iterations_series()
     )
-    print(f"mean iterations-to-success by n_init: {series} -> {out}")
+    print(f"mean iterations-to-success by n_init: {series} -> {ev.out}")
     return EXIT_OK
 
 
 def cmd_export_repr(args):
-    cfg = _load_config(args.config)
-    out = _out_path(cfg, args)
-    clf, ds, dspec = _model_and_dataset(cfg)
-    config, method, init = _attack_from(cfg, args.seed)
-    _check_seeds(config, len(ds))
-    bs = geometry.boundary_set_for(clf)
-    _, outcome = harness.attack_dataset(clf, bs, ds, config, method=method,
-                                        init=init, workers=_workers(cfg, args))
-    export = harness.export_representation_space(clf, bs, ds, outcome)
-    resolved = _resolved_eval_config("export-repr", dspec, cfg, config,
-                                     method, init)
-    if args.format == "json":
-        _write_text(out, harness.json_text({**export.to_dict(),
-                                            "run_config": resolved}))
-    else:
-        _write_text(out, export.to_csv(
-            meta={"run_config": json.dumps(resolved, sort_keys=True)}))
+    ev = _evaluation(args, "export-repr")
+    _, outcome = harness.attack_dataset(ev.clf, ev.bs, ev.ds, ev.config,
+                                        method=ev.method, init=ev.init,
+                                        workers=ev.workers)
+    export = harness.export_representation_space(ev.clf, ev.bs, ev.ds,
+                                                 outcome)
+    _write_output(ev, export, args.format)
     print(
         f"exported {len(export.records)} records, "
-        f"{len(export.boundaries)} boundary rows -> {out}"
+        f"{len(export.boundaries)} boundary rows -> {ev.out}"
     )
     return EXIT_OK
 
 
 def cmd_verify(args):
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else _typed(cfg, "seed", int, 0)
+    seed = (args.seed if args.seed is not None
+            else _typed(cfg, "seed", int, _VERIFY_SEED))
     try:
         verify.validate_seed(seed)
     except ValueError as exc:
@@ -522,9 +510,11 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the primary seed")
-        p.add_argument("--workers", type=int,
-                       help="evaluation threads (results unaffected)")
-        p.add_argument("--out", help="output path (overrides config)")
+        if name not in ("train", "verify"):
+            p.add_argument("--workers", type=int,
+                           help="evaluation threads (results unaffected)")
+        if name != "verify":
+            p.add_argument("--out", help="output path (overrides config)")
         if name == "export-repr":
             p.add_argument("--format", choices=("csv", "json"),
                            default="csv", help="output format")

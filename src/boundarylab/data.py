@@ -25,7 +25,9 @@ class Dataset:
     """Immutable labeled image batch.
 
     ``class_map`` maps original label -> compact index; labels stored on
-    the dataset are always the compact indices 0..K-1.
+    the dataset are always compact indices in 0..K-1, where K (``k``) is
+    the largest index in ``class_map`` plus one.  A class may have no
+    examples: an IDX file without a label 2, or a sample that drew none.
     """
 
     images: np.ndarray
@@ -52,7 +54,7 @@ class Dataset:
 
     @property
     def k(self):
-        return len(self.class_map)
+        return max(self.class_map.values(), default=-1) + 1
 
     @property
     def input_shape(self):

@@ -132,14 +132,6 @@ class Classifier:
         """Representation dimension."""
         return self.tail.in_features
 
-    @property
-    def d(self):
-        """Flattened input dimension."""
-        d = 1
-        for s in self.input_shape:
-            d *= s
-        return d
-
     def _checked(self, x):
         """``x`` as a float64 batch of ``input_shape`` examples; warns if
         it leaves the [0,1] box."""

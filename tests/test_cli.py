@@ -266,6 +266,88 @@ def test_verify_refuses_a_seed_its_checks_cannot_use(seed, error, capsys):
     assert err.startswith("config error: seed: ") and error in err
 
 
+# -- defaults ------------------------------------------------------------
+
+
+TRAIN_DEFAULTS = {"epochs": 4, "lr": 0.05, "momentum": 0.9,
+                  "batch_size": 128}
+
+
+def _idx_files(tmp_path, labels):
+    ds = data.Dataset(images=np.full((len(labels), 1, 3, 3), 0.5),
+                      labels=np.array(labels))
+    ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+    data.write_idx(ds, ip, lp)
+    return {"kind": "idx", "images": str(ip), "labels": str(lp)}
+
+
+def _train_run_config(tmp_path, dataset, preset):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"dataset": dataset,
+                               "model": {"preset": preset},
+                               "out": str(tmp_path / "m.ckpt")}))
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    return model.Classifier.load(tmp_path / "m.ckpt").meta["run_config"]
+
+
+def test_train_with_only_required_keys_records_every_default(tmp_path):
+    digits = _train_run_config(tmp_path, {"kind": "digits", "n_per_class": 1},
+                               "small_cnn")
+    assert digits == {
+        "command": "train",
+        "dataset": {"kind": "digits", "n_per_class": 1,
+                    "classes": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "size": 28,
+                    "seed": 0},
+        "model": {"preset": "small_cnn", "k": 10, "n": 2, "seed": 0},
+        "train": TRAIN_DEFAULTS, "seed": 0, "adversarial": None}
+    blobs = {"kind": "blobs", "n_per_class": 4, "k": 3, "d": 2,
+             "separation": 4.0}
+    assert _train_run_config(tmp_path, blobs, "linear") == {
+        "command": "train", "dataset": dict(blobs, seed=0),
+        "model": {"preset": "linear", "k": 3, "seed": 0},
+        "train": TRAIN_DEFAULTS, "seed": 0, "adversarial": None}
+    idx = _idx_files(tmp_path, [0, 1, 2, 1])
+    assert _train_run_config(tmp_path, idx, "mlp") == {
+        "command": "train", "dataset": idx,
+        "model": {"preset": "mlp", "k": 3, "n": 8, "hidden": [32],
+                  "seed": 0},
+        "train": TRAIN_DEFAULTS, "seed": 0, "adversarial": None}
+
+
+def test_idx_labels_with_a_gap_train_at_the_default_k(tmp_path):
+    # labels {0, 1, 3}: class 2 has no examples but is still a class
+    idx = _idx_files(tmp_path, [0, 1, 3, 1])
+    assert _train_run_config(tmp_path, idx, "mlp")["model"]["k"] == 4
+    assert model.Classifier.load(tmp_path / "m.ckpt").k == 4
+
+
+def test_attack_without_method_init_or_seed_records_the_defaults(trained):
+    root, ckpt = trained
+    attack = {"epsilon": 0.08, "alpha": 0.02, "restarts": 2, "n_init": 2,
+              "n_attack": 8}
+    out = root / "defaults.json"
+    cfg = root / "defaults-cfg.json"
+    cfg.write_text(json.dumps({"dataset": TEST_BLOBS,
+                               "model_path": str(ckpt), "attack": attack,
+                               "out": str(out)}))
+    assert cli.main(["attack", "--config", str(cfg)]) == 0
+    payload = json.loads(out.read_text())
+    resolved = dict(attack, eta_init=0.08, seed=0)
+    assert payload["config"] == dict(resolved, method="pgd", init="boundary")
+    assert payload["run_config"] == {
+        "command": "attack", "model_path": str(ckpt), "dataset": TEST_BLOBS,
+        "attack": resolved, "method": "pgd", "init": "boundary", "seed": 0}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--workers"), ("verify", "--out"), ("train", "--workers")])
+def test_a_command_refuses_the_flags_it_does_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
 # -- failure modes -------------------------------------------------------
 
 

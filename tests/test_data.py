@@ -101,6 +101,18 @@ def make_tiny():
     return data.Dataset(images=images, labels=labels, dataset_id="tiny")
 
 
+def test_k_is_the_largest_class_index_plus_one():
+    # a class with no examples still counts: labels {0, 1, 3} are 4 classes
+    ds = data.Dataset(images=np.zeros((3, 1, 2, 2)),
+                      labels=np.array([0, 1, 3]))
+    assert ds.class_map == {0: 0, 1: 1, 3: 3} and ds.k == 4
+    assert make_tiny().k == 4
+    assert data.filter_classes(make_tiny(), [1, 3]).k == 2
+    empty = data.Dataset(images=np.zeros((0, 1, 2, 2)),
+                         labels=np.zeros(0, dtype=np.int64))
+    assert empty.class_map == {} and empty.k == 0
+
+
 def test_filter_keeps_order_and_reindexes():
     out = data.filter_classes(make_tiny(), [1, 3])
     np.testing.assert_array_equal(out.labels, [0, 1, 0, 1])

@@ -34,7 +34,7 @@ def test_cnn_preset_maps_image_to_plane():
     v = clf.head_forward(np.random.default_rng(0).uniform(0, 1,
                                                           (1, 1, 28, 28)))
     assert v.shape == (1, 2)
-    assert clf.k == 4 and clf.n == 2 and clf.d == 784
+    assert clf.k == 4 and clf.n == 2
 
 
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])

@@ -1,4 +1,4 @@
-"""Write the fixed set of 76 CLI outputs and print their sha256.
+"""Write the fixed set of 81 CLI outputs and print their sha256.
 
     python3 tools/output_set.py DIR [--src SRC]
 
@@ -14,7 +14,11 @@ and 20 per class to attack (seed 1); mlp (hidden 16, n 2) and small_cnn,
 0+3); attacks at ε 0.02, α 0.005, 2 restarts, 3+8, seed 0; sweeps over
 seeds {3, 4}, per method: n_init {0, 2, 5, 11} at init boundary, random
 and none, and n_init {5, 0, 2, 2} (unsorted, a split repeated) at init
-boundary.
+boundary.  Five more outputs leave keys to their defaults: a checkpoint
+per preset with only ``model.preset`` set and no seed or ``train`` keys
+(small_cnn and mlp on digits given only ``n_per_class``, linear on blobs
+given no seed), an attack on the plain mlp of IDX files written from
+the attack digits, and an attack on it with no method, init or seed.
 
 Each command's stdout is written beside its output as ``<output>.stdout``,
 and the script prints ``sha256  file`` for every output and stdout.
@@ -42,6 +46,10 @@ ADVERSARIAL = {"epsilon": 0.02, "alpha": 0.005, "restarts": 1,
 ATTACK = {"epsilon": 0.02, "alpha": 0.005, "restarts": 2, "n_init": 3,
           "n_attack": 8, "seed": 0}
 SWEEP = {"n_init_values": [0, 2, 5, 11], "seeds": [3, 4]}
+# only the required keys, so every other key takes its default
+DEFAULT_DIGITS = {"kind": "digits", "n_per_class": 4}
+DEFAULT_BLOBS = {"kind": "blobs", "n_per_class": 20, "k": 3, "d": 5,
+                 "separation": 4.0}
 # (output name suffix, init, n_init_values) of the sweeps beyond SWEEP's
 MORE_SWEEPS = (("random", "random", SWEEP["n_init_values"]),
                ("none", "none", SWEEP["n_init_values"]),
@@ -86,6 +94,20 @@ def commands(out):
         for method in ("fab", "pgd"):
             runs.append(("export-repr", f"repr-{tag}-{method}.json",
                          dict(base, method=method)))
+    # after the 76 above
+    for preset, dataset in (("small_cnn", DEFAULT_DIGITS),
+                            ("mlp", DEFAULT_DIGITS),
+                            ("linear", DEFAULT_BLOBS)):
+        runs.append(("train", f"{preset}-defaults.ckpt",
+                     {"dataset": dataset, "model": {"preset": preset}}))
+    base = {"dataset": TEST, "model_path": str(ckpts["mlp"]),
+            "attack": ATTACK}
+    idx = {"kind": "idx", "images": str(out / "attack-images.idx"),
+           "labels": str(out / "attack-labels.idx")}
+    runs.append(("attack", "attack-mlp-idx.json", dict(base, dataset=idx)))
+    runs.append(("attack", "attack-mlp-defaults.json",
+                 dict(base, attack={k: v for k, v in ATTACK.items()
+                                    if k != "seed"})))
     return runs
 
 
@@ -102,8 +124,12 @@ def main(argv=None):
     out = Path(args.dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
     sys.path.insert(0, str(args.src.resolve()))
-    from boundarylab import cli
+    from boundarylab import cli, data
 
+    data.write_idx(data.make_digits(TEST["n_per_class"],
+                                    classes=TEST["classes"],
+                                    size=TEST["size"], seed=TEST["seed"]),
+                   out / "attack-images.idx", out / "attack-labels.idx")
     for command, name, cfg in commands(out):
         config = out / f"{name}.config.json"
         config.write_text(json.dumps(dict(cfg, out=str(out / name))))
