@@ -371,13 +371,6 @@ class _LiveSet:
             self.full[self.rows] = self.x
         return self.full
 
-    def snapshot(self):
-        """The batch iterate ``finish`` would return now, in a new array."""
-        full = self.full.copy()
-        if self.x is not self.full:
-            full[self.rows] = self.x
-        return full
-
 
 def _phase(c, x_orig, y, config, start, workspace, checks, moves, stop,
            move, capture=None):
@@ -408,7 +401,7 @@ def _phase(c, x_orig, y, config, start, workspace, checks, moves, stop,
     for t in range(checks):
         if pending and pending[-1] == t:  # t moves made
             capture[pending.pop()] = BatchSegment(
-                x_adv=live_set.snapshot(), iterations=iters.copy(),
+                x_adv=live_set.finish().copy(), iterations=iters.copy(),
                 grad_evals=evals(t))
         if live_set.rows.size == 0:
             break

@@ -15,7 +15,11 @@ point, with success true).
 Config file schema (JSON object; flags override file values).  A key
 left out takes the default of the library parameter it feeds, except
 ``model.k`` (the dataset's class count), ``train.epochs`` (4) and the
-seeds of blobs and of ``sample`` (0):
+seeds of blobs and of ``sample`` (0).  An optional key set to null is
+left out; a required one set to null has the wrong type.  A key a
+section does not list is refused, naming it (``<section>.<key>:
+unknown key``), null or not; at the top level only a key no command
+reads is refused, so one file can serve ``train`` and ``attack``:
 
   seed      int     primary seed for the command (train seed for
                     ``train``, attack seed otherwise)
@@ -132,6 +136,8 @@ _METHOD, _INIT, _WORKERS = (_default(harness.evaluate, name)
 
 
 def _get(cfg, path, default=_REQUIRED):
+    """The value at ``path`` (dotted); an optional key missing or null
+    gives ``default``."""
     node = cfg
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
@@ -139,7 +145,7 @@ def _get(cfg, path, default=_REQUIRED):
                 raise ConfigError(f"{path}: required key is missing")
             return default
         node = node[part]
-    return node
+    return default if node is None and default is not _REQUIRED else node
 
 
 def _checked(value, path, kind):
@@ -173,6 +179,15 @@ def _typed(cfg, path, kind, default=_REQUIRED):
         return [_checked(v, f"{path}[{i}]", kind[0])
                 for i, v in enumerate(_checked(value, path, list))]
     return _checked(value, path, kind)
+
+
+def _refuse_unknown(spec, section, known):
+    """Refuse the first key of ``spec`` (by sorted order) outside
+    ``known``, naming it after the ``section`` prefix."""
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ConfigError(f"{section}{unknown[0]}: unknown key (known: "
+                          f"{', '.join(sorted(known))})")
 
 
 def _resolve(cfg, section, keys):
@@ -217,54 +232,50 @@ def _dataset_from(cfg):
             **{key: resolved[key] for key, _, d in keys if d is not _REQUIRED})
     except (OSError, ValueError) as exc:
         raise error(f"{prefix}{exc}") from exc
-    if "keep" in spec:
-        keep = _typed(cfg, "dataset.keep", [int])
+    keep = _typed(cfg, "dataset.keep", [int], None)
+    if keep is not None:
         resolved["keep"] = keep
         try:
             ds = data.filter_classes(ds, keep)
         except ValueError as exc:
             raise ConfigError(f"dataset.keep: {exc}") from exc
-    if "sample" in spec:
-        _typed(cfg, "dataset.sample", dict)
-        n = _typed(cfg, "dataset.sample.n", int)
-        sd = _typed(cfg, "dataset.sample.seed", int, 0)
-        resolved["sample"] = {"n": n, "seed": sd}
+    sample = _typed(cfg, "dataset.sample", dict, None)
+    if sample is not None:
+        resolved["sample"] = _resolve(cfg, "dataset.sample", (
+            ("n", int, _REQUIRED), ("seed", int, 0)))
         try:
-            ds = data.sample(ds, n, sd)
+            ds = data.sample(ds, **resolved["sample"])
         except ValueError as exc:
             raise ConfigError(f"dataset.sample: {exc}") from exc
+        _refuse_unknown(sample, "dataset.sample.", resolved["sample"])
     if len(ds) == 0:
         raise error(f"dataset: the {kind} dataset has no examples")
+    _refuse_unknown(spec, "dataset.", {"keep", "sample", *resolved})
     return ds, resolved
 
 
-_ATTACK_KEYS = {f.name for f in fields(attacks.AttackConfig)}
+_ATTACK_KEYS = [f.name for f in fields(attacks.AttackConfig)]
+# every top-level key some command reads
+_TOP_KEYS = ("seed", "workers", "out", "dataset", "model", "train",
+             "adversarial", "model_path", "attack", "method", "init", "sweep")
 
 
-def _attack_from(cfg, seed_override):
-    spec = dict(_typed(cfg, "attack", dict, {}))
-    unknown = set(spec) - _ATTACK_KEYS
-    if unknown:
-        raise ConfigError(
-            f"attack.{sorted(unknown)[0]}: unknown key (known: "
-            f"{', '.join(sorted(_ATTACK_KEYS))})"
-        )
+def _attack_from(cfg, section, seed_override=None):
+    """The AttackConfig in ``cfg[section]``, its errors named by
+    ``section``.  A key left out or null takes AttackConfig's default,
+    except the seed of ``attack``: ``seed_override``, else its own, else
+    the top-level seed."""
+    spec = _typed(cfg, section, dict, {})
+    _refuse_unknown(spec, f"{section}.", _ATTACK_KEYS)
+    spec = {key: value for key, value in spec.items() if value is not None}
     if seed_override is not None:
         spec["seed"] = seed_override
-    elif "seed" not in spec:
+    elif section == "attack" and "seed" not in spec:
         spec["seed"] = _typed(cfg, "seed", int, _ATTACK_SEED)
     try:
-        config = attacks.AttackConfig(**spec)
+        return attacks.AttackConfig(**spec)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"attack: {exc}") from exc
-    method = _get(cfg, "method", _METHOD)
-    init = _get(cfg, "init", _INIT)
-    for key, value, choices in (("method", method, attacks._METHODS),
-                                ("init", init, attacks._INITS)):
-        if value not in choices:
-            raise ConfigError(
-                f"{key}: {value!r} is not one of {'/'.join(choices)}")
-    return config, method, init
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _model_and_dataset(cfg):
@@ -316,7 +327,7 @@ def cmd_train(args):
     cfg = _load_config(args.config)
     out = _out_path(cfg, args)
     ds, dspec = _dataset_from(cfg)
-    _typed(cfg, "model", dict)
+    model_spec = _typed(cfg, "model", dict)
     name = _get(cfg, "model.preset")
     k = _typed(cfg, "model.k", int, ds.k)
     if not isinstance(name, str) or name not in _PRESETS:
@@ -336,8 +347,9 @@ def cmd_train(args):
         harness.check_labels(clf, ds.labels)
     except ValueError as exc:
         raise ConfigError(f"model.k: {exc}") from exc
+    _refuse_unknown(model_spec, "model.", ("preset", "k", *preset))
 
-    _typed(cfg, "train", dict, {})
+    train_spec = _typed(cfg, "train", dict, {})
     fit = _resolve(cfg, "train", _TRAIN_KEYS)
     seed = (args.seed if args.seed is not None
             else _typed(cfg, "seed", int, _TRAIN_SEED))
@@ -349,7 +361,7 @@ def cmd_train(args):
         "seed": seed,
         "adversarial": None,
     }
-    adversarial = "adversarial" in cfg
+    adversarial = cfg.get("adversarial") is not None
     try:
         model.check_fit(len(ds), epochs=fit["epochs"],
                         batch_size=fit["batch_size"], seed=seed,
@@ -357,12 +369,13 @@ def cmd_train(args):
     except ValueError as exc:  # names the argument; the seed is top level
         where = "" if str(exc).startswith("seed:") else "train."
         raise ConfigError(where + str(exc)) from exc
+    _refuse_unknown(train_spec, "train.", fit)
     if adversarial:
-        adv_cfg, _, _ = _attack_from({"attack": cfg["adversarial"]}, None)
+        adv_cfg = _attack_from(cfg, "adversarial")
         resolved["adversarial"] = asdict(adv_cfg)
-        fitted = model.adv_train(clf, ds, adv_cfg, **fit, seed=seed)
-    else:
-        fitted = model.train(clf, ds, **fit, seed=seed)
+    _refuse_unknown(cfg, "", _TOP_KEYS)
+    fitted = (model.adv_train(clf, ds, adv_cfg, **fit, seed=seed)
+              if adversarial else model.train(clf, ds, **fit, seed=seed))
     fitted.meta["version"] = __version__
     fitted.meta["run_config"] = resolved
     fitted.save(out)
@@ -382,13 +395,19 @@ def _evaluation(args, command):
     cfg = _load_config(args.config)
     out = _out_path(cfg, args)
     clf, ds, dspec = _model_and_dataset(cfg)
-    config, method, init = _attack_from(cfg, args.seed)
+    config = _attack_from(cfg, "attack", args.seed)
+    method, init = _get(cfg, "method", _METHOD), _get(cfg, "init", _INIT)
+    for key, value, choices in (("method", method, attacks._METHODS),
+                                ("init", init, attacks._INITS)):
+        if value not in choices:
+            raise ConfigError(
+                f"{key}: {value!r} is not one of {'/'.join(choices)}")
     run_config = {"command": command, "model_path": cfg["model_path"],
                   "dataset": dspec, "attack": asdict(config),
                   "method": method, "init": init, "seed": config.seed}
     seeds = [config.seed]
     if command == "sweep":
-        _typed(cfg, "sweep", dict)
+        sweep = _typed(cfg, "sweep", dict)
         values = _typed(cfg, "sweep.n_init_values", [int])
         if not values:
             raise ConfigError("sweep.n_init_values: empty list")
@@ -400,15 +419,17 @@ def _evaluation(args, command):
         seeds = _typed(cfg, "sweep.seeds", [int], seeds)
         if not seeds:
             raise ConfigError("sweep.seeds: empty list")
+        _refuse_unknown(sweep, "sweep.", ("n_init_values", "seeds"))
         run_config["sweep"] = {"n_init_values": values, "seeds": seeds}
     for seed in seeds:  # every attack seed's restart seeds fit the dataset
         try:
             attacks.check_seeds(replace(config, seed=seed), len(ds))
         except ValueError as exc:
             raise ConfigError(f"seed: {exc}") from exc
-    bs = geometry.boundary_set_for(clf)
-    return _Evaluation(out, clf, bs, ds, config, method, init,
-                       _workers(cfg, args), run_config)
+    workers = _workers(cfg, args)
+    _refuse_unknown(cfg, "", _TOP_KEYS)
+    return _Evaluation(out, clf, geometry.boundary_set_for(clf), ds, config,
+                       method, init, workers, run_config)
 
 
 def _write_output(ev, artifact, fmt):
@@ -476,6 +497,7 @@ def cmd_verify(args):
         verify.validate_seed(seed)
     except ValueError as exc:
         raise ConfigError(f"seed: {exc}") from exc
+    _refuse_unknown(cfg, "", _TOP_KEYS)
     results = verify.run_all(seed=seed)
     failed = 0
     for r in results:

@@ -31,12 +31,30 @@ def json_text(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_head(magic, items, meta):
-    """The comment lines that open a CSV: the ``magic`` line, the version,
-    the artifact's own ``items`` in order, then ``meta`` by sorted key."""
-    return [f"# {magic}", f"# version: {__version__}",
-            *(f"# {key}: {value}" for key, value in items.items()),
-            *(f"# {key}: {meta[key]}" for key in sorted(meta or {}))]
+def _cell(value):
+    """One CSV cell: None is empty, a bool is true/false, a float is its
+    round-tripping ``repr``, and anything else is ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_text(magic, items, meta, columns, rows):
+    """The text of every CSV output.
+
+    Comment lines open it: the ``magic`` line, the version, the
+    artifact's own ``items`` in order, then ``meta`` by sorted key.  The
+    header names ``columns``, and each of ``rows`` is a dict keyed by
+    column name; a column a row lacks is an empty cell.
+    """
+    lines = [f"# {magic}", f"# version: {__version__}",
+             *(f"# {key}: {value}" for key, value in items.items()),
+             *(f"# {key}: {meta[key]}" for key in sorted(meta or {})),
+             ",".join(columns)]
+    lines += (",".join(map(_cell, map(row.get, columns))) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -127,15 +145,6 @@ def attack_id_of(config, method, init):
         f"{method}-{init}-eps{config.epsilon:g}-r{config.restarts}"
         f"-b{config.n_init}+{config.n_attack}"
     )
-
-
-def _config_snapshot(config, method, init):
-    # Outcomes do not depend on workers or chunk_size (restart seeds come
-    # from absolute dataset position), so neither belongs in the snapshot.
-    snap = asdict(config)
-    snap["method"] = method
-    snap["init"] = init
-    return snap
 
 
 def check_labels(c, labels):
@@ -229,18 +238,12 @@ def _report(c, dataset, config, method, init, pred, iters, restart):
     mean_its = float(samples.mean()) if samples.size else None
     median_its = float(np.median(samples)) if samples.size else None
     n_success = int(success.sum())
+    per_example = dict(index=np.arange(n), label=y, predicted=pred,
+                       success=success, iterations=iters, restart=restart,
+                       attacked=correct)
     examples = tuple(
-        ExampleOutcome(
-            index=i,
-            label=int(y[i]),
-            predicted=int(pred[i]),
-            success=bool(success[i]),
-            iterations=int(iters[i]),
-            restart=int(restart[i]),
-            attacked=bool(correct[i]),
-        )
-        for i in range(n)
-    )
+        ExampleOutcome(**dict(zip(per_example, row)))
+        for row in zip(*(a.tolist() for a in per_example.values())))
     return EvalReport(
         model_id=model_id_of(c),
         attack_id=attack_id_of(config, method, init),
@@ -254,7 +257,9 @@ def _report(c, dataset, config, method, init, pred, iters, restart):
         mean_iterations_to_success=mean_its,
         median_iterations_to_success=median_its,
         seeds=(int(config.seed),),
-        config=_config_snapshot(config, method, init),
+        # outcomes do not depend on workers or chunk_size (restart seeds
+        # come from dataset positions), so neither belongs in the config
+        config=dict(asdict(config), method=method, init=init),
         examples=examples,
     )
 
@@ -282,6 +287,13 @@ class SweepPoint:
     report: EvalReport
 
 
+# the sweep CSV's columns; a seed="mean" row leaves evaluated, successes
+# and the median empty
+_SWEEP_COLUMNS = ("n_init", "n_attack", "total_budget", "seed", "evaluated",
+                  "successes", "robust_accuracy", "mean_iterations_to_success",
+                  "median_iterations_to_success")
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Budget-split sweep: one evaluation per (initialization budget,
@@ -295,12 +307,16 @@ class SweepResult:
     base_config: dict
     points: tuple
 
-    def _per_seed(self, nv, getter):
-        return [
-            getter(p.report)
-            for p in self.points
-            if p.n_init == nv and getter(p.report) is not None
-        ]
+    def _seed_means(self, name):
+        """The reports' field ``name`` averaged over seeds, per budget
+        split; None for a split where it is None at every seed."""
+        series = []
+        for nv in self.n_init_values:
+            vals = [getattr(p.report, name) for p in self.points
+                    if p.n_init == nv]
+            vals = [v for v in vals if v is not None]
+            series.append(float(np.mean(vals)) if vals else None)
+        return tuple(series)
 
     def mean_iterations_series(self):
         """Seed-averaged mean iterations-to-success per budget split.
@@ -308,57 +324,30 @@ class SweepResult:
         None for a split where no seed produced a successful attacked
         example.
         """
-        series = []
-        for nv in self.n_init_values:
-            vals = self._per_seed(nv, lambda r: r.mean_iterations_to_success)
-            series.append(float(np.mean(vals)) if vals else None)
-        return tuple(series)
+        return self._seed_means("mean_iterations_to_success")
 
     def robust_accuracy_series(self):
-        return tuple(
-            float(np.mean(self._per_seed(nv, lambda r: r.robust_accuracy)))
-            for nv in self.n_init_values
-        )
+        return self._seed_means("robust_accuracy")
 
     def to_csv(self, meta=None):
         """Tidy CSV: one row per (n_init, seed) plus seed="mean" rows.
 
         ``meta`` key/value pairs are embedded as leading comment lines.
         """
-        lines = _csv_head("boundarylab-sweep 1", {
-            "method": self.method,
-            "init": self.init,
-            "total_budget": self.total_budget,
-            "base_config": json.dumps(self.base_config, sort_keys=True),
-            "seeds": ",".join(str(s) for s in self.seeds),
-        }, meta)
-        lines.append(
-            "n_init,n_attack,total_budget,seed,evaluated,successes,"
-            "robust_accuracy,mean_iterations_to_success,"
-            "median_iterations_to_success"
-        )
-
-        def cell(v):
-            return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-
-        for p in self.points:
-            r = p.report
-            lines.append(",".join([
-                str(p.n_init), str(p.n_attack), str(self.total_budget),
-                str(p.seed), str(r.evaluated), str(r.successes),
-                cell(r.robust_accuracy),
-                cell(r.mean_iterations_to_success),
-                cell(r.median_iterations_to_success),
-            ]))
-        mean_iters = self.mean_iterations_series()
-        mean_rob = self.robust_accuracy_series()
-        for nv, mi, mr in zip(self.n_init_values, mean_iters, mean_rob):
-            n_attack = self.total_budget - nv
-            lines.append(",".join([
-                str(nv), str(n_attack), str(self.total_budget), "mean",
-                "", "", cell(mr), cell(mi), "",
-            ]))
-        return "\n".join(lines) + "\n"
+        rows = [dict(vars(p.report), **vars(p), total_budget=self.total_budget)
+                for p in self.points]
+        rows += (dict(n_init=nv, n_attack=self.total_budget - nv,
+                      total_budget=self.total_budget, seed="mean",
+                      robust_accuracy=robust, mean_iterations_to_success=its)
+                 for nv, robust, its in zip(self.n_init_values,
+                                            self.robust_accuracy_series(),
+                                            self.mean_iterations_series()))
+        return _csv_text("boundarylab-sweep 1", dict(
+            method=self.method, init=self.init,
+            total_budget=self.total_budget,
+            base_config=json.dumps(self.base_config, sort_keys=True),
+            seeds=",".join(str(s) for s in self.seeds),
+        ), meta, _SWEEP_COLUMNS, rows)
 
 
 def sweep_n_init(c, bs, dataset, config, n_init_values, method="pgd",
@@ -426,6 +415,14 @@ class ReprRecord:
     v: tuple
 
 
+# a boundary's parts, as ReprExport.to_dict names them
+_BOUNDARY_PARTS = ("class_i", "class_j", "w", "bias")
+# the export CSV's columns before the components c0, c1, ...; a boundary
+# row fills each part but w, whose entries are its components
+_EXPORT_COLUMNS = ("kind", "index", *_BOUNDARY_PARTS[:2], "label",
+                   "predicted", "success", _BOUNDARY_PARTS[3])
+
+
 @dataclass(frozen=True)
 class ReprExport:
     """Plot-ready dump of representation vectors and boundary rows.
@@ -459,30 +456,24 @@ class ReprExport:
                 )
 
     def to_csv(self, meta=None):
-        lines = _csv_head("boundarylab-repr-export 1",
-                          {"k": self.k, "n": self.n}, meta)
-        comp = ",".join(f"c{q}" for q in range(self.n))
-        lines.append(
-            f"kind,index,class_i,class_j,label,predicted,success,bias,{comp}"
-        )
-        for ci, cj, w, bias in self.boundaries:
-            row = ["boundary", "", str(ci), str(cj), "", "", "", repr(bias)]
-            row += [repr(float(q)) for q in w]
-            lines.append(",".join(row))
-        for rec in self.records:
-            row = [rec.kind, str(rec.index), "", "", str(rec.label),
-                   str(rec.predicted), str(rec.success).lower(), ""]
-            row += [repr(float(q)) for q in rec.v]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        comps = [f"c{q}" for q in range(self.n)]
+
+        def row(cells, v):
+            return {**cells, **dict(zip(comps, map(float, v)))}
+
+        rows = [row(dict(zip(_BOUNDARY_PARTS, b), kind="boundary"), b[2])
+                for b in self.boundaries]  # b[2] is w
+        rows += (row(vars(rec), rec.v) for rec in self.records)
+        return _csv_text("boundarylab-repr-export 1", dict(k=self.k, n=self.n),
+                         meta, (*_EXPORT_COLUMNS, *comps), rows)
 
     def to_dict(self):
         """The export's fields plus ``version``, in fresh lists and dicts;
         a boundary tuple becomes a dict of its four named parts."""
         return dict(
             vars(self), version=__version__,
-            boundaries=[{"class_i": ci, "class_j": cj,
-                         "w": [float(q) for q in w], "bias": bias}
+            boundaries=[dict(zip(_BOUNDARY_PARTS,
+                                 (ci, cj, [float(q) for q in w], bias)))
                         for ci, cj, w, bias in self.boundaries],
             records=[dict(vars(r), v=[float(q) for q in r.v])
                      for r in self.records],
@@ -508,25 +499,18 @@ def export_representation_space(c, bs, dataset, outcome):
         )
     v_orig = c.head_forward(dataset.images, train=False)
     v_adv = c.head_forward(outcome.x_adv, train=False)
-    pred_orig = np.argmax(c.tail_forward(v_orig), axis=1)
-    pred_adv = np.argmax(c.tail_forward(v_adv), axis=1)
-    records = []
-    for i in range(n_ex):
-        ok = bool(outcome.success[i])
-        records.append(ReprRecord(
-            index=i, kind="original", label=int(dataset.labels[i]),
-            predicted=int(pred_orig[i]), success=ok,
-            v=tuple(float(q) for q in v_orig[i]),
-        ))
-        records.append(ReprRecord(
-            index=i, kind="adversarial", label=int(dataset.labels[i]),
-            predicted=int(pred_adv[i]), success=ok,
-            v=tuple(float(q) for q in v_adv[i]),
-        ))
+    kinds = [(kind, v.tolist(), np.argmax(c.tail_forward(v), axis=1).tolist())
+             for kind, v in (("original", v_orig), ("adversarial", v_adv))]
+    records = tuple(
+        ReprRecord(index=i, kind=kind, label=label, predicted=pred[i],
+                   success=ok, v=tuple(v[i]))
+        for i, (label, ok) in enumerate(zip(dataset.labels.tolist(),
+                                            outcome.success.tolist()))
+        for kind, v, pred in kinds)
     boundaries = tuple(
         (int(i), int(j), tuple(float(q) for q in bs.rows[p]),
          float(bs.biases[p]))
         for p, (i, j) in enumerate(bs.pairs)
     )
     return ReprExport(k=bs.k, n=int(bs.rows.shape[1]),
-                      boundaries=boundaries, records=tuple(records))
+                      boundaries=boundaries, records=records)

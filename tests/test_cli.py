@@ -400,6 +400,78 @@ def test_unknown_attack_key_is_config_error(tmp_path, trained, capsys):
     assert "stepsize" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    ("train", {"dataset": dict(BLOBS, sizee=5)},
+     "dataset.sizee: unknown key (known: d, k, keep, kind, n_per_class, "
+     "sample, seed, separation)"),
+    ("train", {"dataset": dict(BLOBS, sample={"n": 9, "sed": 1})},
+     "dataset.sample.sed: unknown key (known: n, seed)"),
+    ("train", {"model": {"preset": "linear", "hiddn": [3]}},
+     "model.hiddn: unknown key (known: k, preset, seed)"),
+    ("train", {"train": {"lrr": 5}},
+     "train.lrr: unknown key (known: batch_size, epochs, lr, momentum)"),
+    ("train", {"methd": "fab"}, "methd: unknown key (known: adversarial, "
+     "attack, dataset, init, method, model, model_path, out, seed, sweep, "
+     "train, workers)"),
+    ("attack", {"methd": "fab"}, "methd: unknown key"),
+    ("attack", {"dataset": dict(TEST_BLOBS, sizee=5)},
+     "dataset.sizee: unknown key"),
+    ("sweep", {"sweep": {"n_init_values": [0, 1], "seed": [1]}},
+     "sweep.seed: unknown key (known: n_init_values, seeds)"),
+    ("export-repr", {"methd": None}, "methd: unknown key"),
+    ("verify", {"methd": "fab"}, "methd: unknown key"),
+], ids=["dataset", "dataset.sample", "model", "train", "train-top",
+        "attack-top", "attack-dataset", "sweep", "export-repr-null", "verify"])
+def test_unknown_key_is_refused_by_name_in_every_section(
+        tmp_path, trained, capsys, command, extra, message):
+    if command == "train":
+        cfg, out = _train_config(tmp_path, **extra), tmp_path / "m.ckpt"
+    else:
+        cfg, out = attack_config(tmp_path, trained[1], f"{command}.out",
+                                 **extra)
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_config_serves_train_and_attack(tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    cfg = _train_config(
+        tmp_path, model_path=str(ckpt), method="fab", init="random",
+        attack={"epsilon": 0.05, "restarts": 1, "n_init": 0, "n_attack": 2},
+        sweep={"n_init_values": [0]})
+    assert cli.main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+    out = tmp_path / "r.json"
+    assert cli.main(["attack", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["method"] == "fab"
+
+
+def test_null_keys_write_what_absent_keys_write(tmp_path, trained):
+    """A JSON null means absent: in an attack field, ``method``, ``init``,
+    ``dataset.keep``, ``dataset.sample`` and ``adversarial``."""
+    nulls = {"attack": {"epsilon": None, "eta_init": None, "restarts": 1,
+                        "n_init": 1, "n_attack": 2, "seed": None},
+             "method": None, "init": None,
+             "dataset": dict(TEST_BLOBS, keep=None, sample=None)}
+    absent = {"attack": {"restarts": 1, "n_init": 1, "n_attack": 2},
+              "dataset": TEST_BLOBS}
+    written = []
+    for name, extra in (("nulls", nulls), ("absent", absent)):
+        cfg, out = attack_config(tmp_path, trained[1], f"{name}.json",
+                                 **extra)
+        assert cli.main(["attack", "--config", str(cfg)]) == 0
+        written.append(out.read_bytes())
+        ckpt = tmp_path / f"{name}.ckpt"
+        cfg = _train_config(tmp_path, out=str(ckpt),
+                            **({"adversarial": None} if extra is nulls
+                               else {}))
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        written.append(ckpt.read_bytes())
+    assert written[:2] == written[2:]
+    assert model.Classifier.load(tmp_path / "nulls.ckpt").meta[
+        "run_config"]["adversarial"] is None
+
+
 def test_invalid_attack_value_is_config_error(tmp_path, trained, capsys):
     root, ckpt = trained
     cfg = tmp_path / "c.json"
@@ -796,7 +868,7 @@ def test_removed_attack_keys_are_unknown(tmp_path, trained, capsys, section,
                                         **{key: value})
     assert cli.main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert f"config error: attack.{key}: unknown key" in err
+    assert f"config error: {section}.{key}: unknown key" in err
     assert not out.exists()
 
 
@@ -818,7 +890,8 @@ def test_bad_attack_float_is_config_error_by_name(tmp_path, trained, capsys,
                                         **{key: value})
     assert cli.main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert f"config error: attack: {key} must be" in err and message in err
+    assert (f"config error: {section}: {key} must be" in err
+            and message in err)
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from boundarylab import attacks, data, geometry, harness, model
+from boundarylab import __version__, attacks, data, geometry, harness, model
 
 
 def test_report_counts_reconcile(blobs_mlp, blobs_boundaries, blobs_test,
@@ -337,6 +337,62 @@ def test_sweep_is_deterministic(blobs_mlp, blobs_boundaries, blobs_test):
     assert a == b
 
 
+def _hand_report(iterations):
+    """A three-example report whose first examples succeed at
+    ``iterations``."""
+    examples = tuple(
+        harness.ExampleOutcome(
+            index=i, label=0, predicted=0, success=i < len(iterations),
+            iterations=iterations[i] if i < len(iterations) else -1,
+            restart=0 if i < len(iterations) else -1, attacked=True)
+        for i in range(3))
+    return harness.EvalReport(
+        model_id="m", attack_id="a", method="pgd", init="boundary",
+        clean_accuracy=1.0, robust_accuracy=(3 - len(iterations)) / 3,
+        evaluated=3, successes=len(iterations), failures=3 - len(iterations),
+        mean_iterations_to_success=(float(np.mean(iterations))
+                                    if iterations else None),
+        median_iterations_to_success=(float(np.median(iterations))
+                                      if iterations else None),
+        seeds=(1,), config={}, examples=examples)
+
+
+def test_sweep_csv_text():
+    # split 0 has no success in either seed; split 4 is repeated
+    by_split = {0: (_hand_report([]), _hand_report([])),
+                4: (_hand_report([1]), _hand_report([1, 4]))}
+    points = tuple(
+        harness.SweepPoint(n_init=nv, n_attack=6 - nv, seed=sd, report=rep)
+        for nv in (0, 4, 4) for sd, rep in zip((1, 2), by_split[nv]))
+    sw = harness.SweepResult(
+        total_budget=6, n_init_values=(0, 4, 4), seeds=(1, 2), method="pgd",
+        init="boundary", base_config={"seed": 1, "epsilon": 0.1},
+        points=points)
+    assert sw.mean_iterations_series() == (None, 1.75, 1.75)
+    assert sw.to_csv(meta={"z": 1, "a": "b"}) == (
+        "# boundarylab-sweep 1\n"
+        f"# version: {__version__}\n"
+        "# method: pgd\n"
+        "# init: boundary\n"
+        "# total_budget: 6\n"
+        '# base_config: {"epsilon": 0.1, "seed": 1}\n'
+        "# seeds: 1,2\n"
+        "# a: b\n"
+        "# z: 1\n"
+        "n_init,n_attack,total_budget,seed,evaluated,successes,"
+        "robust_accuracy,mean_iterations_to_success,"
+        "median_iterations_to_success\n"
+        "0,6,6,1,3,0,1.0,,\n"
+        "0,6,6,2,3,0,1.0,,\n"
+        "4,2,6,1,3,1,0.6666666666666666,1.0,1.0\n"
+        "4,2,6,2,3,2,0.3333333333333333,2.5,2.5\n"
+        "4,2,6,1,3,1,0.6666666666666666,1.0,1.0\n"
+        "4,2,6,2,3,2,0.3333333333333333,2.5,2.5\n"
+        "0,6,6,mean,,,1.0,,\n"
+        "4,2,6,mean,,,0.49999999999999994,1.75,\n"
+        "4,2,6,mean,,,0.49999999999999994,1.75,\n")
+
+
 def _sweep_by_evaluate(c, bs, ds, config, values, method, init, seeds):
     # the sweep as one evaluate call per (split, seed), in the sweep's order
     points = []
@@ -463,6 +519,32 @@ def test_export_csv_is_stable(repr_export):
     header = [l for l in exp.to_csv().split("\n")
               if l and not l.startswith("#")][0]
     assert header.split(",")[:3] == ["kind", "index", "class_i"]
+
+
+def test_export_csv_text():
+    rec = harness.ReprRecord
+    exp = harness.ReprExport(
+        k=2, n=2, boundaries=((0, 1, (0.5, -1.25), 2.0),), records=(
+            rec(index=0, kind="original", label=1, predicted=1,
+                success=False, v=(-0.5, 3.0)),
+            rec(index=0, kind="adversarial", label=1, predicted=1,
+                success=False, v=(0.1, -2.0)),
+            rec(index=1, kind="original", label=0, predicted=0,
+                success=True, v=(1.0, 0.25)),
+            rec(index=1, kind="adversarial", label=0, predicted=1,
+                success=True, v=(-1e-05, 7.0))))
+    assert exp.to_csv(meta={"run_config": "{}"}) == (
+        "# boundarylab-repr-export 1\n"
+        f"# version: {__version__}\n"
+        "# k: 2\n"
+        "# n: 2\n"
+        "# run_config: {}\n"
+        "kind,index,class_i,class_j,label,predicted,success,bias,c0,c1\n"
+        "boundary,,0,1,,,,2.0,0.5,-1.25\n"
+        "original,0,,,1,1,false,,-0.5,3.0\n"
+        "adversarial,0,,,1,1,false,,0.1,-2.0\n"
+        "original,1,,,0,0,true,,1.0,0.25\n"
+        "adversarial,1,,,0,1,true,,-1e-05,7.0\n")
 
 
 def test_export_dict_is_its_fields_plus_version(repr_export):
