@@ -25,12 +25,12 @@ position p draws its start from seed ``seed + p·restarts + r``
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .data import _check_value
 from .geometry import nearest_boundary_batch
 from .layers import _row_dot, softmax_rows
 
@@ -51,21 +51,6 @@ _FIELD_RULES = {
     "n_attack": (int, ">=", 0),
     "seed": (int, ">=", 0),
 }
-_KINDS = {int: ((int, np.integer), "an int"),
-          float: ((int, float, np.integer, np.floating), "a real number")}
-
-
-def _check_field(name, value, kind, relation, bound):
-    types, noun = _KINDS[kind]
-    # a bool is an int to isinstance, and JSON's true would pass as 1
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise TypeError(f"{name} must be {noun}, got {type(value).__name__}")
-    # NaN, ±inf and an int too big for a float all fail the comparison
-    if kind is float and not abs(value) <= sys.float_info.max:
-        got = "an int too big for a float" if isinstance(value, int) else value
-        raise ValueError(f"{name} must be finite, got {got}")
-    if value < bound or (relation == ">" and value == bound):
-        raise ValueError(f"{name} must be {relation} {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +78,7 @@ class AttackConfig:
                 # (the clip pins every iterate), so fall back to alpha.
                 resolved = self.epsilon if self.epsilon > 0 else self.alpha
                 object.__setattr__(self, "eta_init", float(resolved))
-            _check_field(field.name, getattr(self, field.name),
+            _check_value(field.name, getattr(self, field.name),
                          *_FIELD_RULES[field.name])
 
     def with_budget_split(self, n_init):

@@ -14,12 +14,16 @@ point, with success true).
 
 Config file schema (JSON object; flags override file values).  A key
 left out takes the default of the library parameter it feeds, except
-``model.k`` (the dataset's class count), ``train.epochs`` (4) and the
-seeds of blobs and of ``sample`` (0).  An optional key set to null is
-left out; a required one set to null has the wrong type.  A key a
-section does not list is refused, naming it (``<section>.<key>:
+``model.k`` (the dataset's largest label plus one), ``train.epochs``
+(4) and the seeds of blobs and of ``sample`` (0).  An optional key set
+to null is left out; a required one set to null has the wrong type.  A
+key a section does not list is refused, naming it (``<section>.<key>:
 unknown key``), null or not; at the top level only a key no command
-reads is refused, so one file can serve ``train`` and ``attack``:
+reads is refused, so one file can serve ``train`` and ``attack``.  A
+value of the wrong type or out of range is refused by its path, as
+``attack.restarts: expected int, got float`` or ``sweep.seeds[1]: must
+be >= 0, got -1``; a seed from ``--seed`` or the top level is named
+``seed``.  The keys:
 
   seed      int     primary seed for the command (train seed for
                     ``train``, attack seed otherwise)
@@ -40,7 +44,8 @@ reads is refused, so one file can serve ``train`` and ``attack``:
   train     object  (train) {"epochs": E, "lr": .., "momentum": ..,
                     "batch_size": ..}
   adversarial object (train, optional) AttackConfig fields; enables
-                    adversarial training
+                    adversarial training, which reads only epsilon,
+                    alpha and n_attack (the rest are recorded)
   model_path str    (attack/sweep/export-repr) checkpoint to load
   attack    object  AttackConfig fields: epsilon, alpha, eta_init,
                     restarts, n_init, n_attack, seed
@@ -61,6 +66,7 @@ import inspect
 import json
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 
 from . import __version__, attacks, data, geometry, harness, model, verify
@@ -148,37 +154,36 @@ def _get(cfg, path, default=_REQUIRED):
     return default if node is None and default is not _REQUIRED else node
 
 
-def _checked(value, path, kind):
-    # JSON true/false are Python bools, which are ints; a float takes an int
-    if isinstance(value, bool) and kind is not bool:
-        ok = False
-    elif kind is float:
-        ok = isinstance(value, (int, float))
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ConfigError(
-            f"{path}: expected {kind.__name__}, got {type(value).__name__}")
-    # JSON NaN, ±Infinity and an integer past the float range all fail
-    if kind is float and not abs(value) <= sys.float_info.max:
-        got = "an int too big for a float" if isinstance(value, int) else value
-        raise ConfigError(f"{path}: must be finite, got {got}")
-    return float(value) if kind is float else value
+@contextmanager
+def _named(prefix, error=ConfigError, top=()):
+    """Raise a refusal from the block, which the library words as
+    "<argument>: ...", as ``error`` with the config path ``prefix`` in
+    front; an argument in ``top`` came from a top-level key or a flag,
+    so its own name is its path."""
+    try:
+        yield
+    except (OSError, TypeError, ValueError) as exc:
+        argument = str(exc).partition(":")[0]
+        raise error(f"{'' if argument in top else prefix}{exc}") from exc
 
 
-def _typed(cfg, path, kind, default=_REQUIRED):
-    """The value at ``path`` (dotted), checked to be a ``kind``.
+def _typed(cfg, path, kind, default=_REQUIRED, *rule):
+    """The value at ``path`` (dotted), checked to be a ``kind`` and, given
+    a ``rule`` (relation, bound), in range (:func:`data._check_value`).
 
-    A float is returned as float; ``kind=[int]`` asks for a list of ints.
-    A missing or null optional key gives ``default``, unchecked.
+    A float is returned as float; ``kind=[int]`` asks for a list of ints,
+    each in range.  A missing or null optional key gives ``default``,
+    unchecked.
     """
     value = _get(cfg, path, _REQUIRED if default is _REQUIRED else None)
     if value is None and default is not _REQUIRED:
         return default
-    if isinstance(kind, list):
-        return [_checked(v, f"{path}[{i}]", kind[0])
-                for i, v in enumerate(_checked(value, path, list))]
-    return _checked(value, path, kind)
+    with _named(""):
+        if isinstance(kind, list):
+            return [data._check_value(f"{path}[{i}]", v, kind[0], *rule)
+                    for i, v in enumerate(data._check_value(path, value,
+                                                            list))]
+        return data._check_value(path, value, kind, *rule)
 
 
 def _refuse_unknown(spec, section, known):
@@ -226,27 +231,21 @@ def _dataset_from(cfg):
                           f"{'/'.join(_DATASETS)}")
     error, prefix, fn, keys = _DATASETS[kind]
     resolved = {"kind": kind, **_resolve(cfg, "dataset", keys)}
-    try:  # the data function names the argument, which is the key
+    with _named(prefix, error):  # the data function names the key
         ds = getattr(data, fn)(
             *(resolved[key] for key, _, d in keys if d is _REQUIRED),
             **{key: resolved[key] for key, _, d in keys if d is not _REQUIRED})
-    except (OSError, ValueError) as exc:
-        raise error(f"{prefix}{exc}") from exc
     keep = _typed(cfg, "dataset.keep", [int], None)
     if keep is not None:
         resolved["keep"] = keep
-        try:
+        with _named("dataset.keep: "):
             ds = data.filter_classes(ds, keep)
-        except ValueError as exc:
-            raise ConfigError(f"dataset.keep: {exc}") from exc
     sample = _typed(cfg, "dataset.sample", dict, None)
     if sample is not None:
         resolved["sample"] = _resolve(cfg, "dataset.sample", (
             ("n", int, _REQUIRED), ("seed", int, 0)))
-        try:
+        with _named("dataset.sample: "):
             ds = data.sample(ds, **resolved["sample"])
-        except ValueError as exc:
-            raise ConfigError(f"dataset.sample: {exc}") from exc
         _refuse_unknown(sample, "dataset.sample.", resolved["sample"])
     if len(ds) == 0:
         raise error(f"dataset: the {kind} dataset has no examples")
@@ -261,21 +260,19 @@ _TOP_KEYS = ("seed", "workers", "out", "dataset", "model", "train",
 
 
 def _attack_from(cfg, section, seed_override=None):
-    """The AttackConfig in ``cfg[section]``, its errors named by
-    ``section``.  A key left out or null takes AttackConfig's default,
-    except the seed of ``attack``: ``seed_override``, else its own, else
-    the top-level seed."""
+    """The AttackConfig in ``cfg[section]``, its errors named
+    ``<section>.<key>``.  A key left out or null takes AttackConfig's
+    default, except the seed of ``attack``: ``seed_override``, else its
+    own, else the top-level seed, whose errors are named ``seed``."""
     spec = _typed(cfg, section, dict, {})
     _refuse_unknown(spec, f"{section}.", _ATTACK_KEYS)
     spec = {key: value for key, value in spec.items() if value is not None}
+    if seed_override is None and section == "attack" and "seed" not in spec:
+        seed_override = _typed(cfg, "seed", int, _ATTACK_SEED)
     if seed_override is not None:
         spec["seed"] = seed_override
-    elif section == "attack" and "seed" not in spec:
-        spec["seed"] = _typed(cfg, "seed", int, _ATTACK_SEED)
-    try:
+    with _named(f"{section}.", top=() if seed_override is None else ("seed",)):
         return attacks.AttackConfig(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _model_and_dataset(cfg):
@@ -289,10 +286,8 @@ def _model_and_dataset(cfg):
         raise InputError(f"model_path: cannot read {path}: {exc}") from exc
     ds, dspec = _dataset_from(cfg)
     error = _DATASETS[dspec["kind"]][0]
-    try:
+    with _named("dataset: ", error):
         harness.check_labels(clf, ds.labels)
-    except ValueError as exc:
-        raise error(f"dataset: {exc}") from exc
     if ds.input_shape != clf.input_shape:
         raise error(f"dataset: images have shape {ds.input_shape}, the "
                     f"checkpoint takes {clf.input_shape}")
@@ -315,12 +310,10 @@ def _write_text(path, text):
 
 
 def _workers(cfg, args):
-    w = args.workers
-    if w is None:
-        w = _typed(cfg, "workers", int, _WORKERS)
-    if w < 1:
-        raise ConfigError(f"workers: {w} is not >= 1")
-    return w
+    if args.workers is None:
+        return _typed(cfg, "workers", int, _WORKERS, ">=", 1)
+    with _named(""):
+        return data._check_value("workers", args.workers, int, ">=", 1)
 
 
 def cmd_train(args):
@@ -339,14 +332,10 @@ def cmd_train(args):
     if rank is not None and len(ds.input_shape) != rank:
         raise ConfigError(f"model.preset: {name} needs {kind} data, dataset "
                           f"shape is {ds.input_shape}")
-    try:
+    with _named("model."):  # the preset names the argument, the key
         clf = getattr(model, fn)(**inputs(ds.input_shape), k=k, **preset)
-    except ValueError as exc:  # names the preset argument, which is the key
-        raise ConfigError(f"model.{exc}") from exc
-    try:
+    with _named("model.k: "):
         harness.check_labels(clf, ds.labels)
-    except ValueError as exc:
-        raise ConfigError(f"model.k: {exc}") from exc
     _refuse_unknown(model_spec, "model.", ("preset", "k", *preset))
 
     train_spec = _typed(cfg, "train", dict, {})
@@ -362,13 +351,10 @@ def cmd_train(args):
         "adversarial": None,
     }
     adversarial = cfg.get("adversarial") is not None
-    try:
+    with _named("train.", top=("seed",)):
         model.check_fit(len(ds), epochs=fit["epochs"],
                         batch_size=fit["batch_size"], seed=seed,
                         adversarial=adversarial)
-    except ValueError as exc:  # names the argument; the seed is top level
-        where = "" if str(exc).startswith("seed:") else "train."
-        raise ConfigError(where + str(exc)) from exc
     _refuse_unknown(train_spec, "train.", fit)
     if adversarial:
         adv_cfg = _attack_from(cfg, "adversarial")
@@ -411,21 +397,18 @@ def _evaluation(args, command):
         values = _typed(cfg, "sweep.n_init_values", [int])
         if not values:
             raise ConfigError("sweep.n_init_values: empty list")
-        for nv in values:
-            try:
+        with _named("sweep.n_init_values: "):
+            for nv in values:
                 config.with_budget_split(nv)
-            except ValueError as exc:
-                raise ConfigError(f"sweep.n_init_values: {exc}") from exc
-        seeds = _typed(cfg, "sweep.seeds", [int], seeds)
+        seeds = _typed(cfg, "sweep.seeds", [int], seeds,
+                       *attacks._FIELD_RULES["seed"][1:])
         if not seeds:
             raise ConfigError("sweep.seeds: empty list")
         _refuse_unknown(sweep, "sweep.", ("n_init_values", "seeds"))
         run_config["sweep"] = {"n_init_values": values, "seeds": seeds}
-    for seed in seeds:  # every attack seed's restart seeds fit the dataset
-        try:
+    with _named("seed: "):
+        for seed in seeds:  # every attack seed's restart seeds fit the data
             attacks.check_seeds(replace(config, seed=seed), len(ds))
-        except ValueError as exc:
-            raise ConfigError(f"seed: {exc}") from exc
     workers = _workers(cfg, args)
     _refuse_unknown(cfg, "", _TOP_KEYS)
     return _Evaluation(out, clf, geometry.boundary_set_for(clf), ds, config,
@@ -493,10 +476,8 @@ def cmd_verify(args):
     cfg = _load_config(args.config)
     seed = (args.seed if args.seed is not None
             else _typed(cfg, "seed", int, _VERIFY_SEED))
-    try:
+    with _named("seed: ", top=("seed",)):
         verify.validate_seed(seed)
-    except ValueError as exc:
-        raise ConfigError(f"seed: {exc}") from exc
     _refuse_unknown(cfg, "", _TOP_KEYS)
     results = verify.run_all(seed=seed)
     failed = 0

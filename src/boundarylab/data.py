@@ -11,6 +11,7 @@ handwritten digits when no corpus file is available.
 from __future__ import annotations
 
 import struct
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -179,8 +180,8 @@ def filter_classes(dataset, keep):
 
 def sample(dataset, n, seed):
     """Uniform subsample without replacement, deterministic per seed."""
-    _check_count("n", n, 0)
-    _check_count("seed", seed, 0)
+    _check_value("n", n, int, ">=", 0)
+    _check_value("seed", seed, int, ">=", 0)
     size = len(dataset)
     if n > size:
         raise ValueError(f"cannot sample {n} from {size} examples")
@@ -194,10 +195,29 @@ def sample(dataset, n, seed):
     )
 
 
-def _check_count(name, value, least):
-    # an argument is refused as "<name>: ...", which callers map to their key
-    if value < least:
-        raise ValueError(f"{name}: must be >= {least}, got {value}")
+# the types a number kind takes; any other kind is its own type
+_NUMBER_TYPES = {int: (int, np.integer),
+                 float: (int, float, np.integer, np.floating)}
+
+
+def _check_value(name, value, kind, relation=None, bound=None):
+    """``value`` (a float kind as float), refused unless it is a finite
+    ``kind`` with ``value relation bound``: "<name>: expected <kind>, got
+    <type>" (TypeError), "<name>: must be finite, got <v>" or "<name>:
+    must be <relation> <bound>, got <v>" (ValueError)."""
+    # a bool is an int to isinstance, and JSON's true would pass as 1
+    if isinstance(value, bool) or not isinstance(
+            value, _NUMBER_TYPES.get(kind, kind)):
+        raise TypeError(f"{name}: expected {kind.__name__}, got "
+                        f"{type(value).__name__}")
+    # NaN, ±inf and an int too big for a float all fail the comparison
+    if kind is float and not abs(value) <= sys.float_info.max:
+        got = "an int too big for a float" if isinstance(value, int) else value
+        raise ValueError(f"{name}: must be finite, got {got}")
+    if relation is not None and (
+            value < bound or (relation == ">" and value == bound)):
+        raise ValueError(f"{name}: must be {relation} {bound}, got {value}")
+    return float(value) if kind is float else value
 
 
 def make_blobs(n_per_class, k, d, separation, seed, *, center=0.5):
@@ -209,12 +229,11 @@ def make_blobs(n_per_class, k, d, separation, seed, *, center=0.5):
     closed-form linear-model checks; such data sits outside the box on
     purpose).
     """
-    _check_count("n_per_class", n_per_class, 0)
-    _check_count("k", k, 2)
-    _check_count("d", d, 1)
-    if separation <= 0:
-        raise ValueError(f"separation: must be > 0, got {separation}")
-    _check_count("seed", seed, 0)
+    _check_value("n_per_class", n_per_class, int, ">=", 0)
+    _check_value("k", k, int, ">=", 2)
+    _check_value("d", d, int, ">=", 1)
+    _check_value("separation", separation, float, ">", 0)
+    _check_value("seed", seed, int, ">=", 0)
     rng = np.random.default_rng(seed)
     # Unit-scale centers on a circle in the first two dims (line for d=1).
     centers = np.zeros((k, d))
@@ -434,13 +453,15 @@ def make_digits(n_per_class, *, classes=tuple(range(10)), size=28, seed=0):
     the draws come in per-example order, class by class, and each class
     is rendered as one batch (:func:`_digit_images`).
     """
-    _check_count("n_per_class", n_per_class, 0)
-    _check_count("size", size, 1)
-    _check_count("seed", seed, 0)
+    _check_value("n_per_class", n_per_class, int, ">=", 0)
+    _check_value("size", size, int, ">=", 1)
+    _check_value("seed", seed, int, ">=", 0)
     classes = tuple(int(cl) for cl in classes)
-    for cl in classes:
+    for i, cl in enumerate(classes):
         if cl not in _STROKES:
             raise ValueError(f"classes: no stroke template for digit {cl}")
+        if cl in classes[:i]:  # two classes would share one class_map key
+            raise ValueError(f"classes: digit {cl} is listed twice")
     rng = np.random.default_rng(seed)
     images = np.empty((n_per_class * len(classes), 1, size, size))
     labels = np.repeat(np.arange(len(classes), dtype=np.int64), n_per_class)

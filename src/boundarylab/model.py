@@ -17,11 +17,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import _check_count
+from . import attacks
+from .data import _check_value
 from .layers import (
     BatchNorm,
+    Conv2d,
     Dense,
     Flatten,
+    MaxPool2x2,
     ReLU,
     ShapeMismatchError,
     as_tensor,
@@ -329,9 +332,9 @@ class Classifier:
 
 def _check_preset(k, n, seed, n_name="n"):
     # refused as "<argument>: ...", which the CLI prefixes with "model."
-    _check_count("k", k, 2)
-    _check_count(n_name, n, 1)
-    _check_count("seed", seed, 0)
+    _check_value("k", k, int, ">=", 2)
+    _check_value(n_name, n, int, ">=", 1)
+    _check_value("seed", seed, int, ">=", 0)
 
 
 def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
@@ -340,8 +343,6 @@ def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
     The default (k=4, n=2) gives a 2-D representation space whose boundary
     lines can be plotted directly.
     """
-    from .layers import BatchNorm, Conv2d, Flatten, MaxPool2x2, ReLU
-
     _check_preset(k, n, seed)
     c, h, w = input_shape
     oh = (((h - 2) // 2) - 2) // 2
@@ -364,11 +365,9 @@ def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
 
 def mlp(input_shape, k, *, n=8, hidden=(32,), seed=0):
     """Flatten + dense/ReLU stack to an N-dim representation, dense tail."""
-    from .layers import Flatten, ReLU
-
     _check_preset(k, n, seed)
     for i, width in enumerate(hidden):
-        _check_count(f"hidden[{i}]", width, 1)
+        _check_value(f"hidden[{i}]", width, int, ">=", 1)
     rng = np.random.default_rng(seed)
     d = 1
     for s in input_shape:
@@ -428,9 +427,9 @@ _START_STRIDE = 1_000_003
 def check_fit(n, *, epochs, batch_size, seed, adversarial=False):
     """Raise ValueError naming the first out-of-range argument of training
     on ``n`` examples, as "<argument>: ..."."""
-    _check_count("epochs", epochs, 0)
-    _check_count("batch_size", batch_size, 1)
-    _check_count("seed", seed, 0)
+    _check_value("epochs", epochs, int, ">=", 0)
+    _check_value("batch_size", batch_size, int, ">=", 1)
+    _check_value("seed", seed, int, ">=", 0)
     steps = epochs * -(-n // batch_size)
     last = int(seed) * _START_STRIDE + steps - 1
     if adversarial and steps and last > 2**63 - 1:
@@ -457,13 +456,11 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
             idx = perm[lo : lo + batch_size]
             x, y = images[idx], labels[idx]
             if attack_config is not None:
-                from .attacks import pgd_batch, random_start_batch
-
                 # the whole batch as one row, drawn from one stream
-                start = random_start_batch(
+                start = attacks.random_start_batch(
                     x.reshape(1, -1), attack_config.epsilon,
                     [int(seed) * _START_STRIDE + step]).reshape(x.shape)
-                x = pgd_batch(clf, x, y, attack_config, start).x_adv
+                x = attacks.pgd_batch(clf, x, y, attack_config, start).x_adv
             h = x
             ctxs = []
             for layer, kw in passes.train_forward:
@@ -515,7 +512,11 @@ def train(clf, data, *, epochs, lr=0.05, momentum=0.9, batch_size=128,
 def adv_train(clf, data, attack_config, *, epochs, lr=0.05, momentum=0.9,
               batch_size=128, seed=0):
     """As :func:`train`, but each batch is replaced by single-restart
-    random-start PGD examples generated against the current parameters."""
+    random-start PGD examples generated against the current parameters.
+
+    Only ``attack_config``'s ``epsilon``, ``alpha`` and ``n_attack`` are
+    read; its restarts, ``n_init``, ``eta_init`` and seed are not.
+    """
     return _sgd_fit(clf, data, epochs=epochs, lr=lr, momentum=momentum,
                     batch_size=batch_size, seed=seed,
                     attack_config=attack_config)

@@ -154,9 +154,31 @@ def check_distance_oracle(seed=0, tol=1e-9):
     )
 
 
-def check_projection_oracle(seed=0, tol=1e-6, instances=60):
+def lp_projection(x, w, b):
+    """The L∞ distance from ``x`` to the nearest point of the [0,1] box on
+    the plane w·p + b = 0, as a linear program over (p, t): min t with
+    |p - x| <= t.  None where the solver fails."""
     from scipy.optimize import linprog
 
+    d = x.size
+    c = np.zeros(d + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * d, d + 1))
+    b_ub = np.zeros(2 * d)
+    for i in range(d):
+        a_ub[2 * i, i] = 1.0
+        a_ub[2 * i, -1] = -1.0
+        b_ub[2 * i] = x[i]
+        a_ub[2 * i + 1, i] = -1.0
+        a_ub[2 * i + 1, -1] = -1.0
+        b_ub[2 * i + 1] = -x[i]
+    a_eq = np.concatenate([w, [0.0]])[None, :]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[-b],
+                  bounds=[(0, 1)] * d + [(0, None)], method="highs")
+    return res.fun if res.success else None
+
+
+def check_projection_oracle(seed=0, tol=1e-6, instances=60):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
@@ -169,23 +191,10 @@ def check_projection_oracle(seed=0, tol=1e-6, instances=60):
         p = attacks.project_hyperplane_box(x[None], w[None],
                                            np.array([b]))[0]
         mine = float(np.max(np.abs(p - x)))
-        c = np.zeros(d + 1)
-        c[-1] = 1.0
-        a_ub = np.zeros((2 * d, d + 1))
-        b_ub = np.zeros(2 * d)
-        for i in range(d):
-            a_ub[2 * i, i] = 1.0
-            a_ub[2 * i, -1] = -1.0
-            b_ub[2 * i] = x[i]
-            a_ub[2 * i + 1, i] = -1.0
-            a_ub[2 * i + 1, -1] = -1.0
-            b_ub[2 * i + 1] = -x[i]
-        a_eq = np.concatenate([w, [0.0]])[None, :]
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[-b],
-                      bounds=[(0, 1)] * d + [(0, None)], method="highs")
-        if not res.success:
+        lp = lp_projection(x, w, b)
+        if lp is None:
             return False, "LP reference failed to solve"
-        worst = max(worst, abs(mine - res.fun))
+        worst = max(worst, abs(mine - lp))
     return (
         worst < tol,
         f"worst objective gap {worst:.2e} over {instances} instances, "

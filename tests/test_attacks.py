@@ -5,9 +5,8 @@ import types
 
 import numpy as np
 import pytest
-from scipy import optimize
 
-from boundarylab import attacks, data, geometry, model
+from boundarylab import attacks, data, geometry, model, verify
 
 
 def one(x):
@@ -34,19 +33,20 @@ def test_config_rejects_bad_values():
                 dict(eta_init=-0.01), dict(seed=-1)):
         with pytest.raises(ValueError):
             attacks.AttackConfig(**{**ok, **bad})
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match="^seed: must be >= 0, got -1$"):
         attacks.AttackConfig(**{**ok, "seed": -1})
     for bad in (dict(restarts=2.5), dict(n_init="2"), dict(n_attack=True),
                 dict(seed=1.0)):
-        with pytest.raises(TypeError, match="must be an int"):
+        name = next(iter(bad))
+        with pytest.raises(TypeError, match=f"^{name}: expected int, got"):
             attacks.AttackConfig(**{**ok, **bad})
     for name in ("epsilon", "alpha", "eta_init"):
         for value in (np.nan, np.inf, -np.inf, 10**400):
-            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            with pytest.raises(ValueError, match=f"^{name}: must be finite"):
                 attacks.AttackConfig(**{**ok, name: value})
         for value in (True, "0.1"):
             with pytest.raises(TypeError,
-                               match=f"^{name} must be a real number"):
+                               match=f"^{name}: expected float, got"):
                 attacks.AttackConfig(**{**ok, name: value})
     attacks.AttackConfig(**{**ok, "restarts": np.int64(2)})
 
@@ -287,29 +287,6 @@ def test_projection_infeasible_goes_to_walls():
     np.testing.assert_array_equal(out, [1.0, 1.0])
 
 
-def _lp_projection(x, w, b):
-    """min t s.t. |p - x|_inf <= t, w.p + b = 0, p in box."""
-    d = x.size
-    # variables (p, t)
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * d, d + 1))
-    b_ub = np.zeros(2 * d)
-    a_ub[:d, :d] = np.eye(d)
-    a_ub[:d, -1] = -1.0
-    b_ub[:d] = x
-    a_ub[d:, :d] = -np.eye(d)
-    a_ub[d:, -1] = -1.0
-    b_ub[d:] = -x
-    a_eq = np.zeros((1, d + 1))
-    a_eq[0, :d] = w
-    res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[-b],
-                           bounds=[(0, 1)] * d + [(0, None)],
-                           method="highs")
-    assert res.status == 0
-    return res.fun
-
-
 def test_projection_matches_lp_oracle(rng):
     for _ in range(30):
         d = int(rng.integers(2, 8))
@@ -319,9 +296,9 @@ def test_projection_matches_lp_oracle(rng):
         b = -float(w @ rng.uniform(0, 1, size=d))
         p = project_one(x, w, b)
         assert abs(w @ p + b) < 1e-9
-        t_lp = _lp_projection(x, w, b)
+        t_lp = verify.lp_projection(x, w, b)
         t_ours = np.max(np.abs(p - x))
-        assert t_ours <= t_lp + 1e-9
+        assert t_lp is not None and t_ours <= t_lp + 1e-9
 
 
 def test_projection_batch_matches_lp_oracle(rng):
@@ -336,8 +313,9 @@ def test_projection_batch_matches_lp_oracle(rng):
     assert np.all((p >= 0.0) & (p <= 1.0))
     for i in range(40):
         assert abs(w[i] @ p[i] + b[i]) < 1e-9
-        assert np.max(np.abs(p[i] - x[i])) <= _lp_projection(x[i], w[i],
-                                                             b[i]) + 1e-9
+        t_lp = verify.lp_projection(x[i], w[i], b[i])
+        assert t_lp is not None
+        assert np.max(np.abs(p[i] - x[i])) <= t_lp + 1e-9
 
 
 def test_projection_rows_do_not_mix(rng):

@@ -256,7 +256,7 @@ def test_a_raising_check_fails_under_its_usual_name(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("seed, error", [
-    (-1, "seed must be >= 0, got -1"),
+    (-1, "seed: must be >= 0, got -1"),
     (99999999999999999999999, "overflows at dataset position 0:"),
     (2**63 - 119, "overflows at dataset position 59:"),
 ])
@@ -489,7 +489,45 @@ def test_negative_attack_seed_is_config_error(tmp_path, trained, capsys):
     root, ckpt = trained
     cfg, _ = attack_config(root, ckpt, "negseed.json")
     assert cli.main(["attack", "--config", str(cfg), "--seed", "-1"]) == 1
-    assert "seed must be >= 0" in capsys.readouterr().err
+    assert ("config error: seed: must be >= 0, got -1"
+            in capsys.readouterr().err)
+
+
+UNSEEDED = {"epsilon": 0.08, "alpha": 0.02, "restarts": 2, "n_init": 2,
+            "n_attack": 8}
+
+
+@pytest.mark.parametrize("command, flags, extra, message", [
+    ("attack", [], {"seed": -1, "attack": UNSEEDED}, "seed"),
+    ("sweep", [], {"seed": -1, "attack": UNSEEDED}, "seed"),
+    ("export-repr", [], {"seed": -1, "attack": UNSEEDED}, "seed"),
+    ("sweep", ["--seed", "-1"], {}, "seed"),
+    ("attack", [], {"attack": dict(UNSEEDED, seed=-1)}, "attack.seed"),
+    ("sweep", [], {"sweep": {"n_init_values": [0], "seeds": [3, -1]}},
+     "sweep.seeds[1]"),
+], ids=["attack-top", "sweep-top", "export-repr-top", "sweep-flag",
+        "attack-section", "sweep-seeds"])
+def test_negative_seed_is_named_by_the_key_the_user_wrote(
+        trained, capsys, command, flags, extra, message):
+    root, ckpt = trained
+    cfg, out = attack_config(root, ckpt, f"negseed-{command}.out",
+                             **{"sweep": {"n_init_values": [0]}, **extra})
+    assert cli.main([command, "--config", str(cfg), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}: must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, extra", [([], {"workers": 0}),
+                                          (["--workers", "0"], {})],
+                         ids=["config", "flag"])
+def test_zero_workers_is_refused_by_the_range_rule(trained, capsys, flags,
+                                                   extra):
+    root, ckpt = trained
+    cfg, _ = attack_config(root, ckpt, "workers0.json", **extra)
+    assert cli.main(["attack", "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == \
+        "config error: workers: must be >= 1, got 0\n"
 
 
 def test_bad_method_is_config_error(tmp_path, trained, capsys):
@@ -628,7 +666,7 @@ def test_overflowing_sweep_seed_is_config_error(trained, capsys):
     ({"model_path": 7}, "model_path: expected str, got int"),
     ({"attack": {"epsilon": 0.08, "alpha": 0.02, "restarts": 2.5,
                  "n_init": 2, "n_attack": 8}},
-     "attack: restarts must be an int, got float"),
+     "attack.restarts: expected int, got float"),
     ({"dataset": dict(TEST_BLOBS, separation=float("inf"))},
      "dataset.separation: must be finite, got inf"),
 ])
@@ -791,6 +829,17 @@ def test_train_refuses_out_of_range_values_by_key(tmp_path, capsys, flags,
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("keep", [None, [1]], ids=["all", "keep"])
+def test_train_refuses_a_digit_listed_twice(tmp_path, capsys, keep):
+    cfg = _train_config(tmp_path, dataset={
+        "kind": "digits", "n_per_class": 2, "classes": [1, 1], "size": 16,
+        "keep": keep}, model={"preset": "mlp", "n": 2})
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == \
+        "config error: dataset.classes: digit 1 is listed twice\n"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("preset", ["mlp", "small_cnn"])
 def test_train_refuses_an_empty_dataset_before_writing(tmp_path, capsys,
                                                        preset):
@@ -890,8 +939,23 @@ def test_bad_attack_float_is_config_error_by_name(tmp_path, trained, capsys,
                                         **{key: value})
     assert cli.main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert (f"config error: {section}: {key} must be" in err
-            and message in err)
+    assert f"config error: {section}.{key}: " in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["attack", "adversarial"])
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", 0, "must be > 0, got 0"),
+    ("restarts", 2.0, "expected int, got float"),
+    ("n_attack", -1, "must be >= 0, got -1"),
+], ids=["alpha", "restarts", "n_attack"])
+def test_bad_attack_value_is_named_by_section_and_key(
+        tmp_path, trained, capsys, section, key, value, message):
+    command, cfg, out = _section_config(tmp_path, trained, section,
+                                        **{key: value})
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert (capsys.readouterr().err
+            == f"config error: {section}.{key}: {message}\n")
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -211,16 +212,44 @@ def test_digits_shapes_and_range():
     (lambda: data.make_blobs(5, 1, 4, 5.0, 0), "k"),
     (lambda: data.make_blobs(5, 3, 0, 5.0, 0), "d"),
     (lambda: data.make_blobs(5, 3, 4, 0.0, 0), "separation"),
+    (lambda: data.make_blobs(5, 3, 4, np.nan, 0), "separation"),
     (lambda: data.make_digits(2, classes=(0, 1), size=8, seed=-2), "seed"),
     (lambda: data.make_blobs(5, 3, 4, 5.0, -2), "seed"),
     (lambda: data.sample(data.make_blobs(5, 3, 4, 5.0, 0), 4, -2), "seed"),
     (lambda: data.sample(data.make_blobs(5, 3, 4, 5.0, 0), -1, 0), "n"),
 ], ids=["digits-n_per_class", "digits-size", "digits-classes",
         "blobs-n_per_class", "blobs-k", "blobs-d", "blobs-separation",
-        "digits-seed", "blobs-seed", "sample-seed", "sample-n"])
+        "blobs-separation-nan", "digits-seed", "blobs-seed", "sample-seed",
+        "sample-n"])
 def test_generators_refuse_bad_arguments_by_name(make, key):
     with pytest.raises(ValueError, match=f"^{key}: "):
         make()
+
+
+def test_a_digit_listed_twice_is_refused_not_relabelled():
+    # two copies of digit 1 would be classes 0 and 1 under one class_map key
+    with pytest.raises(ValueError,
+                       match=r"^classes: digit 1 is listed twice$"):
+        data.make_digits(2, classes=(0, 1, 1), size=8)
+
+
+def test_check_value_words_each_rule_one_way():
+    check = data._check_value
+    assert check("n", np.int64(3), int, ">=", 0) == 3
+    assert type(check("x", 2, float)) is float
+    for value, kind, error, message in [
+            (2.0, int, TypeError, "n: expected int, got float"),
+            (True, int, TypeError, "n: expected int, got bool"),
+            (True, float, TypeError, "n: expected float, got bool"),
+            ("2", float, TypeError, "n: expected float, got str"),
+            (np.nan, float, ValueError, "n: must be finite, got nan"),
+            (10**400, float, ValueError,
+             "n: must be finite, got an int too big for a float"),
+            (-1, int, ValueError, "n: must be >= 0, got -1")]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check("n", value, kind, ">=", 0)
+    with pytest.raises(ValueError, match=r"^x: must be > 0, got 0.0$"):
+        check("x", 0.0, float, ">", 0)
 
 
 def test_digits_are_deterministic():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -652,6 +653,23 @@ def test_adv_train_is_deterministic(tmp_path, blobs_train):
         fitted.save(path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_adv_train_reads_only_epsilon_alpha_and_n_attack(tmp_path,
+                                                         blobs_train):
+    # the README, the cli docstring and adv_train's docstring say so; a
+    # start rule that reads n_init or init would change all three
+    base = attacks.AttackConfig(epsilon=0.05, alpha=0.02, restarts=1,
+                                n_init=0, n_attack=3, seed=0)
+    other = dataclasses.replace(base, restarts=4, n_init=5, eta_init=0.3,
+                                seed=9)
+    saved = []
+    for cfg in (base, other):
+        clf = model.mlp((8,), k=4, n=2, hidden=(16,), seed=0)
+        path = tmp_path / f"adv-{len(saved)}.ckpt"
+        model.adv_train(clf, blobs_train, cfg, epochs=2, seed=5).save(path)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
 
 
 def test_adv_train_start_is_one_uniform_draw_per_batch(monkeypatch,

@@ -1,4 +1,4 @@
-"""Write the fixed set of 81 CLI outputs and print their sha256.
+"""Write the fixed 81 CLI outputs and 16 refusals and print their sha256.
 
     python3 tools/output_set.py DIR [--src SRC]
 
@@ -24,6 +24,14 @@ Each command's stdout is written beside its output as ``<output>.stdout``,
 and the script prints ``sha256  file`` for every output and stdout.
 Reports embed ``model_path``, so two checkouts compare byte for byte only
 when both write into the same ``DIR``.
+
+Then come 16 configs that the CLI refuses (:func:`refusals`): a value
+of the wrong type or out of range in ``attack``, ``adversarial``,
+``train``, ``sweep.seeds``, ``workers`` and the top-level or flag seed
+of every command, a digit listed twice, an unknown key, a dataset of
+the wrong type, an IDX label file of the wrong magic and a seed whose
+restart seeds overflow.  Each writes ``refused-<name>.txt``, its exit
+code and stderr, and its ``sha256`` line follows the outputs'.
 """
 
 import argparse
@@ -111,6 +119,44 @@ def commands(out):
     return runs
 
 
+def refusals(out):
+    """(name, command, flags, config) of every refused run, in run
+    order; the attack runs use the plain mlp checkpoint."""
+    base = {"dataset": TEST, "model_path": str(out / "mlp.ckpt"),
+            "attack": ATTACK, "sweep": SWEEP}
+    unseeded = dict(base, seed=-1, attack={k: v for k, v in ATTACK.items()
+                                           if k != "seed"})
+    train = {"seed": 0, "dataset": TRAIN, "model": MODELS["mlp"],
+             "train": {"epochs": 2, "batch_size": 37}}
+    idx = {"kind": "idx", "images": str(out / "attack-images.idx"),
+           "labels": str(out / "attack-images.idx")}
+    return [
+        ("attack-restarts-float", "attack", [],
+         dict(base, attack=dict(ATTACK, restarts=2.0))),
+        ("train-epochs-float", "train", [], dict(train, train={"epochs": 1.5})),
+        ("attack-workers-zero", "attack", [], dict(base, workers=0)),
+        ("train-epochs-negative", "train", [],
+         dict(train, train={"epochs": -1})),
+        ("attack-seed-flag-negative", "attack", ["--seed", "-1"], base),
+        ("attack-seed-top-negative", "attack", [], unseeded),
+        ("sweep-seed-top-negative", "sweep", [], unseeded),
+        ("export-repr-seed-top-negative", "export-repr", [], unseeded),
+        ("verify-seed-negative", "verify", ["--seed", "-1"], {}),
+        ("sweep-seeds-negative", "sweep", [],
+         dict(base, sweep=dict(SWEEP, seeds=[3, -1]))),
+        ("adversarial-alpha-zero", "train", [],
+         dict(train, adversarial=dict(ADVERSARIAL, alpha=0))),
+        ("digits-classes-twice", "train", [],
+         dict(train, dataset=dict(TRAIN, classes=[1, 1]))),
+        ("attack-unknown-key", "attack", [],
+         dict(base, attack=dict(ATTACK, restartz=2))),
+        ("attack-dataset-list", "attack", [], dict(base, dataset=[TEST])),
+        ("attack-idx-label-magic", "attack", [], dict(base, dataset=idx)),
+        ("attack-seed-overflow", "attack", ["--seed", str(2**63 - 2)],
+         base),
+    ]
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -144,6 +190,16 @@ def main(argv=None):
         (out / f"{name}.stdout").write_text(stdout.getvalue())
         for written in (name, f"{name}.stdout"):
             print(f"{sha256(out / written)}  {written}", flush=True)
+    for name, command, flags, cfg in refusals(out):
+        config = out / f"refused-{name}.config.json"
+        config.write_text(json.dumps(dict(cfg, out=str(out / name))))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main([command, "--config", str(config), *flags])
+        written = out / f"refused-{name}.txt"
+        written.write_text(f"exit {code}\n{stderr.getvalue()}")
+        print(f"{sha256(written)}  {written.name}", flush=True)
 
 
 if __name__ == "__main__":
