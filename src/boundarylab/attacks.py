@@ -77,9 +77,10 @@ class AttackConfig:
                 # For a zero-radius ball any positive step is equivalent
                 # (the clip pins every iterate), so fall back to alpha.
                 resolved = self.epsilon if self.epsilon > 0 else self.alpha
-                object.__setattr__(self, "eta_init", float(resolved))
-            _check_value(field.name, getattr(self, field.name),
-                         *_FIELD_RULES[field.name])
+                object.__setattr__(self, "eta_init", resolved)
+            object.__setattr__(self, field.name, _check_value(
+                field.name, getattr(self, field.name),
+                *_FIELD_RULES[field.name]))
 
     def with_budget_split(self, n_init):
         """Same config with the fixed total budget re-split at ``n_init``."""
@@ -660,8 +661,7 @@ def check_seeds(config, n):
     below 2**63 - 1; the error names the first position past it (0 for a
     seed past it).
     """
-    first_bad = max(0, (_SEED_MAX + 1 - int(config.seed))
-                    // int(config.restarts))
+    first_bad = max(0, (_SEED_MAX + 1 - config.seed) // config.restarts)
     if first_bad < n:
         raise ValueError(
             f"seed {config.seed} with {config.restarts} restarts per example "
@@ -716,7 +716,7 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
         check_seeds(config, int(positions.max()) + 1)  # before int64 wraps
         seeds = config.seed + positions.astype(np.int64) * config.restarts
     splits = ([config] if n_init_values is None else
-              [config.with_budget_split(int(v)) for v in n_init_values])
+              [config.with_budget_split(v) for v in n_init_values])
     if not splits:
         raise ValueError("n_init_values is empty")
     deepest = max(splits, key=lambda cfg: cfg.n_init)

@@ -23,12 +23,16 @@ reads is refused, so one file can serve ``train`` and ``attack``.  A
 value of the wrong type or out of range is refused by its path, as
 ``attack.restarts: expected int, got float`` or ``sweep.seeds[1]: must
 be >= 0, got -1``; a seed from ``--seed`` or the top level is named
-``seed``.  The keys:
+``seed``.  A key's kind and range are those of the library argument it
+feeds, read from the rule table beside that function
+(``data._DIGITS_RULES``, ``_BLOBS_RULES``, ``_KEEP_RULES`` and
+``_SAMPLE_RULES``; ``model._PRESET_RULES`` and ``_FIT_RULES``;
+``harness._RULES``; ``attacks._FIELD_RULES``).  The keys:
 
   seed      int     primary seed for the command (train seed for
                     ``train``, attack seed otherwise)
-  workers   int     evaluation thread count; wall time only, never
-                    results
+  workers   int     evaluation thread count (>= 1); wall time only,
+                    never results
   out       str     output path (required by every command but verify)
   dataset   object  one of
                     {"kind": "digits", "n_per_class": N, "classes":
@@ -37,12 +41,16 @@ be >= 0, got -1``; a seed from ``--seed`` or the top level is named
                      "separation": SEP, "seed": S}
                     {"kind": "idx", "images": PATH, "labels": PATH}
                     plus optional "keep": [labels] (class filter) and
-                    "sample": {"n": N, "seed": S}, applied in that
-                    order after loading
+                    "sample": {"n": N, "seed": S} (N at most the
+                    dataset's size), applied in that order after
+                    loading; sizes and seeds are >= 0, a class is a
+                    digit 0-9, k >= 2, d >= 1, separation > 0
   model     object  (train) {"preset": "small_cnn"|"mlp"|"linear",
-                    "k": K, "n": N, "hidden": [..], "seed": S}
-  train     object  (train) {"epochs": E, "lr": .., "momentum": ..,
-                    "batch_size": ..}
+                    "k": K, "n": N, "hidden": [..], "seed": S}; K >= 2,
+                    N and each hidden width >= 1, S >= 0
+  train     object  (train) {"epochs": E, "lr": LR, "momentum": M,
+                    "batch_size": B}; E >= 0, LR > 0, 0 <= M < 1,
+                    B >= 1
   adversarial object (train, optional) AttackConfig fields; enables
                     adversarial training, which reads only epsilon,
                     alpha and n_attack (the rest are recorded)
@@ -51,7 +59,9 @@ be >= 0, got -1``; a seed from ``--seed`` or the top level is named
                     restarts, n_init, n_attack, seed
   method    str     "pgd" or "fab"
   init      str     "boundary", "random", or "none"
-  sweep     object  (sweep) {"n_init_values": [..], "seeds": [..]}
+  sweep     object  (sweep) {"n_init_values": [..], "seeds": [..]};
+                    each split within the attack's total budget, each
+                    seed >= 0
 
 Every output embeds the fully resolved config, seed, and toolkit
 version; ``workers`` and ``out`` are deliberately excluded so reruns
@@ -96,15 +106,18 @@ def _default(fn, name):
     return list(default) if isinstance(default, tuple) else default
 
 
-def _library(fn, *keys):
-    """``fn``'s name and its config keys as (key, kind, default); a key
-    given as (key, kind) has the default of ``fn``'s parameter ``key``.
+def _library(fn, rules, *keys):
+    """``fn``'s name and its config keys as (key, rule, default): a key's
+    rule is its entry in ``rules``, the table of ``fn``'s argument rules,
+    and its default that of ``fn``'s parameter ``key``, unless the key is
+    given as (key, default).
 
     Read once, at import: the bench replaces some library functions with
     untyped wrappers, so a call goes through the module attribute.
     """
     return fn.__name__, tuple(
-        key if len(key) == 3 else (*key, _default(fn, key[0])) for key in keys)
+        (key, rules[key], _default(fn, key)) if isinstance(key, str)
+        else (key[0], rules[key[0]], key[1]) for key in keys)
 
 
 # dataset kind -> (error class, message prefix, data function, keys); an
@@ -112,28 +125,30 @@ def _library(fn, *keys):
 # required keys are passed by position, the rest by name.
 _DATASETS = {
     "digits": (ConfigError, "dataset.", *_library(
-        data.make_digits, ("n_per_class", int), ("classes", [int]),
-        ("size", int), ("seed", int))),
+        data.make_digits, data._DIGITS_RULES, "n_per_class", "classes",
+        "size", "seed")),
     "blobs": (ConfigError, "dataset.", *_library(
-        data.make_blobs, ("n_per_class", int), ("k", int), ("d", int),
-        ("separation", float), ("seed", int, 0))),
+        data.make_blobs, data._BLOBS_RULES, "n_per_class", "k", "d",
+        "separation", ("seed", 0))),
     "idx": (InputError, "dataset.idx: ", *_library(
-        data.load_idx, ("images", str, _REQUIRED),
-        ("labels", str, _REQUIRED))),
+        data.load_idx, {"images": (str,), "labels": (str,)},
+        ("images", _REQUIRED), ("labels", _REQUIRED))),
 }
+_SAMPLE_KEYS = _library(data.sample, data._SAMPLE_RULES, "n", ("seed", 0))[1]
 # model preset -> (the dataset rank it needs and what that data is
 # called, the arguments the dataset shape gives, model function, keys);
 # the seed comes first, as it is read right after model.k
+_PRESET_RULES = model._PRESET_RULES
 _PRESETS = {
     "small_cnn": (3, "image", lambda shape: {"input_shape": shape},
-                  *_library(model.small_cnn, ("seed", int), ("n", int))),
-    "mlp": (None, None, lambda shape: {"input_shape": shape}, *_library(
-        model.mlp, ("seed", int), ("n", int), ("hidden", [int]))),
+                  *_library(model.small_cnn, _PRESET_RULES, "seed", "n")),
+    "mlp": (None, None, lambda shape: {"input_shape": shape},
+            *_library(model.mlp, _PRESET_RULES, "seed", "n", "hidden")),
     "linear": (1, "flat", lambda shape: {"d": shape[0]},
-               *_library(model.linear_model, ("seed", int))),
+               *_library(model.linear_model, _PRESET_RULES, "seed")),
 }
-_TRAIN_KEYS = _library(model.train, ("epochs", int, 4), ("lr", float),
-                       ("momentum", float), ("batch_size", int))[1]
+_TRAIN_KEYS = _library(model.train, model._FIT_RULES, ("epochs", 4), "lr",
+                       "momentum", "batch_size")[1]
 _TRAIN_SEED = _default(model.train, "seed")
 _ATTACK_SEED = _default(attacks.AttackConfig, "seed")
 _VERIFY_SEED = _default(verify.run_all, "seed")
@@ -167,23 +182,15 @@ def _named(prefix, error=ConfigError, top=()):
         raise error(f"{'' if argument in top else prefix}{exc}") from exc
 
 
-def _typed(cfg, path, kind, default=_REQUIRED, *rule):
-    """The value at ``path`` (dotted), checked to be a ``kind`` and, given
-    a ``rule`` (relation, bound), in range (:func:`data._check_value`).
-
-    A float is returned as float; ``kind=[int]`` asks for a list of ints,
-    each in range.  A missing or null optional key gives ``default``,
-    unchecked.
-    """
+def _typed(cfg, path, *rule, default=_REQUIRED):
+    """The value at ``path`` (dotted), as :func:`data._check_value` checks
+    and returns it by ``rule`` (kind, relation, bound, ...).  A missing or
+    null optional key gives ``default``, unchecked."""
     value = _get(cfg, path, _REQUIRED if default is _REQUIRED else None)
     if value is None and default is not _REQUIRED:
         return default
     with _named(""):
-        if isinstance(kind, list):
-            return [data._check_value(f"{path}[{i}]", v, kind[0], *rule)
-                    for i, v in enumerate(data._check_value(path, value,
-                                                            list))]
-        return data._check_value(path, value, kind, *rule)
+        return data._check_value(path, value, *rule)
 
 
 def _refuse_unknown(spec, section, known):
@@ -197,8 +204,8 @@ def _refuse_unknown(spec, section, known):
 
 def _resolve(cfg, section, keys):
     """The ``keys`` entries of a config section, read in order."""
-    return {key: _typed(cfg, f"{section}.{key}", kind, default)
-            for key, kind, default in keys}
+    return {key: _typed(cfg, f"{section}.{key}", *rule, default=default)
+            for key, rule, default in keys}
 
 
 def _load_config(path):
@@ -235,16 +242,16 @@ def _dataset_from(cfg):
         ds = getattr(data, fn)(
             *(resolved[key] for key, _, d in keys if d is _REQUIRED),
             **{key: resolved[key] for key, _, d in keys if d is not _REQUIRED})
-    keep = _typed(cfg, "dataset.keep", [int], None)
+    keep = _typed(cfg, "dataset.keep", *data._KEEP_RULES["keep"],
+                  default=None)
     if keep is not None:
         resolved["keep"] = keep
         with _named("dataset.keep: "):
             ds = data.filter_classes(ds, keep)
-    sample = _typed(cfg, "dataset.sample", dict, None)
+    sample = _typed(cfg, "dataset.sample", dict, default=None)
     if sample is not None:
-        resolved["sample"] = _resolve(cfg, "dataset.sample", (
-            ("n", int, _REQUIRED), ("seed", int, 0)))
-        with _named("dataset.sample: "):
+        resolved["sample"] = _resolve(cfg, "dataset.sample", _SAMPLE_KEYS)
+        with _named("dataset.sample."):
             ds = data.sample(ds, **resolved["sample"])
         _refuse_unknown(sample, "dataset.sample.", resolved["sample"])
     if len(ds) == 0:
@@ -264,11 +271,11 @@ def _attack_from(cfg, section, seed_override=None):
     ``<section>.<key>``.  A key left out or null takes AttackConfig's
     default, except the seed of ``attack``: ``seed_override``, else its
     own, else the top-level seed, whose errors are named ``seed``."""
-    spec = _typed(cfg, section, dict, {})
+    spec = _typed(cfg, section, dict, default={})
     _refuse_unknown(spec, f"{section}.", _ATTACK_KEYS)
     spec = {key: value for key, value in spec.items() if value is not None}
     if seed_override is None and section == "attack" and "seed" not in spec:
-        seed_override = _typed(cfg, "seed", int, _ATTACK_SEED)
+        seed_override = _typed(cfg, "seed", int, default=_ATTACK_SEED)
     if seed_override is not None:
         spec["seed"] = seed_override
     with _named(f"{section}.", top=() if seed_override is None else ("seed",)):
@@ -295,7 +302,7 @@ def _model_and_dataset(cfg):
 
 
 def _out_path(cfg, args):
-    out = args.out or _typed(cfg, "out", str, None)
+    out = args.out or _typed(cfg, "out", str, default=None)
     if out is None:
         raise ConfigError("out: required (flag --out or config key)")
     return out
@@ -310,10 +317,11 @@ def _write_text(path, text):
 
 
 def _workers(cfg, args):
+    rule = harness._RULES["workers"]
     if args.workers is None:
-        return _typed(cfg, "workers", int, _WORKERS, ">=", 1)
+        return _typed(cfg, "workers", *rule, default=_WORKERS)
     with _named(""):
-        return data._check_value("workers", args.workers, int, ">=", 1)
+        return data._check_value("workers", args.workers, *rule)
 
 
 def cmd_train(args):
@@ -322,9 +330,10 @@ def cmd_train(args):
     ds, dspec = _dataset_from(cfg)
     model_spec = _typed(cfg, "model", dict)
     name = _get(cfg, "model.preset")
-    k = _typed(cfg, "model.k", int, ds.k)
+    k = _typed(cfg, "model.k", *_PRESET_RULES["k"], default=ds.k)
     if not isinstance(name, str) or name not in _PRESETS:
-        _typed(cfg, "model.seed", int, None)  # checked first, as for a preset
+        # checked first, as for a preset
+        _typed(cfg, "model.seed", *_PRESET_RULES["seed"], default=None)
         raise ConfigError(f"model.preset: {name!r} is not one of "
                           f"{'/'.join(_PRESETS)}")
     rank, kind, inputs, fn, keys = _PRESETS[name]
@@ -338,10 +347,10 @@ def cmd_train(args):
         harness.check_labels(clf, ds.labels)
     _refuse_unknown(model_spec, "model.", ("preset", "k", *preset))
 
-    train_spec = _typed(cfg, "train", dict, {})
+    train_spec = _typed(cfg, "train", dict, default={})
     fit = _resolve(cfg, "train", _TRAIN_KEYS)
     seed = (args.seed if args.seed is not None
-            else _typed(cfg, "seed", int, _TRAIN_SEED))
+            else _typed(cfg, "seed", int, default=_TRAIN_SEED))
     resolved = {
         "command": "train",
         "dataset": dspec,
@@ -352,9 +361,7 @@ def cmd_train(args):
     }
     adversarial = cfg.get("adversarial") is not None
     with _named("train.", top=("seed",)):
-        model.check_fit(len(ds), epochs=fit["epochs"],
-                        batch_size=fit["batch_size"], seed=seed,
-                        adversarial=adversarial)
+        model.check_fit(len(ds), **fit, seed=seed, adversarial=adversarial)
     _refuse_unknown(train_spec, "train.", fit)
     if adversarial:
         adv_cfg = _attack_from(cfg, "adversarial")
@@ -391,23 +398,27 @@ def _evaluation(args, command):
     run_config = {"command": command, "model_path": cfg["model_path"],
                   "dataset": dspec, "attack": asdict(config),
                   "method": method, "init": init, "seed": config.seed}
-    seeds = [config.seed]
+    seeds = {"seed": config.seed}  # every attack seed, by its config path
     if command == "sweep":
         sweep = _typed(cfg, "sweep", dict)
-        values = _typed(cfg, "sweep.n_init_values", [int])
+        values = _typed(cfg, "sweep.n_init_values",
+                        *harness._RULES["n_init_values"])
         if not values:
             raise ConfigError("sweep.n_init_values: empty list")
         with _named("sweep.n_init_values: "):
             for nv in values:
                 config.with_budget_split(nv)
-        seeds = _typed(cfg, "sweep.seeds", [int], seeds,
-                       *attacks._FIELD_RULES["seed"][1:])
-        if not seeds:
-            raise ConfigError("sweep.seeds: empty list")
+        listed = _typed(cfg, "sweep.seeds", *harness._RULES["seeds"],
+                        default=None)
+        if listed is not None:
+            if not listed:
+                raise ConfigError("sweep.seeds: empty list")
+            seeds = {f"sweep.seeds[{i}]": sd for i, sd in enumerate(listed)}
         _refuse_unknown(sweep, "sweep.", ("n_init_values", "seeds"))
-        run_config["sweep"] = {"n_init_values": values, "seeds": seeds}
-    with _named("seed: "):
-        for seed in seeds:  # every attack seed's restart seeds fit the data
+        run_config["sweep"] = {"n_init_values": values,
+                               "seeds": list(seeds.values())}
+    for path, seed in seeds.items():  # each one's restart seeds fit the data
+        with _named(f"{path}: "):
             attacks.check_seeds(replace(config, seed=seed), len(ds))
     workers = _workers(cfg, args)
     _refuse_unknown(cfg, "", _TOP_KEYS)
@@ -475,7 +486,7 @@ def cmd_export_repr(args):
 def cmd_verify(args):
     cfg = _load_config(args.config)
     seed = (args.seed if args.seed is not None
-            else _typed(cfg, "seed", int, _VERIFY_SEED))
+            else _typed(cfg, "seed", int, default=_VERIFY_SEED))
     with _named("seed: ", top=("seed",)):
         verify.validate_seed(seed)
     _refuse_unknown(cfg, "", _TOP_KEYS)

@@ -10,6 +10,7 @@ handwritten digits when no corpus file is available.
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 import warnings
@@ -141,6 +142,54 @@ def write_idx(dataset, images_path, labels_path):
         f.write(np.asarray(dataset.labels, dtype=np.uint8).tobytes())
 
 
+# the types a kind takes; any other kind is its own type
+_KIND_TYPES = {int: (int, np.integer),
+               float: (int, float, np.integer, np.floating),
+               list: (list, tuple)}
+_HOLDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+          "<": operator.lt}
+
+
+def _check_value(name, value, kind, *rule):
+    """``value`` as a ``kind`` (an int or float kind as int or float),
+    refused unless it is a finite ``kind`` that keeps each (relation,
+    bound) pair of ``rule``: "<name>: expected <kind>, got <type>"
+    (TypeError), "<name>: must be finite, got <v>" or "<name>: must be
+    <relation> <bound>, got <v>" (ValueError).
+
+    ``kind=[int]`` asks for a list (or tuple) of ints, each checked as
+    "<name>[i]" and returned in a list.
+    """
+    if isinstance(kind, list):
+        return [_check_value(f"{name}[{i}]", v, kind[0], *rule)
+                for i, v in enumerate(_check_value(name, value, list))]
+    # a bool is an int to isinstance, and JSON's true would pass as 1
+    if isinstance(value, bool) or not isinstance(
+            value, _KIND_TYPES.get(kind, kind)):
+        raise TypeError(f"{name}: expected {kind.__name__}, got "
+                        f"{type(value).__name__}")
+    # NaN, ±inf and an int too big for a float all fail the comparison
+    if kind is float and not abs(value) <= sys.float_info.max:
+        got = "an int too big for a float" if isinstance(value, int) else value
+        raise ValueError(f"{name}: must be finite, got {got}")
+    for relation, bound in zip(rule[::2], rule[1::2]):
+        if not _HOLDS[relation](value, bound):
+            raise ValueError(
+                f"{name}: must be {relation} {bound}, got {value}")
+    return kind(value) if kind in (int, float) else value
+
+
+def _check_args(rules, **args):
+    """Each keyword argument checked by its entry in ``rules``, a table of
+    name -> (kind, relation, bound, ...) (:func:`_check_value`), in the
+    order given; returns the checked values in that order."""
+    return [_check_value(name, value, *rules[name])
+            for name, value in args.items()]
+
+
+_KEEP_RULES = {"keep": ([int],)}
+
+
 def filter_classes(dataset, keep):
     """Keep only the listed classes, re-indexing labels to 0..len(keep)-1.
 
@@ -148,7 +197,8 @@ def filter_classes(dataset, keep):
     twice equals filtering once with the intersection.  Example order is
     preserved.
     """
-    keep = sorted(set(int(v) for v in keep))
+    (keep,) = _check_args(_KEEP_RULES, keep=keep)
+    keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep must name at least one class")
     present = set(dataset.class_map)
@@ -178,13 +228,15 @@ def filter_classes(dataset, keep):
     )
 
 
+_SAMPLE_RULES = {"n": (int, ">=", 0), "seed": (int, ">=", 0)}
+
+
 def sample(dataset, n, seed):
-    """Uniform subsample without replacement, deterministic per seed."""
-    _check_value("n", n, int, ">=", 0)
-    _check_value("seed", seed, int, ">=", 0)
+    """Uniform subsample without replacement, deterministic per seed; an
+    ``n`` above the dataset's size is refused as its upper bound."""
+    n, seed = _check_args(_SAMPLE_RULES, n=n, seed=seed)
     size = len(dataset)
-    if n > size:
-        raise ValueError(f"cannot sample {n} from {size} examples")
+    _check_value("n", n, int, "<=", size)
     idx = np.random.default_rng(seed).choice(size, size=n, replace=False)
     idx.sort()
     return Dataset(
@@ -195,29 +247,9 @@ def sample(dataset, n, seed):
     )
 
 
-# the types a number kind takes; any other kind is its own type
-_NUMBER_TYPES = {int: (int, np.integer),
-                 float: (int, float, np.integer, np.floating)}
-
-
-def _check_value(name, value, kind, relation=None, bound=None):
-    """``value`` (a float kind as float), refused unless it is a finite
-    ``kind`` with ``value relation bound``: "<name>: expected <kind>, got
-    <type>" (TypeError), "<name>: must be finite, got <v>" or "<name>:
-    must be <relation> <bound>, got <v>" (ValueError)."""
-    # a bool is an int to isinstance, and JSON's true would pass as 1
-    if isinstance(value, bool) or not isinstance(
-            value, _NUMBER_TYPES.get(kind, kind)):
-        raise TypeError(f"{name}: expected {kind.__name__}, got "
-                        f"{type(value).__name__}")
-    # NaN, ±inf and an int too big for a float all fail the comparison
-    if kind is float and not abs(value) <= sys.float_info.max:
-        got = "an int too big for a float" if isinstance(value, int) else value
-        raise ValueError(f"{name}: must be finite, got {got}")
-    if relation is not None and (
-            value < bound or (relation == ">" and value == bound)):
-        raise ValueError(f"{name}: must be {relation} {bound}, got {value}")
-    return float(value) if kind is float else value
+_BLOBS_RULES = {"n_per_class": (int, ">=", 0), "k": (int, ">=", 2),
+                "d": (int, ">=", 1), "separation": (float, ">", 0),
+                "seed": (int, ">=", 0)}
 
 
 def make_blobs(n_per_class, k, d, separation, seed, *, center=0.5):
@@ -229,11 +261,9 @@ def make_blobs(n_per_class, k, d, separation, seed, *, center=0.5):
     closed-form linear-model checks; such data sits outside the box on
     purpose).
     """
-    _check_value("n_per_class", n_per_class, int, ">=", 0)
-    _check_value("k", k, int, ">=", 2)
-    _check_value("d", d, int, ">=", 1)
-    _check_value("separation", separation, float, ">", 0)
-    _check_value("seed", seed, int, ">=", 0)
+    n_per_class, k, d, separation, seed = _check_args(
+        _BLOBS_RULES, n_per_class=n_per_class, k=k, d=d,
+        separation=separation, seed=seed)
     rng = np.random.default_rng(seed)
     # Unit-scale centers on a circle in the first two dims (line for d=1).
     centers = np.zeros((k, d))
@@ -444,6 +474,11 @@ def _digit_images(rng, base, out):
     np.clip(out, 0.0, 1.0, out=out)
 
 
+# a class's range is the digits with a stroke template
+_DIGITS_RULES = {"n_per_class": (int, ">=", 0), "classes": ([int],),
+                 "size": (int, ">=", 1), "seed": (int, ">=", 0)}
+
+
 def make_digits(n_per_class, *, classes=tuple(range(10)), size=28, seed=0):
     """Stroke-rendered digit corpus with per-example geometric jitter.
 
@@ -453,10 +488,9 @@ def make_digits(n_per_class, *, classes=tuple(range(10)), size=28, seed=0):
     the draws come in per-example order, class by class, and each class
     is rendered as one batch (:func:`_digit_images`).
     """
-    _check_value("n_per_class", n_per_class, int, ">=", 0)
-    _check_value("size", size, int, ">=", 1)
-    _check_value("seed", seed, int, ">=", 0)
-    classes = tuple(int(cl) for cl in classes)
+    n_per_class, classes, size, seed = _check_args(
+        _DIGITS_RULES, n_per_class=n_per_class, classes=classes, size=size,
+        seed=seed)
     for i, cl in enumerate(classes):
         if cl not in _STROKES:
             raise ValueError(f"classes: no stroke template for digit {cl}")

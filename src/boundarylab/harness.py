@@ -22,7 +22,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .attacks import BatchOutcome, check_seeds, run_restarts_batch
+from .attacks import (_FIELD_RULES, BatchOutcome, check_seeds,
+                      run_restarts_batch)
+from .data import _check_args
 
 
 def json_text(payload):
@@ -157,6 +159,14 @@ def check_labels(c, labels):
         )
 
 
+# the entry points' argument rules, as attacks._FIELD_RULES; a split's
+# range is its config's budget (AttackConfig.with_budget_split), and each
+# listed seed is an attack seed
+_RULES = {"workers": (int, ">=", 1), "chunk_size": (int, ">=", 1),
+          "n_init_values": ([int],),
+          "seeds": ([int], *_FIELD_RULES["seed"][1:])}
+
+
 def _attack_splits(c, bs, dataset, config, method, init, n_init_values, *,
                    workers, chunk_size, keep_x):
     """The chunk loop behind :func:`attack_dataset`, :func:`evaluate` and
@@ -167,8 +177,11 @@ def _attack_splits(c, bs, dataset, config, method, init, n_init_values, *,
     of the whole dataset with a leading split axis, ``x_adv`` only when
     ``keep_x``.  Each chunk's correctly classified examples go through
     one ``run_restarts_batch`` call for all splits, and each chunk writes
-    only its own rows.
+    only its own rows.  ``workers`` and ``chunk_size`` are refused by
+    name below 1.
     """
+    workers, chunk_size = _check_args(_RULES, workers=workers,
+                                      chunk_size=chunk_size)
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate an empty dataset")
@@ -256,7 +269,7 @@ def _report(c, dataset, config, method, init, pred, iters, restart):
         failures=n - n_success,
         mean_iterations_to_success=mean_its,
         median_iterations_to_success=median_its,
-        seeds=(int(config.seed),),
+        seeds=(config.seed,),
         # outcomes do not depend on workers or chunk_size (restart seeds
         # come from dataset positions), so neither belongs in the config
         config=dict(asdict(config), method=method, init=init),
@@ -365,10 +378,11 @@ def sweep_n_init(c, bs, dataset, config, n_init_values, method="pgd",
     (:func:`run_restarts_batch`).  Each split is still charged its own
     n_init + n_attack evaluations.
     """
-    values = [int(v) for v in n_init_values]
+    values, seeds = _check_args(
+        _RULES, n_init_values=n_init_values,
+        seeds=[config.seed] if seeds is None else seeds)
     if not values:
         raise ValueError("n_init_values is empty")
-    seeds = (config.seed,) if seeds is None else tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("seeds is empty")
     splits = [config.with_budget_split(nv) for nv in values]
@@ -391,7 +405,7 @@ def sweep_n_init(c, bs, dataset, config, n_init_values, method="pgd",
     return SweepResult(
         total_budget=config.n_init + config.n_attack,
         n_init_values=tuple(values),
-        seeds=seeds,
+        seeds=tuple(seeds),
         method=method,
         init=init,
         base_config=asdict(config),

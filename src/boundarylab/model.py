@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import attacks
-from .data import _check_value
+from .data import _check_args
 from .layers import (
     BatchNorm,
     Conv2d,
@@ -330,11 +330,11 @@ class Classifier:
 # -- presets -------------------------------------------------------------
 
 
-def _check_preset(k, n, seed, n_name="n"):
-    # refused as "<argument>: ...", which the CLI prefixes with "model."
-    _check_value("k", k, int, ">=", 2)
-    _check_value(n_name, n, int, ">=", 1)
-    _check_value("seed", seed, int, ">=", 0)
+# the presets' argument rules, as attacks._FIELD_RULES; refused as
+# "<argument>: ...", which the CLI prefixes with "model."
+_PRESET_RULES = {"k": (int, ">=", 2), "n": (int, ">=", 1),
+                 "d": (int, ">=", 1), "hidden": ([int], ">=", 1),
+                 "seed": (int, ">=", 0)}
 
 
 def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
@@ -343,7 +343,7 @@ def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
     The default (k=4, n=2) gives a 2-D representation space whose boundary
     lines can be plotted directly.
     """
-    _check_preset(k, n, seed)
+    k, n, seed = _check_args(_PRESET_RULES, k=k, n=n, seed=seed)
     c, h, w = input_shape
     oh = (((h - 2) // 2) - 2) // 2
     ow = (((w - 2) // 2) - 2) // 2
@@ -365,9 +365,8 @@ def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
 
 def mlp(input_shape, k, *, n=8, hidden=(32,), seed=0):
     """Flatten + dense/ReLU stack to an N-dim representation, dense tail."""
-    _check_preset(k, n, seed)
-    for i, width in enumerate(hidden):
-        _check_value(f"hidden[{i}]", width, int, ">=", 1)
+    k, n, seed, hidden = _check_args(_PRESET_RULES, k=k, n=n, seed=seed,
+                                     hidden=hidden)
     rng = np.random.default_rng(seed)
     d = 1
     for s in input_shape:
@@ -389,7 +388,7 @@ def linear_model(d, k, *, weight=None, bias=None, seed=0):
     Geometry and attack math on this preset have closed forms, so tests
     can check exact values.  Pass ``weight``/``bias`` to pin the tail.
     """
-    _check_preset(k, d, seed, n_name="d")
+    k, d, seed = _check_args(_PRESET_RULES, k=k, d=d, seed=seed)
     tail = Dense(d, k, rng=np.random.default_rng(seed))
     if weight is not None:
         w = as_tensor(weight)
@@ -424,25 +423,36 @@ def _check_finite(clf, epoch, step):
 _START_STRIDE = 1_000_003
 
 
-def check_fit(n, *, epochs, batch_size, seed, adversarial=False):
-    """Raise ValueError naming the first out-of-range argument of training
-    on ``n`` examples, as "<argument>: ..."."""
-    _check_value("epochs", epochs, int, ">=", 0)
-    _check_value("batch_size", batch_size, int, ">=", 1)
-    _check_value("seed", seed, int, ">=", 0)
+# training's argument rules, as attacks._FIELD_RULES
+_FIT_RULES = {"epochs": (int, ">=", 0), "lr": (float, ">", 0),
+              "momentum": (float, ">=", 0, "<", 1),
+              "batch_size": (int, ">=", 1), "seed": (int, ">=", 0)}
+
+
+def check_fit(n, *, epochs, batch_size, seed, lr=0.05, momentum=0.9,
+              adversarial=False):
+    """The checked (epochs, lr, momentum, batch_size, seed) of training on
+    ``n`` examples; raises naming the first argument out of its rule, as
+    "<argument>: ..." (TypeError for a wrong type, else ValueError)."""
+    epochs, lr, momentum, batch_size, seed = _check_args(
+        _FIT_RULES, epochs=epochs, lr=lr, momentum=momentum,
+        batch_size=batch_size, seed=seed)
     steps = epochs * -(-n // batch_size)
-    last = int(seed) * _START_STRIDE + steps - 1
+    last = seed * _START_STRIDE + steps - 1
     if adversarial and steps and last > 2**63 - 1:
         raise ValueError(
             f"seed: {seed} overflows adversarial training's start seeds "
             f"seed·{_START_STRIDE} + step, which must stay at or below "
             f"2**63 - 1")
+    return epochs, lr, momentum, batch_size, seed
 
 
 def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
              attack_config):
-    check_fit(len(data.labels), epochs=epochs, batch_size=batch_size,
-              seed=seed, adversarial=attack_config is not None)
+    epochs, lr, momentum, batch_size, seed = check_fit(
+        len(data.labels), epochs=epochs, lr=lr, momentum=momentum,
+        batch_size=batch_size, seed=seed,
+        adversarial=attack_config is not None)
     clf = copy.deepcopy(clf)
     passes = clf._passes
     images = as_tensor(data.images)
@@ -459,7 +469,7 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                 # the whole batch as one row, drawn from one stream
                 start = attacks.random_start_batch(
                     x.reshape(1, -1), attack_config.epsilon,
-                    [int(seed) * _START_STRIDE + step]).reshape(x.shape)
+                    [seed * _START_STRIDE + step]).reshape(x.shape)
                 x = attacks.pgd_batch(clf, x, y, attack_config, start).x_adv
             h = x
             ctxs = []
@@ -489,8 +499,8 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
             _check_finite(clf, epoch, step)
             step += 1
     clf.meta.update({
-        "seed": int(seed),
-        "epochs": int(epochs),
+        "seed": seed,
+        "epochs": epochs,
         "dataset_id": getattr(data, "dataset_id", ""),
         "adversarial": attack_config is not None,
     })

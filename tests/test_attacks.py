@@ -60,6 +60,19 @@ def test_config_defaults_resolve_from_epsilon():
     assert zero.eta_init == 0.03  # any positive step; the clip pins it
 
 
+def test_config_keeps_the_checked_values():
+    cfg = attacks.AttackConfig(epsilon=1, alpha=np.float64(0.5), eta_init=2,
+                               restarts=np.int64(2), n_init=np.int32(1),
+                               n_attack=3, seed=np.uint64(4))
+    got = dataclasses.asdict(cfg)
+    assert got == {"epsilon": 1.0, "alpha": 0.5, "eta_init": 2.0,
+                   "restarts": 2, "n_init": 1, "n_attack": 3, "seed": 4}
+    assert {f: type(v) for f, v in got.items()} == {
+        f.name: float if f.name in ("epsilon", "alpha", "eta_init") else int
+        for f in dataclasses.fields(cfg)}
+    assert type(attacks.AttackConfig(epsilon=0, alpha=1).eta_init) is float
+
+
 def test_budget_split_preserves_total():
     cfg = attacks.AttackConfig(epsilon=0.1, alpha=0.01, restarts=1,
                                n_init=3, n_attack=7, seed=0)

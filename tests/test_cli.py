@@ -646,7 +646,9 @@ def test_overflowing_sweep_seed_is_config_error(trained, capsys):
                            sweep={"n_init_values": [0, 1],
                                   "seeds": [0, 2**63 - 2]})
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
-    assert "dataset position 1:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dataset position 1:" in err
+    assert err.startswith("config error: sweep.seeds[1]: ")
 
 
 @pytest.mark.parametrize("extra, key", [
@@ -781,14 +783,50 @@ def test_idx_images_of_another_shape_are_io_error(tmp_path, trained, capsys):
     (dict(TEST_BLOBS, seed=-2), "seed"),
     ({"kind": "digits", "n_per_class": 2, "classes": [0, 1, 2], "seed": -2},
      "seed"),
-    (dict(TEST_BLOBS, sample={"n": 5, "seed": -2}), "sample: seed"),
-    (dict(TEST_BLOBS, sample={"n": -1, "seed": 0}), "sample: n"),
+    (dict(TEST_BLOBS, sample={"n": 5, "seed": -2}), "sample.seed"),
+    (dict(TEST_BLOBS, sample={"n": -1, "seed": 0}), "sample.n"),
 ])
 def test_bad_dataset_size_is_config_error(trained, capsys, dataset, key):
     root, ckpt = trained
     cfg, _ = attack_config(root, ckpt, "badsize.json", dataset=dataset)
     assert cli.main(["attack", "--config", str(cfg)]) == 1
     assert f"config error: dataset.{key}: must be >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"dataset": dict(TEST_BLOBS, sample={"n": 50})},
+     "dataset.sample.n: must be <= 30, got 50"),
+    ({"dataset": {"kind": "digits", "n_per_class": 2, "classes": [1.7, 2],
+                  "size": 6}},
+     "dataset.classes[0]: expected int, got float"),
+    ({"dataset": {"kind": "digits", "n_per_class": 2, "classes": "12",
+                  "size": 6}},
+     "dataset.classes: expected list, got str"),
+    ({"dataset": dict(TEST_BLOBS, keep=[1.5, 2])},
+     "dataset.keep[0]: expected int, got float"),
+], ids=["sample-n-above-size", "classes-float", "classes-str", "keep-float"])
+def test_dataset_values_are_refused_by_their_path(trained, capsys, extra,
+                                                  message):
+    root, ckpt = trained
+    cfg, out = attack_config(root, ckpt, "dataset-path.json", **extra)
+    assert cli.main(["attack", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"n_init_values": [1.7]},
+     "sweep.n_init_values[0]: expected int, got float"),
+    ({"n_init_values": [0, 1], "seeds": [2.9]},
+     "sweep.seeds[0]: expected int, got float"),
+], ids=["split-float", "seed-float"])
+def test_sweep_values_are_refused_not_truncated(trained, capsys, sweep,
+                                                message):
+    root, ckpt = trained
+    cfg, out = attack_config(root, ckpt, "sweep-path.csv", sweep=sweep)
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def _train_config(tmp_path, **extra):
@@ -819,8 +857,14 @@ ADV = {"epsilon": 0.05, "restarts": 1, "n_init": 0, "n_attack": 1}
     # one step: the largest seed is 2**63 // 1_000_003 = 9223344366821
     (["--seed", "9223344366822"], {"adversarial": ADV},
      "seed: 9223344366822 overflows adversarial training's start seeds"),
+    ([], {"train": {"epochs": 1, "lr": -1}}, "train.lr: must be > 0, got -1"),
+    ([], {"train": {"epochs": 1, "momentum": 1.5}},
+     "train.momentum: must be < 1, got 1.5"),
+    ([], {"train": {"epochs": 1, "momentum": -1}},
+     "train.momentum: must be >= 0, got -1"),
 ], ids=["seed-flag", "model-seed", "model-n", "model-hidden", "model-k",
-        "model-k-labels", "batch_size", "epochs", "adversarial-seed"])
+        "model-k-labels", "batch_size", "epochs", "adversarial-seed", "lr",
+        "momentum-above", "momentum-below"])
 def test_train_refuses_out_of_range_values_by_key(tmp_path, capsys, flags,
                                                   extra, message):
     cfg = _train_config(tmp_path, **extra)

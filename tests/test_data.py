@@ -252,6 +252,47 @@ def test_check_value_words_each_rule_one_way():
         check("x", 0.0, float, ">", 0)
 
 
+def test_check_value_takes_an_upper_bound_and_a_list_kind():
+    check = data._check_value
+    assert type(check("m", 0, float, ">=", 0, "<", 1)) is float
+    assert check("n", 40, int, ">=", 0, "<=", 40) == 40
+    for value, message in [(1, "m: must be < 1, got 1"),
+                           (-0.5, "m: must be >= 0, got -0.5")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check("m", value, float, ">=", 0, "<", 1)
+    got = check("s", (np.int64(2), 3), [int], ">=", 0)
+    assert got == [2, 3] and all(type(v) is int for v in got)
+    for value, error, message in [
+            ("12", TypeError, "s: expected list, got str"),
+            ([1, 1.7], TypeError, "s[1]: expected int, got float"),
+            ([0, -1], ValueError, "s[1]: must be >= 0, got -1")]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check("s", value, [int], ">=", 0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: data.make_digits(2, classes=(1.7, 2), size=8), TypeError,
+     "classes[0]: expected int, got float"),
+    (lambda: data.make_digits(2, classes="12", size=8), TypeError,
+     "classes: expected list, got str"),
+    (lambda: data.filter_classes(make_tiny(), [1.5, 2]), TypeError,
+     "keep[0]: expected int, got float"),
+    (lambda: data.sample(data.make_blobs(10, 4, 3, 5.0, 0), 50, 0),
+     ValueError, "n: must be <= 40, got 50"),
+], ids=["classes-float", "classes-str", "keep-float", "sample-n-above-size"])
+def test_data_functions_refuse_what_they_used_to_truncate(make, error,
+                                                          message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_blobs_use_the_checked_separation():
+    a = data.make_blobs(3, 2, 2, 4, 0)
+    b = data.make_blobs(3, 2, 2, 4.0, 0)
+    assert a.dataset_id == b.dataset_id
+    np.testing.assert_array_equal(a.images, b.images)
+
+
 def test_digits_are_deterministic():
     a = data.make_digits(2, classes=(3, 5), size=14, seed=8)
     b = data.make_digits(2, classes=(3, 5), size=14, seed=8)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -138,6 +139,49 @@ def test_sweep_refuses_every_seed_before_its_first_attack(
                              quick_attack_config, [0, 1],
                              seeds=(0, 2**63 - 1))
     assert calls == []
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"workers": 0}, ValueError, "workers: must be >= 1, got 0"),
+    ({"workers": -3}, ValueError, "workers: must be >= 1, got -3"),
+    ({"chunk_size": 0}, ValueError, "chunk_size: must be >= 1, got 0"),
+    ({"chunk_size": -1}, ValueError, "chunk_size: must be >= 1, got -1"),
+    ({"workers": 1.5}, TypeError, "workers: expected int, got float"),
+], ids=["workers-0", "workers-negative", "chunk_size-0", "chunk_size-negative",
+        "workers-float"])
+@pytest.mark.parametrize("entry", ["evaluate", "attack_dataset",
+                                   "sweep_n_init"])
+def test_entry_points_refuse_workers_and_chunk_size_below_one(
+        blobs_mlp, blobs_boundaries, blobs_test, quick_attack_config, entry,
+        kwargs, error, message):
+    args = [[0, 1]] if entry == "sweep_n_init" else []
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        getattr(harness, entry)(blobs_mlp, blobs_boundaries, blobs_test,
+                                quick_attack_config, *args, **kwargs)
+
+
+@pytest.mark.parametrize("values, seeds, message", [
+    ([1.7], None, "n_init_values[0]: expected int, got float"),
+    ([0, 1], [2.9], "seeds[0]: expected int, got float"),
+    ([0, 1], [3, -1], "seeds[1]: must be >= 0, got -1"),
+    ((0, "2"), None, "n_init_values[1]: expected int, got str"),
+], ids=["split-float", "seed-float", "seed-negative", "split-str"])
+def test_sweep_refuses_splits_and_seeds_it_used_to_truncate(
+        blobs_mlp, blobs_boundaries, blobs_test, quick_attack_config, values,
+        seeds, message):
+    with pytest.raises((TypeError, ValueError),
+                       match=f"^{re.escape(message)}$"):
+        harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test,
+                             quick_attack_config, values, seeds=seeds)
+
+
+def test_sweep_takes_numpy_ints_as_ints(blobs_mlp, blobs_boundaries,
+                                        blobs_test, quick_attack_config):
+    sw = harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test,
+                              quick_attack_config, [np.int64(1)],
+                              seeds=[np.int64(2)])
+    assert sw.n_init_values == (1,) and sw.seeds == (2,)
+    assert type(sw.n_init_values[0]) is int and type(sw.seeds[0]) is int
 
 
 def test_zero_epsilon_keeps_robust_equal_to_clean(blobs_mlp,

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -743,6 +744,35 @@ def test_training_refuses_bad_arguments_by_name(blobs_train, kwargs, key,
             model.adv_train(clf, blobs_train, attacks.AttackConfig(), **args)
         else:
             model.train(clf, blobs_train, **args)
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"lr": -1}, ValueError, "lr: must be > 0, got -1"),
+    ({"lr": 0.0}, ValueError, "lr: must be > 0, got 0.0"),
+    ({"lr": "x"}, TypeError, "lr: expected float, got str"),
+    ({"momentum": 1.5}, ValueError, "momentum: must be < 1, got 1.5"),
+    ({"momentum": 1}, ValueError, "momentum: must be < 1, got 1"),
+    ({"momentum": -0.1}, ValueError, "momentum: must be >= 0, got -0.1"),
+], ids=["lr-negative", "lr-zero", "lr-str", "momentum-above", "momentum-one",
+        "momentum-negative"])
+@pytest.mark.parametrize("adversarial", [False, True], ids=["plain", "adv"])
+def test_training_refuses_bad_lr_and_momentum_by_name(blobs_train, kwargs,
+                                                      error, message,
+                                                      adversarial):
+    clf = model.mlp((8,), k=4, n=2, hidden=(16,), seed=0)
+    args = dict({"epochs": 1, "seed": 0}, **kwargs)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        if adversarial:
+            model.adv_train(clf, blobs_train, attacks.AttackConfig(), **args)
+        else:
+            model.train(clf, blobs_train, **args)
+
+
+def test_check_fit_returns_the_checked_values():
+    got = model.check_fit(10, epochs=np.int64(2), lr=1, momentum=0,
+                          batch_size=4, seed=3)
+    assert got == (2, 1.0, 0.0, 4, 3)
+    assert [type(v) for v in got] == [int, float, float, int, int]
 
 
 def test_adv_training_improves_robustness():

@@ -1,4 +1,4 @@
-"""Write the fixed 81 CLI outputs and 16 refusals and print their sha256.
+"""Write the fixed 81 CLI outputs and 20 refusals and print their sha256.
 
     python3 tools/output_set.py DIR [--src SRC]
 
@@ -25,13 +25,15 @@ and the script prints ``sha256  file`` for every output and stdout.
 Reports embed ``model_path``, so two checkouts compare byte for byte only
 when both write into the same ``DIR``.
 
-Then come 16 configs that the CLI refuses (:func:`refusals`): a value
+Then come 20 configs that the CLI refuses (:func:`refusals`): a value
 of the wrong type or out of range in ``attack``, ``adversarial``,
-``train``, ``sweep.seeds``, ``workers`` and the top-level or flag seed
-of every command, a digit listed twice, an unknown key, a dataset of
-the wrong type, an IDX label file of the wrong magic and a seed whose
-restart seeds overflow.  Each writes ``refused-<name>.txt``, its exit
-code and stderr, and its ``sha256`` line follows the outputs'.
+``train`` (``lr`` and ``momentum`` included), ``sweep.seeds``,
+``workers`` and the top-level or flag seed of every command, a digit
+listed twice, an unknown key, a dataset of the wrong type, an IDX label
+file of the wrong magic, a sample larger than its dataset, and a flag
+seed and a listed sweep seed whose restart seeds overflow.  Each
+writes ``refused-<name>.txt``, its exit code and stderr, and its
+``sha256`` line follows the outputs'.
 """
 
 import argparse
@@ -154,6 +156,15 @@ def refusals(out):
         ("attack-idx-label-magic", "attack", [], dict(base, dataset=idx)),
         ("attack-seed-overflow", "attack", ["--seed", str(2**63 - 2)],
          base),
+        # after the 16 above
+        ("train-lr-negative", "train", [],
+         dict(train, train={"epochs": 1, "lr": -1})),
+        ("train-momentum-above-one", "train", [],
+         dict(train, train={"epochs": 1, "momentum": 1.5})),
+        ("attack-sample-above-size", "attack", [],
+         dict(base, dataset=dict(TEST, sample={"n": 100}))),
+        ("sweep-listed-seed-overflow", "sweep", [],
+         dict(base, sweep=dict(SWEEP, seeds=[3, 2**63 - 2]))),
     ]
 
 
