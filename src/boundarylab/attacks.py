@@ -84,6 +84,7 @@ class AttackConfig:
 
     def with_budget_split(self, n_init):
         """Same config with the fixed total budget re-split at ``n_init``."""
+        n_init = _check_value("n_init", n_init, int)
         total = self.n_init + self.n_attack
         if not 0 <= n_init <= total:
             raise ValueError(f"n_init {n_init} outside budget 0..{total}")
@@ -582,8 +583,17 @@ def project_hyperplane_box(points, w, b):
     # Moving coordinate i by its cap (to the favorable wall) reduces the
     # value by rate*cap; direction is -sign(we).
     rate = np.abs(we)
-    cap = np.where(we > 0, points, 1.0 - points)
-    cap = np.where(rate > 0, cap, 0.0)
+    # cap = where(we > 0, points, 1 - points), zeroed (+0.0) where rate is
+    # not positive, without a per-element branch (a select on a random
+    # mask mispredicts): on the uint64 bits, q ^ ((p ^ q) · [we > 0])
+    # selects, and the zeroing multiplies by the 0/1 mask, as ReLU's
+    # backward does
+    cap = 1.0 - points
+    bits = cap.view(np.uint64)
+    pick = points.view(np.uint64) ^ bits
+    np.multiply(pick, we > 0, out=pick)
+    bits ^= pick
+    np.multiply(bits, rate > 0, out=bits)
     direction = -np.sign(we)
     fill = (_row_dot(rate, cap) > s) & (s0 != 0.0)
     # Waterfilling on every row: rows never mix, and a row that does not

@@ -246,7 +246,7 @@ def _dataset_from(cfg):
                   default=None)
     if keep is not None:
         resolved["keep"] = keep
-        with _named("dataset.keep: "):
+        with _named("dataset."):
             ds = data.filter_classes(ds, keep)
     sample = _typed(cfg, "dataset.sample", dict, default=None)
     if sample is not None:

@@ -168,8 +168,11 @@ def _check_value(name, value, kind, *rule):
             value, _KIND_TYPES.get(kind, kind)):
         raise TypeError(f"{name}: expected {kind.__name__}, got "
                         f"{type(value).__name__}")
-    # NaN, ±inf and an int too big for a float all fail the comparison
-    if kind is float and not abs(value) <= sys.float_info.max:
+    # NaN, ±inf and an int too big for a float all fail the comparison,
+    # made on a Python number: a float32's would cast the bound to inf
+    if kind is float and not abs(
+            value if isinstance(value, int) else float(value)
+    ) <= sys.float_info.max:
         got = "an int too big for a float" if isinstance(value, int) else value
         raise ValueError(f"{name}: must be finite, got {got}")
     for relation, bound in zip(rule[::2], rule[1::2]):
@@ -200,18 +203,18 @@ def filter_classes(dataset, keep):
     (keep,) = _check_args(_KEEP_RULES, keep=keep)
     keep = sorted(set(keep))
     if not keep:
-        raise ValueError("keep must name at least one class")
+        raise ValueError("keep: must name at least one class")
     present = set(dataset.class_map)
     missing = [v for v in keep if v not in present]
     if missing:
         raise ValueError(
-            f"classes {missing} not present (have {sorted(present)})"
+            f"keep: classes {missing} not present (have {sorted(present)})"
         )
     inverse = {v: k for k, v in dataset.class_map.items()}
     originals = np.array([inverse[int(l)] for l in dataset.labels])
     mask = np.isin(originals, keep)
     if not mask.any():
-        raise ValueError(f"no examples left after keeping classes {keep}")
+        raise ValueError(f"keep: no examples left after keeping classes {keep}")
     new_map = {orig: i for i, orig in enumerate(keep)}
     relabel = np.array([new_map[int(v)] for v in originals[mask]],
                        dtype=np.int64)

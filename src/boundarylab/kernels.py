@@ -5,9 +5,8 @@ Layout contract: every 4-D array these kernels return is a batch-first
 ``a.transpose(1, 2, 3, 0)`` is C-contiguous.  Inputs may have any layout
 and float dtype; a batch-innermost float64 input is read without a copy.
 The layout has two edges.  ``layers.Conv2d`` converts its input once
-with :func:`batch_inner`, and in train mode keeps the converted array
-so the weight gradient reads it; the input gradient needs only its
-shape.  ``layers.Flatten`` is a pure reshape both ways, so the
+with :func:`batch_inner`; the input gradient needs only its shape.
+``layers.Flatten`` is a pure reshape both ways, so the
 rows it hands on are a strided view of the buffer and the gradient it
 hands back is C-order batch-first.  ``model.Classifier.head_backward``
 returns a C-contiguous batch-first input gradient.
@@ -18,9 +17,12 @@ with an inner run of OW·B doubles, and the product reshaped to
 ``(O, OH, OW, B)`` is the output buffer.  The input gradient spreads the
 upstream through the kernel with ``Wᵀ @ gy`` and adds each tap's block
 into a ``(C, H, W, B)`` buffer over OW·B-long rows; the weight gradient
-is ``gy @ Pᵀ`` on the same ``P``.  2x2 pooling compares whole B-long
-rows of the buffer.  ``bench/run.py --trace 1`` times each kernel at the
-shapes the presets run.
+is ``gy @ Pᵀ`` on the same ``P``.  A caller that passes ``cols``, a
+``(C·kh·kw, OH·OW·B)`` float64 buffer, has the forward build ``P`` in
+it, the weight gradient read that ``P`` instead of building its own, and
+the input gradient write its spread columns over it.  2x2 pooling
+compares whole B-long rows of the buffer.  ``bench/run.py --trace 1``
+times each kernel at the shapes the presets run.
 """
 
 import numpy as np
@@ -48,39 +50,56 @@ def batch_inner(a):
     return _bf(_bi64(a))
 
 
-def _patches(x, kh, kw, padding):
-    # (C·kh·kw, OH·OW·B) patch matrix: row (c, i, j) holds tap (i, j) of
-    # channel c at every output position, one shifted-slice copy per tap
+def patch_shape(x_shape, kh, kw, padding=0):
+    """The ``(C·kh·kw, OH·OW·B)`` shape of the patch matrix of an input
+    of ``x_shape`` (B, C, H, W)."""
+    b, c, h, w = x_shape
+    oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    return c * kh * kw, oh * ow * b
+
+
+def _patches(x, kh, kw, padding, out=None):
+    # (C·kh·kw, OH·OW·B) patch matrix, in ``out`` if given: row (c, i, j)
+    # holds tap (i, j) of channel c at every output position, one
+    # shifted-slice copy per tap
     xb = _bi64(x)
     if padding:
         xb = np.pad(xb, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     c, h, w, b = xb.shape
     oh, ow = h - kh + 1, w - kw + 1
-    p = np.empty((c, kh, kw, oh, ow, b))
+    shape = (c, kh, kw, oh, ow, b)
+    p = np.empty(shape) if out is None else out.reshape(shape)
     for i in range(kh):
         for j in range(kw):
             p[:, i, j] = xb[:, i : i + oh, j : j + ow]
     return p.reshape(c * kh * kw, oh * ow * b), oh, ow
 
 
-def conv2d_forward(x, w, bias, padding=0):
-    """Valid cross-correlation of (B,C,H,W) with (O,C,kh,kw) plus bias."""
+def conv2d_forward(x, w, bias, padding=0, *, cols=None):
+    """Valid cross-correlation of (B,C,H,W) with (O,C,kh,kw) plus bias.
+
+    With ``cols``, a float64 buffer of :func:`patch_shape`, the patch
+    matrix is built in it, for :func:`conv2d_param_grad` to read."""
     co, ci, kh, kw = w.shape
-    p, oh, ow = _patches(x, kh, kw, padding)
+    p, oh, ow = _patches(x, kh, kw, padding, out=cols)
     y = np.asarray(w, dtype=np.float64).reshape(co, ci * kh * kw) @ p
     y += np.asarray(bias, dtype=np.float64)[:, None]  # in place: no second buffer
     return _bf(y.reshape(co, oh, ow, x.shape[0]))
 
 
-def conv2d_input_grad(gy, w, x_shape, padding=0):
-    """Gradient w.r.t. the conv input, shape x_shape = (B,C,H,W)."""
+def conv2d_input_grad(gy, w, x_shape, padding=0, *, cols=None):
+    """Gradient w.r.t. the conv input, shape x_shape = (B,C,H,W).
+
+    With ``cols``, a float64 buffer of :func:`patch_shape` whose values
+    are no longer needed, the spread columns are written over it."""
     b, co, oh, ow = gy.shape
     _, ci, kh, kw = w.shape
     h, wdt = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
     # (C*kh*kw, OH*OW*B) spread of the upstream through the kernel, so
     # each tap below adds one (C, OH, OW, B) block
     wm = np.asarray(w, dtype=np.float64).reshape(co, ci * kh * kw)
-    gcols = (wm.T @ _bi64(gy).reshape(co, -1)).reshape(ci, kh, kw, oh, ow, b)
+    gcols = np.matmul(wm.T, _bi64(gy).reshape(co, -1), out=cols)
+    gcols = gcols.reshape(ci, kh, kw, oh, ow, b)
     gx = np.zeros((ci, h, wdt, b))
     for i in range(kh):
         for j in range(kw):
@@ -90,10 +109,13 @@ def conv2d_input_grad(gy, w, x_shape, padding=0):
     return _bf(gx)
 
 
-def conv2d_param_grad(x, gy, w_shape, padding=0):
-    """Gradients w.r.t. conv weight (O,C,kh,kw) and bias (O,)."""
+def conv2d_param_grad(x, gy, w_shape, padding=0, *, cols=None):
+    """Gradients w.r.t. conv weight (O,C,kh,kw) and bias (O,).
+
+    ``cols``, if given, is x's patch matrix as :func:`conv2d_forward`
+    built it, read instead of building it again."""
     co, ci, kh, kw = w_shape
-    p, _, _ = _patches(x, kh, kw, padding)
+    p = _patches(x, kh, kw, padding)[0] if cols is None else cols
     gyb = _bi64(gy).reshape(co, -1)
     return (gyb @ p.T).reshape(co, ci, kh, kw), gyb.sum(axis=1)
 
@@ -111,12 +133,16 @@ def _windows(buf, oh, ow):
     return buf[:, : 2 * oh, : 2 * ow].reshape(c, oh, 2, ow, 2, b)
 
 
-def maxpool2_forward(x):
-    """2x2/stride-2 max pool; returns (pooled, window argmax codes 0..3).
+def maxpool2_forward(x, *, after_relu=False):
+    """2x2/stride-2 max pool; returns (pooled, window argmax codes 0..7).
 
-    Odd trailing rows/columns are dropped. Codes number the window in
-    row-major order; ties pick the first maximum and a NaN beats any
-    number, as ``argmax`` over the flattened window would.
+    Odd trailing rows/columns are dropped. Codes 0..3 number the window
+    in row-major order; ties pick the first maximum and a NaN beats any
+    number, as ``argmax`` over the flattened window would.  With
+    ``after_relu``, x is a ReLU's output and a window whose max is not
+    positive gets its code plus 4, which :func:`maxpool2_backward` routes
+    nothing to: the max is positive exactly where the ReLU's mask at the
+    routed element is 1, so the ReLU's backward is folded in.
     """
     oh, ow = x.shape[2] // 2, x.shape[3] // 2
     win = _windows(_bi64(x), oh, ow)
@@ -134,6 +160,8 @@ def maxpool2_forward(x):
     down = _pick_second(htop, hbottom)
     y = np.maximum(hbottom, htop)
     idx = down.view(np.uint8) << 1 | (down & right_bottom) | (~down & right_top)
+    if after_relu:
+        idx |= (~(y > 0)).view(np.uint8) << 2
     return _bf(y), _bf(idx)
 
 
@@ -143,7 +171,8 @@ _CODES = np.arange(4, dtype=np.uint8).reshape(1, 1, 2, 1, 2, 1)
 
 def maxpool2_backward(gy, idx, x_shape):
     """Route upstream values back to the argmax positions of an input of
-    shape x_shape; the odd trailing rows/columns get zero."""
+    shape x_shape; the odd trailing rows/columns, and every element of a
+    window coded 4 or more, get zero."""
     b, c, h, w = x_shape
     oh, ow = gy.shape[2], gy.shape[3]
     # One pass writes the buffer in order: each window element gets the

@@ -19,14 +19,24 @@ training, the loss gradient is.  The result, bit for bit the one a
 fresh array gets, is then written over that array (BatchNorm: over its
 channel rows, which are the array itself when it is batch-innermost).
 No context keeps its layer's output, so no context sees such a write.
+The model's forward loops pass two more keywords: ``pooled`` to a ReLU
+directly before a :class:`MaxPool2x2` and ``after_relu`` to that pool,
+whose window codes then carry the ReLU's mask (its backward hands the
+upstream on), and ``keep_patches=False`` to a first Conv2d in training.
 
 A context keeps only what its layer's later passes read.  In train mode
-that includes what ``param_grads`` reads: the input of :class:`Dense`
-and :class:`Conv2d`, and BatchNorm's x̂.  An eval-mode context keeps no
-input, only what the backward reads (ReLU's mask, pooling's window
-codes, BatchNorm's scale, Conv2d's input shape, nothing for Dense), and
-``param_grads`` refuses it.  So an attack's head pass holds no layer
-input past the forward that reads it.
+that includes what ``param_grads`` reads: the input of :class:`Dense`,
+the input and patch matrix of :class:`Conv2d`, and BatchNorm's x̂.
+Between ``param_grads`` and ``backward`` a train context shares work:
+BatchNorm's Σgy and Σgy·x̂, kept with the upstream array they were taken
+from (which the caller must not write between the two calls), and
+Conv2d's patch matrix, which a backward after ``param_grads`` writes
+its columns over.  Either call, in any order and with any upstream,
+gives the bits a fresh context gives.  An eval-mode context keeps no
+input, only what the backward reads (ReLU's mask, unless ``pooled``,
+pooling's window codes, BatchNorm's scale, Conv2d's input shape,
+nothing for Dense), and ``param_grads`` refuses it.  So an attack's
+head pass holds no layer input past the forward that reads it.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from .kernels import (
     conv2d_param_grad,
     maxpool2_backward,
     maxpool2_forward,
+    patch_shape,
 )
 
 
@@ -161,7 +172,7 @@ class Conv2d(Layer):
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, *, keep_patches=True):
         _check_rank("conv2d", x, 4)
         if x.shape[1] != self.in_channels:
             raise ShapeMismatchError(
@@ -172,20 +183,38 @@ class Conv2d(Layer):
             raise ShapeMismatchError(
                 f"conv2d: input {x.shape[2]}x{x.shape[3]} smaller than kernel"
             )
-        # converted once: the forward and, in train mode, the weight
-        # gradient read it as is; the backward reads only its shape
+        # converted once: the forward reads it as is, and in train mode so
+        # does param_grads when no patch matrix is kept; the backward
+        # reads only its shape
         x = batch_inner(x)
-        y = conv2d_forward(x, self.weight, self.bias, padding=self.padding)
-        return y, (x if train else None, x.shape)
+        if not (train and keep_patches):
+            y = conv2d_forward(x, self.weight, self.bias, padding=self.padding)
+            return y, (x if train else None, x.shape, [None, False])
+        # The patch matrix is built once, in a buffer the context keeps as
+        # [buffer, read]: param_grads reads it and sets ``read``, and a
+        # backward after that writes its columns over it and drops it.  A
+        # param_grads after that, or after ``keep_patches=False``, builds
+        # the matrix from x again.
+        k = self.kernel_size
+        cols = np.empty(patch_shape(x.shape, k, k, self.padding))
+        y = conv2d_forward(x, self.weight, self.bias, padding=self.padding,
+                           cols=cols)
+        return y, (x, x.shape, [cols, False])
 
     def backward(self, ctx, gy):
-        _, x_shape = ctx
-        return conv2d_input_grad(gy, self.weight, x_shape, padding=self.padding)
+        _, x_shape, kept = ctx
+        spare = None
+        if kept[1]:
+            spare, kept[:] = kept[0], [None, False]
+        return conv2d_input_grad(gy, self.weight, x_shape,
+                                 padding=self.padding, cols=spare)
 
     def param_grads(self, ctx, gy):
-        x, _ = ctx
+        x, _, kept = ctx
         _check_train_ctx("conv2d", x)
-        gw, gb = conv2d_param_grad(x, gy, self.weight.shape, padding=self.padding)
+        gw, gb = conv2d_param_grad(x, gy, self.weight.shape,
+                                   padding=self.padding, cols=kept[0])
+        kept[1] = kept[0] is not None
         return {"weight": gw, "bias": gb}
 
 
@@ -198,14 +227,19 @@ class ReLU(Layer):
     # the -0.0 fmax may keep into +0.0, and the backward multiplies the
     # upstream's bits, as uint64 words, by the 0/1 mask.  With
     # ``overwrite`` both write their result over the array they are given.
-    def forward(self, x, train=False, *, overwrite=False):
-        mask = x > 0
+    # With ``pooled`` the next layer is a MaxPool2x2 told ``after_relu``,
+    # whose window codes route nothing where this mask is 0: the forward
+    # keeps no mask, and the backward hands the upstream on as it is.
+    def forward(self, x, train=False, *, overwrite=False, pooled=False):
+        mask = None if pooled else x > 0
         y = np.fmax(x, 0.0, out=x if overwrite else None)
         y += 0.0
         return y, (mask,)
 
     def backward(self, ctx, gy, *, overwrite=False):
         (mask,) = ctx
+        if mask is None:
+            return gy
         bits = as_tensor(gy).view(np.uint64)
         gx = np.multiply(bits, mask, out=bits if overwrite else None)
         return gx.view(np.float64)
@@ -220,13 +254,15 @@ class MaxPool2x2(Layer):
 
     kind = "maxpool2x2"
 
-    def forward(self, x, train=False):
+    # ``after_relu``: x is the output of a ReLU told ``pooled``, whose mask
+    # the window codes take over (kernels.maxpool2_forward)
+    def forward(self, x, train=False, *, after_relu=False):
         _check_rank("maxpool2x2", x, 4)
         if x.shape[2] < 2 or x.shape[3] < 2:
             raise ShapeMismatchError(
                 f"maxpool2x2: input {x.shape[2]}x{x.shape[3]} smaller than window"
             )
-        y, idx = maxpool2_forward(x)
+        y, idx = maxpool2_forward(x, after_relu=after_relu)
         return y, (idx, x.shape)
 
     def backward(self, ctx, gy):
@@ -322,7 +358,7 @@ class BatchNorm(Layer):
             y = np.multiply(rows, scale[:, None],
                             out=rows if overwrite else None)
             y += shift[:, None]
-            return _from_rows(y, x.shape), (None, scale, x.shape)
+            return _from_rows(y, x.shape), (None, scale, x.shape, None)
         # xhat, kept until the backward, is allocated before y, which the
         # next layer frees; y first raised train-cnn's peak RSS by ~2 MB
         xhat = np.empty_like(rows)
@@ -340,18 +376,37 @@ class BatchNorm(Layer):
         m = self.momentum
         self.running_mean = (1 - m) * self.running_mean + m * mean
         self.running_var = (1 - m) * self.running_var + m * var
-        return _from_rows(y, x.shape), (xhat, inv, x.shape)
+        return _from_rows(y, x.shape), (xhat, inv, x.shape, [])
+
+    def _sums(self, ctx, gy, g=None):
+        # Σgy and Σgy·x̂ per channel of a train context, taken once per
+        # upstream array: the context's list keeps [gy, Σgy, Σgy·x̂] of
+        # the last upstream summed, and gy's channel rows ``g`` are taken
+        # only when the sums are
+        xhat, _, _, kept = ctx
+        if kept and kept[0] is gy:
+            return kept[1], kept[2]
+        g = self._rows(gy) if g is None else g
+        sum_g, sum_gx = np.empty(self.channels), np.empty(self.channels)
+        for s in self._blocks(g.shape[1]):
+            sum_g[s] = g[s].sum(axis=1)
+            sum_gx[s] = _row_dot(g[s], xhat[s])
+        kept[:] = [gy, sum_g, sum_gx]
+        return sum_g, sum_gx
 
     def backward(self, ctx, gy, *, overwrite=False):
-        # train ctx: (xhat rows, 1/std of the batch, shape); eval: (None,
-        # scale, shape)
-        xhat, per_channel, shape = ctx
+        # train ctx: (xhat rows, 1/std of the batch, shape, the sums of
+        # _sums); eval: (None, scale, shape, None)
+        xhat, per_channel, shape, kept = ctx
         g = self._rows(gy)
         if xhat is None:
             gx = np.multiply(g, per_channel[:, None],
                              out=g if overwrite else None)
             return _from_rows(gx, shape)
         n = g.shape[1]
+        sum_g, sum_gx = self._sums(ctx, gy, g)
+        if overwrite:  # gy's values are written over below
+            kept.clear()
         gx = g if overwrite else np.empty_like(g)
         blocks = self._blocks(n)
         # Batch statistics depend on x, so the gradient couples the batch:
@@ -364,22 +419,16 @@ class BatchNorm(Layer):
         scratch = np.empty((blocks[0].stop, n))
         for s in blocks:
             gb, xb, sc = g[s], xhat[s], scale[s]
-            sum_g, sum_gx = gb.sum(axis=1), _row_dot(gb, xb)
             term = np.multiply(gb, sc[:, None], out=scratch[: len(sc)])
-            out = np.multiply(xb, (-sc * sum_gx / n)[:, None], out=gx[s])
+            out = np.multiply(xb, (-sc * sum_gx[s] / n)[:, None], out=gx[s])
             out += term
-            out += (-sc * sum_g / n)[:, None]
+            out += (-sc * sum_g[s] / n)[:, None]
         return _from_rows(gx, shape)
 
     def param_grads(self, ctx, gy):
-        xhat = ctx[0]
-        _check_train_ctx("batchnorm", xhat)
-        g = self._rows(gy)
-        gamma, beta = np.empty(self.channels), np.empty(self.channels)
-        for s in self._blocks(g.shape[1]):
-            beta[s] = g[s].sum(axis=1)
-            gamma[s] = _row_dot(g[s], xhat[s])
-        return {"gamma": gamma, "beta": beta}
+        _check_train_ctx("batchnorm", ctx[0])
+        sum_g, sum_gx = self._sums(ctx, gy)
+        return {"gamma": sum_gx.copy(), "beta": sum_g.copy()}
 
 
 def _from_rows(rows, shape):

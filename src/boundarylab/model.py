@@ -68,10 +68,27 @@ def _owning(layers, owned=False):
         owned = owned or not isinstance(layer, Flatten)
 
 
+def _pooling(passes):
+    """A forward loop's (layer, keyword arguments) ``passes`` with each
+    ReLU directly before a MaxPool2x2 told ``pooled`` and that pool
+    ``after_relu``: the pool's window codes then carry the ReLU's mask,
+    so the ReLU keeps none and its backward hands the upstream on.  The
+    pool's value is positive exactly where the mask at the element it
+    routes to is 1, so every result keeps its bits."""
+    passes = list(passes)
+    for i, ((layer, kw), (after, kw_after)) in enumerate(
+            zip(passes, passes[1:])):
+        if isinstance(layer, ReLU) and isinstance(after, MaxPool2x2):
+            passes[i] = (layer, {**kw, "pooled": True})
+            passes[i + 1] = (after, {**kw_after, "after_relu": True})
+    return tuple(passes)
+
+
 @dataclass(frozen=True)
 class _Passes:
     """The (layer, keyword arguments) pairs of the model's own layer
-    loops, in the order each loop runs, from :func:`_owning`."""
+    loops, in the order each loop runs, from :func:`_owning` and, for
+    the forward loops, :func:`_pooling`."""
 
     head_forward: tuple
     head_backward: tuple
@@ -115,9 +132,15 @@ class Classifier:
     def _passes(self):
         # once per classifier: its layer list is fixed at construction
         layers, head = self.layers, self.layers[:-1]
-        return _Passes(head_forward=tuple(_owning(head)),
+        first, *rest = _pooling(_owning(layers))
+        if isinstance(first[0], Conv2d):
+            # training takes no input gradient of its first layer, which
+            # would write over a kept patch matrix, so the matrix is built
+            # again for param_grads instead of kept through the step
+            first = (first[0], {**first[1], "keep_patches": False})
+        return _Passes(head_forward=_pooling(_owning(head)),
                        head_backward=tuple(_owning(reversed(head))),
-                       train_forward=tuple(_owning(layers)),
+                       train_forward=(first, *rest),
                        train_backward=tuple(_owning(reversed(layers),
                                                     owned=True)))
 
@@ -496,6 +519,10 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                     vel = momentum * vel - lr * grad
                     velocity[key] = vel
                     params[name] += vel
+            # freed here, not when the next step overwrites them: the
+            # contexts and the last input gradient would otherwise stay
+            # through the next step's attack and forward
+            del ctxs, g
             _check_finite(clf, epoch, step)
             step += 1
     clf.meta.update({

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ def test_config_keeps_the_checked_values():
         f.name: float if f.name in ("epsilon", "alpha", "eta_init") else int
         for f in dataclasses.fields(cfg)}
     assert type(attacks.AttackConfig(epsilon=0, alpha=1).eta_init) is float
+    # numpy's narrower floats are checked for finiteness without the
+    # overflow warning that a float32 comparison with the largest double
+    # gives
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        narrow = attacks.AttackConfig(epsilon=np.float32(0.25),
+                                      alpha=np.float16(0.5),
+                                      eta_init=np.float32(2))
+    assert (narrow.epsilon, narrow.alpha, narrow.eta_init) == (0.25, 0.5, 2.0)
+    assert type(narrow.epsilon) is float
 
 
 def test_budget_split_preserves_total():
@@ -80,10 +91,14 @@ def test_budget_split_preserves_total():
         split = cfg.with_budget_split(k)
         assert split.n_init == k
         assert split.n_init + split.n_attack == 10
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_init 11 outside budget 0\.\.10$"):
         cfg.with_budget_split(11)
     with pytest.raises(ValueError):
         cfg.with_budget_split(-1)
+    # the kind is checked before the range is compared
+    with pytest.raises(TypeError, match="^n_init: expected int, got str$"):
+        cfg.with_budget_split("3")
+    assert type(cfg.with_budget_split(np.int64(4)).n_init) is int
 
 
 # -- random start --------------------------------------------------------

@@ -804,7 +804,12 @@ def test_bad_dataset_size_is_config_error(trained, capsys, dataset, key):
      "dataset.classes: expected list, got str"),
     ({"dataset": dict(TEST_BLOBS, keep=[1.5, 2])},
      "dataset.keep[0]: expected int, got float"),
-], ids=["sample-n-above-size", "classes-float", "classes-str", "keep-float"])
+    ({"dataset": dict(TEST_BLOBS, keep=[])},
+     "dataset.keep: must name at least one class"),
+    ({"dataset": dict(TEST_BLOBS, keep=[1, 7])},
+     "dataset.keep: classes [7] not present (have [0, 1, 2])"),
+], ids=["sample-n-above-size", "classes-float", "classes-str", "keep-float",
+        "keep-empty", "keep-absent"])
 def test_dataset_values_are_refused_by_their_path(trained, capsys, extra,
                                                   message):
     root, ckpt = trained

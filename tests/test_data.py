@@ -286,6 +286,15 @@ def test_data_functions_refuse_what_they_used_to_truncate(make, error,
         make()
 
 
+@pytest.mark.parametrize("keep, message", [
+    ([], "keep: must name at least one class"),
+    ([1, 7], "keep: classes [7] not present (have [0, 1, 2, 3])"),
+], ids=["empty", "absent"])
+def test_filter_classes_refusals_name_keep(keep, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        data.filter_classes(make_tiny(), keep)
+
+
 def test_blobs_use_the_checked_separation():
     a = data.make_blobs(3, 2, 2, 4, 0)
     b = data.make_blobs(3, 2, 2, 4.0, 0)

@@ -174,3 +174,57 @@ def test_empty_batch_round_trips():
     p, idx = kernels.maxpool2_forward(x)
     assert p.shape == idx.shape == (0, 2, 3, 3)
     assert kernels.maxpool2_backward(p, idx, x.shape).shape == x.shape
+
+
+def _specials(rng, shape):
+    # NaN, +-inf, +-0.0 and ties among normal values
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.3] = 0.0
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0])
+    pick = rng.random(shape) < 0.3
+    x[pick] = rng.choice(special, pick.sum())
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("b", [0, 1, 37])
+@pytest.mark.parametrize("ci,h,co,padding", [(1, 16, 16, 0), (16, 7, 32, 0),
+                                             (2, 5, 3, 1)])
+def test_a_kept_patch_matrix_gives_the_same_bits(rng, b, ci, h, co, padding):
+    # the forward builds the patch matrix in ``cols``, the weight gradient
+    # reads it, and the input gradient then writes its columns over it
+    x = _specials(rng, (b, ci, h, h))
+    w, bias = rng.standard_normal((co, ci, 3, 3)), rng.standard_normal(co)
+    gy = _specials(rng, (b, co, h + 2 * padding - 2, h + 2 * padding - 2))
+    cols = np.full(kernels.patch_shape(x.shape, 3, 3, padding), np.nan)
+    y = kernels.conv2d_forward(x, w, bias, padding, cols=cols)
+    assert y.tobytes() == kernels.conv2d_forward(x, w, bias, padding).tobytes()
+    assert cols.tobytes() == kernels._patches(x, 3, 3, padding)[0].tobytes()
+    for got, want in zip(
+            kernels.conv2d_param_grad(x * np.nan, gy, w.shape, padding,
+                                      cols=cols),
+            kernels.conv2d_param_grad(x, gy, w.shape, padding)):
+        assert got.tobytes() == want.tobytes()
+    gx = kernels.conv2d_input_grad(gy, w, x.shape, padding, cols=cols)
+    assert gx.tobytes() == kernels.conv2d_input_grad(
+        gy, w, x.shape, padding).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 1, 5, 7), (3, 2, 2, 2),
+                                   (2, 2, 7, 6)])
+def test_pool_after_relu_folds_the_relu_mask_into_its_codes(rng, shape):
+    from boundarylab.layers import ReLU
+
+    relu = ReLU()
+    r, ctx = relu.forward(_specials(rng, shape))
+    y, idx = kernels.maxpool2_forward(r)
+    gy = _specials(rng, y.shape)
+    want = relu.backward(ctx, kernels.maxpool2_backward(gy, idx, shape))
+    folded, codes = kernels.maxpool2_forward(r, after_relu=True)
+    assert folded.tobytes() == y.tobytes()
+    # a window whose max is not positive is coded 4 or more: it routes
+    # nothing, as the ReLU's mask at its routed element is 0
+    np.testing.assert_array_equal(codes, np.where(y > 0, idx, idx + 4))
+    assert codes.dtype == np.uint8
+    assert kernels.maxpool2_backward(gy, codes, shape).tobytes() == \
+        want.tobytes()

@@ -460,6 +460,93 @@ def test_batchnorm_in_place_equals_out_of_place(rng, shape, layout, train,
     assert np.shares_memory(gx_in, gy_in) == (layout == "batch-inner")
 
 
+# call orders of a train context's two gradient passes, each call with
+# upstream 0 or 1
+_CALL_ORDERS = {
+    "backward-first": [("backward", 0), ("param_grads", 0)],
+    "param-grads-first": [("param_grads", 0), ("backward", 0)],
+    "second-upstream": [("param_grads", 0), ("backward", 0),
+                        ("param_grads", 1), ("backward", 1),
+                        ("param_grads", 0)],
+    "interleaved": [("param_grads", 0), ("backward", 1), ("backward", 0),
+                    ("param_grads", 1), ("param_grads", 0)],
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("order", list(_CALL_ORDERS))
+@pytest.mark.parametrize("name", ["conv-padded", "conv-valid",
+                                  "batchnorm-2d", "batchnorm-4d"])
+def test_train_context_gives_fresh_bits_in_any_call_order(name, order, rng):
+    # BatchNorm shares its two sums and Conv2d its patch matrix between
+    # param_grads and backward; each call still gets the bits it gets on
+    # a context no other call has used
+    layer, shape = next((l, s) for n, l, s in _cases(rng) if n == name)
+    x = _with_specials(rng, shape) if name.startswith("conv") else \
+        rng.standard_normal(shape)
+    y, ctx = copy.deepcopy(layer).forward(x, train=True)
+    gys = [_with_specials(rng, y.shape), rng.standard_normal(y.shape)]
+
+    def as_bytes(out):
+        if isinstance(out, dict):
+            return {k: v.tobytes() for k, v in out.items()}
+        return out.tobytes()
+
+    for method, u in _CALL_ORDERS[order]:
+        _, fresh = copy.deepcopy(layer).forward(x, train=True)
+        got = getattr(layer, method)(ctx, gys[u])
+        want = getattr(layer, method)(fresh, gys[u])
+        assert as_bytes(got) == as_bytes(want), (method, u)
+
+
+@pytest.mark.parametrize("shape", [(5000, 16), (50, 16, 10, 10)])
+def test_batchnorm_takes_its_sums_once_per_upstream(monkeypatch, rng, shape):
+    calls = []
+    row_dot = layers._row_dot
+    monkeypatch.setattr(layers, "_row_dot",
+                        lambda a, b: calls.append(1) or row_dot(a, b))
+    bn = layers.BatchNorm(shape[1])
+    layout = "batch-inner" if len(shape) == 4 else "c"
+    x, gy, other = (_laid_out(rng.standard_normal(shape), layout)
+                    for _ in range(3))
+    _, ctx = bn.forward(x, train=True)
+    blocks = len(calls)  # one variance dot per block
+    assert blocks > 1
+    bn.param_grads(ctx, gy)
+    bn.backward(ctx, gy)
+    assert len(calls) == 2 * blocks  # Σgy·x̂ once for both
+    bn.backward(ctx, other)
+    assert len(calls) == 3 * blocks  # a new upstream is summed again
+    # an overwriting backward writes gy's rows, so the parameter
+    # gradients after it sum what it left there, as a fresh context would
+    _, fresh = copy.deepcopy(bn).forward(x, train=True)
+    bn.param_grads(ctx, gy)
+    gx = bn.backward(ctx, gy, overwrite=True)
+    assert np.shares_memory(gx, gy) == (len(shape) == 4)
+    assert {k: v.tobytes() for k, v in bn.param_grads(ctx, gy).items()} == {
+        k: v.tobytes() for k, v in bn.param_grads(fresh, gy.copy()).items()}
+
+
+@pytest.mark.parametrize("keep_patches", [True, False])
+def test_conv_builds_its_patch_matrix_once(monkeypatch, rng, keep_patches):
+    from boundarylab import kernels
+
+    built = []
+    patches = kernels._patches
+    monkeypatch.setattr(kernels, "_patches",
+                        lambda *a, **k: built.append(1) or patches(*a, **k))
+    conv = layers.Conv2d(2, 3, 3, padding=1, rng=rng)
+    y, ctx = conv.forward(rng.standard_normal((4, 2, 5, 5)), train=True,
+                          keep_patches=keep_patches)
+    gy = rng.standard_normal(y.shape)
+    conv.param_grads(ctx, gy)
+    assert len(built) == (1 if keep_patches else 2)
+    conv.backward(ctx, gy)  # writes its columns over the kept matrix
+    conv.param_grads(ctx, gy)  # so this one builds it again
+    assert len(built) == (2 if keep_patches else 3)
+    assert ctx[2] == [None, False]
+
+
 @pytest.mark.parametrize("name", ["dense", "conv-valid", "maxpool",
                                   "flatten"])
 def test_only_relu_and_batchnorm_take_overwrite(name, rng):

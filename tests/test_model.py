@@ -169,6 +169,78 @@ def test_head_passes_equal_the_pure_layer_loop(name, train, rng):
     assert clf.head_forward(x).tobytes() == want_v.tobytes()
 
 
+def _specials(rng, shape):
+    # NaN, +-inf and +-0.0 among normal values
+    x = rng.standard_normal(shape)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    pick = rng.random(shape) < 0.2
+    x[pick] = rng.choice(special, pick.sum())
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("shape", [(1, 16, 16), (2, 17, 15)],
+                         ids=["even", "odd"])
+def test_pooled_relu_head_pass_equals_the_unfused_loop(rng, shape, train):
+    # the head passes fold each ReLU's mask into the next pool's codes;
+    # the layer loop without keywords keeps the mask in the ReLU
+    clf = model.small_cnn(k=3, n=2, input_shape=shape, seed=3)
+    for layer in clf.layers:  # running statistics away from identity
+        if isinstance(layer, layers.BatchNorm):
+            layer.running_mean[:] = rng.normal(size=layer.channels)
+            layer.running_var[:] = rng.uniform(0.5, 2.0, layer.channels)
+    pure = copy.deepcopy(clf)
+    x = _specials(rng, (9, *shape))
+    v, ctxs = clf.head_forward_with_ctx(x, train=train)
+    gv = _specials(rng, v.shape)
+    want_v, want_g = _pure_head_pass(pure, x, gv, train)
+    assert v.tobytes() == want_v.tobytes()
+    for _ in range(2):
+        assert clf.head_backward(ctxs, gv).tobytes() == want_g.tobytes()
+    if not train:
+        assert clf.head_forward(x).tobytes() == want_v.tobytes()
+
+
+def test_a_pooled_relu_keeps_no_mask(rng):
+    clf = model.small_cnn(k=3, n=2, input_shape=(1, 16, 16))
+    _, ctxs = clf.head_forward_with_ctx(rng.uniform(0, 1, (4, 1, 16, 16)))
+    relus = [ctx for layer, ctx in zip(clf.layers, ctxs)
+             if isinstance(layer, layers.ReLU)]
+    assert relus == [(None,), (None,)]
+    assert not any(isinstance(a, np.ndarray) and a.dtype == bool
+                   for ctx in ctxs for a in ctx)
+    # an mlp's ReLU feeds a Dense, not a pool: it keeps its mask
+    mlp = model.mlp((1, 4, 4), 3, n=2, hidden=(6,))
+    _, ctxs = mlp.head_forward_with_ctx(rng.uniform(0, 1, (4, 1, 4, 4)))
+    assert ctxs[2][0].shape == (4, 6) and ctxs[2][0].dtype == bool
+
+
+def test_training_builds_each_patch_matrix_as_planned(monkeypatch):
+    ds = data.make_digits(4, classes=(0, 1, 2), size=16, seed=5)
+    clf = model.small_cnn(k=3, n=2, input_shape=(1, 16, 16), seed=1)
+    built, spare = [], []  # input channels of each matrix built; cols given
+    patches, input_grad = kernels._patches, layers.conv2d_input_grad
+
+    def recorded_patches(x, *args, **kwargs):
+        built.append(x.shape[1])
+        return patches(x, *args, **kwargs)
+
+    def recorded_input_grad(*args, cols=None, **kwargs):
+        spare.append(cols is not None)
+        return input_grad(*args, cols=cols, **kwargs)
+
+    monkeypatch.setattr(kernels, "_patches", recorded_patches)
+    monkeypatch.setattr(layers, "conv2d_input_grad", recorded_input_grad)
+    model.train(clf, ds, epochs=1, batch_size=12, seed=0)
+    # one step: conv1 and conv2 forward, then conv1's parameter gradients,
+    # which build conv1's matrix again: nothing takes conv1's input
+    # gradient, which would reuse it.  conv2's input gradient writes over
+    # the matrix its parameter gradients read.
+    assert built == [1, 16, 1]
+    assert spare == [True]
+
+
 @pytest.mark.parametrize("adversarial", [False, True],
                          ids=["train", "adv_train"])
 @pytest.mark.parametrize("name", list(_owned_heads()))
