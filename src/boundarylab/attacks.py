@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .data import _check_value
+from .data import _check_choice, _check_value
 from .geometry import nearest_boundary_batch
 from .layers import _row_dot, softmax_rows
 
@@ -392,7 +392,7 @@ def _phase(c, x_orig, y, config, start, workspace, checks, moves, stop,
                 grad_evals=evals(t))
         if live_set.rows.size == 0:
             break
-        v, ctxs = c.head_forward_with_ctx(live_set.x, train=False)
+        v, ctxs = c.head_forward_with_ctx(live_set.x)
         stopped, aux = stop(c, live_set, v)
         iters[live_set.rows[stopped]] = t
         if t == moves or stopped.all():
@@ -663,6 +663,12 @@ _METHODS = ("pgd", "fab")
 _SEED_MAX = 2**63 - 1  # restart seeds are formed in int64
 
 
+def check_strategy(method, init):
+    """Refuse a ``method`` or ``init`` outside its choices by name."""
+    _check_choice("method", method, _METHODS)
+    _check_choice("init", init, _INITS)
+
+
 def check_seeds(config, n):
     """Raise ValueError unless every restart seed of ``n`` examples fits.
 
@@ -705,10 +711,7 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
     A single split takes no capture.  ``keep_x=False`` keeps no
     adversarial points: ``x_adv`` is None.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method {method!r}: expected one of {_METHODS}")
-    if init not in _INITS:
-        raise ValueError(f"init {init!r}: expected one of {_INITS}")
+    check_strategy(method, init)
     x_batch = np.asarray(x_batch, dtype=np.float64)
     y_batch = np.asarray(y_batch)
     b = x_batch.shape[0]

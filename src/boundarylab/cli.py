@@ -232,10 +232,9 @@ def _dataset_from(cfg):
     """Build the dataset named by cfg["dataset"]; returns it with the
     fully resolved spec that produced it."""
     spec = _typed(cfg, "dataset", dict)
-    kind = _get(cfg, "dataset.kind")
-    if not isinstance(kind, str) or kind not in _DATASETS:
-        raise ConfigError(f"dataset.kind: {kind!r} is not one of "
-                          f"{'/'.join(_DATASETS)}")
+    with _named(""):
+        kind = data._check_choice("dataset.kind", _get(cfg, "dataset.kind"),
+                                  _DATASETS)
     error, prefix, fn, keys = _DATASETS[kind]
     resolved = {"kind": kind, **_resolve(cfg, "dataset", keys)}
     with _named(prefix, error):  # the data function names the key
@@ -331,11 +330,10 @@ def cmd_train(args):
     model_spec = _typed(cfg, "model", dict)
     name = _get(cfg, "model.preset")
     k = _typed(cfg, "model.k", *_PRESET_RULES["k"], default=ds.k)
-    if not isinstance(name, str) or name not in _PRESETS:
-        # checked first, as for a preset
-        _typed(cfg, "model.seed", *_PRESET_RULES["seed"], default=None)
-        raise ConfigError(f"model.preset: {name!r} is not one of "
-                          f"{'/'.join(_PRESETS)}")
+    # checked before the preset, as every preset reads it first
+    _typed(cfg, "model.seed", *_PRESET_RULES["seed"], default=None)
+    with _named(""):
+        data._check_choice("model.preset", name, _PRESETS)
     rank, kind, inputs, fn, keys = _PRESETS[name]
     preset = _resolve(cfg, "model", keys)
     if rank is not None and len(ds.input_shape) != rank:
@@ -390,11 +388,8 @@ def _evaluation(args, command):
     clf, ds, dspec = _model_and_dataset(cfg)
     config = _attack_from(cfg, "attack", args.seed)
     method, init = _get(cfg, "method", _METHOD), _get(cfg, "init", _INIT)
-    for key, value, choices in (("method", method, attacks._METHODS),
-                                ("init", init, attacks._INITS)):
-        if value not in choices:
-            raise ConfigError(
-                f"{key}: {value!r} is not one of {'/'.join(choices)}")
+    with _named(""):
+        attacks.check_strategy(method, init)
     run_config = {"command": command, "model_path": cfg["model_path"],
                   "dataset": dspec, "attack": asdict(config),
                   "method": method, "init": init, "seed": config.seed}
@@ -491,11 +486,9 @@ def cmd_verify(args):
         verify.validate_seed(seed)
     _refuse_unknown(cfg, "", _TOP_KEYS)
     results = verify.run_all(seed=seed)
-    failed = 0
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"{status}  {r.name}: {r.detail}")
-        failed += 0 if r.ok else 1
+        print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}")
+    failed = sum(not r.ok for r in results)
     if failed:
         print(f"{failed}/{len(results)} checks failed")
         return EXIT_INVARIANT

@@ -190,6 +190,15 @@ def _check_args(rules, **args):
             for name, value in args.items()]
 
 
+def _check_choice(name, value, choices):
+    """``value``, refused unless it is one of the strings ``choices``:
+    "<name>: <value!r> is not one of <a/b/...>" (ValueError)."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(
+            f"{name}: {value!r} is not one of {'/'.join(choices)}")
+    return value
+
+
 _KEEP_RULES = {"keep": ([int],)}
 
 
@@ -271,21 +280,16 @@ def make_blobs(n_per_class, k, d, separation, seed, *, center=0.5):
     # Unit-scale centers on a circle in the first two dims (line for d=1).
     centers = np.zeros((k, d))
     if d == 1:
-        for j in range(k):
-            centers[j, 0] = (j - (k - 1) / 2.0)
+        centers[:, 0] = np.arange(k) - (k - 1) / 2.0
         centers[:, 0] *= separation / max(1, k - 1)
     else:
         ang = 2.0 * np.pi * np.arange(k) / k
         radius = separation / 2.0
         centers[:, 0] = radius * np.cos(ang)
         centers[:, 1] = radius * np.sin(ang)
-    xs, ys = [], []
-    for j in range(k):
-        pts = centers[j] + rng.normal(0.0, 1.0, (n_per_class, d))
-        xs.append(pts)
-        ys.append(np.full(n_per_class, j, dtype=np.int64))
-    images = np.concatenate(xs)
-    labels = np.concatenate(ys)
+    images = np.concatenate([c + rng.normal(0.0, 1.0, (n_per_class, d))
+                             for c in centers])
+    labels = np.repeat(np.arange(k, dtype=np.int64), n_per_class)
     if center is not None:
         # Fit the cloud into the box: scale so centers plus a 4-sigma
         # fringe land inside, then shift to `center` and clip.

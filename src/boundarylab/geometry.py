@@ -74,8 +74,7 @@ def build_boundary_set(w, b):
     if b.shape != (k,):
         raise ValueError(f"bias must have shape ({k},), got {b.shape}")
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
+    ii, jj = np.array(pairs).T
     rows = w[ii] - w[jj]
     biases = b[ii] - b[jj]
     norms = np.linalg.norm(rows, axis=1)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .attacks import (_FIELD_RULES, BatchOutcome, check_seeds,
-                      run_restarts_batch)
+                      check_strategy, run_restarts_batch)
 from .data import _check_args
 
 
@@ -177,9 +177,10 @@ def _attack_splits(c, bs, dataset, config, method, init, n_init_values, *,
     of the whole dataset with a leading split axis, ``x_adv`` only when
     ``keep_x``.  Each chunk's correctly classified examples go through
     one ``run_restarts_batch`` call for all splits, and each chunk writes
-    only its own rows.  ``workers`` and ``chunk_size`` are refused by
-    name below 1.
+    only its own rows.  ``workers`` and ``chunk_size`` below 1 and an
+    unknown ``method`` or ``init`` are refused by name before any chunk.
     """
+    check_strategy(method, init)
     workers, chunk_size = _check_args(_RULES, workers=workers,
                                       chunk_size=chunk_size)
     n = len(dataset)
@@ -511,8 +512,8 @@ def export_representation_space(c, bs, dataset, outcome):
             f"outcome covers {outcome.x_adv.shape[0]} examples, dataset "
             f"has {n_ex}"
         )
-    v_orig = c.head_forward(dataset.images, train=False)
-    v_adv = c.head_forward(outcome.x_adv, train=False)
+    v_orig = c.head_forward(dataset.images)
+    v_adv = c.head_forward(outcome.x_adv)
     kinds = [(kind, v.tolist(), np.argmax(c.tail_forward(v), axis=1).tolist())
              for kind, v in (("original", v_orig), ("adversarial", v_adv))]
     records = tuple(

@@ -12,21 +12,20 @@ list explicitly.
 A layer method never writes the arrays it is given, unless it is passed
 ``overwrite=True``.  Only :class:`ReLU` and :class:`BatchNorm` take that
 keyword, on ``forward`` and ``backward``, and only the model's own layer
-loops pass it, for an array the model owns: one that a layer other than
-:class:`Flatten` produced.  The caller's input, the caller's
-representation gradient and Flatten's views of them are never owned; in
-training, the loss gradient is.  The result, bit for bit the one a
-fresh array gets, is then written over that array (BatchNorm: over its
-channel rows, which are the array itself when it is batch-innermost).
-No context keeps its layer's output, so no context sees such a write.
-The model's forward loops pass two more keywords: ``pooled`` to a ReLU
-directly before a :class:`MaxPool2x2` and ``after_relu`` to that pool,
-whose window codes then carry the ReLU's mask (its backward hands the
-upstream on), and ``keep_patches=False`` to a first Conv2d in training.
+loops pass it, for an array the model owns (``model._owning``).  The
+result, bit for bit the one a fresh array gets, is then written over
+that array (BatchNorm: over its channel rows, which are the array
+itself when it is batch-innermost).  The model's forward loops pass two
+more keywords: ``pooled`` to a ReLU directly before a
+:class:`MaxPool2x2` and ``after_relu`` to that pool (``model._pooling``),
+and ``keep_patches=False`` to a first Conv2d in training.
 
-A context keeps only what its layer's later passes read.  In train mode
-that includes what ``param_grads`` reads: the input of :class:`Dense`,
-the input and patch matrix of :class:`Conv2d`, and BatchNorm's x̂.
+Only training runs a layer in train mode: the model's head passes, and
+so every attack, prediction and export, run in eval mode.  A context
+keeps only what its layer's later passes read, never its output.  In
+train mode that includes what ``param_grads`` reads: the input of
+:class:`Dense`, the input and patch matrix of :class:`Conv2d`, and
+BatchNorm's x̂.
 Between ``param_grads`` and ``backward`` a train context shares work:
 BatchNorm's Σgy and Σgy·x̂, kept with the upstream array they were taken
 from (which the caller must not write between the two calls), and

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,12 +89,23 @@ def _pooling(passes):
 class _Passes:
     """The (layer, keyword arguments) pairs of the model's own layer
     loops, in the order each loop runs, from :func:`_owning` and, for
-    the forward loops, :func:`_pooling`."""
+    the forward loops, :func:`_pooling`; only ``train_forward`` passes
+    ``train=True``."""
 
     head_forward: tuple
     head_backward: tuple
     train_forward: tuple
     train_backward: tuple
+
+
+def _forward(passes, h, ctxs=None):
+    """``h`` through a plan's (layer, keyword arguments) ``passes``, each
+    context appended to ``ctxs`` if given and else freed as it goes."""
+    for layer, kw in passes:
+        h, ctx = layer.forward(h, **kw)
+        if ctxs is not None:
+            ctxs.append(ctx)
+    return h
 
 
 # Rows per block of ``Classifier.predict``, the harness's default chunk.
@@ -117,7 +129,8 @@ class Classifier:
     Everything before the tail is the head.  ``input_shape`` is the
     per-example shape; every method takes and returns batches, with the
     batch as the first dimension.  ``meta`` carries training provenance
-    into checkpoints.
+    into checkpoints.  Every head pass runs in eval mode: only training
+    moves a BatchNorm running statistic or keeps a patch matrix.
     """
 
     def __init__(self, layers, input_shape, meta=None):
@@ -132,15 +145,16 @@ class Classifier:
     def _passes(self):
         # once per classifier: its layer list is fixed at construction
         layers, head = self.layers, self.layers[:-1]
-        first, *rest = _pooling(_owning(layers))
-        if isinstance(first[0], Conv2d):
+        train = [(layer, {**kw, "train": True})
+                 for layer, kw in _pooling(_owning(layers))]
+        if isinstance(layers[0], Conv2d):
             # training takes no input gradient of its first layer, which
             # would write over a kept patch matrix, so the matrix is built
             # again for param_grads instead of kept through the step
-            first = (first[0], {**first[1], "keep_patches": False})
+            train[0][1]["keep_patches"] = False
         return _Passes(head_forward=_pooling(_owning(head)),
                        head_backward=tuple(_owning(reversed(head))),
-                       train_forward=(first, *rest),
+                       train_forward=tuple(train),
                        train_backward=tuple(_owning(reversed(layers),
                                                     owned=True)))
 
@@ -169,23 +183,15 @@ class Classifier:
         _box_warn(h)
         return h
 
-    def _head(self, h, train=False):
-        for layer, kw in self._passes.head_forward:  # each ctx freed as we go
-            h, _ = layer.forward(h, train=train, **kw)
-        return h
+    def head_forward(self, x):
+        """Run the head on a batch in eval mode; returns the
+        representations (B, N)."""
+        return _forward(self._passes.head_forward, self._checked(x))
 
-    def head_forward(self, x, train=False):
-        """Run the head on a batch; returns the representations (B, N)."""
-        return self._head(self._checked(x), train)
-
-    def head_forward_with_ctx(self, xb, train=False):
-        """Head forward keeping per-layer contexts for a later backward."""
-        h = xb
+    def head_forward_with_ctx(self, xb):
+        """Eval head forward keeping each context for :meth:`head_backward`."""
         ctxs = []
-        for layer, kw in self._passes.head_forward:
-            h, ctx = layer.forward(h, train=train, **kw)
-            ctxs.append(ctx)
-        return h, ctxs
+        return _forward(self._passes.head_forward, xb, ctxs), ctxs
 
     def head_backward(self, ctxs, gv):
         """Back-propagate a representation-space gradient to the input.
@@ -218,7 +224,8 @@ class Classifier:
         x = self._checked(x)
         labels = np.empty(len(x), dtype=np.intp)
         for lo in range(0, len(x), _PREDICT_ROWS):
-            z = self.tail_forward(self._head(x[lo:lo + _PREDICT_ROWS]))
+            z = self.tail_forward(_forward(self._passes.head_forward,
+                                           x[lo:lo + _PREDICT_ROWS]))
             labels[lo:lo + _PREDICT_ROWS] = np.argmax(z, axis=1)
         return labels
 
@@ -391,11 +398,8 @@ def mlp(input_shape, k, *, n=8, hidden=(32,), seed=0):
     k, n, seed, hidden = _check_args(_PRESET_RULES, k=k, n=n, seed=seed,
                                      hidden=hidden)
     rng = np.random.default_rng(seed)
-    d = 1
-    for s in input_shape:
-        d *= s
     layers = [Flatten()]
-    widths = [d, *hidden, n]
+    widths = [math.prod(input_shape), *hidden, n]
     for a, b in zip(widths[:-1], widths[1:]):
         layers.append(Dense(a, b, rng=rng))
         layers.append(ReLU())
@@ -413,16 +417,14 @@ def linear_model(d, k, *, weight=None, bias=None, seed=0):
     """
     k, d, seed = _check_args(_PRESET_RULES, k=k, d=d, seed=seed)
     tail = Dense(d, k, rng=np.random.default_rng(seed))
-    if weight is not None:
-        w = as_tensor(weight)
-        if w.shape != (k, d):
-            raise ShapeMismatchError(f"weight must be ({k}, {d}), got {w.shape}")
-        tail.weight = w.copy()
-    if bias is not None:
-        b = as_tensor(bias)
-        if b.shape != (k,):
-            raise ShapeMismatchError(f"bias must be ({k},), got {b.shape}")
-        tail.bias = b.copy()
+    for name, value, shape in (("weight", weight, (k, d)),
+                               ("bias", bias, (k,))):
+        if value is not None:
+            value = as_tensor(value)
+            if value.shape != shape:
+                raise ShapeMismatchError(
+                    f"{name} must be {shape}, got {value.shape}")
+            setattr(tail, name, value.copy())
     return Classifier([tail], (d,), meta={"preset": "linear"})
 
 
@@ -494,12 +496,9 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                     x.reshape(1, -1), attack_config.epsilon,
                     [seed * _START_STRIDE + step]).reshape(x.shape)
                 x = attacks.pgd_batch(clf, x, y, attack_config, start).x_adv
-            h = x
             ctxs = []
-            for layer, kw in passes.train_forward:
-                h, ctx = layer.forward(h, train=True, **kw)
-                ctxs.append(ctx)
-            loss, g = cross_entropy_with_logits(h, y)
+            z = _forward(passes.train_forward, x, ctxs)
+            loss, g = cross_entropy_with_logits(z, y)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step}"

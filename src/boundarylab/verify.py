@@ -16,6 +16,12 @@ import numpy as np
 from . import attacks, data, geometry, harness, layers, model
 
 
+def _within(tol, detail, *errors):
+    """A check's (ok, detail): ok when every one of ``errors`` is below
+    the check's constant tolerance ``tol``, which the detail names."""
+    return all(e < tol for e in errors), f"{detail}, tol {tol:g}"
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -56,7 +62,7 @@ def _layer_cases(rng):
     yield "flatten", layers.Flatten(), (3, 2, 4, 4)
 
 
-def check_layer_gradients(seed=0, tol=1e-5):
+def check_layer_gradients(seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_name = ""
@@ -73,11 +79,10 @@ def check_layer_gradients(seed=0, tol=1e-5):
         err = rel_err(gx, fd_grad(scalar, x))
         if err > worst:
             worst, worst_name = err, name
-    return (worst < tol,
-            f"worst rel err {worst:.2e} ({worst_name}), tol {tol:g}")
+    return _within(1e-5, f"worst rel err {worst:.2e} ({worst_name})", worst)
 
 
-def check_scalar_gradients(seed=0, tol=1e-5):
+def check_scalar_gradients(seed=0):
     rng = np.random.default_rng(seed)
     clf = model.mlp((6,), k=4, n=3, hidden=(8,), seed=seed)
     bs = geometry.boundary_set_for(clf)
@@ -92,7 +97,7 @@ def check_scalar_gradients(seed=0, tol=1e-5):
              bs, clf.head_forward(xq), 2)[0, 0]),
     ]
     worst = max(rel_err(g, fd_grad(f, x)) for g, f in cases)
-    return worst < tol, f"worst rel err {worst:.2e}, tol {tol:g}"
+    return _within(1e-5, f"worst rel err {worst:.2e}", worst)
 
 
 def check_antisymmetry(seed=0):
@@ -127,7 +132,7 @@ def check_partition(seed=0):
     )
 
 
-def check_distance_oracle(seed=0, tol=1e-9):
+def check_distance_oracle(seed=0):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((5, 4))
     b = rng.standard_normal(5)
@@ -147,11 +152,8 @@ def check_distance_oracle(seed=0, tol=1e-9):
         worst_on = max(worst_on, abs(dist(v - d * unit)))
         t = float(rng.uniform(0.1, 2.0))
         worst_shift = max(worst_shift, abs(dist(v + t * unit) - (d + t)))
-    return (
-        worst_on < tol and worst_shift < 1e-9,
-        f"on-boundary residual {worst_on:.2e}, shift error "
-        f"{worst_shift:.2e}, tol {tol:g}",
-    )
+    return _within(1e-9, f"on-boundary residual {worst_on:.2e}, "
+                   f"shift error {worst_shift:.2e}", worst_on, worst_shift)
 
 
 def lp_projection(x, w, b):
@@ -178,9 +180,10 @@ def lp_projection(x, w, b):
     return res.fun if res.success else None
 
 
-def check_projection_oracle(seed=0, tol=1e-6, instances=60):
+def check_projection_oracle(seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
+    instances = 60
     for _ in range(instances):
         d = int(rng.integers(1, 4))
         x = rng.uniform(0, 1, size=d)
@@ -195,14 +198,11 @@ def check_projection_oracle(seed=0, tol=1e-6, instances=60):
         if lp is None:
             return False, "LP reference failed to solve"
         worst = max(worst, abs(mine - lp))
-    return (
-        worst < tol,
-        f"worst objective gap {worst:.2e} over {instances} instances, "
-        f"tol {tol:g}",
-    )
+    return _within(1e-6, f"worst objective gap {worst:.2e} over "
+                   f"{instances} instances", worst)
 
 
-def check_linear_descent(seed=0, tol=1e-12):
+def check_linear_descent(seed=0):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((3, 6))
     b = rng.standard_normal(3)
@@ -218,7 +218,7 @@ def check_linear_descent(seed=0, tol=1e-12):
     x1, _ = attacks.boundary_init_batch(clf, bset, x, y, cfg, x.copy())
     d1 = geometry.signed_distances(bset, x1, y)[0, m[0]]
     err = abs((d0[0] - d1) - expected)
-    return err < tol, f"step decrease error {err:.2e}, tol {tol:g}"
+    return _within(1e-12, f"step decrease error {err:.2e}", err)
 
 
 def _threat_case(seed):

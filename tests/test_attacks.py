@@ -706,7 +706,7 @@ def _oracle_boundary_init(c, bs, x_orig, y, config, start):
     for _ in range(config.n_init):
         if active.size == 0:
             break
-        v, ctxs = c.head_forward_with_ctx(x[active], train=False)
+        v, ctxs = c.head_forward_with_ctx(x[active])
         m, dist = geometry.nearest_boundary_batch(bs, v, y[active])
         live = dist > 0.0
         if not live.any():
@@ -730,7 +730,7 @@ def _oracle_pgd(c, x_orig, y, config, start):
     for t in range(config.n_attack + 1):
         if active.size == 0:
             break
-        v, ctxs = c.head_forward_with_ctx(x[active], train=False)
+        v, ctxs = c.head_forward_with_ctx(x[active])
         z = v @ c.tail.weight.T + c.tail.bias
         flip = np.argmax(z, axis=1) != y[active]
         success[active[flip]] = True
@@ -765,7 +765,7 @@ def _oracle_fab(c, x_orig, y, config, start):
             break
         xa = x[active]
         na = active.size
-        v, ctxs = c.head_forward_with_ctx(xa, train=False)
+        v, ctxs = c.head_forward_with_ctx(xa)
         z = v @ wt.T + wb
         flip = np.argmax(z, axis=1) != y[active]
         success[active[flip]] = True
@@ -845,9 +845,9 @@ def test_live_set_loops_match_gather_scatter(which, budget, monkeypatch,
     calls = []
     forward, nearest = c.head_forward_with_ctx, geometry.nearest_boundary_batch
 
-    def counted_forward(xb, train=False):
+    def counted_forward(xb):
         calls.append(("head_forward", xb.shape[0]))
-        return forward(xb, train=train)
+        return forward(xb)
 
     def counted_nearest(bs, v, y):
         calls.append(("nearest_boundary", v.shape[0]))
@@ -1332,7 +1332,7 @@ def test_phase_counts_each_rows_moves_from_its_stop_check(rng):
     def move(live_set, ctxs, aux, live):
         live_set.step(np.ones((live.size, 3)), 0.01, live)
 
-    c = types.SimpleNamespace(head_forward_with_ctx=lambda x, train: (x, None))
+    c = types.SimpleNamespace(head_forward_with_ctx=lambda x: (x, None))
     captured = dict.fromkeys(range(5))
     seg = attacks._phase(c, x, np.zeros(stop_at.size, dtype=np.int64), cfg,
                          x, None, 5, 5, stop, move, captured)

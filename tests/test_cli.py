@@ -537,6 +537,22 @@ def test_bad_method_is_config_error(tmp_path, trained, capsys):
     assert "cw" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["attack", "sweep", "export-repr"])
+@pytest.mark.parametrize("key, value, message", [
+    ("method", "cw", "method: 'cw' is not one of pgd/fab"),
+    ("init", "odi", "init: 'odi' is not one of none/random/boundary"),
+    ("method", 3, "method: 3 is not one of pgd/fab"),
+], ids=["method", "init", "method-int"])
+def test_unknown_method_or_init_is_refused_by_name(trained, capsys, command,
+                                                   key, value, message):
+    root, ckpt = trained
+    cfg, out = attack_config(root, ckpt, f"unknown-{command}-{key}.out",
+                             sweep={"n_init_values": [0]}, **{key: value})
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_model_file_is_io_error(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({

@@ -175,6 +175,39 @@ def test_sweep_refuses_splits_and_seeds_it_used_to_truncate(
                              quick_attack_config, values, seeds=seeds)
 
 
+@pytest.mark.parametrize("entry", ["evaluate", "attack_dataset",
+                                   "sweep_n_init", "run_restarts_batch"])
+@pytest.mark.parametrize("method, init, message", [
+    ("bogus", "boundary", "method: 'bogus' is not one of pgd/fab"),
+    ("pgd", "nonsense", "init: 'nonsense' is not one of none/random/boundary"),
+    ("bogus", "nonsense", "method: 'bogus' is not one of pgd/fab"),
+], ids=["method", "init", "both"])
+def test_unknown_method_or_init_is_refused_with_nothing_to_attack(
+        blobs_mlp, blobs_boundaries, blobs_test, quick_attack_config, entry,
+        method, init, message):
+    # every label is wrong, so no chunk has an example to attack: the
+    # refusal cannot wait for one
+    wrong = data.Dataset(
+        images=blobs_test.images,
+        labels=(blobs_mlp.predict(blobs_test.images) + 1) % blobs_mlp.k)
+    calls = {
+        "evaluate": lambda: harness.evaluate(
+            blobs_mlp, blobs_boundaries, wrong, quick_attack_config,
+            method=method, init=init),
+        "attack_dataset": lambda: harness.attack_dataset(
+            blobs_mlp, blobs_boundaries, wrong, quick_attack_config,
+            method=method, init=init),
+        "sweep_n_init": lambda: harness.sweep_n_init(
+            blobs_mlp, blobs_boundaries, wrong, quick_attack_config, [0, 1],
+            method=method, init=init),
+        "run_restarts_batch": lambda: attacks.run_restarts_batch(
+            blobs_mlp, blobs_boundaries, wrong.images[:0], wrong.labels[:0],
+            quick_attack_config, method=method, init=init),
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calls[entry]()
+
+
 def test_sweep_takes_numpy_ints_as_ints(blobs_mlp, blobs_boundaries,
                                         blobs_test, quick_attack_config):
     sw = harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test,

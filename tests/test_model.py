@@ -39,10 +39,10 @@ def test_cnn_preset_maps_image_to_plane():
     assert clf.k == 4 and clf.n == 2
 
 
-@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
-@pytest.mark.parametrize("channels", [1, 3])
+# "-eval" in the ids: a head pass runs in eval mode only
+@pytest.mark.parametrize("channels", [1, 3], ids=["1-eval", "3-eval"])
 def test_cnn_head_is_batch_innermost_inside_and_c_order_outside(
-        monkeypatch, rng, channels, train):
+        monkeypatch, rng, channels):
     # From conv1's output to Flatten's input, and back from pool2's
     # gradient to conv1's, every activation is a batch-first view of a
     # batch-innermost buffer; what the head hands out is C-order batch-first
@@ -51,8 +51,8 @@ def test_cnn_head_is_batch_innermost_inside_and_c_order_outside(
                 if layer.kind == "flatten")
     inside = []
     for layer in clf.layers[:flat + 1]:
-        def forward(x, train=False, _run=layer.forward, **kwargs):
-            y, ctx = _run(x, train=train, **kwargs)
+        def forward(x, _run=layer.forward, **kwargs):
+            y, ctx = _run(x, **kwargs)
             inside.append(y)
             return y, ctx
 
@@ -63,7 +63,7 @@ def test_cnn_head_is_batch_innermost_inside_and_c_order_outside(
         monkeypatch.setattr(layer, "forward", forward)
         monkeypatch.setattr(layer, "backward", backward)
     x = rng.uniform(0, 1, (5, channels, 16, 16))
-    v, ctxs = clf.head_forward_with_ctx(x, train=train)
+    v, ctxs = clf.head_forward_with_ctx(x)
     g = clf.head_backward(ctxs, rng.standard_normal(v.shape))
     inside.pop(flat)  # Flatten's own output is a row batch
     assert len(inside) == 2 * flat + 1
@@ -117,12 +117,13 @@ def _caller_input(name, clf, rng, rows=7):
     return kernels.batch_inner(x) if name == "batchnorm-first" else x
 
 
-def _pure_head_pass(clf, x, gv, train):
+def _pure_head_pass(clf, x, gv):
     # the head's layer loops with every layer method called as a caller
-    # would, without overwrite: the oracle of the model's in-place loops
+    # would, in eval mode and without overwrite: the oracle of the
+    # model's in-place loops
     h, ctxs = x, []
     for layer in clf.layers[:-1]:
-        h, ctx = layer.forward(h, train=train)
+        h, ctx = layer.forward(h)
         ctxs.append(ctx)
     g = gv
     for layer, ctx in zip(reversed(clf.layers[:-1]), reversed(ctxs)):
@@ -131,14 +132,14 @@ def _pure_head_pass(clf, x, gv, train):
 
 
 @pytest.mark.filterwarnings("ignore:input outside")
-@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
-@pytest.mark.parametrize("name", list(_owned_heads()))
-def test_head_passes_leave_the_callers_arrays_alone(name, train, rng):
+@pytest.mark.parametrize("name", list(_owned_heads()),
+                         ids=lambda name: f"{name}-eval")
+def test_head_passes_leave_the_callers_arrays_alone(name, rng):
     clf = _owned_heads()[name]
     x = _caller_input(name, clf, rng)
     x0 = x.tobytes()
-    clf.head_forward(x, train=train)
-    v, ctxs = clf.head_forward_with_ctx(x, train=train)
+    clf.head_forward(x)
+    v, ctxs = clf.head_forward_with_ctx(x)
     gv = rng.standard_normal(v.shape)
     gv0 = gv.tobytes()
     clf.head_backward(ctxs, gv)
@@ -148,25 +149,48 @@ def test_head_passes_leave_the_callers_arrays_alone(name, train, rng):
 
 
 @pytest.mark.filterwarnings("ignore:input outside")
-@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
-@pytest.mark.parametrize("name", list(_owned_heads()))
-def test_head_passes_equal_the_pure_layer_loop(name, train, rng):
+@pytest.mark.parametrize("name", list(_owned_heads()),
+                         ids=lambda name: f"{name}-eval")
+def test_head_passes_equal_the_pure_layer_loop(name, rng):
     clf = _owned_heads()[name]
     pure = copy.deepcopy(clf)
     x = _caller_input(name, clf, rng)
-    v, ctxs = clf.head_forward_with_ctx(x, train=train)
+    v, ctxs = clf.head_forward_with_ctx(x)
     gv = rng.standard_normal(v.shape)
-    want_v, want_g = _pure_head_pass(pure, x, gv, train)
+    want_v, want_g = _pure_head_pass(pure, x, gv)
     assert v.tobytes() == want_v.tobytes()
     # FAB back-propagates several directions through one forward's
     # contexts, so a backward must leave them as they were
     for _ in range(2):
         assert clf.head_backward(ctxs, gv).tobytes() == want_g.tobytes()
-    for layer, other in zip(clf.layers, pure.layers):  # train-mode updates
-        for key, buf in layer.buffers().items():
-            assert buf.tobytes() == other.buffers()[key].tobytes(), key
-    want_v, _ = _pure_head_pass(pure, x, gv, False)
     assert clf.head_forward(x).tobytes() == want_v.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:input outside")
+@pytest.mark.parametrize("name", list(_owned_heads()))
+def test_head_passes_run_in_eval_mode(name, rng):
+    # no head pass moves a BatchNorm running statistic or keeps a Conv2d
+    # patch matrix: train mode is training's alone
+    clf = _owned_heads()[name]
+
+    def buffers():
+        return [buf.tobytes() for layer in clf.layers
+                for buf in layer.buffers().values()]
+
+    before = buffers()
+    x = _caller_input(name, clf, rng)
+    v, ctxs = clf.head_forward_with_ctx(x)
+    clf.head_backward(ctxs, rng.standard_normal(v.shape))
+    clf.head_forward(x)
+    clf.forward(x)
+    clf.predict(x)
+    assert buffers() == before
+    for layer, ctx in zip(clf.layers, ctxs):
+        if isinstance(layer, layers.Conv2d):
+            assert ctx[2][0] is None  # no patch matrix
+        if layer.params():  # an eval context: no parameter gradients
+            with pytest.raises(ValueError, match="eval-mode"):
+                layer.param_grads(ctx, np.ones(v.shape))
 
 
 def _specials(rng, shape):
@@ -179,10 +203,9 @@ def _specials(rng, shape):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("shape", [(1, 16, 16), (2, 17, 15)],
-                         ids=["even", "odd"])
-def test_pooled_relu_head_pass_equals_the_unfused_loop(rng, shape, train):
+                         ids=["even-eval", "odd-eval"])
+def test_pooled_relu_head_pass_equals_the_unfused_loop(rng, shape):
     # the head passes fold each ReLU's mask into the next pool's codes;
     # the layer loop without keywords keeps the mask in the ReLU
     clf = model.small_cnn(k=3, n=2, input_shape=shape, seed=3)
@@ -192,14 +215,13 @@ def test_pooled_relu_head_pass_equals_the_unfused_loop(rng, shape, train):
             layer.running_var[:] = rng.uniform(0.5, 2.0, layer.channels)
     pure = copy.deepcopy(clf)
     x = _specials(rng, (9, *shape))
-    v, ctxs = clf.head_forward_with_ctx(x, train=train)
+    v, ctxs = clf.head_forward_with_ctx(x)
     gv = _specials(rng, v.shape)
-    want_v, want_g = _pure_head_pass(pure, x, gv, train)
+    want_v, want_g = _pure_head_pass(pure, x, gv)
     assert v.tobytes() == want_v.tobytes()
     for _ in range(2):
         assert clf.head_backward(ctxs, gv).tobytes() == want_g.tobytes()
-    if not train:
-        assert clf.head_forward(x).tobytes() == want_v.tobytes()
+    assert clf.head_forward(x).tobytes() == want_v.tobytes()
 
 
 def test_a_pooled_relu_keeps_no_mask(rng):
@@ -261,13 +283,18 @@ def test_training_in_place_equals_pure_and_leaves_the_data_alone(
 
     got = fit()
     assert images.tobytes() == before
-    # the oracle: the same loops with no layer told to overwrite
-    monkeypatch.setattr(model, "_owning",
-                        lambda layers, owned=False: ((l, {}) for l in layers))
-    want = fit()
-    for a, b in zip(got.layers, want.layers):
-        for key, p in {**a.params(), **a.buffers()}.items():
-            assert p.tobytes() == {**b.params(), **b.buffers()}[key].tobytes()
+    # the oracles: the same loops with no layer told to overwrite, and
+    # with no ReLU's mask folded into the next pool's codes
+    for oracle, plain in (
+            ("_owning", lambda layers, owned=False: ((l, {}) for l in layers)),
+            ("_pooling", tuple)):
+        with monkeypatch.context() as m:
+            m.setattr(model, oracle, plain)
+            want = fit()
+        for a, b in zip(got.layers, want.layers):
+            for key, p in {**a.params(), **a.buffers()}.items():
+                assert p.tobytes() == {**b.params(),
+                                       **b.buffers()}[key].tobytes(), oracle
 
 
 @pytest.mark.parametrize("preset, overwritten", [

@@ -1,4 +1,4 @@
-"""Write the fixed 81 CLI outputs and 20 refusals and print their sha256.
+"""Write the fixed 81 CLI outputs and 22 refusals and print their sha256.
 
     python3 tools/output_set.py DIR [--src SRC]
 
@@ -25,13 +25,14 @@ and the script prints ``sha256  file`` for every output and stdout.
 Reports embed ``model_path``, so two checkouts compare byte for byte only
 when both write into the same ``DIR``.
 
-Then come 20 configs that the CLI refuses (:func:`refusals`): a value
+Then come 22 configs that the CLI refuses (:func:`refusals`): a value
 of the wrong type or out of range in ``attack``, ``adversarial``,
 ``train`` (``lr`` and ``momentum`` included), ``sweep.seeds``,
 ``workers`` and the top-level or flag seed of every command, a digit
 listed twice, an unknown key, a dataset of the wrong type, an IDX label
-file of the wrong magic, a sample larger than its dataset, and a flag
-seed and a listed sweep seed whose restart seeds overflow.  Each
+file of the wrong magic, a sample larger than its dataset, a flag
+seed and a listed sweep seed whose restart seeds overflow, an attack
+with an unknown method and a sweep with an unknown init.  Each
 writes ``refused-<name>.txt``, its exit code and stderr, and its
 ``sha256`` line follows the outputs'.
 """
@@ -165,6 +166,9 @@ def refusals(out):
          dict(base, dataset=dict(TEST, sample={"n": 100}))),
         ("sweep-listed-seed-overflow", "sweep", [],
          dict(base, sweep=dict(SWEEP, seeds=[3, 2**63 - 2]))),
+        # after the 20 above
+        ("attack-method-unknown", "attack", [], dict(base, method="bogus")),
+        ("sweep-init-unknown", "sweep", [], dict(base, init="nonsense")),
     ]
 
 
