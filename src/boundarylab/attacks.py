@@ -51,6 +51,9 @@ _FIELD_RULES = {
     "n_attack": (int, ">=", 0),
     "seed": (int, ">=", 0),
 }
+# run_restarts_batch's budget splits: at least one, each an n_init that
+# AttackConfig.with_budget_split takes
+_SPLITS_RULE = ([int, 1],)
 
 
 @dataclass(frozen=True)
@@ -729,9 +732,8 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
         check_seeds(config, int(positions.max()) + 1)  # before int64 wraps
         seeds = config.seed + positions.astype(np.int64) * config.restarts
     splits = ([config] if n_init_values is None else
-              [config.with_budget_split(v) for v in n_init_values])
-    if not splits:
-        raise ValueError("n_init_values is empty")
+              [config.with_budget_split(v) for v in _check_value(
+                  "n_init_values", n_init_values, *_SPLITS_RULE)])
     deepest = max(splits, key=lambda cfg: cfg.n_init)
     # the descent lengths below the deepest that some split starts from
     shallower = {cfg.n_init for cfg in splits} - {deepest.n_init}

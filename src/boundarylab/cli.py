@@ -398,16 +398,12 @@ def _evaluation(args, command):
         sweep = _typed(cfg, "sweep", dict)
         values = _typed(cfg, "sweep.n_init_values",
                         *harness._RULES["n_init_values"])
-        if not values:
-            raise ConfigError("sweep.n_init_values: empty list")
         with _named("sweep.n_init_values: "):
             for nv in values:
                 config.with_budget_split(nv)
         listed = _typed(cfg, "sweep.seeds", *harness._RULES["seeds"],
                         default=None)
         if listed is not None:
-            if not listed:
-                raise ConfigError("sweep.seeds: empty list")
             seeds = {f"sweep.seeds[{i}]": sd for i, sd in enumerate(listed)}
         _refuse_unknown(sweep, "sweep.", ("n_init_values", "seeds"))
         run_config["sweep"] = {"n_init_values": values,

@@ -158,11 +158,16 @@ def _check_value(name, value, kind, *rule):
     <relation> <bound>, got <v>" (ValueError).
 
     ``kind=[int]`` asks for a list (or tuple) of ints, each checked as
-    "<name>[i]" and returned in a list.
+    "<name>[i]" and returned in a list; ``kind=[int, 1]`` asks for at
+    least one, and refuses an empty list as "<name>: empty list"
+    (ValueError).
     """
     if isinstance(kind, list):
+        items = _check_value(name, value, list)
+        if len(kind) > 1 and not items:
+            raise ValueError(f"{name}: empty list")
         return [_check_value(f"{name}[{i}]", v, kind[0], *rule)
-                for i, v in enumerate(_check_value(name, value, list))]
+                for i, v in enumerate(items)]
     # a bool is an int to isinstance, and JSON's true would pass as 1
     if isinstance(value, bool) or not isinstance(
             value, _KIND_TYPES.get(kind, kind)):

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .attacks import (_FIELD_RULES, BatchOutcome, check_seeds,
-                      check_strategy, run_restarts_batch)
+from .attacks import (_FIELD_RULES, _SPLITS_RULE, BatchOutcome,
+                      check_seeds, check_strategy, run_restarts_batch)
 from .data import _check_args
 
 
@@ -163,8 +163,8 @@ def check_labels(c, labels):
 # range is its config's budget (AttackConfig.with_budget_split), and each
 # listed seed is an attack seed
 _RULES = {"workers": (int, ">=", 1), "chunk_size": (int, ">=", 1),
-          "n_init_values": ([int],),
-          "seeds": ([int], *_FIELD_RULES["seed"][1:])}
+          "n_init_values": _SPLITS_RULE,
+          "seeds": ([int, 1], *_FIELD_RULES["seed"][1:])}
 
 
 def _attack_splits(c, bs, dataset, config, method, init, n_init_values, *,
@@ -382,10 +382,6 @@ def sweep_n_init(c, bs, dataset, config, n_init_values, method="pgd",
     values, seeds = _check_args(
         _RULES, n_init_values=n_init_values,
         seeds=[config.seed] if seeds is None else seeds)
-    if not values:
-        raise ValueError("n_init_values is empty")
-    if not seeds:
-        raise ValueError("seeds is empty")
     splits = [config.with_budget_split(nv) for nv in values]
     for sd in seeds:  # every seed, before the first one's attack
         check_seeds(replace(config, seed=sd), len(dataset))

@@ -9,7 +9,12 @@ with :func:`batch_inner`; the input gradient needs only its shape.
 ``layers.Flatten`` is a pure reshape both ways, so the
 rows it hands on are a strided view of the buffer and the gradient it
 hands back is C-order batch-first.  ``model.Classifier.head_backward``
-returns a C-contiguous batch-first input gradient.
+returns a C-contiguous batch-first input gradient.  ``head_forward``
+and ``head_forward_with_ctx`` give the first conv only the top-left
+corner of their input that the head's output reads
+(``model._head_corner``), a view that :func:`batch_inner` copies as it
+would the whole input, so every kernel of the pass runs on maps without
+the rows and columns the pools drop.
 
 A convolution is one BLAS product ``W(O, C·kh·kw) @ P(C·kh·kw, OH·OW·B)``;
 the patch matrix ``P`` is kh·kw shifted-slice copies of the input, each

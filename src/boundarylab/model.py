@@ -98,6 +98,43 @@ class _Passes:
     train_backward: tuple
 
 
+def _head_corner(head, input_shape):
+    """The index of the top-left corner of a (C, H, W) input that the
+    head's output reads, or None when it reads every pixel.
+
+    A MaxPool2x2 drops an odd trailing row and column, so nothing reads
+    what the layers before it compute there.  Walking back from the
+    head's output: a valid Conv2d reads out + k − 1 rows and columns of
+    its input, a pool 2·out, BatchNorm and ReLU out, and a padded
+    Conv2d, a Flatten or a Dense all of it."""
+    if len(input_shape) != 3:
+        return None
+    sizes = [input_shape[1:]]  # each layer's input (H, W), while rank 4
+    for layer in head:
+        h, w = sizes[-1]
+        if isinstance(layer, Conv2d):
+            cut = layer.kernel_size - 1 - 2 * layer.padding
+            h, w = h - cut, w - cut
+        elif isinstance(layer, MaxPool2x2):
+            h, w = h // 2, w // 2
+        sizes.append((h, w))
+    need = sizes[-1]
+    for layer, size in zip(reversed(head), reversed(sizes[:-1])):
+        if isinstance(layer, MaxPool2x2):
+            need = (2 * need[0], 2 * need[1])
+        elif isinstance(layer, Conv2d) and not layer.padding:
+            need = (need[0] + layer.kernel_size - 1,
+                    need[1] + layer.kernel_size - 1)
+        elif not isinstance(layer, (BatchNorm, ReLU)):
+            need = size
+    # an input too small for the head is read whole, for its layers to
+    # refuse as before
+    if need == sizes[0] or not all(
+            0 < n <= s for n, s in zip(need, sizes[0])):
+        return None
+    return np.s_[:, :, :need[0], :need[1]]
+
+
 def _forward(passes, h, ctxs=None):
     """``h`` through a plan's (layer, keyword arguments) ``passes``, each
     context appended to ``ctxs`` if given and else freed as it goes."""
@@ -130,7 +167,13 @@ class Classifier:
     per-example shape; every method takes and returns batches, with the
     batch as the first dimension.  ``meta`` carries training provenance
     into checkpoints.  Every head pass runs in eval mode: only training
-    moves a BatchNorm running statistic or keeps a patch matrix.
+    moves a BatchNorm running statistic or keeps a patch matrix.  The
+    attack passes, :meth:`head_forward` and :meth:`head_forward_with_ctx`,
+    run on the corner of the input that the head's output reads
+    (:func:`_head_corner`): small_cnn's pools drop an odd trailing row
+    and column, so at 16x16 it reads the top-left 14x14.  The input
+    gradient is +0.0 on every pixel outside the corner, and no result
+    depends on their values.
     """
 
     def __init__(self, layers, input_shape, meta=None):
@@ -157,6 +200,16 @@ class Classifier:
                        train_forward=tuple(train),
                        train_backward=tuple(_owning(reversed(layers),
                                                     owned=True)))
+
+    @cached_property
+    def _corner(self):
+        # the index of the input corner the head passes read, or None
+        return _head_corner(self.layers[:-1], self.input_shape)
+
+    def _read(self, x):
+        # the corner of x the head reads: a view, which the first conv
+        # copies into its batch-innermost layout as it would x
+        return x if self._corner is None else x[self._corner]
 
     @property
     def tail(self):
@@ -186,12 +239,13 @@ class Classifier:
     def head_forward(self, x):
         """Run the head on a batch in eval mode; returns the
         representations (B, N)."""
-        return _forward(self._passes.head_forward, self._checked(x))
+        return _forward(self._passes.head_forward,
+                        self._read(self._checked(x)))
 
     def head_forward_with_ctx(self, xb):
         """Eval head forward keeping each context for :meth:`head_backward`."""
         ctxs = []
-        return _forward(self._passes.head_forward, xb, ctxs), ctxs
+        return _forward(self._passes.head_forward, self._read(xb), ctxs), ctxs
 
     def head_backward(self, ctxs, gv):
         """Back-propagate a representation-space gradient to the input.
@@ -199,12 +253,18 @@ class Classifier:
         Returns a C-contiguous batch-first array.  The conv kernels hand
         back a batch-innermost input gradient, so a CNN head pays one
         transposing copy here: (H·W, B) to (B, H·W) at one input channel.
+        The copy writes the corner the head read into a +0.0 array of
+        the whole input's shape.
         """
         g = gv
         for (layer, kw), ctx in zip(self._passes.head_backward,
                                     reversed(ctxs)):
             g = layer.backward(ctx, g, **kw)
-        return np.ascontiguousarray(g)
+        if self._corner is None:
+            return np.ascontiguousarray(g)
+        gx = np.zeros((len(g), *self.input_shape))
+        gx[self._corner] = g
+        return gx
 
     def tail_forward(self, v):
         """Logits z = v Wᵀ + b for a representation batch (B, N)."""
@@ -219,8 +279,14 @@ class Classifier:
         """Predicted class per example (argmax of logits).
 
         Runs ``_PREDICT_ROWS`` (256) rows at a time, so it holds one
-        block's activations, not the whole input's.
+        block's activations, not the whole input's.  Unlike the other
+        head passes, it runs on the whole input, not the corner.
         """
+        # glibc sets its malloc thresholds from the largest block freed:
+        # a predict of 16x16 digits on the corner frees 4.7 MB blocks, not
+        # 7.4 MB ones, and a training run after it then gave about 12 MB
+        # of heap back to the system and faulted it in again every step,
+        # which made it ~30% slower
         x = self._checked(x)
         labels = np.empty(len(x), dtype=np.intp)
         for lo in range(0, len(x), _PREDICT_ROWS):

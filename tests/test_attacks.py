@@ -1310,7 +1310,7 @@ def test_one_descent_serves_every_budget_split(monkeypatch, blobs_mlp,
 
 def test_an_empty_split_list_is_refused(blobs_mlp, blobs_boundaries,
                                         blobs_test, quick_attack_config):
-    with pytest.raises(ValueError, match="n_init_values is empty"):
+    with pytest.raises(ValueError, match="^n_init_values: empty list$"):
         attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
                                    blobs_test.images, blobs_test.labels,
                                    quick_attack_config, n_init_values=[])

@@ -729,6 +729,22 @@ def test_empty_sweep_seeds_is_config_error(trained, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"n_init_values": []}, "sweep.n_init_values: empty list"),
+    ({"n_init_values": [], "seeds": "3"},
+     "sweep.n_init_values: empty list"),
+    ({"n_init_values": [0], "seeds": []}, "sweep.seeds: empty list"),
+], ids=["splits", "splits-before-seeds", "seeds"])
+def test_an_empty_sweep_list_is_refused_as_the_library_words_it(
+        trained, capsys, sweep, message):
+    # the library's rule (harness._RULES) with the config path in front
+    root, ckpt = trained
+    cfg, out = attack_config(root, ckpt, "empty-list.csv", sweep=sweep)
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_invariant_failure_inside_a_sweep_exits_2(trained, capsys,
                                                   monkeypatch):
     from boundarylab import harness

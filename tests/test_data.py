@@ -262,12 +262,20 @@ def test_check_value_takes_an_upper_bound_and_a_list_kind():
             check("m", value, float, ">=", 0, "<", 1)
     got = check("s", (np.int64(2), 3), [int], ">=", 0)
     assert got == [2, 3] and all(type(v) is int for v in got)
+    assert check("s", (), [int]) == [] and check("s", [4], [int, 1]) == [4]
     for value, error, message in [
             ("12", TypeError, "s: expected list, got str"),
             ([1, 1.7], TypeError, "s[1]: expected int, got float"),
             ([0, -1], ValueError, "s[1]: must be >= 0, got -1")]:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             check("s", value, [int], ">=", 0)
+    # a list kind with a least length of 1: the list's type comes first
+    for value, error, message in [
+            ((), ValueError, "s: empty list"),
+            ("", TypeError, "s: expected list, got str"),
+            ([-1], ValueError, "s[0]: must be >= 0, got -1")]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check("s", value, [int, 1], ">=", 0)
 
 
 @pytest.mark.parametrize("make, error, message", [

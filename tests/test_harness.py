@@ -542,9 +542,18 @@ def test_sweep_draws_each_start_once_and_descends_once(
 
 def test_sweep_refuses_an_empty_seed_list(blobs_mlp, blobs_boundaries,
                                           blobs_test, quick_attack_config):
-    with pytest.raises(ValueError, match="seeds is empty"):
+    with pytest.raises(ValueError, match="^seeds: empty list$"):
         harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test,
                              quick_attack_config, [0, 2], seeds=())
+
+
+def test_sweep_refuses_an_empty_split_list(blobs_mlp, blobs_boundaries,
+                                           blobs_test, quick_attack_config):
+    # refused by the argument's name, as the CLI words it after its path
+    for seeds in (None, ()):
+        with pytest.raises(ValueError, match="^n_init_values: empty list$"):
+            harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test,
+                                 quick_attack_config, [], seeds=seeds)
 
 
 # -- representation export ----------------------------------------------

@@ -117,18 +117,26 @@ def _caller_input(name, clf, rng, rows=7):
     return kernels.batch_inner(x) if name == "batchnorm-first" else x
 
 
-def _pure_head_pass(clf, x, gv):
+def _pure_head_pass(clf, x, gv, crop=True):
     # the head's layer loops with every layer method called as a caller
     # would, in eval mode and without overwrite: the oracle of the
-    # model's in-place loops
-    h, ctxs = x, []
+    # model's in-place loops.  With ``crop`` they run on the input corner
+    # the head reads (test_head_reads_the_corner_its_pools_keep pins it),
+    # and the corner's gradient is embedded in +0.0, as the model's is;
+    # without, on the whole input
+    corner = clf._corner if crop else None
+    h, ctxs = (x if corner is None else x[corner]), []
     for layer in clf.layers[:-1]:
         h, ctx = layer.forward(h)
         ctxs.append(ctx)
     g = gv
     for layer, ctx in zip(reversed(clf.layers[:-1]), reversed(ctxs)):
         g = layer.backward(ctx, g)
-    return h, np.ascontiguousarray(g)
+    if corner is None:
+        return h, np.ascontiguousarray(g)
+    gx = np.zeros(x.shape)
+    gx[corner] = g
+    return h, gx
 
 
 @pytest.mark.filterwarnings("ignore:input outside")
@@ -222,6 +230,109 @@ def test_pooled_relu_head_pass_equals_the_unfused_loop(rng, shape):
     for _ in range(2):
         assert clf.head_backward(ctxs, gv).tobytes() == want_g.tobytes()
     assert clf.head_forward(x).tobytes() == want_v.tobytes()
+
+
+# (input shape, the (H, W) corner small_cnn's head reads): each pool
+# drops an odd trailing row and column, and each valid 3x3 conv reads two
+# more than it writes
+_CORNERS = [((1, 16, 16), (14, 14)), ((1, 28, 28), (26, 26)),
+            ((2, 17, 15), (14, 14)), ((1, 12, 12), (10, 10)),
+            ((1, 14, 14), (14, 14))]
+
+
+@pytest.mark.parametrize("shape, corner", _CORNERS,
+                         ids=lambda v: "x".join(map(str, v)))
+def test_head_reads_the_corner_its_pools_keep(shape, corner):
+    clf = model.small_cnn(k=3, n=2, input_shape=shape)
+    x = np.zeros((1, *shape))
+    read = x if clf._corner is None else x[clf._corner]
+    assert read.shape == (1, shape[0], *corner)
+    assert (clf._corner is None) == (corner == shape[1:])
+
+
+@pytest.mark.parametrize("name", ["padded-conv", "mlp"])
+def test_a_head_without_a_dropping_pool_reads_its_whole_input(name, rng):
+    # a padded conv reads past its output's edge, and a Flatten reads
+    # every pixel: the bottom-right one moves the representation
+    L = layers
+    shape = (1, 9, 9)
+    clf = (model.mlp(shape, 3, n=2, hidden=(6,), seed=2) if name == "mlp"
+           else model.Classifier(
+               [L.Conv2d(1, 4, 3, padding=1, rng=rng), L.ReLU(),
+                L.MaxPool2x2(), L.Flatten(), L.Dense(64, 2, rng=rng),
+                L.Dense(2, 3, rng=rng)], shape))
+    assert clf._corner is None
+    x = rng.uniform(0, 1, (4, *shape))
+    moved = x.copy()
+    moved[:, :, -1, -1] = 1.0 - moved[:, :, -1, -1]
+    assert (clf.head_forward(x) != clf.head_forward(moved)).any()
+
+
+def _unread(shape, corner):
+    # a (C, H, W) mask of the pixels outside the top-left corner
+    mask = np.ones(shape, dtype=bool)
+    mask[:, :corner[0], :corner[1]] = False
+    return mask
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:input outside")
+@pytest.mark.parametrize("shape, corner", _CORNERS[:4],
+                         ids=lambda v: "x".join(map(str, v)))
+def test_no_head_pass_depends_on_the_unread_pixels(rng, shape, corner):
+    # NaN, +-inf or random values outside the corner leave every head
+    # pass's bytes as they were, and the input gradient there is +0.0,
+    # under NaN and inf upstream rows too
+    clf = model.small_cnn(k=3, n=2, input_shape=shape, seed=4)
+    for layer in clf.layers:  # running statistics away from identity
+        if isinstance(layer, layers.BatchNorm):
+            layer.running_mean[:] = rng.normal(size=layer.channels)
+            layer.running_var[:] = rng.uniform(0.5, 2.0, layer.channels)
+    unread = _unread(shape, corner)
+    for rows in (1, 6, 13):
+        x = rng.uniform(0, 1, (rows, *shape))
+        v, ctxs = clf.head_forward_with_ctx(x)
+        gvs = [rng.standard_normal(v.shape), _specials(rng, v.shape)]
+        want = [clf.head_forward(x).tobytes(), clf.predict(x).tobytes(),
+                *(clf.head_backward(ctxs, gv).tobytes() for gv in gvs)]
+        for fill in (np.nan, np.inf, -np.inf, None):
+            y = x.copy()
+            y[:, unread] = (rng.uniform(-5, 5, (rows, unread.sum()))
+                            if fill is None else fill)
+            w, ctxs = clf.head_forward_with_ctx(y)
+            assert w.tobytes() == v.tobytes()
+            grads = [clf.head_backward(ctxs, gv) for gv in gvs]
+            assert [clf.head_forward(y).tobytes(), clf.predict(y).tobytes(),
+                    *(g.tobytes() for g in grads)] == want
+            for g in grads:
+                assert g.shape == y.shape and g.flags.c_contiguous
+                assert not g[:, unread].view(np.uint64).any()  # +0.0
+
+
+@pytest.mark.parametrize("shape", [(1, 12, 12), (1, 28, 28), (1, 16, 16)],
+                         ids=["12x12", "28x28", "16x16"])
+def test_the_corner_moves_a_head_pass_by_rounding_alone(rng, shape):
+    # BLAS may round a conv product's column differently once the column
+    # count changes, so the corner's passes may differ from the whole
+    # input's in their last bits, by rounding alone; outside the corner
+    # the whole input's gradient is +0.0 as well
+    clf = model.small_cnn(k=3, n=2, input_shape=shape, seed=5)
+    for layer in clf.layers:
+        if isinstance(layer, layers.BatchNorm):
+            layer.running_mean[:] = rng.normal(size=layer.channels)
+            layer.running_var[:] = rng.uniform(0.5, 2.0, layer.channels)
+    pure = copy.deepcopy(clf)
+    unread = _unread(shape, dict(_CORNERS)[shape])
+    for rows in (1, 7, 8, 33):
+        x = rng.uniform(0, 1, (rows, *shape))
+        v, ctxs = clf.head_forward_with_ctx(x)
+        gv = rng.standard_normal(v.shape)
+        g = clf.head_backward(ctxs, gv)
+        want_v, want_g = _pure_head_pass(pure, x, gv, crop=False)
+        assert not want_g[:, unread].view(np.uint64).any()
+        for got, want in ((v, want_v), (g, want_g)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-14 * np.abs(want).max())
 
 
 def test_a_pooled_relu_keeps_no_mask(rng):

@@ -1,4 +1,4 @@
-"""Write the fixed 81 CLI outputs and 22 refusals and print their sha256.
+"""Write the fixed 84 CLI outputs and 24 refusals and print their sha256.
 
     python3 tools/output_set.py DIR [--src SRC]
 
@@ -19,20 +19,24 @@ per preset with only ``model.preset`` set and no seed or ``train`` keys
 (small_cnn and mlp on digits given only ``n_per_class``, linear on blobs
 given no seed), an attack on the plain mlp of IDX files written from
 the attack digits, and an attack on it with no method, init or seed.
+Three more run small_cnn at the digits' default 28x28, where the head's
+corner leaves the conv products odd column counts: a checkpoint trained
+as the plain 16x16 one, its fab/boundary attack and its fab export-repr.
 
 Each command's stdout is written beside its output as ``<output>.stdout``,
 and the script prints ``sha256  file`` for every output and stdout.
 Reports embed ``model_path``, so two checkouts compare byte for byte only
 when both write into the same ``DIR``.
 
-Then come 22 configs that the CLI refuses (:func:`refusals`): a value
+Then come 24 configs that the CLI refuses (:func:`refusals`): a value
 of the wrong type or out of range in ``attack``, ``adversarial``,
 ``train`` (``lr`` and ``momentum`` included), ``sweep.seeds``,
 ``workers`` and the top-level or flag seed of every command, a digit
 listed twice, an unknown key, a dataset of the wrong type, an IDX label
 file of the wrong magic, a sample larger than its dataset, a flag
 seed and a listed sweep seed whose restart seeds overflow, an attack
-with an unknown method and a sweep with an unknown init.  Each
+with an unknown method, a sweep with an unknown init, and sweeps with
+an empty list of splits or of seeds.  Each
 writes ``refused-<name>.txt``, its exit code and stderr, and its
 ``sha256`` line follows the outputs'.
 """
@@ -50,6 +54,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TRAIN = {"kind": "digits", "n_per_class": 40, "classes": [0, 1, 2, 3],
          "size": 16, "seed": 0}
 TEST = dict(TRAIN, n_per_class=20, seed=1)
+# the same digits at the default size, 28x28
+TRAIN_28 = {k: v for k, v in TRAIN.items() if k != "size"}
+TEST_28 = {k: v for k, v in TEST.items() if k != "size"}
 MODELS = {"mlp": {"preset": "mlp", "hidden": [16], "n": 2},
           "small_cnn": {"preset": "small_cnn"}}
 ADVERSARIAL = {"epsilon": 0.02, "alpha": 0.005, "restarts": 1,
@@ -119,6 +126,17 @@ def commands(out):
     runs.append(("attack", "attack-mlp-defaults.json",
                  dict(base, attack={k: v for k, v in ATTACK.items()
                                     if k != "seed"})))
+    # after the 81 above
+    ckpt = out / "small_cnn-28.ckpt"
+    runs.append(("train", ckpt.name,
+                 {"seed": 0, "dataset": TRAIN_28,
+                  "model": MODELS["small_cnn"],
+                  "train": {"epochs": 2, "batch_size": 37}}))
+    base = {"dataset": TEST_28, "model_path": str(ckpt), "attack": ATTACK,
+            "method": "fab"}
+    runs.append(("attack", "attack-small_cnn-28-fab-boundary.json",
+                 dict(base, init="boundary")))
+    runs.append(("export-repr", "repr-small_cnn-28-fab.csv", base))
     return runs
 
 
@@ -169,6 +187,11 @@ def refusals(out):
         # after the 20 above
         ("attack-method-unknown", "attack", [], dict(base, method="bogus")),
         ("sweep-init-unknown", "sweep", [], dict(base, init="nonsense")),
+        # after the 22 above
+        ("sweep-n-init-values-empty", "sweep", [],
+         dict(base, sweep=dict(SWEEP, n_init_values=[]))),
+        ("sweep-seeds-empty", "sweep", [],
+         dict(base, sweep=dict(SWEEP, seeds=[]))),
     ]
 
 
