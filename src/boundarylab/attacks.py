@@ -51,9 +51,6 @@ _FIELD_RULES = {
     "n_attack": (int, ">=", 0),
     "seed": (int, ">=", 0),
 }
-# run_restarts_batch's budget splits: at least one, each an n_init that
-# AttackConfig.with_budget_split takes
-_SPLITS_RULE = ([int, 1],)
 
 
 @dataclass(frozen=True)
@@ -85,12 +82,15 @@ class AttackConfig:
                 field.name, getattr(self, field.name),
                 *_FIELD_RULES[field.name]))
 
+    def splits_rule(self):
+        """The rule of a list of budget splits (:func:`data._check_value`):
+        at least one, each an n_init within the total budget."""
+        return ([int, 1], ">=", 0, "<=", self.n_init + self.n_attack)
+
     def with_budget_split(self, n_init):
         """Same config with the fixed total budget re-split at ``n_init``."""
-        n_init = _check_value("n_init", n_init, int)
+        n_init = _check_value("n_init", n_init, int, *self.splits_rule()[1:])
         total = self.n_init + self.n_attack
-        if not 0 <= n_init <= total:
-            raise ValueError(f"n_init {n_init} outside budget 0..{total}")
         return replace(self, n_init=n_init, n_attack=total - n_init)
 
 
@@ -733,7 +733,7 @@ def run_restarts_batch(c, bs, x_batch, y_batch, config, method="pgd",
         seeds = config.seed + positions.astype(np.int64) * config.restarts
     splits = ([config] if n_init_values is None else
               [config.with_budget_split(v) for v in _check_value(
-                  "n_init_values", n_init_values, *_SPLITS_RULE)])
+                  "n_init_values", n_init_values, *config.splits_rule())])
     deepest = max(splits, key=lambda cfg: cfg.n_init)
     # the descent lengths below the deepest that some split starts from
     shallower = {cfg.n_init for cfg in splits} - {deepest.n_init}

@@ -27,7 +27,7 @@ be >= 0, got -1``; a seed from ``--seed`` or the top level is named
 feeds, read from the rule table beside that function
 (``data._DIGITS_RULES``, ``_BLOBS_RULES``, ``_KEEP_RULES`` and
 ``_SAMPLE_RULES``; ``model._PRESET_RULES`` and ``_FIT_RULES``;
-``harness._RULES``; ``attacks._FIELD_RULES``).  The keys:
+``harness._RULES``; ``attacks._FIELD_RULES`` and ``splits_rule``).  The keys:
 
   seed      int     primary seed for the command (train seed for
                     ``train``, attack seed otherwise)
@@ -293,7 +293,7 @@ def _model_and_dataset(cfg):
     ds, dspec = _dataset_from(cfg)
     error = _DATASETS[dspec["kind"]][0]
     with _named("dataset: ", error):
-        harness.check_labels(clf, ds.labels)
+        model.check_labels(clf, ds.labels)
     if ds.input_shape != clf.input_shape:
         raise error(f"dataset: images have shape {ds.input_shape}, the "
                     f"checkpoint takes {clf.input_shape}")
@@ -342,7 +342,7 @@ def cmd_train(args):
     with _named("model."):  # the preset names the argument, the key
         clf = getattr(model, fn)(**inputs(ds.input_shape), k=k, **preset)
     with _named("model.k: "):
-        harness.check_labels(clf, ds.labels)
+        model.check_labels(clf, ds.labels)
     _refuse_unknown(model_spec, "model.", ("preset", "k", *preset))
 
     train_spec = _typed(cfg, "train", dict, default={})
@@ -396,11 +396,7 @@ def _evaluation(args, command):
     seeds = {"seed": config.seed}  # every attack seed, by its config path
     if command == "sweep":
         sweep = _typed(cfg, "sweep", dict)
-        values = _typed(cfg, "sweep.n_init_values",
-                        *harness._RULES["n_init_values"])
-        with _named("sweep.n_init_values: "):
-            for nv in values:
-                config.with_budget_split(nv)
+        values = _typed(cfg, "sweep.n_init_values", *config.splits_rule())
         listed = _typed(cfg, "sweep.seeds", *harness._RULES["seeds"],
                         default=None)
         if listed is not None:

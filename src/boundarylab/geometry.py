@@ -105,7 +105,11 @@ def pair_values(bs, v_batch):
     return v @ bs.rows.T + bs.biases
 
 
-def region_of_batch(bs, v_batch, tie_tol=1e-9):
+# a pairwise value at most this far from 0 is a tie
+_TIE_TOL = 1e-9
+
+
+def region_of_batch(bs, v_batch):
     """Vectorized region query: int labels, −1 where any pair ties."""
     vals = pair_values(bs, v_batch)
     b, p = vals.shape
@@ -114,10 +118,10 @@ def region_of_batch(bs, v_batch, tie_tol=1e-9):
     for q, (i, j) in enumerate(bs.pairs):
         onehot_i[q, i] = 1.0
         onehot_j[q, j] = 1.0
-    wins = (vals > tie_tol) @ onehot_i + (vals < -tie_tol) @ onehot_j
+    wins = (vals > _TIE_TOL) @ onehot_i + (vals < -_TIE_TOL) @ onehot_j
     labels = np.argmax(wins, axis=1)
     complete = wins[np.arange(b), labels] == bs.k - 1
-    tied = np.any(np.abs(vals) <= tie_tol, axis=1)
+    tied = np.any(np.abs(vals) <= _TIE_TOL, axis=1)
     return np.where(complete & ~tied, labels, -1)
 
 

@@ -22,9 +22,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .attacks import (_FIELD_RULES, _SPLITS_RULE, BatchOutcome,
-                      check_seeds, check_strategy, run_restarts_batch)
-from .data import _check_args
+from .attacks import (_FIELD_RULES, BatchOutcome, check_seeds,
+                      check_strategy, run_restarts_batch)
+from .data import _check_args, _check_value
+from .model import check_labels
 
 
 def json_text(payload):
@@ -149,21 +150,10 @@ def attack_id_of(config, method, init):
     )
 
 
-def check_labels(c, labels):
-    """Raise ValueError unless every label is a class of ``c`` (0..k-1)."""
-    bad = np.flatnonzero((labels < 0) | (labels >= c.k))
-    if bad.size:
-        raise ValueError(
-            f"label {labels[bad[0]]} at index {bad[0]} is outside the "
-            f"model's classes 0..{c.k - 1}"
-        )
-
-
-# the entry points' argument rules, as attacks._FIELD_RULES; a split's
-# range is its config's budget (AttackConfig.with_budget_split), and each
-# listed seed is an attack seed
+# the entry points' argument rules, as attacks._FIELD_RULES; each listed
+# seed is an attack seed, and a list of budget splits has its config's
+# rule (AttackConfig.splits_rule)
 _RULES = {"workers": (int, ">=", 1), "chunk_size": (int, ">=", 1),
-          "n_init_values": _SPLITS_RULE,
           "seeds": ([int, 1], *_FIELD_RULES["seed"][1:])}
 
 
@@ -233,7 +223,7 @@ def attack_dataset(c, bs, dataset, config, method="pgd", init="boundary", *,
     success at iteration 0 with restart -1, and it spends no gradient
     evaluations.  The result is independent of ``workers``.  Labels
     outside the model's classes and a seed whose restart seeds overflow
-    raise ValueError (:func:`check_labels`, :func:`check_seeds`).
+    raise ValueError (:func:`model.check_labels`, :func:`check_seeds`).
     """
     pred, got = _attack_splits(c, bs, dataset, config, method, init,
                                [config.n_init], workers=workers,
@@ -379,9 +369,10 @@ def sweep_n_init(c, bs, dataset, config, n_init_values, method="pgd",
     (:func:`run_restarts_batch`).  Each split is still charged its own
     n_init + n_attack evaluations.
     """
-    values, seeds = _check_args(
-        _RULES, n_init_values=n_init_values,
-        seeds=[config.seed] if seeds is None else seeds)
+    values = _check_value("n_init_values", n_init_values,
+                          *config.splits_rule())
+    (seeds,) = _check_args(_RULES,
+                           seeds=[config.seed] if seeds is None else seeds)
     splits = [config.with_budget_split(nv) for nv in values]
     for sd in seeds:  # every seed, before the first one's attack
         check_seeds(replace(config, seed=sd), len(dataset))

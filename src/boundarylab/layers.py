@@ -44,6 +44,7 @@ import math
 
 import numpy as np
 
+from .data import _check_args
 from .kernels import (
     batch_inner,
     conv2d_forward,
@@ -96,6 +97,11 @@ class Layer:
         return {}
 
 
+# each layer's constructor rules, as attacks._FIELD_RULES: a checkpoint's
+# layer config is refused by them, not truncated
+_DENSE_RULES = {"in_features": (int, ">=", 1), "out_features": (int, ">=", 1)}
+
+
 class Dense(Layer):
     """Affine map y = x @ W^T + b.
 
@@ -106,8 +112,8 @@ class Dense(Layer):
     kind = "dense"
 
     def __init__(self, in_features, out_features, *, rng=None):
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
+        self.in_features, self.out_features = _check_args(
+            _DENSE_RULES, in_features=in_features, out_features=out_features)
         if rng is None:
             self.weight = np.zeros((self.out_features, self.in_features))
         else:
@@ -144,16 +150,20 @@ class Dense(Layer):
         return {"weight": gy.T @ x, "bias": gy.sum(axis=0)}
 
 
+_CONV2D_RULES = {"in_channels": (int, ">=", 1), "out_channels": (int, ">=", 1),
+                 "kernel_size": (int, ">=", 1), "padding": (int, ">=", 0)}
+
+
 class Conv2d(Layer):
     """2D cross-correlation, stride 1, optional symmetric zero padding."""
 
     kind = "conv2d"
 
     def __init__(self, in_channels, out_channels, kernel_size, *, padding=0, rng=None):
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = int(kernel_size)
-        self.padding = int(padding)
+        (self.in_channels, self.out_channels, self.kernel_size,
+         self.padding) = _check_args(
+            _CONV2D_RULES, in_channels=in_channels, out_channels=out_channels,
+            kernel_size=kernel_size, padding=padding)
         shape = (self.out_channels, self.in_channels,
                  self.kernel_size, self.kernel_size)
         if rng is None:
@@ -186,19 +196,17 @@ class Conv2d(Layer):
         # does param_grads when no patch matrix is kept; the backward
         # reads only its shape
         x = batch_inner(x)
-        if not (train and keep_patches):
-            y = conv2d_forward(x, self.weight, self.bias, padding=self.padding)
-            return y, (x if train else None, x.shape, [None, False])
-        # The patch matrix is built once, in a buffer the context keeps as
-        # [buffer, read]: param_grads reads it and sets ``read``, and a
-        # backward after that writes its columns over it and drops it.  A
-        # param_grads after that, or after ``keep_patches=False``, builds
-        # the matrix from x again.
+        # The patch matrix is built once.  In train mode, unless told
+        # ``keep_patches=False``, the context keeps it as [buffer, read]:
+        # param_grads reads it and sets ``read``, and a backward after that
+        # writes its columns over it and drops it.  A param_grads after
+        # that, or on a context that keeps none, builds it from x again.
         k = self.kernel_size
         cols = np.empty(patch_shape(x.shape, k, k, self.padding))
         y = conv2d_forward(x, self.weight, self.bias, padding=self.padding,
                            cols=cols)
-        return y, (x, x.shape, [cols, False])
+        kept = cols if train and keep_patches else None
+        return y, (x if train else None, x.shape, [kept, False])
 
     def backward(self, ctx, gy):
         _, x_shape, kept = ctx
@@ -281,6 +289,10 @@ def _row_dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+_BATCHNORM_RULES = {"channels": (int, ">=", 1), "eps": (float, ">", 0),
+                    "momentum": (float, ">=", 0, "<=", 1)}
+
+
 class BatchNorm(Layer):
     """Per-channel batch normalization on channel rows.
 
@@ -308,9 +320,8 @@ class BatchNorm(Layer):
     kind = "batchnorm"
 
     def __init__(self, channels, *, eps=1e-5, momentum=0.1):
-        self.channels = int(channels)
-        self.eps = float(eps)
-        self.momentum = float(momentum)
+        self.channels, self.eps, self.momentum = _check_args(
+            _BATCHNORM_RULES, channels=channels, eps=eps, momentum=momentum)
         self.gamma = np.ones(self.channels)
         self.beta = np.zeros(self.channels)
         self.running_mean = np.zeros(self.channels)
@@ -470,8 +481,9 @@ LAYER_KINDS = {
 def layer_from_config(cfg):
     """Rebuild a layer from its ``config()`` dict.
 
-    Raises ValueError for an unknown kind and TypeError naming a missing
-    or unknown constructor key.
+    Raises ValueError for an unknown kind, TypeError naming a missing
+    or unknown constructor key, and the constructor's refusal of a value
+    outside its rule table (``_DENSE_RULES``, ...), named by its key.
     """
     args = dict(cfg)
     kind = args.pop("kind", None)

@@ -160,13 +160,29 @@ def _box_warn(x):
         )
 
 
+def check_labels(c, labels):
+    """Raise ValueError unless every label is a class of ``c`` (0..k-1)."""
+    bad = np.flatnonzero((labels < 0) | (labels >= c.k))
+    if bad.size:
+        raise ValueError(
+            f"label {labels[bad[0]]} at index {bad[0]} is outside the "
+            f"model's classes 0..{c.k - 1}"
+        )
+
+
+# a Classifier's argument rules, as attacks._FIELD_RULES
+_CLASSIFIER_RULES = {"input_shape": ([int], ">=", 1), "meta": (dict,)}
+
+
 class Classifier:
     """Layer stack whose last layer, a dense one, is the linear tail.
 
     Everything before the tail is the head.  ``input_shape`` is the
     per-example shape; every method takes and returns batches, with the
     batch as the first dimension.  ``meta`` carries training provenance
-    into checkpoints.  Every head pass runs in eval mode: only training
+    into checkpoints; both are refused by name unless ``input_shape`` is
+    a list of ints >= 1 and ``meta`` a dict or None.  Every head pass
+    runs in eval mode: only training
     moves a BatchNorm running statistic or keeps a patch matrix.  The
     attack passes, :meth:`head_forward` and :meth:`head_forward_with_ctx`,
     run on the corner of the input that the head's output reads
@@ -181,8 +197,11 @@ class Classifier:
         if not layers or not isinstance(layers[-1], Dense):
             raise ValueError("tail must be exactly one dense layer at the end")
         self.layers = layers
-        self.input_shape = tuple(int(s) for s in input_shape)
-        self.meta = dict(meta) if meta else {}
+        input_shape, meta = _check_args(
+            _CLASSIFIER_RULES, input_shape=input_shape,
+            meta={} if meta is None else meta)
+        self.input_shape = tuple(input_shape)
+        self.meta = dict(meta)
 
     @cached_property
     def _passes(self):
@@ -373,7 +392,9 @@ class Classifier:
             clf = cls(layers, _entry(arch, "input_shape", "arch"),
                       meta=header.get("meta"))
         except (TypeError, ValueError) as e:
-            raise CheckpointError(f"arch: {e}") from None
+            # meta is the header's own entry, the rest are arch's
+            where = "" if str(e).startswith("meta:") else "arch: "
+            raise CheckpointError(f"{where}{e}") from None
 
         expected = {(i, kind, name): arr
                     for i, kind, name, arr in clf._tensor_manifest()}
@@ -544,10 +565,11 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
         len(data.labels), epochs=epochs, lr=lr, momentum=momentum,
         batch_size=batch_size, seed=seed,
         adversarial=attack_config is not None)
+    labels = np.asarray(data.labels)
+    check_labels(clf, labels)
     clf = copy.deepcopy(clf)
     passes = clf._passes
     images = as_tensor(data.images)
-    labels = np.asarray(data.labels)
     shuffle_rng = np.random.default_rng(seed)
     velocity = {}
     step = 0
@@ -577,12 +599,8 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                     g = layer.backward(ctxs[i], g, **kw)
                 params = layer.params()
                 for name, grad in grads.items():
-                    key = (i, name)
-                    vel = velocity.get(key)
-                    if vel is None:
-                        vel = np.zeros_like(grad)
-                    vel = momentum * vel - lr * grad
-                    velocity[key] = vel
+                    vel = momentum * velocity.get((i, name), 0.0) - lr * grad
+                    velocity[(i, name)] = vel
                     params[name] += vel
             # freed here, not when the next step overwrites them: the
             # contexts and the last input gradient would otherwise stay
@@ -605,7 +623,9 @@ def train(clf, data, *, epochs, lr=0.05, momentum=0.9, batch_size=128,
 
     Deterministic per seed: the same preset, data, and seed reproduce an
     identical checkpoint.  Out-of-range arguments are refused by name
-    (:func:`check_fit`), adversarial training's too large seeds included.
+    (:func:`check_fit`), adversarial training's too large seeds included,
+    and so are labels outside the model's classes (:func:`check_labels`);
+    the input model is left as it was.
     """
     return _sgd_fit(clf, data, epochs=epochs, lr=lr, momentum=momentum,
                     batch_size=batch_size, seed=seed, attack_config=None)

@@ -35,21 +35,24 @@ def rel_err(analytic, fd):
     return num / max(np.linalg.norm(fd), 1e-12)
 
 
-def fd_grad(f, x, eps=1e-6):
+_FD_EPS = 1e-6
+
+
+def fd_grad(f, x):
     """Central finite differences of scalar f at a float64 copy of x,
-    elementwise."""
+    elementwise, with step ``_FD_EPS``."""
     x = np.array(x, dtype=np.float64)
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
     for i in range(flat.size):
         keep = flat[i]
-        flat[i] = keep + eps
+        flat[i] = keep + _FD_EPS
         hi = f(x)
-        flat[i] = keep - eps
+        flat[i] = keep - _FD_EPS
         lo = f(x)
         flat[i] = keep
-        gf[i] = (hi - lo) / (2 * eps)
+        gf[i] = (hi - lo) / (2 * _FD_EPS)
     return g
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 import tracemalloc
 import types
 import warnings
@@ -91,9 +92,11 @@ def test_budget_split_preserves_total():
         split = cfg.with_budget_split(k)
         assert split.n_init == k
         assert split.n_init + split.n_attack == 10
-    with pytest.raises(ValueError, match=r"^n_init 11 outside budget 0\.\.10$"):
+    # one split of the config's splits_rule: 0..10
+    assert cfg.splits_rule() == ([int, 1], ">=", 0, "<=", 10)
+    with pytest.raises(ValueError, match=r"^n_init: must be <= 10, got 11$"):
         cfg.with_budget_split(11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_init: must be >= 0, got -1$"):
         cfg.with_budget_split(-1)
     # the kind is checked before the range is compared
     with pytest.raises(TypeError, match="^n_init: expected int, got str$"):
@@ -1314,6 +1317,20 @@ def test_an_empty_split_list_is_refused(blobs_mlp, blobs_boundaries,
         attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
                                    blobs_test.images, blobs_test.labels,
                                    quick_attack_config, n_init_values=[])
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0, 14], "n_init_values[1]: must be <= 13, got 14"),
+    ([-1, 2], "n_init_values[0]: must be >= 0, got -1"),
+], ids=["above-budget", "negative"])
+def test_a_split_outside_the_budget_is_refused_by_its_index(
+        blobs_mlp, blobs_boundaries, blobs_test, quick_attack_config, values,
+        message):
+    # quick_attack_config's budget is 3 + 10
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        attacks.run_restarts_batch(blobs_mlp, blobs_boundaries,
+                                   blobs_test.images, blobs_test.labels,
+                                   quick_attack_config, n_init_values=values)
 
 
 def test_phase_counts_each_rows_moves_from_its_stop_check(rng):

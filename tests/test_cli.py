@@ -577,6 +577,19 @@ def test_corrupt_model_file_is_io_error(tmp_path, capsys):
     assert cli.main(["attack", "--config", str(cfg)]) == 3
 
 
+def test_checkpoint_meta_of_pairs_is_io_error(tmp_path, trained, capsys):
+    # once coerced to {"a": 1}; now refused by the header's key
+    root, ckpt = trained
+    bad = tmp_path / "meta.ckpt"
+    rewrite_checkpoint_header(ckpt, bad,
+                              lambda h: h.update(meta=[["a", 1]]))
+    cfg, out = attack_config(root, ckpt, "meta.json", model_path=str(bad))
+    assert cli.main(["attack", "--config", str(cfg)]) == 3
+    assert (capsys.readouterr().err
+            == "i/o error: model_path: meta: expected dict, got list\n")
+    assert not out.exists()
+
+
 def test_non_finite_checkpoint_is_io_error(tmp_path, trained, capsys):
     root, ckpt = trained
     clf = model.Classifier.load(ckpt)
@@ -708,7 +721,7 @@ def test_train_value_of_the_wrong_type_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("values, message", [
-    ([0, 11], "sweep.n_init_values: n_init 11 outside budget 0..10"),
+    ([0, 11], "sweep.n_init_values[1]: must be <= 10, got 11"),
     ([], "sweep.n_init_values: empty"),
     ([0, "2"], "sweep.n_init_values[1]: expected int"),
 ])
@@ -718,6 +731,20 @@ def test_bad_sweep_split_is_config_error(trained, capsys, values, message):
                            sweep={"n_init_values": values})
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0, 11], "sweep.n_init_values[1]: must be <= 10, got 11"),
+    ([-1], "sweep.n_init_values[0]: must be >= 0, got -1"),
+], ids=["above-budget", "negative"])
+def test_a_sweep_split_outside_the_budget_is_refused_by_its_index(
+        trained, capsys, values, message):
+    root, ckpt = trained  # attack_config's budget is 2 + 8
+    cfg, out = attack_config(root, ckpt, "split-index.csv",
+                             sweep={"n_init_values": values})
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_empty_sweep_seeds_is_config_error(trained, capsys):
@@ -834,14 +861,17 @@ def test_bad_dataset_size_is_config_error(trained, capsys, dataset, key):
     ({"dataset": {"kind": "digits", "n_per_class": 2, "classes": "12",
                   "size": 6}},
      "dataset.classes: expected list, got str"),
+    ({"dataset": {"kind": "digits", "n_per_class": 2, "classes": [0, 11],
+                  "size": 6}},
+     "dataset.classes[1]: must be <= 9, got 11"),
     ({"dataset": dict(TEST_BLOBS, keep=[1.5, 2])},
      "dataset.keep[0]: expected int, got float"),
     ({"dataset": dict(TEST_BLOBS, keep=[])},
-     "dataset.keep: must name at least one class"),
+     "dataset.keep: empty list"),
     ({"dataset": dict(TEST_BLOBS, keep=[1, 7])},
      "dataset.keep: classes [7] not present (have [0, 1, 2])"),
-], ids=["sample-n-above-size", "classes-float", "classes-str", "keep-float",
-        "keep-empty", "keep-absent"])
+], ids=["sample-n-above-size", "classes-float", "classes-str",
+        "classes-above-9", "keep-float", "keep-empty", "keep-absent"])
 def test_dataset_values_are_refused_by_their_path(trained, capsys, extra,
                                                   message):
     root, ckpt = trained

@@ -75,13 +75,12 @@ def test_region_partition_matches_argmax(blobs_mlp, blobs_boundaries, rng):
 
 def test_on_boundary_marker():
     bs = two_class_set()
-    # 2v_0 + v_1 - 1 = 1e-12 at v = (0.5, 1e-12): inside the default
-    # tie_tol band but strictly on class 0's side
-    v = np.array([0.5, 1e-12])
-    assert geometry.region_of_batch(bs, v[None], tie_tol=0.0)[0] == 0
-    out = geometry.region_of_batch(bs, np.array([v, [2.0, 0.0]]))
+    # 2v_0 + v_1 - 1 is 1e-12 at v = (0.5, 1e-12), inside the tie band
+    # (geometry._TIE_TOL = 1e-9), and 1e-8 at (0.5, 1e-8), outside it
+    out = geometry.region_of_batch(
+        bs, np.array([[0.5, 1e-12], [0.5, 1e-8], [2.0, 0.0]]))
     assert out[0] == -1  # the tie is marked -1, not silently assigned
-    assert out[1] == 0
+    assert out[1] == 0 and out[2] == 0
 
 
 def test_degenerate_pair_is_named_at_build():
@@ -146,7 +145,8 @@ def test_signed_distance_sign_tracks_region(blobs_boundaries, rng):
     bs = blobs_boundaries
     for _ in range(30):
         v = rng.normal(scale=2.0, size=(1, bs.n))
-        region = geometry.region_of_batch(bs, v, tie_tol=0.0)[0]
+        region = geometry.region_of_batch(bs, v)[0]
+        assert region >= 0  # no random draw lands in the tie band
         dist = geometry.signed_distances(bs, v, region)[0]
         for k in range(bs.k):
             if k == region:

@@ -547,6 +547,19 @@ def test_sweep_refuses_an_empty_seed_list(blobs_mlp, blobs_boundaries,
                              quick_attack_config, [0, 2], seeds=())
 
 
+@pytest.mark.parametrize("values, message", [
+    ([0, 14], "n_init_values[1]: must be <= 13, got 14"),
+    ([-1, 2], "n_init_values[0]: must be >= 0, got -1"),
+], ids=["above-budget", "negative"])
+def test_sweep_refuses_a_split_outside_the_budget_by_its_index(
+        blobs_mlp, blobs_boundaries, blobs_test, quick_attack_config, values,
+        message):
+    # quick_attack_config's budget is 3 + 10
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        harness.sweep_n_init(blobs_mlp, blobs_boundaries, blobs_test,
+                             quick_attack_config, values)
+
+
 def test_sweep_refuses_an_empty_split_list(blobs_mlp, blobs_boundaries,
                                            blobs_test, quick_attack_config):
     # refused by the argument's name, as the CLI words it after its path

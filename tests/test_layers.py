@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -611,3 +612,28 @@ def test_log_softmax_stable_for_large_logits():
     out = layers.log_softmax(z)
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(np.exp(out).sum(), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: layers.Dense(4.2, 3), TypeError,
+     "in_features: expected int, got float"),
+    (lambda: layers.Dense("4", 3), TypeError,
+     "in_features: expected int, got str"),
+    (lambda: layers.Dense(4, 0), ValueError,
+     "out_features: must be >= 1, got 0"),
+    (lambda: layers.Conv2d(1, 2, 3.0), TypeError,
+     "kernel_size: expected int, got float"),
+    (lambda: layers.Conv2d(1, 2, 3, padding=-1), ValueError,
+     "padding: must be >= 0, got -1"),
+    (lambda: layers.BatchNorm(0), ValueError,
+     "channels: must be >= 1, got 0"),
+    (lambda: layers.BatchNorm(3, eps=0), ValueError, "eps: must be > 0, got 0"),
+    (lambda: layers.BatchNorm(3, momentum=1.5), ValueError,
+     "momentum: must be <= 1, got 1.5"),
+], ids=["dense-float", "dense-str", "dense-zero", "conv2d-kernel-float",
+        "conv2d-padding-negative", "batchnorm-zero", "batchnorm-eps-zero",
+        "batchnorm-momentum-above-one"])
+def test_layers_refuse_constructor_arguments_by_name(make, error, message):
+    # a checkpoint's layer config reaches these, so none is truncated
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()

@@ -714,6 +714,25 @@ MALFORMED_HEADERS = {
                          r"key 'rng'"),
     "split-not-last": (lambda h: h["arch"].update(split=2),
                        r"arch split 2: the tail must be the last of 5"),
+    # header values are checked, not coerced: meta is named by its own
+    # key, input_shape and a layer's arguments under arch
+    "meta-int": (lambda h: h.update(meta=5),
+                 r"^meta: expected dict, got int$"),
+    "meta-str": (lambda h: h.update(meta="ab"),
+                 r"^meta: expected dict, got str$"),
+    "meta-pairs": (lambda h: h.update(meta=[["a", 1]]),
+                   r"^meta: expected dict, got list$"),
+    "input-shape-float": (lambda h: h["arch"].update(input_shape=[8.9]),
+                          r"^arch: input_shape\[0\]: expected int, got "
+                          r"float$"),
+    "input-shape-str": (lambda h: h["arch"].update(input_shape=["8"]),
+                        r"^arch: input_shape\[0\]: expected int, got str$"),
+    "in-features-float": (
+        lambda h: h["arch"]["layers"][1].update(in_features=8.2),
+        r"^arch layer 1: in_features: expected int, got float$"),
+    "in-features-str": (
+        lambda h: h["arch"]["layers"][1].update(in_features="8"),
+        r"^arch layer 1: in_features: expected int, got str$"),
 }
 
 
@@ -937,6 +956,41 @@ def test_adv_train_refuses_a_seed_past_the_start_seed_bound(blobs_train):
 def test_presets_refuse_bad_arguments_by_name(make, key):
     with pytest.raises(ValueError, match=f"^{key}: "):
         make()
+
+
+@pytest.mark.parametrize("input_shape, meta, error, message", [
+    ((8.0,), None, TypeError, "input_shape[0]: expected int, got float"),
+    ((1, 0, 4), None, ValueError, "input_shape[1]: must be >= 1, got 0"),
+    ("8", None, TypeError, "input_shape: expected list, got str"),
+    ((8,), [("a", 1)], TypeError, "meta: expected dict, got list"),
+], ids=["shape-float", "shape-zero", "shape-str", "meta-pairs"])
+def test_classifier_refuses_its_arguments_by_name(input_shape, meta, error,
+                                                  message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        model.Classifier([layers.Dense(8, 2)], input_shape, meta=meta)
+
+
+@pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "k"])
+@pytest.mark.parametrize("adversarial", [False, True],
+                         ids=["train", "adv_train"])
+def test_training_refuses_labels_outside_the_models_classes(
+        blobs_mlp, blobs_train, quick_attack_config, adversarial, bad):
+    # blobs_mlp has k = 4: a label of -1 would pick the last class, and
+    # one of 4 would index past it
+    labels = blobs_train.labels.copy()
+    labels[3] = bad
+    ds = data.Dataset(images=blobs_train.images, labels=labels)
+    before = copy.deepcopy(blobs_mlp)
+    message = f"label {bad} at index 3 is outside the model's classes 0..3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if adversarial:
+            model.adv_train(blobs_mlp, ds, quick_attack_config, epochs=1)
+        else:
+            model.train(blobs_mlp, ds, epochs=1)
+    for a, b in zip(blobs_mlp.layers, before.layers):
+        for name, p in {**a.params(), **a.buffers()}.items():
+            assert p.tobytes() == {**b.params(), **b.buffers()}[name].tobytes()
+    assert blobs_mlp.meta == before.meta
 
 
 @pytest.mark.parametrize("kwargs, key", [

@@ -1,4 +1,4 @@
-"""Write the fixed 84 CLI outputs and 24 refusals and print their sha256.
+"""Write the fixed 84 CLI outputs and 28 refusals and print their sha256.
 
     python3 tools/output_set.py DIR [--src SRC]
 
@@ -28,17 +28,19 @@ and the script prints ``sha256  file`` for every output and stdout.
 Reports embed ``model_path``, so two checkouts compare byte for byte only
 when both write into the same ``DIR``.
 
-Then come 24 configs that the CLI refuses (:func:`refusals`): a value
+Then come 28 configs that the CLI refuses (:func:`refusals`): a value
 of the wrong type or out of range in ``attack``, ``adversarial``,
 ``train`` (``lr`` and ``momentum`` included), ``sweep.seeds``,
 ``workers`` and the top-level or flag seed of every command, a digit
 listed twice, an unknown key, a dataset of the wrong type, an IDX label
 file of the wrong magic, a sample larger than its dataset, a flag
 seed and a listed sweep seed whose restart seeds overflow, an attack
-with an unknown method, a sweep with an unknown init, and sweeps with
-an empty list of splits or of seeds.  Each
-writes ``refused-<name>.txt``, its exit code and stderr, and its
-``sha256`` line follows the outputs'.
+with an unknown method, a sweep with an unknown init, sweeps with an
+empty list of splits or of seeds, a sweep split past the 3+8 budget,
+an empty ``keep``, a digit class with no stroke template, and an
+attack on ``mlp-meta-pairs.ckpt``, a copy of ``mlp.ckpt`` whose header
+``meta`` is a list of pairs.  Each writes ``refused-<name>.txt``, its
+exit code and stderr, and its ``sha256`` line follows the outputs'.
 """
 
 import argparse
@@ -192,7 +194,25 @@ def refusals(out):
          dict(base, sweep=dict(SWEEP, n_init_values=[]))),
         ("sweep-seeds-empty", "sweep", [],
          dict(base, sweep=dict(SWEEP, seeds=[]))),
+        # after the 24 above
+        ("sweep-split-over-budget", "sweep", [],
+         dict(base, sweep=dict(SWEEP, n_init_values=[0, 12]))),
+        ("attack-keep-empty", "attack", [],
+         dict(base, dataset=dict(TEST, keep=[]))),
+        ("train-digit-class-11", "train", [],
+         dict(train, dataset=dict(TRAIN, classes=[0, 11]))),
+        ("attack-checkpoint-meta-pairs", "attack", [],
+         dict(base, model_path=str(out / "mlp-meta-pairs.ckpt"))),
     ]
+
+
+def write_meta_pairs_checkpoint(out):
+    """Copy ``mlp.ckpt`` to ``mlp-meta-pairs.ckpt`` with the header's
+    ``meta`` set to ``[["a", 1]]``; the payload bytes are kept."""
+    magic, header, payload = (out / "mlp.ckpt").read_bytes().split(b"\n", 2)
+    header = dict(json.loads(header), meta=[["a", 1]])
+    (out / "mlp-meta-pairs.ckpt").write_bytes(
+        b"\n".join((magic, json.dumps(header).encode(), payload)))
 
 
 def sha256(path):
@@ -228,6 +248,7 @@ def main(argv=None):
         (out / f"{name}.stdout").write_text(stdout.getvalue())
         for written in (name, f"{name}.stdout"):
             print(f"{sha256(out / written)}  {written}", flush=True)
+    write_meta_pairs_checkpoint(out)
     for name, command, flags, cfg in refusals(out):
         config = out / f"refused-{name}.config.json"
         config.write_text(json.dumps(dict(cfg, out=str(out / name))))
