@@ -480,7 +480,7 @@ def _digit_images(rng, base, out):
 
 # a class's range is the digits with a stroke template
 _DIGITS_RULES = {"n_per_class": (int, ">=", 0),
-                 "classes": ([int], ">=", 0, "<=", 9),
+                 "classes": ([int, 1], ">=", 0, "<=", 9),
                  "size": (int, ">=", 1), "seed": (int, ">=", 0)}
 
 

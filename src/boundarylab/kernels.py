@@ -26,8 +26,12 @@ is ``gy @ Pᵀ`` on the same ``P``.  A caller that passes ``cols``, a
 ``(C·kh·kw, OH·OW·B)`` float64 buffer, has the forward build ``P`` in
 it, the weight gradient read that ``P`` instead of building its own, and
 the input gradient write its spread columns over it.  2x2 pooling
-compares whole B-long rows of the buffer.  ``bench/run.py --trace 1``
-times each kernel at the shapes the presets run.
+compares whole B-long rows of the buffer.  A caller that passes ``out``
+(and the pool's ``codes``), C-contiguous arrays of the result's size,
+gets the result written in them, bit for bit the fresh array's: training
+passes buffers it reuses from step to step (``model._Workspace``).
+``bench/run.py --trace 1`` times each kernel at the shapes the presets
+run.
 """
 
 import numpy as np
@@ -49,10 +53,16 @@ def _bi64(a):
     return np.ascontiguousarray(_bi(a), dtype=np.float64)
 
 
-def batch_inner(a):
+def batch_inner(a, *, empty=np.empty):
     """``a`` (B, C, H, W) in the kernels' layout: a batch-first view of a
-    C-contiguous float64 (C, H, W, B) buffer, copied only if needed."""
-    return _bf(_bi64(a))
+    C-contiguous float64 (C, H, W, B) buffer, copied only if needed, into
+    ``empty(shape)``."""
+    b = _bi(a)
+    if a.dtype == np.float64 and b.flags.c_contiguous:
+        return a
+    out = empty(b.shape)
+    out[...] = b
+    return _bf(out)
 
 
 def patch_shape(x_shape, kh, kw, padding=0):
@@ -80,23 +90,33 @@ def _patches(x, kh, kw, padding, out=None):
     return p.reshape(c * kh * kw, oh * ow * b), oh, ow
 
 
-def conv2d_forward(x, w, bias, padding=0, *, cols=None):
+def patches(x, kh, kw, padding=0, *, out=None):
+    """The patch matrix of x (B,C,H,W), of :func:`patch_shape`, built in
+    ``out`` if given."""
+    return _patches(x, kh, kw, padding, out=out)[0]
+
+
+def conv2d_forward(x, w, bias, padding=0, *, cols=None, out=None):
     """Valid cross-correlation of (B,C,H,W) with (O,C,kh,kw) plus bias.
 
     With ``cols``, a float64 buffer of :func:`patch_shape`, the patch
-    matrix is built in it, for :func:`conv2d_param_grad` to read."""
+    matrix is built in it, for :func:`conv2d_param_grad` to read.  With
+    ``out``, a float64 buffer of O·OH·OW·B elements, the output is."""
     co, ci, kh, kw = w.shape
     p, oh, ow = _patches(x, kh, kw, padding, out=cols)
-    y = np.asarray(w, dtype=np.float64).reshape(co, ci * kh * kw) @ p
+    y = np.matmul(np.asarray(w, dtype=np.float64).reshape(co, ci * kh * kw),
+                  p, out=None if out is None else out.reshape(co, -1))
     y += np.asarray(bias, dtype=np.float64)[:, None]  # in place: no second buffer
     return _bf(y.reshape(co, oh, ow, x.shape[0]))
 
 
-def conv2d_input_grad(gy, w, x_shape, padding=0, *, cols=None):
+def conv2d_input_grad(gy, w, x_shape, padding=0, *, cols=None, out=None):
     """Gradient w.r.t. the conv input, shape x_shape = (B,C,H,W).
 
     With ``cols``, a float64 buffer of :func:`patch_shape` whose values
-    are no longer needed, the spread columns are written over it."""
+    are no longer needed, the spread columns are written over it.  With
+    ``out``, a float64 buffer of the padded input's C·(H+2p)·(W+2p)·B
+    elements, the gradient is summed in it."""
     b, co, oh, ow = gy.shape
     _, ci, kh, kw = w.shape
     h, wdt = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
@@ -105,7 +125,11 @@ def conv2d_input_grad(gy, w, x_shape, padding=0, *, cols=None):
     wm = np.asarray(w, dtype=np.float64).reshape(co, ci * kh * kw)
     gcols = np.matmul(wm.T, _bi64(gy).reshape(co, -1), out=cols)
     gcols = gcols.reshape(ci, kh, kw, oh, ow, b)
-    gx = np.zeros((ci, h, wdt, b))
+    if out is None:
+        gx = np.zeros((ci, h, wdt, b))
+    else:
+        gx = out.reshape(ci, h, wdt, b)
+        gx.fill(0.0)
     for i in range(kh):
         for j in range(kw):
             gx[:, i : i + oh, j : j + ow] += gcols[:, i, j]
@@ -138,7 +162,7 @@ def _windows(buf, oh, ow):
     return buf[:, : 2 * oh, : 2 * ow].reshape(c, oh, 2, ow, 2, b)
 
 
-def maxpool2_forward(x, *, after_relu=False):
+def maxpool2_forward(x, *, after_relu=False, out=None, codes=None):
     """2x2/stride-2 max pool; returns (pooled, window argmax codes 0..7).
 
     Odd trailing rows/columns are dropped. Codes 0..3 number the window
@@ -147,7 +171,9 @@ def maxpool2_forward(x, *, after_relu=False):
     ``after_relu``, x is a ReLU's output and a window whose max is not
     positive gets its code plus 4, which :func:`maxpool2_backward` routes
     nothing to: the max is positive exactly where the ReLU's mask at the
-    routed element is 1, so the ReLU's backward is folded in.
+    routed element is 1, so the ReLU's backward is folded in.  ``out``
+    (float64) and ``codes`` (uint8), buffers of C·OH·OW·B elements, take
+    the results if given.
     """
     oh, ow = x.shape[2] // 2, x.shape[3] // 2
     win = _windows(_bi64(x), oh, ow)
@@ -160,11 +186,15 @@ def maxpool2_forward(x, *, after_relu=False):
     top, bottom = win[:, :, 0], win[:, :, 1]
     right_top = _pick_second(top[:, :, :, 0], top[:, :, :, 1])
     right_bottom = _pick_second(bottom[:, :, :, 0], bottom[:, :, :, 1])
+    shape = right_top.shape
     htop = np.maximum(top[:, :, :, 1], top[:, :, :, 0])
     hbottom = np.maximum(bottom[:, :, :, 1], bottom[:, :, :, 0])
     down = _pick_second(htop, hbottom)
-    y = np.maximum(hbottom, htop)
-    idx = down.view(np.uint8) << 1 | (down & right_bottom) | (~down & right_top)
+    y = np.maximum(hbottom, htop,
+                   out=None if out is None else out.reshape(shape))
+    idx = np.bitwise_or(
+        down.view(np.uint8) << 1 | (down & right_bottom), ~down & right_top,
+        out=None if codes is None else codes.reshape(shape))
     if after_relu:
         idx |= (~(y > 0)).view(np.uint8) << 2
     return _bf(y), _bf(idx)
@@ -174,18 +204,20 @@ def maxpool2_forward(x, *, after_relu=False):
 _CODES = np.arange(4, dtype=np.uint8).reshape(1, 1, 2, 1, 2, 1)
 
 
-def maxpool2_backward(gy, idx, x_shape):
+def maxpool2_backward(gy, idx, x_shape, *, out=None):
     """Route upstream values back to the argmax positions of an input of
     shape x_shape; the odd trailing rows/columns, and every element of a
-    window coded 4 or more, get zero."""
+    window coded 4 or more, get zero.  ``out``, a float64 buffer of
+    C·H·W·B elements, takes the result if given."""
     b, c, h, w = x_shape
     oh, ow = gy.shape[2], gy.shape[3]
     # One pass writes the buffer in order: each window element gets the
     # upstream where the code names it and +0.0 elsewhere, the upstream's
     # bits, read as uint64 words, times the 0/1 mask.  With even H and W
     # that covers the whole buffer, so only odd ones start from zeros.
-    gx = np.empty((c, h, w, b)) if h % 2 == 0 and w % 2 == 0 else \
-        np.zeros((c, h, w, b))
+    gx = np.empty((c, h, w, b)) if out is None else out.reshape(c, h, w, b)
+    if h % 2 or w % 2:
+        gx.fill(0.0)
     bits = _bi64(gy).view(np.uint64)[:, :, None, :, None]
     codes = _bi(idx)[:, :, None, :, None]
     np.multiply(bits, codes == _CODES, out=_windows(gx.view(np.uint64), oh, ow))

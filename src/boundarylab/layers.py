@@ -18,7 +18,14 @@ that array (BatchNorm: over its channel rows, which are the array
 itself when it is batch-innermost).  The model's forward loops pass two
 more keywords: ``pooled`` to a ReLU directly before a
 :class:`MaxPool2x2` and ``after_relu`` to that pool (``model._pooling``),
-and ``keep_patches=False`` to a first Conv2d in training.
+and ``keep_patches=False`` to a first Conv2d in training.  Training
+passes ``empty`` to the train-mode ``forward`` of :class:`Conv2d`,
+:class:`BatchNorm`, :class:`MaxPool2x2` and :class:`Dense`: a function
+with ``np.empty``'s ``(shape, dtype)`` that the layer, and the train
+context's later passes, ask for each large array they write (outputs,
+patch matrices, x̂, window codes, input gradients), so that a fit reuses
+them from step to step (``model._Workspace``).  The default,
+``np.empty``, gives fresh arrays; either way the bits are the same.
 
 Only training runs a layer in train mode: the model's head passes, and
 so every attack, prediction and export, run in eval mode.  A context
@@ -34,7 +41,8 @@ its columns over.  Either call, in any order and with any upstream,
 gives the bits a fresh context gives.  An eval-mode context keeps no
 input, only what the backward reads (ReLU's mask, unless ``pooled``,
 pooling's window codes, BatchNorm's scale, Conv2d's input shape,
-nothing for Dense), and ``param_grads`` refuses it.  So an attack's
+nothing for Dense, and the ``empty`` of a layer that takes one), and
+``param_grads`` refuses it.  So an attack's
 head pass holds no layer input past the forward that reads it.
 """
 
@@ -53,6 +61,7 @@ from .kernels import (
     maxpool2_backward,
     maxpool2_forward,
     patch_shape,
+    patches,
 )
 
 
@@ -129,23 +138,26 @@ class Dense(Layer):
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, *, empty=np.empty):
         _check_rank("dense", x, 2)
         if x.shape[1] != self.in_features:
             raise ShapeMismatchError(
                 f"dense: expected {self.in_features} features, got {x.shape[1]}"
             )
-        y = x @ self.weight.T
+        y = np.matmul(x, self.weight.T,
+                      out=empty((x.shape[0], self.out_features)))
         y += self.bias  # in place: no second buffer
         # the backward reads only the weight; the input is kept for
         # param_grads, which only training calls
-        return y, (x if train else None,)
+        return y, (x if train else None, empty)
 
     def backward(self, ctx, gy):
-        return gy @ self.weight
+        _, empty = ctx
+        return np.matmul(gy, self.weight,
+                         out=empty((gy.shape[0], self.in_features)))
 
     def param_grads(self, ctx, gy):
-        (x,) = ctx
+        x, _ = ctx
         _check_train_ctx("dense", x)
         return {"weight": gy.T @ x, "bias": gy.sum(axis=0)}
 
@@ -181,7 +193,7 @@ class Conv2d(Layer):
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def forward(self, x, train=False, *, keep_patches=True):
+    def forward(self, x, train=False, *, keep_patches=True, empty=np.empty):
         _check_rank("conv2d", x, 4)
         if x.shape[1] != self.in_channels:
             raise ShapeMismatchError(
@@ -195,32 +207,39 @@ class Conv2d(Layer):
         # converted once: the forward reads it as is, and in train mode so
         # does param_grads when no patch matrix is kept; the backward
         # reads only its shape
-        x = batch_inner(x)
+        x = batch_inner(x, empty=empty)
         # The patch matrix is built once.  In train mode, unless told
         # ``keep_patches=False``, the context keeps it as [buffer, read]:
         # param_grads reads it and sets ``read``, and a backward after that
         # writes its columns over it and drops it.  A param_grads after
         # that, or on a context that keeps none, builds it from x again.
-        k = self.kernel_size
-        cols = np.empty(patch_shape(x.shape, k, k, self.padding))
-        y = conv2d_forward(x, self.weight, self.bias, padding=self.padding,
-                           cols=cols)
+        k, p = self.kernel_size, self.padding
+        cols = empty(patch_shape(x.shape, k, k, p))
+        y = conv2d_forward(x, self.weight, self.bias, padding=p, cols=cols,
+                           out=empty((self.out_channels, cols.shape[1])))
         kept = cols if train and keep_patches else None
-        return y, (x if train else None, x.shape, [kept, False])
+        return y, (x if train else None, x.shape, [kept, False], empty)
 
     def backward(self, ctx, gy):
-        _, x_shape, kept = ctx
+        _, (b, c, h, w), kept, empty = ctx
         spare = None
         if kept[1]:
             spare, kept[:] = kept[0], [None, False]
-        return conv2d_input_grad(gy, self.weight, x_shape,
-                                 padding=self.padding, cols=spare)
+        p = self.padding
+        return conv2d_input_grad(gy, self.weight, (b, c, h, w), padding=p,
+                                 cols=spare,
+                                 out=empty((c, h + 2 * p, w + 2 * p, b)))
 
     def param_grads(self, ctx, gy):
-        x, _, kept = ctx
+        x, _, kept, empty = ctx
         _check_train_ctx("conv2d", x)
-        gw, gb = conv2d_param_grad(x, gy, self.weight.shape,
-                                   padding=self.padding, cols=kept[0])
+        k, p = self.kernel_size, self.padding
+        cols = kept[0]
+        if cols is None:
+            cols = patches(x, k, k, p,
+                           out=empty(patch_shape(x.shape, k, k, p)))
+        gw, gb = conv2d_param_grad(x, gy, self.weight.shape, padding=p,
+                                   cols=cols)
         kept[1] = kept[0] is not None
         return {"weight": gw, "bias": gb}
 
@@ -263,18 +282,22 @@ class MaxPool2x2(Layer):
 
     # ``after_relu``: x is the output of a ReLU told ``pooled``, whose mask
     # the window codes take over (kernels.maxpool2_forward)
-    def forward(self, x, train=False, *, after_relu=False):
+    def forward(self, x, train=False, *, after_relu=False, empty=np.empty):
         _check_rank("maxpool2x2", x, 4)
-        if x.shape[2] < 2 or x.shape[3] < 2:
+        b, c, h, w = x.shape
+        if h < 2 or w < 2:
             raise ShapeMismatchError(
-                f"maxpool2x2: input {x.shape[2]}x{x.shape[3]} smaller than window"
+                f"maxpool2x2: input {h}x{w} smaller than window"
             )
-        y, idx = maxpool2_forward(x, after_relu=after_relu)
-        return y, (idx, x.shape)
+        shape = (c, h // 2, w // 2, b)
+        y, idx = maxpool2_forward(x, after_relu=after_relu, out=empty(shape),
+                                  codes=empty(shape, np.uint8))
+        return y, (idx, x.shape, empty)
 
     def backward(self, ctx, gy):
-        idx, x_shape = ctx
-        return maxpool2_backward(gy, idx, x_shape)
+        idx, (b, c, h, w), empty = ctx
+        return maxpool2_backward(gy, idx, (b, c, h, w),
+                                 out=empty((c, h, w, b)))
 
 
 # Doubles per block of BatchNorm channel rows: 256 KB, a share of the
@@ -358,7 +381,7 @@ class BatchNorm(Layer):
         step = max(1, _BLOCK // max(n, 1))
         return [slice(lo, min(lo + step, c)) for lo in range(0, c, step)]
 
-    def forward(self, x, train=False, *, overwrite=False):
+    def forward(self, x, train=False, *, overwrite=False, empty=np.empty):
         rows = self._rows(x)
         n = rows.shape[1]
         if not train:
@@ -368,11 +391,12 @@ class BatchNorm(Layer):
             y = np.multiply(rows, scale[:, None],
                             out=rows if overwrite else None)
             y += shift[:, None]
-            return _from_rows(y, x.shape), (None, scale, x.shape, None)
+            return _from_rows(y, x.shape), (None, scale, x.shape, None,
+                                            None)
         # xhat, kept until the backward, is allocated before y, which the
         # next layer frees; y first raised train-cnn's peak RSS by ~2 MB
-        xhat = np.empty_like(rows)
-        y = rows if overwrite else np.empty_like(rows)
+        xhat = empty(rows.shape)
+        y = rows if overwrite else empty(rows.shape)
         mean, var, inv = (np.empty(self.channels) for _ in range(3))
         for s in self._blocks(n):
             # y[s] may be rows[s]: it is written once the block is read
@@ -386,14 +410,14 @@ class BatchNorm(Layer):
         m = self.momentum
         self.running_mean = (1 - m) * self.running_mean + m * mean
         self.running_var = (1 - m) * self.running_var + m * var
-        return _from_rows(y, x.shape), (xhat, inv, x.shape, [])
+        return _from_rows(y, x.shape), (xhat, inv, x.shape, [], empty)
 
     def _sums(self, ctx, gy, g=None):
         # Σgy and Σgy·x̂ per channel of a train context, taken once per
         # upstream array: the context's list keeps [gy, Σgy, Σgy·x̂] of
         # the last upstream summed, and gy's channel rows ``g`` are taken
         # only when the sums are
-        xhat, _, _, kept = ctx
+        xhat, _, _, kept, _ = ctx
         if kept and kept[0] is gy:
             return kept[1], kept[2]
         g = self._rows(gy) if g is None else g
@@ -406,8 +430,8 @@ class BatchNorm(Layer):
 
     def backward(self, ctx, gy, *, overwrite=False):
         # train ctx: (xhat rows, 1/std of the batch, shape, the sums of
-        # _sums); eval: (None, scale, shape, None)
-        xhat, per_channel, shape, kept = ctx
+        # _sums, empty); eval: (None, scale, shape, None, None)
+        xhat, per_channel, shape, kept, empty = ctx
         g = self._rows(gy)
         if xhat is None:
             gx = np.multiply(g, per_channel[:, None],
@@ -417,7 +441,7 @@ class BatchNorm(Layer):
         sum_g, sum_gx = self._sums(ctx, gy, g)
         if overwrite:  # gy's values are written over below
             kept.clear()
-        gx = g if overwrite else np.empty_like(g)
+        gx = g if overwrite else empty(g.shape)
         blocks = self._blocks(n)
         # Batch statistics depend on x, so the gradient couples the batch:
         # gx = s·(gy - Σgy/n - x̂·Σgy·x̂/n) with s = γ·inv, as three terms,
@@ -426,10 +450,13 @@ class BatchNorm(Layer):
         # the first two terms would change which NaN payload a sum of two
         # NaNs keeps
         scale = self.gamma * per_channel
-        scratch = np.empty((blocks[0].stop, n))
+        # one block of rows: at most _BLOCK doubles, or one row, which no
+        # block of a shorter batch exceeds
+        scratch = empty((max(n, min(_BLOCK, self.channels * n)),))
         for s in blocks:
             gb, xb, sc = g[s], xhat[s], scale[s]
-            term = np.multiply(gb, sc[:, None], out=scratch[: len(sc)])
+            term = np.multiply(gb, sc[:, None],
+                               out=scratch[: gb.size].reshape(gb.shape))
             out = np.multiply(xb, (-sc * sum_gx[s] / n)[:, None], out=gx[s])
             out += term
             out += (-sc * sum_g[s] / n)[:, None]

@@ -13,6 +13,7 @@ import copy
 import json
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,7 +91,9 @@ class _Passes:
     """The (layer, keyword arguments) pairs of the model's own layer
     loops, in the order each loop runs, from :func:`_owning` and, for
     the forward loops, :func:`_pooling`; only ``train_forward`` passes
-    ``train=True``."""
+    ``train=True``, and ``empty=None`` to each layer that takes
+    ``empty``, for :func:`_sgd_fit` to fill with its fit's
+    :class:`_Workspace`."""
 
     head_forward: tuple
     head_backward: tuple
@@ -133,6 +136,98 @@ def _head_corner(head, input_shape):
             0 < n <= s for n, s in zip(need, sizes[0])):
         return None
     return np.s_[:, :, :need[0], :need[1]]
+
+
+# the layers whose train-mode forward takes ``empty``
+_BUFFERED = (BatchNorm, Conv2d, Dense, MaxPool2x2)
+
+
+# Doubles per page, and the step between the page offsets at which the
+# workspace's buffers start.  Arrays that start at one page offset, as
+# every large fresh array does, are streamed side by side with equal
+# page offsets, and loads then wait on stores to unrelated addresses
+# (4K aliasing): on a 2-vCPU Xeon (numpy 2.4.6, one OpenBLAS thread) a
+# training step whose arrays all started at one offset ran ~30% slower.
+_PAGE, _STAGGER = 512, 32
+
+
+class _Workspace:
+    """The arrays that one fit's training steps ask ``empty`` for.
+
+    The first step gets fresh arrays, and records each one's size and
+    how many arrays had been asked for when it was freed.  From those,
+    its end plans the flat float64 buffers of every later step: largest
+    first, each array takes the smallest buffer that holds it and whose
+    holders are all live at other times than it, else a new one of its
+    size.  So a buffer whose contents are dead takes another role: at
+    128 rows, small_cnn's 22 arrays take 12 buffers of 9.65 MB, where
+    its first step held at most 9.64 MB at once.  The second step
+    allocates the buffers (``allocations`` counts them), buffer b
+    starting b·``_STAGGER`` doubles into its allocation.  Every step
+    runs the same passes, so its k-th array is the leading elements of
+    the k-th array's buffer, reshaped, and a short last batch asks for
+    no more than the first batch did.
+    """
+
+    def __init__(self):
+        self.allocations = 0
+        self._asked = []  # first step: [doubles, arrays asked when freed]
+        self._plan = None  # later steps: (buffer sizes, buffer per array)
+        self._buffers = None
+        self._k = 0  # arrays asked for in this step
+
+    def _allocate(self):
+        self._buffers = []
+        for b, size in enumerate(self._plan[0]):
+            start = b * _STAGGER % _PAGE
+            self._buffers.append(np.empty(start + size)[start:])
+        self.allocations += len(self._buffers)
+
+    def empty(self, shape, dtype=np.float64):
+        dtype = np.dtype(dtype)
+        n = math.prod(shape)
+        doubles = -(-n * dtype.itemsize // 8)
+        if self._plan is None:
+            flat = np.empty(doubles)
+            self._asked.append([doubles, None])
+            weakref.finalize(flat, self._freed, self._asked[-1])
+        else:
+            if self._buffers is None:
+                self._allocate()
+            flat = self._buffers[self._plan[1][self._k]]
+            if doubles > flat.size:
+                raise RuntimeError("a training step asked for more than "
+                                   "its first step did")
+        self._k += 1
+        return flat.view(dtype)[:n].reshape(shape)
+
+    def _freed(self, record):
+        if self._plan is None:
+            record[1] = self._k
+
+    def end_step(self):
+        if self._plan is None:
+            # array k is live from its asking, k, until it was freed; one
+            # still held at the step's end is live to the end
+            asked = self._asked
+            live = [(k, len(asked) if freed is None else freed)
+                    for k, (_, freed) in enumerate(asked)]
+            sizes, spans, owner = [], [], [None] * len(asked)
+            for k in sorted(range(len(asked)), key=lambda k: -asked[k][0]):
+                start, end = live[k]
+                fits = [b for b, size in enumerate(sizes)
+                        if size >= asked[k][0] and all(
+                            end <= s or e <= start for s, e in spans[b])]
+                if fits:
+                    b = min(fits, key=sizes.__getitem__)
+                else:
+                    b = len(sizes)
+                    sizes.append(asked[k][0])
+                    spans.append([])
+                spans[b].append((start, end))
+                owner[k] = b
+            self._plan = (sizes, owner)
+        self._k = 0
 
 
 def _forward(passes, h, ctxs=None):
@@ -207,7 +302,9 @@ class Classifier:
     def _passes(self):
         # once per classifier: its layer list is fixed at construction
         layers, head = self.layers, self.layers[:-1]
-        train = [(layer, {**kw, "train": True})
+        train = [(layer, {**kw, "train": True,
+                          **({"empty": None} if isinstance(layer, _BUFFERED)
+                             else {})})
                  for layer, kw in _pooling(_owning(layers))]
         if isinstance(layers[0], Conv2d):
             # training takes no input gradient of its first layer, which
@@ -303,9 +400,8 @@ class Classifier:
         """
         # glibc sets its malloc thresholds from the largest block freed:
         # a predict of 16x16 digits on the corner frees 4.7 MB blocks, not
-        # 7.4 MB ones, and a training run after it then gave about 12 MB
-        # of heap back to the system and faulted it in again every step,
-        # which made it ~30% slower
+        # 7.4 MB ones, and harness.evaluate's attack loop, which predicts
+        # first, then ran ~10% slower on small_cnn
         x = self._checked(x)
         labels = np.empty(len(x), dtype=np.intp)
         for lo in range(0, len(x), _PREDICT_ROWS):
@@ -568,7 +664,11 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
     labels = np.asarray(data.labels)
     check_labels(clf, labels)
     clf = copy.deepcopy(clf)
-    passes = clf._passes
+    ws = _Workspace()
+    forward = tuple((layer, {**kw, "empty": ws.empty} if "empty" in kw
+                     else kw)
+                    for layer, kw in clf._passes.train_forward)
+    backward = clf._passes.train_backward
     images = as_tensor(data.images)
     shuffle_rng = np.random.default_rng(seed)
     velocity = {}
@@ -577,7 +677,9 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
         perm = shuffle_rng.permutation(len(labels))
         for lo in range(0, len(labels), batch_size):
             idx = perm[lo : lo + batch_size]
-            x, y = images[idx], labels[idx]
+            x = np.take(images, idx, axis=0, mode="clip",
+                        out=ws.empty((len(idx), *images.shape[1:])))
+            y = labels[idx]
             if attack_config is not None:
                 # the whole batch as one row, drawn from one stream
                 start = attacks.random_start_batch(
@@ -585,27 +687,30 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                     [seed * _START_STRIDE + step]).reshape(x.shape)
                 x = attacks.pgd_batch(clf, x, y, attack_config, start).x_adv
             ctxs = []
-            z = _forward(passes.train_forward, x, ctxs)
+            z = _forward(forward, x, ctxs)
+            del x  # nothing below reads it; a context that does keeps it
             loss, g = cross_entropy_with_logits(z, y)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step}"
                 )
             for i, (layer, kw) in zip(range(len(clf.layers) - 1, -1, -1),
-                                      passes.train_backward):
+                                      backward):
+                # each context is dropped once its layer's passes are done
+                ctx = ctxs.pop()
                 # the parameter gradients read g before backward writes it
-                grads = layer.param_grads(ctxs[i], g)
+                grads = layer.param_grads(ctx, g)
                 if i > 0:  # nothing reads the first layer's input gradient
-                    g = layer.backward(ctxs[i], g, **kw)
+                    g = layer.backward(ctx, g, **kw)
                 params = layer.params()
                 for name, grad in grads.items():
                     vel = momentum * velocity.get((i, name), 0.0) - lr * grad
                     velocity[(i, name)] = vel
                     params[name] += vel
-            # freed here, not when the next step overwrites them: the
-            # contexts and the last input gradient would otherwise stay
-            # through the next step's attack and forward
-            del ctxs, g
+            # the step's arrays are freed before the workspace plans from
+            # their lifetimes
+            del z, g, ctx
+            ws.end_step()
             _check_finite(clf, epoch, step)
             step += 1
     clf.meta.update({

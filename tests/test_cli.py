@@ -864,6 +864,9 @@ def test_bad_dataset_size_is_config_error(trained, capsys, dataset, key):
     ({"dataset": {"kind": "digits", "n_per_class": 2, "classes": [0, 11],
                   "size": 6}},
      "dataset.classes[1]: must be <= 9, got 11"),
+    ({"dataset": {"kind": "digits", "n_per_class": 2, "classes": [],
+                  "size": 6}},
+     "dataset.classes: empty list"),
     ({"dataset": dict(TEST_BLOBS, keep=[1.5, 2])},
      "dataset.keep[0]: expected int, got float"),
     ({"dataset": dict(TEST_BLOBS, keep=[])},
@@ -871,7 +874,8 @@ def test_bad_dataset_size_is_config_error(trained, capsys, dataset, key):
     ({"dataset": dict(TEST_BLOBS, keep=[1, 7])},
      "dataset.keep: classes [7] not present (have [0, 1, 2])"),
 ], ids=["sample-n-above-size", "classes-float", "classes-str",
-        "classes-above-9", "keep-float", "keep-empty", "keep-absent"])
+        "classes-above-9", "classes-empty", "keep-float", "keep-empty",
+        "keep-absent"])
 def test_dataset_values_are_refused_by_their_path(trained, capsys, extra,
                                                   message):
     root, ckpt = trained

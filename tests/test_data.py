@@ -219,7 +219,8 @@ def test_generators_refuse_bad_arguments_by_name(make, key):
 @pytest.mark.parametrize("classes, message", [
     ((0, 11), "classes[1]: must be <= 9, got 11"),
     ((-1, 2), "classes[0]: must be >= 0, got -1"),
-], ids=["above-9", "negative"])
+    ((), "classes: empty list"),
+], ids=["above-9", "negative", "empty"])
 def test_a_digit_class_is_a_digit_with_a_stroke_template(classes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         data.make_digits(2, classes=classes, size=8)

@@ -374,6 +374,21 @@ def test_training_builds_each_patch_matrix_as_planned(monkeypatch):
     assert spare == [True]
 
 
+class _FreshArrays:
+    # the oracle of model._Workspace: every step gets fresh arrays
+    empty = staticmethod(np.empty)
+
+    def end_step(self):
+        pass
+
+
+def _same_bits(a, b, what=""):
+    for la, lb in zip(a.layers, b.layers):
+        want = {**lb.params(), **lb.buffers()}
+        for key, p in {**la.params(), **la.buffers()}.items():
+            assert p.tobytes() == want[key].tobytes(), what
+
+
 @pytest.mark.parametrize("adversarial", [False, True],
                          ids=["train", "adv_train"])
 @pytest.mark.parametrize("name", list(_owned_heads()))
@@ -394,18 +409,70 @@ def test_training_in_place_equals_pure_and_leaves_the_data_alone(
 
     got = fit()
     assert images.tobytes() == before
-    # the oracles: the same loops with no layer told to overwrite, and
-    # with no ReLU's mask folded into the next pool's codes
+    # the oracles: the same loops with no layer told to overwrite, with
+    # no ReLU's mask folded into the next pool's codes, and with fresh
+    # arrays at every step, the short last batch of 2 included
     for oracle, plain in (
             ("_owning", lambda layers, owned=False: ((l, {}) for l in layers)),
-            ("_pooling", tuple)):
+            ("_pooling", tuple),
+            ("_Workspace", _FreshArrays)):
         with monkeypatch.context() as m:
             m.setattr(model, oracle, plain)
             want = fit()
-        for a, b in zip(got.layers, want.layers):
-            for key, p in {**a.params(), **a.buffers()}.items():
-                assert p.tobytes() == {**b.params(),
-                                       **b.buffers()}[key].tobytes(), oracle
+        _same_bits(got, want, oracle)
+
+
+def _workspaces(monkeypatch):
+    # every model._Workspace made from here on, with the arrays each
+    # handed out after its first step
+    made = []
+
+    class Recorded(model._Workspace):
+        def __init__(self):
+            super().__init__()
+            self.later = []
+            made.append(self)
+
+        def empty(self, shape, dtype=np.float64):
+            a = super().empty(shape, dtype)
+            if self._plan is not None:
+                self.later.append(a)
+            return a
+
+    monkeypatch.setattr(model, "_Workspace", Recorded)
+    return made
+
+
+def test_a_fit_allocates_its_workspace_at_its_first_step_only(monkeypatch,
+                                                              rng):
+    made = _workspaces(monkeypatch)
+    clf = _owned_heads()["small_cnn"]
+    ds = data.Dataset(images=rng.uniform(0, 1, (12, *clf.input_shape)),
+                      labels=np.arange(12) % 3)
+    for epochs in (1, 3):  # 3 and 9 steps, each epoch's last one of 2
+        model.train(clf, ds, epochs=epochs, batch_size=5, seed=4)
+    one, three = made
+    assert one.allocations == three.allocations == len(three._buffers) > 1
+    # after the first step, every array is a view of a buffer, and the
+    # buffers are fewer than the arrays
+    assert len(three._buffers) < len(three._asked)
+    assert three.later and all(
+        any(np.shares_memory(a, b) for b in three._buffers)
+        for a in three.later)
+
+
+def test_a_short_last_batch_fits_the_first_steps_buffers(monkeypatch):
+    # at 37 rows BatchNorm's first layer takes 4 channels per block, and
+    # at the last batch's 12 rows it takes 13: 30,576 scratch doubles
+    # against 29,008
+    made = _workspaces(monkeypatch)
+    digits = data.make_digits(17, classes=(0, 1, 2), size=16, seed=5)
+    ds = data.Dataset(images=digits.images[:49], labels=digits.labels[:49])
+    clf = model.small_cnn(k=3, n=2, input_shape=(1, 16, 16), seed=1)
+    got = model.train(clf, ds, epochs=2, batch_size=37, seed=0)
+    assert made[0].allocations > 0
+    monkeypatch.setattr(model, "_Workspace", _FreshArrays)
+    _same_bits(got, model.train(clf, ds, epochs=2, batch_size=37, seed=0))
 
 
 @pytest.mark.parametrize("preset, overwritten", [

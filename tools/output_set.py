@@ -1,4 +1,4 @@
-"""Write the fixed 84 CLI outputs and 28 refusals and print their sha256.
+"""Write the fixed 84 CLI outputs and 29 refusals and print their sha256.
 
     python3 tools/output_set.py DIR [--src SRC]
 
@@ -28,7 +28,7 @@ and the script prints ``sha256  file`` for every output and stdout.
 Reports embed ``model_path``, so two checkouts compare byte for byte only
 when both write into the same ``DIR``.
 
-Then come 28 configs that the CLI refuses (:func:`refusals`): a value
+Then come 29 configs that the CLI refuses (:func:`refusals`): a value
 of the wrong type or out of range in ``attack``, ``adversarial``,
 ``train`` (``lr`` and ``momentum`` included), ``sweep.seeds``,
 ``workers`` and the top-level or flag seed of every command, a digit
@@ -37,10 +37,11 @@ file of the wrong magic, a sample larger than its dataset, a flag
 seed and a listed sweep seed whose restart seeds overflow, an attack
 with an unknown method, a sweep with an unknown init, sweeps with an
 empty list of splits or of seeds, a sweep split past the 3+8 budget,
-an empty ``keep``, a digit class with no stroke template, and an
-attack on ``mlp-meta-pairs.ckpt``, a copy of ``mlp.ckpt`` whose header
-``meta`` is a list of pairs.  Each writes ``refused-<name>.txt``, its
-exit code and stderr, and its ``sha256`` line follows the outputs'.
+an empty ``keep``, a digit class with no stroke template, an attack
+on ``mlp-meta-pairs.ckpt``, a copy of ``mlp.ckpt`` whose header
+``meta`` is a list of pairs, and digits of an empty list of classes.
+Each writes ``refused-<name>.txt``, its exit code and stderr, and its
+``sha256`` line follows the outputs'.
 """
 
 import argparse
@@ -203,6 +204,9 @@ def refusals(out):
          dict(train, dataset=dict(TRAIN, classes=[0, 11]))),
         ("attack-checkpoint-meta-pairs", "attack", [],
          dict(base, model_path=str(out / "mlp-meta-pairs.ckpt"))),
+        # after the 28 above
+        ("train-digit-classes-empty", "train", [],
+         dict(train, dataset=dict(TRAIN, classes=[]))),
     ]
 
 
