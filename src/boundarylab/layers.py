@@ -1,13 +1,16 @@
 """Layer primitives with explicit forward/backward passes.
 
 Every layer computes in float64 and keeps its parameters as plain numpy
-arrays.  Each method has one job: ``forward(x, train)`` returns the
-output and an opaque context tuple, ``backward(ctx, gy)`` the input
-gradient, and ``param_grads(ctx, gy)`` the parameter gradients, keyed and
-shaped as ``params()``.  :class:`Layer` supplies the defaults of a layer
-without parameters or buffers; each concrete layer defines ``forward``
-and ``backward`` itself.  No autograd tape: the model walks the layer
-list explicitly.
+arrays.  Each method has one job.  ``out_shape(shape)``, the layer's one
+shape rule, maps an input example's shape to its output's, or raises
+:class:`ShapeMismatchError` naming the layer: ``model.Classifier`` walks
+it over its layers once, when built, and ``forward(x)`` asks it about
+``x.shape[1:]``.  ``forward`` returns the output and an opaque context
+tuple, ``backward(ctx, gy)`` the input gradient, and ``param_grads(ctx,
+gy)`` the parameter gradients, keyed and shaped as ``params()``.
+:class:`Layer` supplies the defaults of a layer that keeps its input's
+shape and has no parameters or buffers.  No autograd tape: the model
+walks the layer list explicitly.
 
 A layer method never writes the arrays it is given, unless it is passed
 ``overwrite=True``.  Only :class:`ReLU` and :class:`BatchNorm` take that
@@ -18,14 +21,15 @@ that array (BatchNorm: over its channel rows, which are the array
 itself when it is batch-innermost).  The model's forward loops pass two
 more keywords: ``pooled`` to a ReLU directly before a
 :class:`MaxPool2x2` and ``after_relu`` to that pool (``model._pooling``),
-and ``keep_patches=False`` to a first Conv2d in training.  Training
-passes ``empty`` to the train-mode ``forward`` of :class:`Conv2d`,
-:class:`BatchNorm`, :class:`MaxPool2x2` and :class:`Dense`: a function
-with ``np.empty``'s ``(shape, dtype)`` that the layer, and the train
-context's later passes, ask for each large array they write (outputs,
-patch matrices, x̂, window codes, input gradients), so that a fit reuses
-them from step to step (``model._Workspace``).  The default,
-``np.empty``, gives fresh arrays; either way the bits are the same.
+and ``keep_patches=False`` to a Conv2d that is training's first layer
+with parameters.  Training passes ``empty`` to the train-mode ``forward``
+of :class:`Conv2d`, :class:`BatchNorm`, :class:`MaxPool2x2` and
+:class:`Dense`: a function with ``np.empty``'s ``(shape, dtype)`` that
+the layer, and the train context's later passes, ask for each large
+array they write (outputs, patch matrices, x̂, window codes, input
+gradients), so that a fit reuses them from step to step
+(``model._Workspace``).  The default, ``np.empty``, gives fresh arrays;
+either way the bits are the same.
 
 Only training runs a layer in train mode: the model's head passes, and
 so every attack, prediction and export, run in eval mode.  A context
@@ -74,11 +78,17 @@ def as_tensor(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _check_rank(name, x, rank):
-    if x.ndim != rank:
+def _check_examples(name, shape, ranks, width=None):
+    # shape, if of one of ``ranks`` and ``width`` features or channels
+    if len(shape) not in ranks:
         raise ShapeMismatchError(
-            f"{name}: expected rank-{rank} input, got shape {x.shape}"
-        )
+            f"{name}: expected rank-{' or rank-'.join(map(str, ranks))} "
+            f"examples, got shape {shape}")
+    if width is not None and shape[0] != width:
+        what = "channels" if len(shape) == 3 else "features"
+        raise ShapeMismatchError(
+            f"{name}: expected {width} {what}, got {shape[0]}")
+    return shape
 
 
 def _check_train_ctx(name, kept):
@@ -91,7 +101,11 @@ def _check_train_ctx(name, kept):
 
 
 class Layer:
-    """Protocol defaults: no parameters, no buffers, no parameter gradients."""
+    """Protocol defaults: the input's shape kept; no parameters, no
+    buffers, no parameter gradients."""
+
+    def out_shape(self, shape):
+        return shape
 
     def config(self):
         return {"kind": self.kind}
@@ -138,14 +152,13 @@ class Dense(Layer):
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
+    def out_shape(self, shape):
+        _check_examples("dense", shape, (1,), self.in_features)
+        return (self.out_features,)
+
     def forward(self, x, train=False, *, empty=np.empty):
-        _check_rank("dense", x, 2)
-        if x.shape[1] != self.in_features:
-            raise ShapeMismatchError(
-                f"dense: expected {self.in_features} features, got {x.shape[1]}"
-            )
-        y = np.matmul(x, self.weight.T,
-                      out=empty((x.shape[0], self.out_features)))
+        (n,) = self.out_shape(x.shape[1:])
+        y = np.matmul(x, self.weight.T, out=empty((len(x), n)))
         y += self.bias  # in place: no second buffer
         # the backward reads only the weight; the input is kept for
         # param_grads, which only training calls
@@ -193,17 +206,16 @@ class Conv2d(Layer):
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
+    def out_shape(self, shape):
+        _, h, w = _check_examples("conv2d", shape, (3,), self.in_channels)
+        cut = self.kernel_size - 1 - 2 * self.padding
+        if min(h, w) <= cut:
+            raise ShapeMismatchError(
+                f"conv2d: input {h}x{w} smaller than kernel")
+        return (self.out_channels, h - cut, w - cut)
+
     def forward(self, x, train=False, *, keep_patches=True, empty=np.empty):
-        _check_rank("conv2d", x, 4)
-        if x.shape[1] != self.in_channels:
-            raise ShapeMismatchError(
-                f"conv2d: expected {self.in_channels} channels, got {x.shape[1]}"
-            )
-        k = self.kernel_size - 2 * self.padding
-        if x.shape[2] < k or x.shape[3] < k:
-            raise ShapeMismatchError(
-                f"conv2d: input {x.shape[2]}x{x.shape[3]} smaller than kernel"
-            )
+        self.out_shape(x.shape[1:])
         # converted once: the forward reads it as is, and in train mode so
         # does param_grads when no patch matrix is kept; the backward
         # reads only its shape
@@ -282,14 +294,15 @@ class MaxPool2x2(Layer):
 
     # ``after_relu``: x is the output of a ReLU told ``pooled``, whose mask
     # the window codes take over (kernels.maxpool2_forward)
-    def forward(self, x, train=False, *, after_relu=False, empty=np.empty):
-        _check_rank("maxpool2x2", x, 4)
-        b, c, h, w = x.shape
+    def out_shape(self, shape):
+        c, h, w = _check_examples("maxpool2x2", shape, (3,))
         if h < 2 or w < 2:
             raise ShapeMismatchError(
-                f"maxpool2x2: input {h}x{w} smaller than window"
-            )
-        shape = (c, h // 2, w // 2, b)
+                f"maxpool2x2: input {h}x{w} smaller than window")
+        return (c, h // 2, w // 2)
+
+    def forward(self, x, train=False, *, after_relu=False, empty=np.empty):
+        shape = (*self.out_shape(x.shape[1:]), len(x))
         y, idx = maxpool2_forward(x, after_relu=after_relu, out=empty(shape),
                                   codes=empty(shape, np.uint8))
         return y, (idx, x.shape, empty)
@@ -360,17 +373,11 @@ class BatchNorm(Layer):
     def buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
+    def out_shape(self, shape):
+        return _check_examples("batchnorm", shape, (1, 3), self.channels)
+
     def _rows(self, x):
         # x's (C, N) C-contiguous float64 channel rows
-        if x.ndim not in (2, 4):
-            raise ShapeMismatchError(
-                f"batchnorm: expected rank-2 or rank-4 input, got shape {x.shape}"
-            )
-        if x.shape[1] != self.channels:
-            what = "channels" if x.ndim == 4 else "features"
-            raise ShapeMismatchError(
-                f"batchnorm: expected {self.channels} {what}, got {x.shape[1]}"
-            )
         if x.ndim == 4:
             return batch_inner(x).transpose(1, 2, 3, 0).reshape(self.channels, -1)
         return np.ascontiguousarray(x.T, dtype=np.float64)
@@ -382,6 +389,7 @@ class BatchNorm(Layer):
         return [slice(lo, min(lo + step, c)) for lo in range(0, c, step)]
 
     def forward(self, x, train=False, *, overwrite=False, empty=np.empty):
+        self.out_shape(x.shape[1:])
         rows = self._rows(x)
         n = rows.shape[1]
         if not train:
@@ -486,9 +494,12 @@ class Flatten(Layer):
 
     kind = "flatten"
 
+    def out_shape(self, shape):
+        return (math.prod(shape),)
+
     def forward(self, x, train=False):
         # the width from the shape: reshape cannot infer -1 at zero rows
-        return x.reshape(x.shape[0], math.prod(x.shape[1:])), (x.shape,)
+        return x.reshape(x.shape[0], *self.out_shape(x.shape[1:])), (x.shape,)
 
     def backward(self, ctx, gy):
         (x_shape,) = ctx

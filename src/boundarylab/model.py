@@ -93,7 +93,8 @@ class _Passes:
     the forward loops, :func:`_pooling`; only ``train_forward`` passes
     ``train=True``, and ``empty=None`` to each layer that takes
     ``empty``, for :func:`_sgd_fit` to fill with its fit's
-    :class:`_Workspace`."""
+    :class:`_Workspace`; ``train_backward`` ends at the first layer with
+    parameters, whose input gradient nothing reads."""
 
     head_forward: tuple
     head_backward: tuple
@@ -101,41 +102,39 @@ class _Passes:
     train_backward: tuple
 
 
-def _head_corner(head, input_shape):
+def _shapes(layers, input_shape):
+    """Each layer's input shape from ``input_shape`` by their ``out_shape``
+    rules, and the last one's output shape; the first layer whose rule
+    refuses its input is refused as "input_shape: layer <i>: <message>"."""
+    shapes = [tuple(input_shape)]
+    for i, layer in enumerate(layers):
+        try:
+            shapes.append(layer.out_shape(shapes[-1]))
+        except ShapeMismatchError as e:
+            raise ShapeMismatchError(f"input_shape: layer {i}: {e}") from None
+    return shapes
+
+
+def _head_corner(head, shapes):
     """The index of the top-left corner of a (C, H, W) input that the
-    head's output reads, or None when it reads every pixel.
+    head's output reads, or None when it reads every pixel, from the
+    head's input ``shapes`` (:func:`_shapes`).
 
     A MaxPool2x2 drops an odd trailing row and column, so nothing reads
     what the layers before it compute there.  Walking back from the
-    head's output: a valid Conv2d reads out + k − 1 rows and columns of
-    its input, a pool 2·out, BatchNorm and ReLU out, and a padded
-    Conv2d, a Flatten or a Dense all of it."""
-    if len(input_shape) != 3:
-        return None
-    sizes = [input_shape[1:]]  # each layer's input (H, W), while rank 4
-    for layer in head:
-        h, w = sizes[-1]
-        if isinstance(layer, Conv2d):
-            cut = layer.kernel_size - 1 - 2 * layer.padding
-            h, w = h - cut, w - cut
-        elif isinstance(layer, MaxPool2x2):
-            h, w = h // 2, w // 2
-        sizes.append((h, w))
-    need = sizes[-1]
-    for layer, size in zip(reversed(head), reversed(sizes[:-1])):
+    head's output, read whole: a valid Conv2d reads out + k − 1 rows and
+    columns of its input, a pool 2·out, BatchNorm and ReLU out, and a
+    padded Conv2d, a Flatten or a Dense all of it."""
+    need = ()  # the (H, W) a layer's output is read to, () past Flatten
+    for layer, shape in zip(reversed(head), reversed(shapes[:len(head)])):
         if isinstance(layer, MaxPool2x2):
             need = (2 * need[0], 2 * need[1])
         elif isinstance(layer, Conv2d) and not layer.padding:
             need = (need[0] + layer.kernel_size - 1,
                     need[1] + layer.kernel_size - 1)
         elif not isinstance(layer, (BatchNorm, ReLU)):
-            need = size
-    # an input too small for the head is read whole, for its layers to
-    # refuse as before
-    if need == sizes[0] or not all(
-            0 < n <= s for n, s in zip(need, sizes[0])):
-        return None
-    return np.s_[:, :, :need[0], :need[1]]
+            need = shape[1:]
+    return None if need == shapes[0][1:] else np.s_[:, :, :need[0], :need[1]]
 
 
 # the layers whose train-mode forward takes ``empty``
@@ -276,9 +275,11 @@ class Classifier:
     per-example shape; every method takes and returns batches, with the
     batch as the first dimension.  ``meta`` carries training provenance
     into checkpoints; both are refused by name unless ``input_shape`` is
-    a list of ints >= 1 and ``meta`` a dict or None.  Every head pass
-    runs in eval mode: only training
-    moves a BatchNorm running statistic or keeps a patch matrix.  The
+    a list of ints >= 1 and ``meta`` a dict or None.  The layers' shape
+    rules are walked from ``input_shape`` once, here (:func:`_shapes`),
+    so a stack whose layers do not fit is refused when built.  Every head
+    pass runs in eval mode: only training moves a BatchNorm running
+    statistic or keeps a patch matrix.  The
     attack passes, :meth:`head_forward` and :meth:`head_forward_with_ctx`,
     run on the corner of the input that the head's output reads
     (:func:`_head_corner`): small_cnn's pools drop an odd trailing row
@@ -297,30 +298,32 @@ class Classifier:
             meta={} if meta is None else meta)
         self.input_shape = tuple(input_shape)
         self.meta = dict(meta)
+        self._shapes = _shapes(layers, self.input_shape)
 
     @cached_property
     def _passes(self):
         # once per classifier: its layer list is fixed at construction
         layers, head = self.layers, self.layers[:-1]
+        first = next(i for i, layer in enumerate(layers) if layer.params())
         train = [(layer, {**kw, "train": True,
                           **({"empty": None} if isinstance(layer, _BUFFERED)
                              else {})})
                  for layer, kw in _pooling(_owning(layers))]
-        if isinstance(layers[0], Conv2d):
-            # training takes no input gradient of its first layer, which
-            # would write over a kept patch matrix, so the matrix is built
-            # again for param_grads instead of kept through the step
-            train[0][1]["keep_patches"] = False
+        if isinstance(layers[first], Conv2d):
+            # training takes no input gradient of this layer, which would
+            # write over a kept patch matrix, so the matrix is built again
+            # for param_grads instead of kept through the step
+            train[first][1]["keep_patches"] = False
         return _Passes(head_forward=_pooling(_owning(head)),
                        head_backward=tuple(_owning(reversed(head))),
                        train_forward=tuple(train),
-                       train_backward=tuple(_owning(reversed(layers),
+                       train_backward=tuple(_owning(reversed(layers[first:]),
                                                     owned=True)))
 
     @cached_property
     def _corner(self):
         # the index of the input corner the head passes read, or None
-        return _head_corner(self.layers[:-1], self.input_shape)
+        return _head_corner(self.layers[:-1], self._shapes)
 
     def _read(self, x):
         # the corner of x the head reads: a view, which the first conv
@@ -557,21 +560,12 @@ def small_cnn(k=4, n=2, *, input_shape=(1, 28, 28), seed=0):
     lines can be plotted directly.
     """
     k, n, seed = _check_args(_PRESET_RULES, k=k, n=n, seed=seed)
-    c, h, w = input_shape
-    oh = (((h - 2) // 2) - 2) // 2
-    ow = (((w - 2) // 2) - 2) // 2
-    if oh < 1 or ow < 1:
-        raise ValueError(
-            f"input_shape: {h}x{w} is too small for two conv/pool blocks")
     rng = np.random.default_rng(seed)
-    flat = 32 * oh * ow
-    layers = [
-        Conv2d(c, 16, 3, rng=rng), BatchNorm(16), ReLU(), MaxPool2x2(),
-        Conv2d(16, 32, 3, rng=rng), BatchNorm(32), ReLU(), MaxPool2x2(),
-        Flatten(),
-        Dense(flat, n, rng=rng),
-        Dense(n, k, rng=rng),
-    ]
+    blocks = [Conv2d(input_shape[0], 16, 3, rng=rng), BatchNorm(16), ReLU(),
+              MaxPool2x2(), Conv2d(16, 32, 3, rng=rng), BatchNorm(32),
+              ReLU(), MaxPool2x2(), Flatten()]
+    (flat,) = _shapes(blocks, input_shape)[-1]
+    layers = [*blocks, Dense(flat, n, rng=rng), Dense(n, k, rng=rng)]
     return Classifier(layers, input_shape,
                       meta={"preset": "small_cnn", "init_seed": seed})
 
@@ -669,6 +663,7 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                      else kw)
                     for layer, kw in clf._passes.train_forward)
     backward = clf._passes.train_backward
+    first = len(clf.layers) - len(backward)  # the first with parameters
     images = as_tensor(data.images)
     shuffle_rng = np.random.default_rng(seed)
     velocity = {}
@@ -700,7 +695,7 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                 ctx = ctxs.pop()
                 # the parameter gradients read g before backward writes it
                 grads = layer.param_grads(ctx, g)
-                if i > 0:  # nothing reads the first layer's input gradient
+                if i > first:  # nothing reads the input gradient below
                     g = layer.backward(ctx, g, **kw)
                 params = layer.params()
                 for name, grad in grads.items():
@@ -709,7 +704,7 @@ def _sgd_fit(clf, data, *, epochs, lr, momentum, batch_size, seed,
                     params[name] += vel
             # the step's arrays are freed before the workspace plans from
             # their lifetimes
-            del z, g, ctx
+            del z, g, ctx, ctxs
             ws.end_step()
             _check_finite(clf, epoch, step)
             step += 1

@@ -590,6 +590,26 @@ def test_checkpoint_meta_of_pairs_is_io_error(tmp_path, trained, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda h: h["arch"].update(input_shape=[9]),
+     "layer 1: dense: expected 6 features, got 9"),
+    (lambda h: h["arch"]["layers"][-1].update(in_features=3),
+     "layer 4: dense: expected 3 features, got 2"),
+], ids=["input-shape", "tail-width"])
+def test_checkpoint_layers_that_do_not_fit_are_io_error(tmp_path, trained,
+                                                        capsys, mutate,
+                                                        message):
+    # refused at load, by layer, not blamed on the dataset at first use
+    root, ckpt = trained
+    bad = tmp_path / "fit.ckpt"
+    rewrite_checkpoint_header(ckpt, bad, mutate)
+    cfg, out = attack_config(root, ckpt, "fit.json", model_path=str(bad))
+    assert cli.main(["attack", "--config", str(cfg)]) == 3
+    assert (capsys.readouterr().err
+            == f"i/o error: model_path: arch: input_shape: {message}\n")
+    assert not out.exists()
+
+
 def test_non_finite_checkpoint_is_io_error(tmp_path, trained, capsys):
     root, ckpt = trained
     clf = model.Classifier.load(ckpt)

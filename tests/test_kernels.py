@@ -4,6 +4,36 @@ import pytest
 from boundarylab import kernels
 
 
+def _nan(shape, dtype=np.float64):
+    # a result buffer whose values no kernel may read: NaN, or 255 codes
+    return np.full(shape, 255 if dtype == np.uint8 else np.nan, dtype)
+
+
+def _forward(x, w, bias, padding=0):
+    cols = _nan(kernels.patch_shape(x.shape, *w.shape[2:], padding))
+    return kernels.conv2d_forward(x, w, bias, padding, cols=cols,
+                                  out=_nan((w.shape[0], cols.shape[1])))
+
+
+def _input_grad(gy, w, x_shape, padding=0):
+    b, c, h, wdt = x_shape
+    return kernels.conv2d_input_grad(
+        gy, w, x_shape, padding,
+        out=_nan((c, h + 2 * padding, wdt + 2 * padding, b)))
+
+
+def _pool(x, after_relu=False):
+    b, c, h, w = x.shape
+    shape = (c, h // 2, w // 2, b)
+    return kernels.maxpool2_forward(x, after_relu=after_relu, out=_nan(shape),
+                                    codes=_nan(shape, np.uint8))
+
+
+def _pool_grad(gy, idx, x_shape):
+    b, c, h, w = x_shape
+    return kernels.maxpool2_backward(gy, idx, x_shape, out=_nan((c, h, w, b)))
+
+
 def _conv_case(rng, b, ci, h, w, co, k):
     x = rng.standard_normal((b, ci, h, w))
     wt = rng.standard_normal((co, ci, k, k))
@@ -23,15 +53,15 @@ def _conv_case(rng, b, ci, h, w, co, k):
 def test_conv_primitives_match_window_oracle(rng, b, ci, h, w, co, k):
     x, wt, bias, gy = _conv_case(rng, b, ci, h, w, co, k)
     win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    y = kernels.conv2d_forward(x, wt, bias)
+    y = _forward(x, wt, bias)
     np.testing.assert_allclose(
         y, np.einsum("bcijpq,ocpq->boij", win, wt) + bias[:, None, None],
         rtol=1e-10, atol=1e-12)
     # both gradients are adjoints of the forward map: <y - bias, gy> equals
     # <x, input grad> and <w, weight grad>
     inner = np.vdot(y - bias[:, None, None], gy)
-    gx = kernels.conv2d_input_grad(gy, wt, x.shape)
-    gw, gb = kernels.conv2d_param_grad(x, gy, wt.shape)
+    gx = _input_grad(gy, wt, x.shape)
+    gw, gb = kernels.conv2d_param_grad(x, gy, wt.shape, 0)
     assert gx.shape == x.shape and gw.shape == wt.shape
     np.testing.assert_allclose(np.vdot(x, gx), inner, rtol=1e-10)
     np.testing.assert_allclose(np.vdot(wt, gw), inner, rtol=1e-10)
@@ -51,15 +81,15 @@ def test_padding_wrapper_matches_manual_pad(rng):
     w = rng.standard_normal((4, 3, 3, 3))
     bias = rng.standard_normal(4)
     padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    y = kernels.conv2d_forward(x, w, bias, padding=1)
-    np.testing.assert_array_equal(y, kernels.conv2d_forward(padded, w, bias))
+    y = _forward(x, w, bias, padding=1)
+    np.testing.assert_array_equal(y, _forward(padded, w, bias))
     gy = rng.standard_normal(y.shape)
     np.testing.assert_array_equal(
-        kernels.conv2d_input_grad(gy, w, x.shape, padding=1),
-        kernels.conv2d_input_grad(gy, w, padded.shape)[:, :, 1:-1, 1:-1])
+        _input_grad(gy, w, x.shape, padding=1),
+        _input_grad(gy, w, padded.shape)[:, :, 1:-1, 1:-1])
     np.testing.assert_array_equal(
         kernels.conv2d_param_grad(x, gy, w.shape, padding=1)[0],
-        kernels.conv2d_param_grad(padded, gy, w.shape)[0])
+        kernels.conv2d_param_grad(padded, gy, w.shape, 0)[0])
 
 
 def test_public_wrappers_handle_padding_and_strides(rng):
@@ -68,10 +98,10 @@ def test_public_wrappers_handle_padding_and_strides(rng):
     x = rng.standard_normal((2, 2, 14, 7)).astype(np.float32)[:, :, ::2, :]
     w = rng.standard_normal((3, 2, 3, 3))
     bias = rng.standard_normal(3)
-    y = kernels.conv2d_forward(x, w, bias, padding=1)
+    y = _forward(x, w, bias, padding=1)
     assert y.dtype == np.float64 and y.transpose(1, 2, 3, 0).flags.c_contiguous
     gy = rng.standard_normal(y.shape)
-    gx = kernels.conv2d_input_grad(gy, w, x.shape, padding=1)
+    gx = _input_grad(gy, w, x.shape, padding=1)
     assert gx.shape == x.shape and gx.transpose(1, 2, 3, 0).flags.c_contiguous
     gw, gb = kernels.conv2d_param_grad(x, gy, w.shape, padding=1)
     assert gw.shape == w.shape and gb.shape == bias.shape
@@ -96,9 +126,9 @@ def test_kernels_give_the_same_bits_for_either_input_layout(rng, b):
         bias = rng.standard_normal(co)
         xs = layouts((b, ci, h, h))
         gys = layouts((b, co, h - 2, h - 2))
-        outs = [(kernels.conv2d_forward(x, w, bias),
-                 kernels.conv2d_input_grad(gy, w, x.shape),
-                 *kernels.conv2d_param_grad(x, gy, w.shape))
+        outs = [(_forward(x, w, bias),
+                 _input_grad(gy, w, x.shape),
+                 *kernels.conv2d_param_grad(x, gy, w.shape, 0))
                 for x, gy in zip(xs, gys)]
         for got, want in zip(*outs):
             assert got.tobytes() == want.tobytes()
@@ -107,9 +137,9 @@ def test_kernels_give_the_same_bits_for_either_input_layout(rng, b):
     for c, h in ((16, 14), (32, 5)):
         xs = layouts((b, c, h, h))
         gys = layouts((b, c, h // 2, h // 2))
-        fwd = [kernels.maxpool2_forward(x) for x in xs]
+        fwd = [_pool(x) for x in xs]
         idxs = (np.ascontiguousarray(fwd[0][1]), fwd[1][1])
-        bwd = [kernels.maxpool2_backward(gy, idx, xs[0].shape)
+        bwd = [_pool_grad(gy, idx, xs[0].shape)
                for gy, idx in zip(gys, idxs)]
         for got, want in zip((*fwd[0], bwd[0]), (*fwd[1], bwd[1])):
             assert got.tobytes() == want.tobytes()
@@ -141,7 +171,7 @@ def test_pool_matches_argmax_oracle(rng, shape, values):
         x[rng.random(shape) < 0.2] = np.inf
     elif values == "signed_zero":
         x = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
-    y, idx = kernels.maxpool2_forward(x)
+    y, idx = _pool(x)
     y_ref, idx_ref, routed = _pool_oracle(x)
     assert y.tobytes() == y_ref.tobytes()  # also tells -0.0 from 0.0
     np.testing.assert_array_equal(idx, idx_ref)
@@ -150,7 +180,7 @@ def test_pool_matches_argmax_oracle(rng, shape, values):
     up = gy.repeat(2, axis=2).repeat(2, axis=3)
     expected = np.zeros(shape)  # dropped odd rows/columns get no gradient
     expected[:, :, : up.shape[2], : up.shape[3]] = np.where(routed, up, 0.0)
-    np.testing.assert_array_equal(kernels.maxpool2_backward(gy, idx, shape),
+    np.testing.assert_array_equal(_pool_grad(gy, idx, shape),
                                   expected)
 
 
@@ -158,22 +188,22 @@ def test_pool_ties_pick_first_in_scan_order():
     x = np.zeros((1, 1, 4, 4))
     x[0, 0, 1, 1] = x[0, 0, 0, 0] = 1.0  # tie inside the first window
     x[0, 0, 1, 2] = x[0, 0, 0, 3] = 1.0  # top-right beats bottom-left
-    _, idx = kernels.maxpool2_forward(x)
+    _, idx = _pool(x)
     assert idx[0, 0, 0, 0] == 0 and idx[0, 0, 0, 1] == 1
 
 
 def test_empty_batch_round_trips():
     x = np.zeros((0, 2, 6, 6))
     w = np.zeros((3, 2, 3, 3))
-    y = kernels.conv2d_forward(x, w, np.zeros(3))
+    y = _forward(x, w, np.zeros(3))
     assert y.shape == (0, 3, 4, 4)
-    assert kernels.conv2d_input_grad(y, w, x.shape).shape == x.shape
-    gw, gb = kernels.conv2d_param_grad(x, y, w.shape)
+    assert _input_grad(y, w, x.shape).shape == x.shape
+    gw, gb = kernels.conv2d_param_grad(x, y, w.shape, 0)
     assert gw.shape == w.shape and gb.shape == (3,)
     assert not gw.any() and not gb.any()
-    p, idx = kernels.maxpool2_forward(x)
+    p, idx = _pool(x)
     assert p.shape == idx.shape == (0, 2, 3, 3)
-    assert kernels.maxpool2_backward(p, idx, x.shape).shape == x.shape
+    assert _pool_grad(p, idx, x.shape).shape == x.shape
 
 
 def _specials(rng, shape):
@@ -191,23 +221,35 @@ def _specials(rng, shape):
 @pytest.mark.parametrize("ci,h,co,padding", [(1, 16, 16, 0), (16, 7, 32, 0),
                                              (2, 5, 3, 1)])
 def test_a_kept_patch_matrix_gives_the_same_bits(rng, b, ci, h, co, padding):
-    # the forward builds the patch matrix in ``cols``, the weight gradient
-    # reads it, and the input gradient then writes its columns over it
+    # the forward builds the patch matrix in ``cols`` and its output in
+    # ``out``, the same bits whether they held NaN or zeros; the weight
+    # gradient reads the matrix, and the input gradient then writes its
+    # columns over it
     x = _specials(rng, (b, ci, h, h))
     w, bias = rng.standard_normal((co, ci, 3, 3)), rng.standard_normal(co)
     gy = _specials(rng, (b, co, h + 2 * padding - 2, h + 2 * padding - 2))
-    cols = np.full(kernels.patch_shape(x.shape, 3, 3, padding), np.nan)
-    y = kernels.conv2d_forward(x, w, bias, padding, cols=cols)
-    assert y.tobytes() == kernels.conv2d_forward(x, w, bias, padding).tobytes()
-    assert cols.tobytes() == kernels._patches(x, 3, 3, padding)[0].tobytes()
-    for got, want in zip(
-            kernels.conv2d_param_grad(x * np.nan, gy, w.shape, padding,
-                                      cols=cols),
-            kernels.conv2d_param_grad(x, gy, w.shape, padding)):
+    shape = kernels.patch_shape(x.shape, 3, 3, padding)
+    gx_shape = (ci, h + 2 * padding, h + 2 * padding, b)
+    runs = []
+    for fill in (np.nan, 0.0):
+        cols = np.full(shape, fill)
+        y = kernels.conv2d_forward(x, w, bias, padding, cols=cols,
+                                   out=np.full((co, shape[1]), fill))
+        built = cols.copy()
+        grads = kernels.conv2d_param_grad(x * np.nan, gy, w.shape, padding,
+                                          cols=cols)
+        gx = kernels.conv2d_input_grad(gy, w, x.shape, padding, cols=cols,
+                                       out=np.full(gx_shape, fill))
+        runs.append([y, built, *grads, gx])
+    for got, want in zip(*runs):
         assert got.tobytes() == want.tobytes()
-    gx = kernels.conv2d_input_grad(gy, w, x.shape, padding, cols=cols)
-    assert gx.tobytes() == kernels.conv2d_input_grad(
-        gy, w, x.shape, padding).tobytes()
+    y, built, gw, gb, gx = runs[0]
+    assert built.tobytes() == kernels.patches(
+        x, 3, 3, padding, out=_nan(shape)).tobytes()
+    for got, want in zip((gw, gb),
+                         kernels.conv2d_param_grad(x, gy, w.shape, padding)):
+        assert got.tobytes() == want.tobytes()
+    assert gx.tobytes() == _input_grad(gy, w, x.shape, padding).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 1, 5, 7), (3, 2, 2, 2),
@@ -217,14 +259,14 @@ def test_pool_after_relu_folds_the_relu_mask_into_its_codes(rng, shape):
 
     relu = ReLU()
     r, ctx = relu.forward(_specials(rng, shape))
-    y, idx = kernels.maxpool2_forward(r)
+    y, idx = _pool(r)
     gy = _specials(rng, y.shape)
-    want = relu.backward(ctx, kernels.maxpool2_backward(gy, idx, shape))
-    folded, codes = kernels.maxpool2_forward(r, after_relu=True)
+    want = relu.backward(ctx, _pool_grad(gy, idx, shape))
+    folded, codes = _pool(r, after_relu=True)
     assert folded.tobytes() == y.tobytes()
     # a window whose max is not positive is coded 4 or more: it routes
     # nothing, as the ReLU's mask at its routed element is 0
     np.testing.assert_array_equal(codes, np.where(y > 0, idx, idx + 4))
     assert codes.dtype == np.uint8
-    assert kernels.maxpool2_backward(gy, codes, shape).tobytes() == \
+    assert _pool_grad(gy, codes, shape).tobytes() == \
         want.tobytes()

@@ -79,6 +79,50 @@ def test_param_gradients_match_finite_differences(name, train, rng):
         assert rel_err(grads[pname], fd) < 1e-6, pname
 
 
+@pytest.mark.parametrize("name", [n for n, _, _ in _cases(
+    np.random.default_rng(0))])
+def test_out_shape_is_the_shape_forward_gives(name, rng):
+    layer, shape = next((l, s) for n, l, s in _cases(rng) if n == name)
+    for train in (False, True):
+        y, _ = layer.forward(rng.standard_normal(shape), train=train)
+        assert layer.out_shape(shape[1:]) == y.shape[1:]
+
+
+@pytest.mark.parametrize("make, shape, message", [
+    (lambda: layers.Dense(5, 3), (4, 6), "dense: expected 5 features, got 6"),
+    (lambda: layers.Dense(5, 3), (4, 5, 1),
+     "dense: expected rank-1 examples, got shape (5, 1)"),
+    (lambda: layers.Conv2d(2, 3, 3, padding=1), (2, 3, 5, 5),
+     "conv2d: expected 2 channels, got 3"),
+    (lambda: layers.Conv2d(2, 3, 5), (2, 2, 4, 6),
+     "conv2d: input 4x6 smaller than kernel"),
+    (lambda: layers.Conv2d(2, 3, 3), (2, 2, 5),
+     "conv2d: expected rank-3 examples, got shape (2, 5)"),
+    (lambda: layers.MaxPool2x2(), (2, 2, 1, 6),
+     "maxpool2x2: input 1x6 smaller than window"),
+    (lambda: layers.MaxPool2x2(), (2, 6, 6),
+     "maxpool2x2: expected rank-3 examples, got shape (6, 6)"),
+    (lambda: layers.BatchNorm(3), (4, 2, 5, 5),
+     "batchnorm: expected 3 channels, got 2"),
+    (lambda: layers.BatchNorm(3), (4, 2),
+     "batchnorm: expected 3 features, got 2"),
+    (lambda: layers.BatchNorm(3), (4, 3, 5),
+     "batchnorm: expected rank-1 or rank-3 examples, got shape (3, 5)"),
+], ids=["dense-features", "dense-rank", "conv-channels", "conv-kernel",
+        "conv-rank", "pool-window", "pool-rank", "batchnorm-channels",
+        "batchnorm-features", "batchnorm-rank"])
+def test_a_layer_on_its_own_refuses_what_its_shape_rule_refuses(
+        make, shape, message):
+    # forward asks the rule about the batch's examples, in either mode
+    layer = make()
+    anchored = f"^{re.escape(message)}$"
+    with pytest.raises(layers.ShapeMismatchError, match=anchored):
+        layer.out_shape(shape[1:])
+    for train in (False, True):
+        with pytest.raises(layers.ShapeMismatchError, match=anchored):
+            layer.forward(np.zeros(shape), train=train)
+
+
 def test_dense_forward_matches_manual(rng):
     layer = layers.Dense(4, 3, rng=rng)
     x = rng.standard_normal((6, 4))
@@ -533,9 +577,15 @@ def test_conv_builds_its_patch_matrix_once(monkeypatch, rng, keep_patches):
     from boundarylab import kernels
 
     built = []
-    patches = kernels._patches
-    monkeypatch.setattr(kernels, "_patches",
-                        lambda *a, **k: built.append(1) or patches(*a, **k))
+    patches = kernels.patches
+
+    def recorded(*a, **k):
+        built.append(1)
+        return patches(*a, **k)
+
+    # the forward's kernel builds it, and param_grads by the layers' name
+    monkeypatch.setattr(kernels, "patches", recorded)
+    monkeypatch.setattr(layers, "patches", recorded)
     conv = layers.Conv2d(2, 3, 3, padding=1, rng=rng)
     y, ctx = conv.forward(rng.standard_normal((4, 2, 5, 5)), train=True,
                           keep_patches=keep_patches)

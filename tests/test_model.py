@@ -353,7 +353,7 @@ def test_training_builds_each_patch_matrix_as_planned(monkeypatch):
     ds = data.make_digits(4, classes=(0, 1, 2), size=16, seed=5)
     clf = model.small_cnn(k=3, n=2, input_shape=(1, 16, 16), seed=1)
     built, spare = [], []  # input channels of each matrix built; cols given
-    patches, input_grad = kernels._patches, layers.conv2d_input_grad
+    patches, input_grad = kernels.patches, layers.conv2d_input_grad
 
     def recorded_patches(x, *args, **kwargs):
         built.append(x.shape[1])
@@ -363,7 +363,10 @@ def test_training_builds_each_patch_matrix_as_planned(monkeypatch):
         spare.append(cols is not None)
         return input_grad(*args, cols=cols, **kwargs)
 
-    monkeypatch.setattr(kernels, "_patches", recorded_patches)
+    # the forward's kernel builds a matrix, and param_grads by the
+    # layers' name
+    monkeypatch.setattr(kernels, "patches", recorded_patches)
+    monkeypatch.setattr(layers, "patches", recorded_patches)
     monkeypatch.setattr(layers, "conv2d_input_grad", recorded_input_grad)
     model.train(clf, ds, epochs=1, batch_size=12, seed=0)
     # one step: conv1 and conv2 forward, then conv1's parameter gradients,
@@ -372,6 +375,25 @@ def test_training_builds_each_patch_matrix_as_planned(monkeypatch):
     # the matrix its parameter gradients read.
     assert built == [1, 16, 1]
     assert spare == [True]
+
+
+def test_training_takes_no_backward_below_the_first_layer_with_params(
+        monkeypatch):
+    # an mlp's first layer is Flatten: the first Dense's input gradient,
+    # which only Flatten would reshape, is never taken
+    ds = data.make_digits(6, classes=(0, 1, 2), size=16, seed=5)
+    clf = model.mlp((1, 16, 16), 3, hidden=(32,))
+    calls = []
+    backward = layers.Dense.backward
+
+    def recorded(self, ctx, gy, **kw):
+        calls.append(self.in_features)
+        return backward(self, ctx, gy, **kw)
+
+    monkeypatch.setattr(layers.Dense, "backward", recorded)
+    monkeypatch.setattr(layers.Flatten, "backward", None)
+    model.train(clf, ds, epochs=1, batch_size=18, seed=0)
+    assert calls == [8, 32]
 
 
 class _FreshArrays:
@@ -794,6 +816,13 @@ MALFORMED_HEADERS = {
                           r"float$"),
     "input-shape-str": (lambda h: h["arch"].update(input_shape=["8"]),
                         r"^arch: input_shape\[0\]: expected int, got str$"),
+    # the layers are walked from input_shape when the model is built
+    "input-shape-unfit": (lambda h: h["arch"].update(input_shape=[9]),
+                          r"^arch: input_shape: layer 1: dense: expected 8 "
+                          r"features, got 9$"),
+    "tail-width": (lambda h: h["arch"]["layers"][4].update(in_features=3),
+                   r"^arch: input_shape: layer 4: dense: expected 3 "
+                   r"features, got 2$"),
     "in-features-float": (
         lambda h: h["arch"]["layers"][1].update(in_features=8.2),
         r"^arch layer 1: in_features: expected int, got float$"),
@@ -1023,6 +1052,55 @@ def test_adv_train_refuses_a_seed_past_the_start_seed_bound(blobs_train):
 def test_presets_refuse_bad_arguments_by_name(make, key):
     with pytest.raises(ValueError, match=f"^{key}: "):
         make()
+
+
+@pytest.mark.parametrize("built, input_shape, message", [
+    # small_cnn's first and second pool: 3x3 leaves the first 1x1, and
+    # 8x8 the second
+    (lambda s: model.small_cnn(input_shape=s), (1, 3, 3),
+     "layer 3: maxpool2x2: input 1x1 smaller than window"),
+    (lambda s: model.small_cnn(input_shape=s), (1, 8, 8),
+     "layer 7: maxpool2x2: input 1x1 smaller than window"),
+    # a padded conv keeps 5x5, so its Dense takes 4·5·5, not 4·3·3
+    (lambda s: model.Classifier(
+        [layers.Conv2d(1, 4, 3, padding=1), layers.Flatten(),
+         layers.Dense(36, 3)], s),
+     (1, 5, 5), "layer 2: dense: expected 36 features, got 100"),
+    (lambda s: model.Classifier(
+        [layers.Flatten(), layers.Dense(8, 4), layers.ReLU(),
+         layers.Dense(4, 3)], s),
+     (9,), "layer 1: dense: expected 8 features, got 9"),
+    # the head's width against the tail's
+    (lambda s: model.Classifier([layers.Dense(8, 5), layers.Dense(4, 3)], s),
+     (8,), "layer 1: dense: expected 4 features, got 5"),
+    (lambda s: model.Classifier(
+        [layers.Conv2d(1, 4, 3), layers.BatchNorm(3), layers.Flatten(),
+         layers.Dense(36, 3)], s),
+     (1, 5, 5), "layer 1: batchnorm: expected 3 channels, got 4"),
+    (lambda s: model.Classifier(
+        [layers.Conv2d(1, 4, 3), layers.Flatten(), layers.Dense(36, 3)], s),
+     (5, 5), "layer 0: conv2d: expected rank-3 examples, got shape (5, 5)"),
+], ids=["small_cnn-pool1", "small_cnn-pool2", "padded-conv", "dense",
+        "head-width", "batchnorm", "conv-rank"])
+def test_a_stack_whose_layers_do_not_fit_is_refused_when_built(
+        built, input_shape, message):
+    with pytest.raises(layers.ShapeMismatchError,
+                       match=f"^{re.escape(f'input_shape: {message}')}$"):
+        built(input_shape)
+
+
+def test_the_walk_keeps_each_layers_input_shape():
+    L = layers
+    clf = model.Classifier(
+        [L.Conv2d(1, 4, 3, padding=1), L.BatchNorm(4), L.ReLU(),
+         L.MaxPool2x2(), L.Flatten(), L.Dense(16, 2), L.Dense(2, 3)],
+        (1, 5, 5))
+    assert clf._shapes == [(1, 5, 5), (4, 5, 5), (4, 5, 5), (4, 5, 5),
+                           (4, 2, 2), (16,), (2,), (3,)]
+    x = np.zeros((3, 1, 5, 5))
+    assert clf.head_forward(x).shape == (3, 2)
+    assert model.small_cnn(k=3, input_shape=(1, 10, 10))._shapes[-3:] == [
+        (32,), (2,), (3,)]
 
 
 @pytest.mark.parametrize("input_shape, meta, error, message", [

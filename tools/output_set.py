@@ -1,4 +1,4 @@
-"""Write the fixed 84 CLI outputs and 29 refusals and print their sha256.
+"""Write the fixed 84 CLI outputs and 32 refusals and print their sha256.
 
     python3 tools/output_set.py DIR [--src SRC]
 
@@ -28,7 +28,7 @@ and the script prints ``sha256  file`` for every output and stdout.
 Reports embed ``model_path``, so two checkouts compare byte for byte only
 when both write into the same ``DIR``.
 
-Then come 29 configs that the CLI refuses (:func:`refusals`): a value
+Then come 32 configs that the CLI refuses (:func:`refusals`): a value
 of the wrong type or out of range in ``attack``, ``adversarial``,
 ``train`` (``lr`` and ``momentum`` included), ``sweep.seeds``,
 ``workers`` and the top-level or flag seed of every command, a digit
@@ -39,7 +39,10 @@ with an unknown method, a sweep with an unknown init, sweeps with an
 empty list of splits or of seeds, a sweep split past the 3+8 budget,
 an empty ``keep``, a digit class with no stroke template, an attack
 on ``mlp-meta-pairs.ckpt``, a copy of ``mlp.ckpt`` whose header
-``meta`` is a list of pairs, and digits of an empty list of classes.
+``meta`` is a list of pairs, digits of an empty list of classes, attacks
+on two copies of ``mlp.ckpt`` whose layers do not fit
+(:func:`write_checkpoint_copies`), and small_cnn on 8x8 digits, too
+small for its second pool.
 Each writes ``refused-<name>.txt``, its exit code and stderr, and its
 ``sha256`` line follows the outputs'.
 """
@@ -207,16 +210,50 @@ def refusals(out):
         # after the 28 above
         ("train-digit-classes-empty", "train", [],
          dict(train, dataset=dict(TRAIN, classes=[]))),
+        # after the 29 above
+        ("attack-checkpoint-input-shape-9", "attack", [],
+         dict(base, model_path=str(out / "mlp-input-9.ckpt"))),
+        ("attack-checkpoint-tail-width", "attack", [],
+         dict(base, model_path=str(out / "mlp-tail-3.ckpt"))),
+        ("train-small_cnn-digits-8x8", "train", [],
+         dict(train, dataset=dict(TRAIN, size=8),
+              model=MODELS["small_cnn"])),
     ]
 
 
-def write_meta_pairs_checkpoint(out):
-    """Copy ``mlp.ckpt`` to ``mlp-meta-pairs.ckpt`` with the header's
-    ``meta`` set to ``[["a", 1]]``; the payload bytes are kept."""
+def write_checkpoint_copies(out):
+    """Copy ``mlp.ckpt`` (flatten, dense(256,16), relu, dense(16,2),
+    dense(2,4)) with one header change each:
+
+    * ``mlp-meta-pairs.ckpt``: ``meta`` set to ``[["a", 1]]``;
+    * ``mlp-input-9.ckpt``: ``input_shape`` set to ``[9]``, which the
+      first dense layer cannot take;
+    * ``mlp-tail-3.ckpt``: the tail takes 3 features, its weight given a
+      third column of zeros, so every tensor fits its layer and only the
+      head's width of 2 does not.
+
+    The payload bytes are kept, but for the tail's weight."""
     magic, header, payload = (out / "mlp.ckpt").read_bytes().split(b"\n", 2)
-    header = dict(json.loads(header), meta=[["a", 1]])
-    (out / "mlp-meta-pairs.ckpt").write_bytes(
-        b"\n".join((magic, json.dumps(header).encode(), payload)))
+    header = json.loads(header)
+    tail = dict(header, arch=dict(header["arch"], layers=[
+        *header["arch"]["layers"][:-1],
+        dict(header["arch"]["layers"][-1], in_features=3)]))
+    tail["tensors"] = [dict(t, shape=[4, 3]) if t["layer"] == 4
+                       and t["name"] == "weight" else t
+                       for t in header["tensors"]]
+    # the tail's (4, 2) weight then its bias are the last 12 doubles
+    weight, bias = payload[-12 * 8:-4 * 8], payload[-4 * 8:]
+    rows = b"".join(weight[16 * r:16 * r + 16] + bytes(8) for r in range(4))
+    copies = {
+        "mlp-meta-pairs.ckpt": (dict(header, meta=[["a", 1]]), payload),
+        "mlp-input-9.ckpt": (
+            dict(header, arch=dict(header["arch"], input_shape=[9])),
+            payload),
+        "mlp-tail-3.ckpt": (tail, payload[:-12 * 8] + rows + bias),
+    }
+    for name, (copy, data) in copies.items():
+        (out / name).write_bytes(
+            b"\n".join((magic, json.dumps(copy).encode(), data)))
 
 
 def sha256(path):
@@ -252,7 +289,7 @@ def main(argv=None):
         (out / f"{name}.stdout").write_text(stdout.getvalue())
         for written in (name, f"{name}.stdout"):
             print(f"{sha256(out / written)}  {written}", flush=True)
-    write_meta_pairs_checkpoint(out)
+    write_checkpoint_copies(out)
     for name, command, flags, cfg in refusals(out):
         config = out / f"refused-{name}.config.json"
         config.write_text(json.dumps(dict(cfg, out=str(out / name))))
